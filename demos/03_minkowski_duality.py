@@ -16,7 +16,6 @@ total = minkowski_sum([segment, triangle])
 cls = classify_vertices(total)
 print("summed points and their classification:")
 for p, v, u in zip(cls.points, cls.is_vertex, cls.is_upper_vertex):
-    tag = "upper vertex" in (("upper vertex",) if u else ()) or ""
     kind = "upper vertex" if u else ("strict lower vertex" if v else "not a vertex")
     print(f"  {tuple(int(x) for x in p)}: {kind}")
 print(f"\n{cls.vertex_count} vertices, {cls.upper_count} visible from above")

@@ -10,7 +10,6 @@ set is convex).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .geometry import (
     recession_profile,
     strictly_feasible,
 )
-from .linprog import BudgetExceededError, lp_call_count
+from .linprog import BudgetExceededError, charge_lp_calls, lp_call_count
 from .network import NO_BIAS, WITH_BIAS, LayerSpec, MaxoutUnitSpec, restrict_layer
 
 DEFAULT_SIGNATURE_BUDGET = 100_000
@@ -153,59 +152,96 @@ def _signature_system(layer: LayerSpec, sig: Sequence[Sequence[int]]):
     return eqs, ineqs
 
 
+def _expand(args) -> tuple[list, int]:
+    """One frontier batch: extend each prefix by each of the unit's choices.
+
+    Keeps the children whose signature system is strictly feasible, in
+    prefix-then-choice order.  When the children are complete signatures
+    they become Cells: the strictly-feasible point is the witness and the
+    recession profile decides boundedness.  Returns the children and the
+    number of LPs solved, so a pool worker's LPs can be charged to the caller.
+    """
+    layer, choices, prefixes = args
+    n = layer.input_dim
+    start = lp_call_count()
+    out = []
+    for prefix in prefixes:
+        for choice in choices:
+            sig = prefix + (choice,)
+            eqs, ineqs = _signature_system(layer, sig)
+            sys = ConstraintSystem(n, tuple(eqs), tuple(ineqs))
+            w = strictly_feasible(sys)
+            if w is None:
+                continue
+            if len(sig) < layer.width:
+                out.append(sig)
+                continue
+            prof = recession_profile(sys)
+            out.append(Cell(
+                tuple(frozenset(c + 1 for c in t) for t in sig),
+                n - linalg.rank([c for c, _ in eqs]),
+                prof.lineality_dim == 0 and prof.pointed_part_bounded,
+                w,
+            ))
+    return out, lp_call_count() - start
+
+
+def _frontier(layer: LayerSpec, choices, lp_budget: int, jobs: int = 1) -> list[Cell]:
+    """Nonempty cells over the signatures choices[0] x choices[1] x ...,
+    in lexicographic order.
+
+    Level i extends every strictly feasible prefix by unit i's choices and
+    drops the empty children; an empty prefix cell has only empty
+    extensions, so whole subtrees are pruned.  A level is split into
+    batches that run inline, or across a pool of jobs processes created
+    once per call.  Pool LPs are charged to this process's counter and the
+    budget is checked after every batch, so the cells, the LP count of a
+    finished walk and whether lp_budget is exceeded do not depend on jobs.
+    """
+    n = layer.input_dim
+    if not choices:  # no units: the whole space is the one cell
+        return [Cell((), n, n == 0, (Fraction(0),) * n)]
+    budget = _Budget(lp_budget)
+    pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
+    nodes = [()]
+    try:
+        for unit_choices in choices:
+            size = 1 if pool is None else max(1, len(nodes) // (4 * jobs))
+            batches = [
+                (layer, unit_choices, nodes[k : k + size]) for k in range(0, len(nodes), size)
+            ]
+            nodes = []
+            for children, lps in (map if pool is None else pool.map)(_expand, batches):
+                if pool is not None:
+                    charge_lp_calls(lps)
+                budget.check()
+                nodes.extend(children)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return nodes
+
+
 def enumerate_cells(
     layer: LayerSpec,
     max_signatures: int = DEFAULT_SIGNATURE_BUDGET,
     lp_budget: int = DEFAULT_LP_BUDGET,
 ) -> list[Cell]:
     """Every nonempty relatively open argmax-signature cell, with dimension,
-    boundedness of the closure, and a rational witness."""
-    n = layer.input_dim
+    boundedness of the closure, and a rational witness.
+
+    A unit's choices are the nonempty subsets of its features (the argmax
+    set).  The walk is the pruned signature frontier: an empty prefix cuts
+    its subtree, so the LPs track the nonempty cells, not the
+    prod(2^k - 1) signatures that max_signatures caps.  Cells come out in
+    lexicographic signature order.
+    """
     total = prod(2 ** u.rank - 1 for u in layer.units)
     if total > max_signatures:
         raise BudgetExceededError(
             f"{total} signatures exceed the cap {max_signatures}; raise {SIGNATURE_BUDGET_HINT}"
         )
-    budget = _Budget(lp_budget)
-    per_unit = [_nonempty_subsets(u.rank) for u in layer.units]
-    cells = []
-
-    def rec(i, sig):
-        if i == len(per_unit):
-            budget.check()
-            eqs, ineqs = _signature_system(layer, sig)
-            sys = ConstraintSystem(n, tuple(eqs), tuple(ineqs))
-            w = strictly_feasible(sys)
-            if w is None:
-                return
-            dim = n - linalg.rank([c for c, _ in eqs])
-            prof = recession_profile(sys)
-            bounded = prof.lineality_dim == 0 and prof.pointed_part_bounded
-            cells.append(
-                Cell(tuple(frozenset(c + 1 for c in t) for t in sig), dim, bounded, w)
-            )
-            return
-        for choice in per_unit[i]:
-            rec(i + 1, sig + [list(choice)])
-
-    rec(0, [])
-    return cells
-
-
-def _decide_region_batch(args):
-    layer, patterns = args
-    n = layer.input_dim
-    out = []
-    for pat in patterns:
-        eqs, ineqs = _signature_system(layer, [[p] for p in pat])
-        sys = ConstraintSystem(n, (), tuple(ineqs))
-        w = strictly_feasible(sys)
-        if w is None:
-            out.append((pat, None, None))
-            continue
-        prof = recession_profile(sys)
-        out.append((pat, w, prof.lineality_dim == 0 and prof.pointed_part_bounded))
-    return out
+    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units], lp_budget)
 
 
 def _dedupe_units(layer: LayerSpec) -> LayerSpec:
@@ -231,70 +267,22 @@ def count_regions_bruteforce(
 
     Regions are the full-dimensional cells, i.e. the strict single-argmax
     patterns with a nonempty interior; duplicate features are collapsed first
-    so strict dominance is meaningful.  Sequentially the pattern tree is
-    pruned on infeasible prefixes; with jobs > 1 the flat pattern list is
-    decided in parallel with an ordered reduce (identical results).
+    so strict dominance is meaningful.  The patterns are walked by the same
+    pruned frontier as enumerate_cells, with one singleton choice per
+    feature.  With jobs > 1 each level's batches run in a process pool; the
+    workers' LPs count against lp_budget and in lp_call_count(), and the
+    counts, the LPs solved and whether lp_budget is exceeded are the same
+    for every jobs.
     """
     layer = _dedupe_units(layer)
-    n = layer.input_dim
     total = prod(u.rank for u in layer.units)
     if total > max_signatures:
         raise BudgetExceededError(
             f"{total} patterns exceed the cap {max_signatures}; raise {SIGNATURE_BUDGET_HINT}"
         )
-    budget = _Budget(lp_budget)
-
-    if jobs > 1:
-        patterns = []
-
-        def gen(i, pat):
-            if i == len(layer.units):
-                patterns.append(tuple(pat))
-                return
-            for a in range(layer.units[i].rank):
-                gen(i + 1, pat + [a])
-
-        gen(0, [])
-        chunk = max(1, len(patterns) // (4 * jobs))
-        batches = [
-            (layer, patterns[i : i + chunk]) for i in range(0, len(patterns), chunk)
-        ]
-        regions = bounded = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(_decide_region_batch, batches):
-                for _, w, b in batch:
-                    if w is not None:
-                        regions += 1
-                        bounded += 1 if b else 0
-        return RegionCount(regions, bounded)
-
-    regions = 0
-    bounded = 0
-
-    def rec(i, ineqs):
-        nonlocal regions, bounded
-        budget.check()
-        sys = ConstraintSystem(n, (), tuple(ineqs))
-        if strictly_feasible(sys) is None:
-            return
-        if i == len(layer.units):
-            regions += 1
-            prof = recession_profile(sys)
-            if prof.lineality_dim == 0 and prof.pointed_part_bounded:
-                bounded += 1
-            return
-        feats = layer.units[i].features()
-        for a in range(len(feats)):
-            wa, ba = feats[a]
-            extra = [
-                (tuple(x - y for x, y in zip(wa, wc)), bc - ba)
-                for c, (wc, bc) in enumerate(feats)
-                if c != a
-            ]
-            rec(i + 1, ineqs + extra)
-
-    rec(0, [])
-    return RegionCount(regions, bounded)
+    choices = [[(a,) for a in range(u.rank)] for u in layer.units]
+    cells = _frontier(layer, choices, lp_budget, jobs)
+    return RegionCount(len(cells), sum(c.bounded for c in cells))
 
 
 # ---------------------------------------------------------------------------

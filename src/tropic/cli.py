@@ -143,7 +143,8 @@ def cmd_regions(args) -> int:
 
     layer = net.layers[0]
     if args.require_simple or "poset" in methods or "dual" in methods:
-        cert = is_simple(build_atoms(layer), lp_budget=lp_budget)
+        atoms = build_atoms(layer)
+        cert = is_simple(atoms, lp_budget=lp_budget)
         certificates["simple"] = cert.simple
         if args.require_simple and not cert.simple:
             print(f"arrangement is not simple: atoms {cert.violation}", file=sys.stderr)
@@ -155,13 +156,12 @@ def cmd_regions(args) -> int:
                                           lp_budget=lp_budget, jobs=args.jobs)
             results["pattern"] = {"regions": rc.regions, "bounded_regions": rc.bounded_regions}
         elif method == "poset":
-            results["poset"] = {"regions": count_regions_poset(build_atoms(layer))}
+            results["poset"] = {"regions": count_regions_poset(atoms)}
         else:
+            total = minkowski.minkowski_sum(minkowski.lift_layer(layer))
             if layer.bias_mode == WITH_BIAS:
-                chk = minkowski.duality_check(layer, lp_budget=lp_budget)
-                results["dual"] = {"regions": chk.upper_vertex_count}
+                results["dual"] = {"regions": minkowski.upper_vertex_count(total)}
             else:
-                total = minkowski.minkowski_sum(minkowski.lift_layer(layer))
                 results["dual"] = {"regions": minkowski.vertex_count(total)}
     if args.method == "all":
         counts = {results[m]["regions"] for m in results}
@@ -314,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--network", required=True)
     rc.add_argument("--method", choices=["pattern", "poset", "dual", "all"], default="pattern")
     rc.add_argument("--require-simple", action="store_true")
-    rc.add_argument("--jobs", type=int, default=1)
+    rc.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for the pattern count (default 1: no pool); "
+                         "results, LP counts and --lp-budget are the same for any value")
     add_budget_flags(rc)
     rc.set_defaults(func=cmd_regions)
 

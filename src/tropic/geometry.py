@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .linprog import EQ, GE, OPTIMAL, UNBOUNDED, solve_lp
+from .linprog import EQ, GE, OPTIMAL, UNBOUNDED, InternalError, solve_lp
 
 Vec = tuple[Fraction, ...]
 Constraint = tuple[Vec, Fraction]
@@ -134,6 +134,15 @@ def affine_dimension(sys: ConstraintSystem) -> int | None:
     return d - linalg.rank([c for c, _ in eqs])
 
 
+def _solved(res):
+    # The margin LPs run on a nonempty system and the recession LP is
+    # homogeneous, so both are feasible; every objective variable is capped,
+    # so both are bounded.
+    if res.status != OPTIMAL:
+        raise InternalError(f"bounded feasible LP returned {res.status}")
+    return res
+
+
 def _max_common_margin(d, eqs, ineqs):
     cons: list[tuple[list, str, object]] = []
     for c, r in eqs:
@@ -141,9 +150,7 @@ def _max_common_margin(d, eqs, ineqs):
     for c, r in ineqs:
         cons.append((list(c) + [-1], GE, r))
     cons.append(([0] * d + [-1], GE, -1))
-    res = solve_lp(d + 1, [0] * d + [1], cons, nonneg=[False] * d + [True])
-    assert res.status == OPTIMAL
-    return res
+    return _solved(solve_lp(d + 1, [0] * d + [1], cons, nonneg=[False] * d + [True]))
 
 
 def _max_single_margin(d, eqs, target, others):
@@ -155,9 +162,7 @@ def _max_single_margin(d, eqs, target, others):
     for c, r in others:
         cons.append((list(c) + [0], GE, r))
     cons.append(([0] * d + [-1], GE, -1))
-    res = solve_lp(d + 1, [0] * d + [1], cons, nonneg=[False] * d + [True])
-    assert res.status == OPTIMAL
-    return res
+    return _solved(solve_lp(d + 1, [0] * d + [1], cons, nonneg=[False] * d + [True]))
 
 
 def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
@@ -189,8 +194,7 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
         cap[d + i] = -1
         cons.append((cap, GE, -1))  # s_i <= 1
     obj = [0] * d + [1] * n_in
-    res = solve_lp(nv, obj, cons, nonneg=[False] * d + [True] * n_in)
-    assert res.status == OPTIMAL
+    res = _solved(solve_lp(nv, obj, cons, nonneg=[False] * d + [True] * n_in))
     return RecessionProfile(lineality_dim, res.value == 0)
 
 

@@ -30,9 +30,20 @@ class BudgetExceededError(RuntimeError):
     """
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed; a bug in tropic, not in its input."""
+
+
 def lp_call_count() -> int:
-    """Total solve_lp invocations in this process; used for budget accounting."""
+    """Total solve_lp invocations in this process, plus those charged from
+    worker processes; used for budget accounting."""
     return _lp_calls
+
+
+def charge_lp_calls(count: int) -> None:
+    """Count LPs that a worker process solved on this process's behalf."""
+    global _lp_calls
+    _lp_calls += count
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ def _as_fraction(v) -> Fraction:
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError("integer pivot lost exactness (internal error)")
+        raise InternalError("integer pivot lost exactness")
     return q
 
 
@@ -185,7 +196,8 @@ def solve_lp(
     def pivot(r: int, s: int) -> None:
         nonlocal den
         piv = T[r][s]
-        assert piv > 0
+        if piv <= 0:
+            raise InternalError(f"pivot element {piv} is not positive")
         prow = T[r]
         d = den
         for row in T + [z1, z2]:
@@ -236,8 +248,8 @@ def solve_lp(
 
     basis_row: dict[int, int] = {basis[i]: i for i in range(m)}
 
-    status = run(z1)
-    assert status == OPTIMAL  # phase 1 is bounded (artificial sum >= 0)
+    if run(z1) != OPTIMAL:
+        raise InternalError("phase 1 unbounded, but the artificial sum is >= 0")
     if z1[rhs_i] != 0:
         return LPResult(INFEASIBLE, None, None)
 

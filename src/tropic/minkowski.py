@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .arrangement import DEFAULT_LP_BUDGET, count_regions_bruteforce
 from .linprog import EQ, INFEASIBLE, solve_lp
-from .network import WITH_BIAS, LayerSpec, NetworkParseError
+from .network import WITH_BIAS, LayerSpec, NetworkParseError, _reject_float
 from .rational import format_rational, parse_rational
 
 Vec = tuple[Fraction, ...]
@@ -228,9 +228,7 @@ def partial_sum_trivial_bound(sets: Sequence[LabeledPointSet], n: int):
 
 def parse_point_set(text: str) -> LabeledPointSet:
     """Point-set files: { "dim": d, "points": [["p/q", ...], ...], "label": str }."""
-    doc = json.loads(text, parse_float=lambda s: (_ for _ in ()).throw(
-        NetworkParseError(f"float literal {s!r} not accepted; use 'p/q' strings")
-    ))
+    doc = json.loads(text, parse_float=_reject_float)
     if not isinstance(doc, dict):
         raise NetworkParseError("$: expected an object")
     dim = doc.get("dim")

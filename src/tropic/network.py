@@ -202,20 +202,6 @@ def serialize_network(net: NetworkSpec) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def parse_points(text: str) -> list[Vec]:
-    """Point-query files: { "points": [["p/q", ...], ...] }."""
-    doc = json.loads(text, parse_float=_reject_float)
-    pts = doc.get("points") if isinstance(doc, dict) else None
-    if not isinstance(pts, list):
-        raise NetworkParseError("$.points: expected an array")
-    out = []
-    for i, row in enumerate(pts):
-        if not isinstance(row, list):
-            raise NetworkParseError(f"$.points[{i}]: expected an array")
-        out.append(tuple(parse_rational(v, f"$.points[{i}][{j}]") for j, v in enumerate(row)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 

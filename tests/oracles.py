@@ -9,10 +9,16 @@ face decomposition.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from tropic.geometry import ConstraintSystem, affine_dimension, strictly_feasible
-from tropic.linalg import dot
+from tropic.arrangement import Cell
+from tropic.geometry import (
+    ConstraintSystem,
+    affine_dimension,
+    recession_profile,
+    strictly_feasible,
+)
+from tropic.linalg import dot, rank
 from tropic.linprog import EQ, GE
 
 
@@ -81,3 +87,45 @@ def euler_characteristic_by_decomposition(sys: ConstraintSystem) -> int:
         dim = affine_dimension(piece)
         total += -1 if dim % 2 else 1
     return total
+
+
+def enumerate_cells_unpruned(layer) -> list[Cell]:
+    """Every argmax signature decided on its own, with no prefix pruning:
+    the slow path that the pruned frontier of enumerate_cells replaced.
+
+    Signatures run in lexicographic order over each unit's nonempty feature
+    subsets.  Each system lists all ties, then all strict dominances, unit
+    by unit and in feature order, as enumerate_cells does, so equal cells
+    carry equal witnesses.
+    """
+    n = layer.input_dim
+    per_unit = [
+        [s for size in range(1, u.rank + 1) for s in combinations(range(u.rank), size)]
+        for u in layer.units
+    ]
+    cells = []
+    for sig in product(*per_unit):
+        eqs, ineqs = [], []
+        for u, chosen in zip(layer.units, sig):
+            feats = u.features()
+            wr, br = feats[chosen[0]]
+            for c, (wc, bc) in enumerate(feats):
+                row = (tuple(x - y for x, y in zip(wr, wc)), bc - br)
+                if c in chosen[1:]:
+                    eqs.append(row)
+                elif c not in chosen:
+                    ineqs.append(row)
+        sys = ConstraintSystem(n, tuple(eqs), tuple(ineqs))
+        w = strictly_feasible(sys)
+        if w is None:
+            continue
+        prof = recession_profile(sys)
+        cells.append(
+            Cell(
+                tuple(frozenset(c + 1 for c in t) for t in sig),
+                n - rank([c for c, _ in eqs]),
+                prof.lineality_dim == 0 and prof.pointed_part_bounded,
+                w,
+            )
+        )
+    return cells

@@ -19,7 +19,7 @@ from tropic.arrangement import (
 )
 from tropic.bounds import binom, shallow_formula
 from tropic.linalg import nullspace_basis
-from tropic.linprog import BudgetExceededError
+from tropic.linprog import BudgetExceededError, lp_call_count
 from tropic.network import (
     NO_BIAS,
     WITH_BIAS,
@@ -30,6 +30,8 @@ from tropic.network import (
     sample_generic,
     unit,
 )
+
+from oracles import enumerate_cells_unpruned
 
 RELU = unit([[1], [0]], [0, 0])
 
@@ -115,6 +117,32 @@ class TestEnumerateCells:
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"):
             enumerate_cells(example_layer(), lp_budget=3)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: construct_shallow_optimal(2, (3, 3, 2), seed=3),
+            lambda: construct_shallow_optimal_nobias(2, (3, 3), seed=2),
+            lambda: layer([unit([[1, 0]], [2]), EX_UNIT1, EX_UNIT2]),
+            lambda: layer([unit([[1, 0], [0, 0], [1, 0]], [0, 0, 0]), EX_UNIT2]),
+            # The first candidate sample_generic(2, (3, 3, 2), WITH_BIAS,
+            # seed=5, magnitude=1) draws: not simple, and unit 1 repeats a
+            # feature.
+            lambda: layer([
+                unit([[1, 0], [1, 0], [1, 1]], [1, 1, -1]),
+                unit([[0, -1], [1, -1], [-1, -1]], [0, 0, -1]),
+                unit([[0, 1], [-1, 1]], [-1, -1]),
+            ]),
+        ],
+        ids=["bias", "no-bias", "rank-1-unit", "duplicate-features", "non-simple-draw"],
+    )
+    def test_matches_unpruned_oracle(self, make):
+        l = make()
+        cells = enumerate_cells(l)
+        assert cells == enumerate_cells_unpruned(l)
+        full = [c for c in cells if c.dim == l.input_dim]
+        rc = count_regions_bruteforce(l)
+        assert (rc.regions, rc.bounded_regions) == (len(full), sum(c.bounded for c in full))
+
 
 class TestCountRegionsBruteforce:
     def test_example(self):
@@ -138,7 +166,19 @@ class TestCountRegionsBruteforce:
 
     def test_jobs_match_sequential(self):
         l = construct_shallow_optimal(2, (3, 2), seed=2)
-        assert count_regions_bruteforce(l, jobs=2) == count_regions_bruteforce(l)
+        counts, lps = [], []
+        for jobs in (1, 2):
+            start = lp_call_count()
+            counts.append(count_regions_bruteforce(l, jobs=jobs))
+            lps.append(lp_call_count() - start)
+        assert counts[0] == counts[1]
+        assert lps[0] == lps[1] > 0  # worker LPs are charged to this process
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lp_budget_holds_for_any_jobs(self, jobs):
+        l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"):
+            count_regions_bruteforce(l, lp_budget=5, jobs=jobs)
 
 
 class TestPoset:

@@ -10,6 +10,7 @@ from tropic.cli import (
     EXIT_USAGE,
     main,
 )
+from tropic.linprog import lp_call_count
 
 
 def run(capsys, *argv):
@@ -62,6 +63,30 @@ def test_construct_then_count_all_methods(tmp_path, capsys):
     r = results_of(out)
     assert r["pattern"]["regions"] == r["poset"]["regions"] == r["dual"]["regions"] == 9
     assert r["consistent"] is True
+
+
+def test_regions_count_lp_cost(tmp_path, capsys):
+    # One build_atoms serves is_simple and the poset; the dual count is the
+    # upper-vertex count alone.  Per stage: atoms 21, is_simple 34, pattern
+    # 77, poset 160, dual 47 LPs.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
+        "--seed", "1", "-o", str(net))
+    expected = {
+        "dual": (102, {"dual": {"regions": 19}}),
+        "all": (339, {
+            "pattern": {"regions": 19, "bounded_regions": 7},
+            "poset": {"regions": 19},
+            "dual": {"regions": 19},
+            "consistent": True,
+        }),
+    }
+    for method, (lps, results) in expected.items():
+        start = lp_call_count()
+        code, out, _ = run(capsys, "regions", "count", "--network", str(net), "--method", method)
+        assert code == EXIT_OK
+        assert lp_call_count() - start == lps
+        assert results_of(out) == results
 
 
 def test_regions_deterministic_bytes(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropic import geometry
 from tropic.geometry import (
     ConstraintSystem,
     EmptyPolyhedronError,
@@ -13,6 +14,7 @@ from tropic.geometry import (
     recession_profile,
     strictly_feasible,
 )
+from tropic.linprog import UNBOUNDED, InternalError, LPResult
 
 from oracles import euler_characteristic_by_decomposition
 
@@ -211,3 +213,11 @@ def test_euler_closed_form_matches_decomposition_oracle(seed):
         d = rng.choice([1, 2, 3])
         s = random_feasible_system(rng, d)
         assert euler_characteristic(s) == euler_characteristic_by_decomposition(s)
+
+
+def test_unsolved_bounded_lp_is_an_internal_error(monkeypatch):
+    # The margin LP is feasible and capped, so a non-optimal status is a bug;
+    # it must raise a typed error that survives python -O.
+    monkeypatch.setattr(geometry, "solve_lp", lambda *a, **k: LPResult(UNBOUNDED, None, None))
+    with pytest.raises(InternalError, match="unbounded"):
+        geometry._max_common_margin(1, [], [((Fraction(1),), Fraction(0))])
