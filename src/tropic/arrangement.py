@@ -111,7 +111,9 @@ def _pair_system(layer: LayerSpec, i: int, a: int, b: int) -> ConstraintSystem:
 def build_atoms(layer: LayerSpec) -> Arrangement:
     """All nonempty codimension-1 tie boundaries, unit by unit.
 
-    Rank-1 units have no indecision boundaries and contribute nothing.
+    Rank-1 units have no indecision boundaries and contribute nothing.  One
+    affine_dimension call per feature pair decides both emptiness and
+    dimension.
     """
     n = layer.input_dim
     atoms = []
@@ -120,9 +122,7 @@ def build_atoms(layer: LayerSpec) -> Arrangement:
             continue
         for a, b in combinations(range(u.rank), 2):
             sys = _pair_system(layer, i, a, b)
-            if feasible(sys) is None:
-                continue
-            if affine_dimension(sys) == n - 1:
+            if affine_dimension(sys) == n - 1:  # None when empty
                 atoms.append(Atom(i + 1, (a + 1, b + 1), sys))
     return Arrangement(n, tuple(atoms), layer.bias_mode == NO_BIAS)
 
@@ -157,9 +157,10 @@ def _expand(args) -> tuple[list, int]:
 
     Keeps the children whose signature system is strictly feasible, in
     prefix-then-choice order.  When the children are complete signatures
-    they become Cells: the strictly-feasible point is the witness and the
-    recession profile decides boundedness.  Returns the children and the
-    number of LPs solved, so a pool worker's LPs can be charged to the caller.
+    they become Cells: the strictly-feasible point is the witness, and the
+    recession profile, spared its emptiness LP by that point, decides
+    boundedness.  Returns the children and the number of LPs solved, so a
+    pool worker's LPs can be charged to the caller.
     """
     layer, choices, prefixes = args
     n = layer.input_dim
@@ -176,7 +177,7 @@ def _expand(args) -> tuple[list, int]:
             if len(sig) < layer.width:
                 out.append(sig)
                 continue
-            prof = recession_profile(sys)
+            prof = recession_profile(sys, witness=w)
             out.append(Cell(
                 tuple(frozenset(c + 1 for c in t) for t in sig),
                 n - linalg.rank([c for c, _ in eqs]),
@@ -337,6 +338,8 @@ def build_poset(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> Poset:
     Every element is the intersection of all atoms containing it, so the set
     of containing atoms is a complete canonical key: equal sets of atoms mean
     equal elements (mutual-containment deduplication without pairwise LPs).
+    The point that showed an element nonempty is kept as its witness, so
+    its Euler characteristic needs no second emptiness LP.
     """
     budget = _Budget(lp_budget)
     n = arr.ambient_dim
@@ -374,7 +377,8 @@ def build_poset(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> Poset:
     for idx, key in enumerate(keys):
         sys = elements[key]
         dim = affine_dimension(sys)
-        psi = euler_characteristic(sys)
+        psi = euler_characteristic(sys, witness=witnesses[key])
+        budget.check()
         units = frozenset(arr.atoms[a].unit for a in key)
         is_central_origin = arr.central and dim == 0
         out.append(
@@ -398,10 +402,13 @@ def _mobius_from_bottom(elements, leq):
     return mu
 
 
-def count_regions_poset(arr: Arrangement, poset: Poset | None = None) -> int:
-    """Region count via the alternating Euler/Mobius sum over the poset."""
+def count_regions_poset(
+    arr: Arrangement, poset: Poset | None = None, lp_budget: int = DEFAULT_LP_BUDGET
+) -> int:
+    """Region count via the alternating Euler/Mobius sum over the poset;
+    lp_budget bounds the poset build when no poset is given."""
     if poset is None:
-        poset = build_poset(arr)
+        poset = build_poset(arr, lp_budget=lp_budget)
     n = arr.ambient_dim
     total = sum(e.psi * m for e, m in zip(poset.elements, poset.mobius_from_bottom))
     return (-1) ** n * total
@@ -450,12 +457,8 @@ def is_simple(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> Simplicit
         sys = arr.atoms[idxs[0]].system
         for i in idxs[1:]:
             sys = sys.intersection(arr.atoms[i].system)
-        tie_rank = linalg.rank([c for c, _ in sys.equalities])
-        if strictly_feasible(sys) is not None:
-            dim = n - tie_rank
-        else:
-            dim = affine_dimension(sys)  # None when empty
-        if dim is None:
+        dim = affine_dimension(sys)
+        if dim is None:  # empty
             return not arr.central  # central atoms all meet at the origin
         if dim == n - j:
             return True

@@ -16,7 +16,6 @@ import os
 import sys
 import time
 
-from . import arrangement as arr_mod
 from . import bounds, minkowski, verify
 from .arrangement import (
     DEFAULT_LP_BUDGET,
@@ -29,7 +28,7 @@ from .arrangement import (
     enumerate_cells,
     is_simple,
 )
-from .linprog import BudgetExceededError
+from .linprog import BudgetExceededError, lp_call_count
 from .network import (
     NO_BIAS,
     WITH_BIAS,
@@ -128,6 +127,12 @@ def cmd_bounds(args) -> int:
 def cmd_regions(args) -> int:
     net = _load_network(args.network)
     lp_budget, max_sig = _budgets(args)
+    start = lp_call_count()
+
+    def remaining() -> int:
+        # One LP budget for the whole command: each stage gets what is left.
+        return lp_budget - (lp_call_count() - start)
+
     results: dict = {}
     certificates: dict = {}
     methods = ["pattern", "poset", "dual"] if args.method == "all" else [args.method]
@@ -144,7 +149,7 @@ def cmd_regions(args) -> int:
     layer = net.layers[0]
     if args.require_simple or "poset" in methods or "dual" in methods:
         atoms = build_atoms(layer)
-        cert = is_simple(atoms, lp_budget=lp_budget)
+        cert = is_simple(atoms, lp_budget=remaining())
         certificates["simple"] = cert.simple
         if args.require_simple and not cert.simple:
             print(f"arrangement is not simple: atoms {cert.violation}", file=sys.stderr)
@@ -153,16 +158,15 @@ def cmd_regions(args) -> int:
     for method in methods:
         if method == "pattern":
             rc = count_regions_bruteforce(layer, max_signatures=max_sig,
-                                          lp_budget=lp_budget, jobs=args.jobs)
+                                          lp_budget=remaining(), jobs=args.jobs)
             results["pattern"] = {"regions": rc.regions, "bounded_regions": rc.bounded_regions}
         elif method == "poset":
-            results["poset"] = {"regions": count_regions_poset(atoms)}
+            results["poset"] = {"regions": count_regions_poset(atoms, lp_budget=remaining())}
         else:
             total = minkowski.minkowski_sum(minkowski.lift_layer(layer))
-            if layer.bias_mode == WITH_BIAS:
-                results["dual"] = {"regions": minkowski.upper_vertex_count(total)}
-            else:
-                results["dual"] = {"regions": minkowski.vertex_count(total)}
+            cls = minkowski.classify_vertices(total, lp_budget=remaining())
+            upper = layer.bias_mode == WITH_BIAS
+            results["dual"] = {"regions": cls.upper_count if upper else cls.vertex_count}
     if args.method == "all":
         counts = {results[m]["regions"] for m in results}
         results["consistent"] = len(counts) == 1

@@ -3,7 +3,10 @@
 A ConstraintSystem is a finite list of affine equalities and inequalities
 (coeffs . x >= rhs) over Q^d.  Everything downstream (cells, posets, vertex
 classification) reduces to the operations here, which in turn reduce to
-exact LP feasibility queries.
+exact LP feasibility queries.  One common-margin LP serves both
+strictly_feasible and affine_dimension, and decides emptiness on the way.
+recession_profile and euler_characteristic skip their emptiness LP when the
+caller passes a point that the system satisfies.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .linprog import EQ, GE, OPTIMAL, UNBOUNDED, InternalError, solve_lp
+from .linprog import EQ, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError, solve_lp
 
 Vec = tuple[Fraction, ...]
 Constraint = tuple[Vec, Fraction]
@@ -90,18 +93,12 @@ def feasible(sys: ConstraintSystem) -> Vec | None:
 def strictly_feasible(sys: ConstraintSystem) -> Vec | None:
     """A point satisfying equalities exactly and every inequality strictly.
 
-    One LP: maximize a shared slack margin t (capped at 1); the margin is
+    This is the one margin LP (shared with affine_dimension): maximize a
+    common slack margin t of all inequalities, capped at 1; the margin is
     positive exactly when the relative interior in this sense is nonempty.
     """
     d = sys.ambient_dim
-    cons: list[tuple[list, str, object]] = []
-    for c, r in sys.equalities:
-        cons.append((list(c) + [0], EQ, r))
-    for c, r in sys.inequalities:
-        cons.append((list(c) + [-1], GE, r))
-    cons.append(([0] * d + [-1], GE, -1))  # t <= 1
-    obj = [0] * d + [1]
-    res = solve_lp(d + 1, obj, cons, nonneg=[False] * d + [True])
+    res = _max_common_margin(d, sys.equalities, sys.inequalities)
     if res.status != OPTIMAL or res.value == 0:
         return None
     return res.x[:d]
@@ -110,19 +107,21 @@ def strictly_feasible(sys: ConstraintSystem) -> Vec | None:
 def affine_dimension(sys: ConstraintSystem) -> int | None:
     """Dimension of the affine hull of the feasible set; None when empty.
 
-    Finds the implicit equalities (inequalities tight over the whole set)
-    with a shared-margin LP per round, then takes the rank of the combined
-    equality system.
+    The margin LP of strictly_feasible decides emptiness too: with margin
+    t = 0 it is the system itself, so it is infeasible exactly when the
+    system is empty.  A positive margin means no inequality is implicitly
+    tight and the dimension comes from the equalities alone.  At margin 0,
+    the implicit equalities (inequalities tight over the whole set) are
+    found one LP each, and the rank of the combined equality system is taken.
     """
-    if feasible(sys) is None:
-        return None
     d = sys.ambient_dim
     eqs = list(sys.equalities)
-    res = _max_common_margin(d, eqs, list(sys.inequalities))
+    res = _max_common_margin(d, eqs, sys.inequalities)
+    if res.status == INFEASIBLE:
+        return None
     if res.value == 0 and sys.inequalities:
-        # At margin 0 some inequality is tight over the whole set.  A strict
-        # slack at the witness clears a constraint; the rest are tested alone
-        # (max of its own slack over the unmodified system).
+        # A strict slack at the witness clears a constraint; the rest are
+        # tested alone (max of its own slack over the unmodified system).
         x = res.x[:d]
         for i, (c, r) in enumerate(sys.inequalities):
             if linalg.dot(c, x) > r:
@@ -135,7 +134,7 @@ def affine_dimension(sys: ConstraintSystem) -> int | None:
 
 
 def _solved(res):
-    # The margin LPs run on a nonempty system and the recession LP is
+    # The single-margin LPs run on a nonempty system and the recession LP is
     # homogeneous, so both are feasible; every objective variable is capped,
     # so both are bounded.
     if res.status != OPTIMAL:
@@ -144,13 +143,16 @@ def _solved(res):
 
 
 def _max_common_margin(d, eqs, ineqs):
+    """max t over {eqs, ineq . x >= rhs + t, 0 <= t <= 1}: infeasible exactly
+    when the system is empty, optimal otherwise."""
     cons: list[tuple[list, str, object]] = []
     for c, r in eqs:
         cons.append((list(c) + [0], EQ, r))
     for c, r in ineqs:
         cons.append((list(c) + [-1], GE, r))
     cons.append(([0] * d + [-1], GE, -1))
-    return _solved(solve_lp(d + 1, [0] * d + [1], cons, nonneg=[False] * d + [True]))
+    res = solve_lp(d + 1, [0] * d + [1], cons, nonneg=[False] * d + [True])
+    return res if res.status == INFEASIBLE else _solved(res)
 
 
 def _max_single_margin(d, eqs, target, others):
@@ -165,13 +167,18 @@ def _max_single_margin(d, eqs, target, others):
     return _solved(solve_lp(d + 1, [0] * d + [1], cons, nonneg=[False] * d + [True]))
 
 
-def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
+def recession_profile(
+    sys: ConstraintSystem, witness: Sequence[Fraction] | None = None
+) -> RecessionProfile:
     """Lineality dimension and boundedness of the pointed part.
 
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
-    (dim of its lineality space, whether the cone equals that space).
+    (dim of its lineality space, whether the cone equals that space).  An
+    empty system raises EmptyPolyhedronError.  A witness that the system
+    exactly satisfies proves it nonempty and skips the emptiness LP; any
+    other witness is ignored.
     """
-    if feasible(sys) is None:
+    if not (witness is not None and sys.satisfies(witness)) and feasible(sys) is None:
         raise EmptyPolyhedronError("recession profile of an empty polyhedron")
     d = sys.ambient_dim
     all_normals = [c for c, _ in sys.equalities] + [c for c, _ in sys.inequalities]
@@ -198,15 +205,17 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     return RecessionProfile(lineality_dim, res.value == 0)
 
 
-def euler_characteristic(sys: ConstraintSystem) -> int:
+def euler_characteristic(
+    sys: ConstraintSystem, witness: Sequence[Fraction] | None = None
+) -> int:
     """Compactly-supported Euler characteristic of the closed polyhedron.
 
     Closed form: (-1)^lineality_dim when the pointed part is bounded, else 0.
     (A polyhedron splits as lineality space x pointed part; bounded pieces
     contribute 1, an unbounded pointed cone contributes 0, and each lineality
-    dimension flips the sign.)
+    dimension flips the sign.)  witness is passed to recession_profile.
     """
-    prof = recession_profile(sys)
+    prof = recession_profile(sys, witness)
     if not prof.pointed_part_bounded:
         return 0
     return -1 if prof.lineality_dim % 2 else 1

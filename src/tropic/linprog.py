@@ -1,16 +1,23 @@
 """Exact rational linear programming via simplex with Bland's rule.
 
-All arithmetic is exact: the tableau is kept as integers sharing a single
-positive denominator (the determinant of the current basis), so every pivot
-is one exact division per entry.  Bland's rule guarantees termination and
-makes the returned witness deterministic for a fixed input.
+All arithmetic is exact and integer.  Each constraint row is built straight
+from the numerators and denominators of its int or Fraction inputs: the row
+is multiplied by the lcm of its denominators (its slack entry becomes
+-scale) and is not gcd-reduced, so no Fraction is formed until the witness
+is read off.  The tableau then shares a single positive denominator (the
+determinant of the current basis) and every pivot is the fraction-free
+update of Bareiss (1968): each updated row is divided by the previous pivot
+as a whole, after checking that the pivot divides the gcd of the row's
+numerators, which holds iff it divides every entry.  Bland's rule
+guarantees termination and makes the returned witness deterministic for a
+fixed input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 OPTIMAL = "optimal"
@@ -53,19 +60,27 @@ class LPResult:
     x: tuple[Fraction, ...] | None
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"exact arithmetic requires int or Fraction, got {type(v).__name__}")
-    return Fraction(v)
+def _split(values) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of int or Fraction values."""
+    nums: list[int] = []
+    dens: list[int] = []
+    for v in values:
+        if isinstance(v, Fraction):
+            nums.append(v.numerator)
+            dens.append(v.denominator)
+        elif isinstance(v, int) and not isinstance(v, bool):
+            nums.append(v)
+            dens.append(1)
+        else:
+            raise TypeError(f"exact arithmetic requires int or Fraction, got {type(v).__name__}")
+    return nums, dens
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
+def _divide_row(vals: list[int], d: int) -> list[int]:
+    """vals // d entry by entry; d must divide every entry exactly."""
+    if gcd(*vals) % d:
         raise InternalError("integer pivot lost exactness")
-    return q
+    return [v // d for v in vals]
 
 
 def solve_lp(
@@ -84,11 +99,11 @@ def solve_lp(
     global _lp_calls
     _lp_calls += 1
 
-    obj = [_as_fraction(c) for c in objective]
-    if len(obj) != num_vars:
+    onum, oden = _split(objective)
+    if len(onum) != num_vars:
         raise ValueError("objective length != num_vars")
     if not maximize:
-        obj = [-c for c in obj]
+        onum = [-c for c in onum]
     if nonneg is None:
         nonneg = [False] * num_vars
 
@@ -106,85 +121,70 @@ def solve_lp(
             neg_col.append(ncols)
             ncols += 1
 
-    frac_rows: list[list[Fraction]] = []
-    frac_rhs: list[Fraction] = []
-    slack_of_row: list[int] = []
+    n_struct = ncols
+
+    # Rows become integers: each is multiplied by the lcm of its
+    # denominators (its slack entry becomes -scale), not gcd-reduced, and
+    # sign-normalized to rhs >= 0; a zero-rhs row flips only when its slack
+    # entry is -1.
+    rows: list[tuple[list[int], int, int]] = []  # (structural, slack entry or 0, rhs)
     for coeffs, op, rhs in constraints:
-        coeffs = list(coeffs)
-        if len(coeffs) != num_vars:
+        nums, dens = _split(coeffs)
+        if len(nums) != num_vars:
             raise ValueError("constraint length != num_vars")
-        row = [Fraction(0)] * ncols
-        for j in range(num_vars):
-            c = _as_fraction(coeffs[j])
-            if c:
-                row[pos_col[j]] = c
-                if neg_col[j] >= 0:
-                    row[neg_col[j]] = -c
-        if op == GE:
-            slack_of_row.append(ncols)
-            ncols += 1
-        elif op == EQ:
-            slack_of_row.append(-1)
-        else:
+        if op not in (GE, EQ):
             raise ValueError(f"unknown constraint op {op!r}")
-        frac_rows.append(row)
-        frac_rhs.append(_as_fraction(rhs))
-
-    m = len(frac_rows)
-    for row in frac_rows:
-        row.extend([Fraction(0)] * (ncols - len(row)))
-    for i, sc in enumerate(slack_of_row):
-        if sc >= 0:
-            frac_rows[i][sc] = Fraction(-1)  # a.x - s = rhs, s >= 0
-
-    # Rows become integers (scaled independently), sign-normalized to rhs >= 0.
-    # Each tableau row has ncols structural entries plus the rhs at index -1.
-    T: list[list[int]] = []
-    for i in range(m):
-        scale = 1
-        for v in frac_rows[i] + [frac_rhs[i]]:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        irow = [int(v * scale) for v in frac_rows[i]]
-        ib = int(frac_rhs[i] * scale)
-        sc = slack_of_row[i]
-        if ib < 0 or (ib == 0 and sc >= 0 and irow[sc] == -1):
+        (bnum,), (bden,) = _split((rhs,))
+        scale = lcm(bden, *dens)
+        irow = [0] * n_struct
+        for j, (c, cd) in enumerate(zip(nums, dens)):
+            if c:
+                v = c * (scale // cd)
+                irow[pos_col[j]] = v
+                if neg_col[j] >= 0:
+                    irow[neg_col[j]] = -v
+        ib = bnum * (scale // bden)
+        s = -scale if op == GE else 0
+        if ib < 0 or (ib == 0 and s == -1):
             irow = [-v for v in irow]
             ib = -ib
-        irow.append(ib)
-        T.append(irow)
+            s = -s
+        rows.append((irow, s, ib))
 
-    # Initial basis: a row's own slack when it has coefficient +1 after the
-    # sign flip, else a fresh artificial column.
-    basis: list[int] = [-1] * m
-    for i in range(m):
-        sc = slack_of_row[i]
-        if sc >= 0 and T[i][sc] == 1:
-            basis[i] = sc
-    n_before_art = ncols
-    for i in range(m):
-        if basis[i] == -1:
-            for r in range(m):
-                T[r].insert(-1, 1 if r == i else 0)
-            basis[i] = ncols
-            ncols += 1
-    is_art = [j >= n_before_art for j in range(ncols)]
+    # A row keeps its own slack as the initial basic column when that entry
+    # is +1, else it gets a fresh artificial column.
+    m = len(rows)
+    n_slack = sum(s != 0 for _, s, _ in rows)
+    n_before_art = n_struct + n_slack
+    ncols = n_before_art + sum(s != 1 for _, s, _ in rows)
+    T: list[list[int]] = []
+    basis: list[int] = []
+    art_rows: list[list[int]] = []
+    slack, art = n_struct, n_before_art
+    for irow, s, ib in rows:
+        row = irow + [0] * (ncols - n_struct) + [ib]
+        if s:
+            row[slack] = s
+            slack += 1
+        if s == 1:
+            basis.append(slack - 1)
+        else:
+            row[art] = 1
+            basis.append(art)
+            art += 1
+            art_rows.append(row)
+        T.append(row)
 
     # Cost rows ride along through every pivot (same integer update), with
     # the running objective value in the rhs slot.
-    z1 = [0] * (ncols + 1)
-    for i in range(m):
-        if is_art[basis[i]]:
-            for j in range(ncols + 1):
-                z1[j] += T[i][j]
+    z1 = [sum(col) for col in zip(*art_rows)] if art_rows else [0] * (ncols + 1)
     for c in range(n_before_art, ncols):
         z1[c] = 0
 
-    zscale = 1
-    for c in obj:
-        zscale = zscale * c.denominator // gcd(zscale, c.denominator)
+    zscale = lcm(*oden)
+    zcoef = [c * (zscale // cd) for c, cd in zip(onum, oden)]
     z2 = [0] * (ncols + 1)
-    for j in range(num_vars):
-        v = int(obj[j] * zscale)
+    for j, v in enumerate(zcoef):
         if v:
             z2[pos_col[j]] = v
             if neg_col[j] >= 0:
@@ -192,28 +192,26 @@ def solve_lp(
 
     den = 1
     rhs_i = ncols  # index of the rhs slot in every row
+    all_rows = T + [z1, z2]  # rows are updated in place, so this stays valid
 
     def pivot(r: int, s: int) -> None:
         nonlocal den
-        piv = T[r][s]
+        prow = T[r]
+        piv = prow[s]
         if piv <= 0:
             raise InternalError(f"pivot element {piv} is not positive")
-        prow = T[r]
         d = den
-        for row in T + [z1, z2]:
+        for row in all_rows:
             if row is prow:
                 continue
             f = row[s]
             if f:
-                if d == 1:
-                    row[:] = [a * piv - f * b for a, b in zip(row, prow)]
-                else:
-                    row[:] = [_exact_div(a * piv - f * b, d) for a, b in zip(row, prow)]
+                vals = [a * piv - f * b for a, b in zip(row, prow)]
             elif piv != d:
-                if d == 1:
-                    row[:] = [a * piv for a in row]
-                else:
-                    row[:] = [_exact_div(a * piv, d) for a in row]
+                vals = [a * piv for a in row]
+            else:
+                continue
+            row[:] = vals if d == 1 else _divide_row(vals, d)
         basis[r] = s
         den = piv
 
@@ -233,8 +231,8 @@ def solve_lp(
     def run(zrow: list[int]) -> str:
         while True:
             enter = -1
-            for j in range(ncols):
-                if not is_art[j] and zrow[j] > 0 and basis_row.get(j) is None:
+            for j in range(n_before_art):
+                if zrow[j] > 0 and j not in basis_row:
                     enter = j
                     break
             if enter == -1:
@@ -255,11 +253,12 @@ def solve_lp(
 
     # Drive basic artificials out (or leave them on redundant zero rows).
     for i in range(m):
-        if is_art[basis[i]]:
-            for j in range(ncols):
-                if not is_art[j] and T[i][j] != 0 and basis_row.get(j) is None:
-                    if T[i][j] < 0:
-                        T[i] = [-v for v in T[i]]
+        if basis[i] >= n_before_art:
+            row = T[i]
+            for j in range(n_before_art):
+                if row[j] != 0 and j not in basis_row:
+                    if row[j] < 0:
+                        row[:] = [-v for v in row]
                     del basis_row[basis[i]]
                     basis_row[j] = i
                     pivot(i, j)
@@ -267,21 +266,21 @@ def solve_lp(
 
     status = run(z2)
 
-    x = [Fraction(0)] * num_vars
+    # Witness numerators over the common denominator den.
+    xnum = [0] * num_vars
     for j in range(num_vars):
-        v = Fraction(0)
         r = basis_row.get(pos_col[j])
         if r is not None:
-            v += Fraction(T[r][rhs_i], den)
+            xnum[j] += T[r][rhs_i]
         if neg_col[j] >= 0:
             r = basis_row.get(neg_col[j])
             if r is not None:
-                v -= Fraction(T[r][rhs_i], den)
-        x[j] = v
+                xnum[j] -= T[r][rhs_i]
+    x = tuple(Fraction(v, den) for v in xnum)
 
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, tuple(x))
-    value = sum((obj[j] * x[j] for j in range(num_vars)), Fraction(0))
+        return LPResult(UNBOUNDED, None, x)
+    value = Fraction(sum(c * v for c, v in zip(zcoef, xnum)), zscale * den)
     if not maximize:
         value = -value
-    return LPResult(OPTIMAL, value, tuple(x))
+    return LPResult(OPTIMAL, value, x)

@@ -3,13 +3,16 @@
 These deliberately avoid the library's simplex/closed-form code paths:
 LP optima come from exact vertex enumeration over constraint subsets, and
 Euler characteristics come from the definitional alternating sum over a
-face decomposition.
+face decomposition.  solve_lp_reference is the slow path that the
+integer-native solve_lp replaced, kept so the two can be compared LP by LP.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from typing import Iterable, Sequence
 
 from tropic.arrangement import Cell
 from tropic.geometry import (
@@ -19,7 +22,15 @@ from tropic.geometry import (
     strictly_feasible,
 )
 from tropic.linalg import dot, rank
-from tropic.linprog import EQ, GE
+from tropic.linprog import (
+    EQ,
+    GE,
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    InternalError,
+    LPResult,
+)
 
 
 def solve_boxed_lp_by_enumeration(num_vars, objective, constraints, box):
@@ -129,3 +140,233 @@ def enumerate_cells_unpruned(layer) -> list[Cell]:
             )
         )
     return cells
+
+
+def _as_fraction(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"exact arithmetic requires int or Fraction, got {type(v).__name__}")
+    return Fraction(v)
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise InternalError("integer pivot lost exactness")
+    return q
+
+
+def solve_lp_reference(
+    num_vars: int,
+    objective: Sequence,
+    constraints: Iterable[tuple[Sequence, str, object]],
+    nonneg: Sequence[bool] | None = None,
+    maximize: bool = True,
+) -> LPResult:
+    """The Fraction-scaled simplex that linprog.solve_lp replaced, kept as
+    the reference for the differential test: rows are built as Fractions,
+    scaled to integers entry by entry, and every pivot divides entry by entry.
+    Same signature, pivots and LPResult as solve_lp; it counts no LP call.
+    """
+    obj = [_as_fraction(c) for c in objective]
+    if len(obj) != num_vars:
+        raise ValueError("objective length != num_vars")
+    if not maximize:
+        obj = [-c for c in obj]
+    if nonneg is None:
+        nonneg = [False] * num_vars
+
+    # Column layout: per variable one column (nonneg) or a split pair
+    # (free x = pos - neg), then one slack per '>=' row, then artificials.
+    pos_col: list[int] = []
+    neg_col: list[int] = []
+    ncols = 0
+    for j in range(num_vars):
+        pos_col.append(ncols)
+        ncols += 1
+        if nonneg[j]:
+            neg_col.append(-1)
+        else:
+            neg_col.append(ncols)
+            ncols += 1
+
+    frac_rows: list[list[Fraction]] = []
+    frac_rhs: list[Fraction] = []
+    slack_of_row: list[int] = []
+    for coeffs, op, rhs in constraints:
+        coeffs = list(coeffs)
+        if len(coeffs) != num_vars:
+            raise ValueError("constraint length != num_vars")
+        row = [Fraction(0)] * ncols
+        for j in range(num_vars):
+            c = _as_fraction(coeffs[j])
+            if c:
+                row[pos_col[j]] = c
+                if neg_col[j] >= 0:
+                    row[neg_col[j]] = -c
+        if op == GE:
+            slack_of_row.append(ncols)
+            ncols += 1
+        elif op == EQ:
+            slack_of_row.append(-1)
+        else:
+            raise ValueError(f"unknown constraint op {op!r}")
+        frac_rows.append(row)
+        frac_rhs.append(_as_fraction(rhs))
+
+    m = len(frac_rows)
+    for row in frac_rows:
+        row.extend([Fraction(0)] * (ncols - len(row)))
+    for i, sc in enumerate(slack_of_row):
+        if sc >= 0:
+            frac_rows[i][sc] = Fraction(-1)  # a.x - s = rhs, s >= 0
+
+    # Rows become integers (scaled independently), sign-normalized to rhs >= 0.
+    # Each tableau row has ncols structural entries plus the rhs at index -1.
+    T: list[list[int]] = []
+    for i in range(m):
+        scale = 1
+        for v in frac_rows[i] + [frac_rhs[i]]:
+            scale = scale * v.denominator // gcd(scale, v.denominator)
+        irow = [int(v * scale) for v in frac_rows[i]]
+        ib = int(frac_rhs[i] * scale)
+        sc = slack_of_row[i]
+        if ib < 0 or (ib == 0 and sc >= 0 and irow[sc] == -1):
+            irow = [-v for v in irow]
+            ib = -ib
+        irow.append(ib)
+        T.append(irow)
+
+    # Initial basis: a row's own slack when it has coefficient +1 after the
+    # sign flip, else a fresh artificial column.
+    basis: list[int] = [-1] * m
+    for i in range(m):
+        sc = slack_of_row[i]
+        if sc >= 0 and T[i][sc] == 1:
+            basis[i] = sc
+    n_before_art = ncols
+    for i in range(m):
+        if basis[i] == -1:
+            for r in range(m):
+                T[r].insert(-1, 1 if r == i else 0)
+            basis[i] = ncols
+            ncols += 1
+    is_art = [j >= n_before_art for j in range(ncols)]
+
+    # Cost rows ride along through every pivot (same integer update), with
+    # the running objective value in the rhs slot.
+    z1 = [0] * (ncols + 1)
+    for i in range(m):
+        if is_art[basis[i]]:
+            for j in range(ncols + 1):
+                z1[j] += T[i][j]
+    for c in range(n_before_art, ncols):
+        z1[c] = 0
+
+    zscale = 1
+    for c in obj:
+        zscale = zscale * c.denominator // gcd(zscale, c.denominator)
+    z2 = [0] * (ncols + 1)
+    for j in range(num_vars):
+        v = int(obj[j] * zscale)
+        if v:
+            z2[pos_col[j]] = v
+            if neg_col[j] >= 0:
+                z2[neg_col[j]] = -v
+
+    den = 1
+    rhs_i = ncols  # index of the rhs slot in every row
+
+    def pivot(r: int, s: int) -> None:
+        nonlocal den
+        piv = T[r][s]
+        if piv <= 0:
+            raise InternalError(f"pivot element {piv} is not positive")
+        prow = T[r]
+        d = den
+        for row in T + [z1, z2]:
+            if row is prow:
+                continue
+            f = row[s]
+            if f:
+                if d == 1:
+                    row[:] = [a * piv - f * b for a, b in zip(row, prow)]
+                else:
+                    row[:] = [_exact_div(a * piv - f * b, d) for a, b in zip(row, prow)]
+            elif piv != d:
+                if d == 1:
+                    row[:] = [a * piv for a in row]
+                else:
+                    row[:] = [_exact_div(a * piv, d) for a in row]
+        basis[r] = s
+        den = piv
+
+    def ratio_row(s: int) -> int:
+        best = -1
+        for i in range(m):
+            if T[i][s] > 0:
+                if best == -1:
+                    best = i
+                else:
+                    lhs = T[i][rhs_i] * T[best][s]
+                    rhs = T[best][rhs_i] * T[i][s]
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                        best = i
+        return best
+
+    def run(zrow: list[int]) -> str:
+        while True:
+            enter = -1
+            for j in range(ncols):
+                if not is_art[j] and zrow[j] > 0 and basis_row.get(j) is None:
+                    enter = j
+                    break
+            if enter == -1:
+                return OPTIMAL
+            leave = ratio_row(enter)
+            if leave == -1:
+                return UNBOUNDED
+            del basis_row[basis[leave]]
+            basis_row[enter] = leave
+            pivot(leave, enter)
+
+    basis_row: dict[int, int] = {basis[i]: i for i in range(m)}
+
+    if run(z1) != OPTIMAL:
+        raise InternalError("phase 1 unbounded, but the artificial sum is >= 0")
+    if z1[rhs_i] != 0:
+        return LPResult(INFEASIBLE, None, None)
+
+    # Drive basic artificials out (or leave them on redundant zero rows).
+    for i in range(m):
+        if is_art[basis[i]]:
+            for j in range(ncols):
+                if not is_art[j] and T[i][j] != 0 and basis_row.get(j) is None:
+                    if T[i][j] < 0:
+                        T[i] = [-v for v in T[i]]
+                    del basis_row[basis[i]]
+                    basis_row[j] = i
+                    pivot(i, j)
+                    break
+
+    status = run(z2)
+
+    x = [Fraction(0)] * num_vars
+    for j in range(num_vars):
+        v = Fraction(0)
+        r = basis_row.get(pos_col[j])
+        if r is not None:
+            v += Fraction(T[r][rhs_i], den)
+        if neg_col[j] >= 0:
+            r = basis_row.get(neg_col[j])
+            if r is not None:
+                v -= Fraction(T[r][rhs_i], den)
+        x[j] = v
+
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED, None, tuple(x))
+    value = sum((obj[j] * x[j] for j in range(num_vars)), Fraction(0))
+    if not maximize:
+        value = -value
+    return LPResult(OPTIMAL, value, tuple(x))

@@ -253,6 +253,11 @@ class TestPosetCounting:
         with pytest.raises(ValueError):
             count_faces_poset(arr, 2)
 
+    def test_lp_budget_reaches_the_poset_build(self):
+        arr = build_atoms(example_layer())
+        with pytest.raises(BudgetExceededError):
+            count_regions_poset(arr, lp_budget=3)
+
 
 class TestIsSimple:
     def test_construction_certified(self):

@@ -67,14 +67,15 @@ def test_construct_then_count_all_methods(tmp_path, capsys):
 
 def test_regions_count_lp_cost(tmp_path, capsys):
     # One build_atoms serves is_simple and the poset; the dual count is the
-    # upper-vertex count alone.  Per stage: atoms 21, is_simple 34, pattern
-    # 77, poset 160, dual 47 LPs.
+    # upper-vertex count alone.  Per stage: atoms 9, is_simple 26, pattern
+    # 58, poset 122, dual 47 LPs.  No stage re-proves with an LP what a
+    # caller's point or the one margin LP already shows.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
         "--seed", "1", "-o", str(net))
     expected = {
-        "dual": (102, {"dual": {"regions": 19}}),
-        "all": (339, {
+        "dual": (82, {"dual": {"regions": 19}}),
+        "all": (262, {
             "pattern": {"regions": 19, "bounded_regions": 7},
             "poset": {"regions": 19},
             "dual": {"regions": 19},
@@ -87,6 +88,21 @@ def test_regions_count_lp_cost(tmp_path, capsys):
         assert code == EXIT_OK
         assert lp_call_count() - start == lps
         assert results_of(out) == results
+
+
+@pytest.mark.parametrize("method,budget", [("poset", 60), ("dual", 60), ("poset", 156)])
+def test_lp_budget_bounds_the_whole_command(tmp_path, capsys, method, budget):
+    # atoms and is_simple spend 35 LPs, then the poset (122) or the
+    # upper-vertex classification (47) gets only what is left.  --method
+    # poset needs 157 LPs in all, the last of them for the Euler
+    # characteristics of the poset's elements.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
+        "--seed", "1", "-o", str(net))
+    code, _, err = run(capsys, "regions", "count", "--network", str(net),
+                       "--method", method, "--lp-budget", str(budget))
+    assert code == EXIT_BUDGET
+    assert "TROPIC_BUDGET_LP" in err
 
 
 def test_regions_deterministic_bytes(tmp_path, capsys):

@@ -14,7 +14,7 @@ from tropic.geometry import (
     recession_profile,
     strictly_feasible,
 )
-from tropic.linprog import UNBOUNDED, InternalError, LPResult
+from tropic.linprog import UNBOUNDED, InternalError, LPResult, lp_call_count
 
 from oracles import euler_characteristic_by_decomposition
 
@@ -80,6 +80,9 @@ class TestStrictlyFeasible:
     def test_empty_system(self):
         assert strictly_feasible(sys1(ineqs=[((1,), 1), ((-1,), 0)])) is None
 
+    def test_contradictory_equalities(self):
+        assert strictly_feasible(sys1(eqs=[((1,), 0), ((1,), 1)])) is None
+
 
 class TestAffineDimension:
     def test_line_in_plane(self):
@@ -91,6 +94,16 @@ class TestAffineDimension:
 
     def test_empty(self):
         assert affine_dimension(sys1(ineqs=[((1,), 1), ((-1,), 0)])) is None
+
+    def test_contradictory_equalities(self):
+        assert affine_dimension(sys1(eqs=[((1,), 0), ((1,), 1)])) is None
+        s = ConstraintSystem.build(2, equalities=[((1, 0), 0)], inequalities=[((1, 0), 1)])
+        assert affine_dimension(s) is None
+
+    def test_one_lp_when_strictly_feasible(self):
+        start = lp_call_count()
+        assert affine_dimension(RAY) == 1
+        assert lp_call_count() - start == 1
 
     def test_implicit_equality_detected(self):
         # x >= 0 and x <= 0 force the segment {0} x [0,1]; dimension 1.
@@ -139,6 +152,22 @@ class TestRecessionProfile:
     def test_empty_errors(self):
         with pytest.raises(EmptyPolyhedronError):
             recession_profile(sys1(ineqs=[((1,), 1), ((-1,), 0)]))
+
+    def test_witness_must_satisfy_the_system(self):
+        empty = sys1(ineqs=[((1,), 1), ((-1,), 0)])
+        with pytest.raises(EmptyPolyhedronError):
+            recession_profile(empty, witness=(Fraction(1),))
+
+    def test_witness_skips_the_emptiness_lp(self):
+        start = lp_call_count()
+        assert recession_profile(SQUARE) == recession_profile(
+            SQUARE, witness=(Fraction(1, 2), Fraction(1, 2))
+        )
+        assert lp_call_count() - start == 3
+        # A point outside the square proves nothing: the LP runs.
+        start = lp_call_count()
+        assert recession_profile(SQUARE, witness=(Fraction(2), Fraction(0))).pointed_part_bounded
+        assert lp_call_count() - start == 2
 
 
 class TestEulerCharacteristic:

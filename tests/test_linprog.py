@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropic.linprog import EQ, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from tropic import linprog
+from tropic.linprog import EQ, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError, solve_lp
 
-from oracles import solve_boxed_lp_by_enumeration
+from oracles import solve_boxed_lp_by_enumeration, solve_lp_reference
 
 
 def test_simple_bounded_max():
@@ -92,3 +95,73 @@ def test_random_boxed_lps_match_enumeration_oracle(seed):
         for coeffs, op, r in boxed:
             v = sum(Fraction(c) * x for c, x in zip(coeffs, res.x))
             assert v == r if op == EQ else v >= r
+
+
+# Small ints and Fractions with denominators up to 6; rhs is 0 often, so rows
+# with denominators and a zero rhs (slack entry -scale, no sign flip) occur.
+# A row times a common factor would change the tableau if rows were
+# gcd-reduced, and a zero objective returns the phase-1 point as it stands.
+_NUMBERS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+_RHS = st.one_of(st.just(0), st.just(Fraction(0)), _NUMBERS)
+
+
+@st.composite
+def _lps(draw):
+    d = draw(st.integers(0, 4))
+    vec = st.lists(_NUMBERS, min_size=d, max_size=d)
+    row = st.tuples(vec, st.sampled_from([EQ, GE]), _RHS, st.integers(1, 3)).map(
+        lambda t: ([c * t[3] for c in t[0]], t[1], t[2] * t[3])
+    )
+    cons = draw(st.lists(row, max_size=6))
+    nonneg = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=d, max_size=d)))
+    obj = draw(st.one_of(st.just([0] * d), vec))
+    return d, obj, cons, nonneg, draw(st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lps())
+def test_matches_fraction_reference(lp):
+    d, obj, cons, nonneg, maximize = lp
+    expected = solve_lp_reference(d, obj, cons, nonneg, maximize)
+    assert solve_lp(d, obj, cons, nonneg, maximize) == expected
+
+
+def test_rows_are_not_gcd_reduced():
+    # Dividing the first row by 2 would change the phase-1 cost row, so
+    # Bland's rule would take other pivots and return the optimal vertex
+    # (2, 4, 0) instead.
+    cons = [([2, 0, 0], EQ, 4), ([-1, 2, 0], GE, -1), ([1, -1, -1], EQ, -2)]
+    args = (3, [-1, 0, 0], cons, [False, True, False])
+    res = solve_lp(*args)
+    assert res.x == (2, Fraction(1, 2), Fraction(7, 2))
+    assert res == solve_lp_reference(*args)
+
+
+def test_zero_rhs_row_with_denominators_keeps_its_sign():
+    # 2/3 x + y >= 0 scales to 2x + 3y - 3s = 0: no sign flip, since only a
+    # slack entry of -1 flips a zero-rhs row.  Flipping it would change the
+    # phase-1 cost row, and the LP would return (-4, 8/3) instead.
+    cons = [([Fraction(2, 3), 1], GE, 0), ([-1, -1], GE, 0), ([Fraction(1, 2), 0], GE, -2)]
+    args = (2, [0, 0], cons, [False, True])
+    res = solve_lp(*args)
+    assert res.x == (-4, 4)
+    assert res == solve_lp_reference(*args)
+
+
+@pytest.mark.parametrize("bad", [True, 0.5])
+def test_non_exact_inputs_raise_type_error(bad):
+    with pytest.raises(TypeError):
+        solve_lp(1, [1], [((bad,), GE, 0)])
+    with pytest.raises(TypeError):
+        solve_lp(1, [1], [((1,), GE, bad)])
+    with pytest.raises(TypeError):
+        solve_lp(1, [bad], [((1,), GE, 0)])
+
+
+def test_row_division_is_exact_or_an_internal_error():
+    assert linprog._divide_row([6, -9, 0], 3) == [2, -3, 0]
+    with pytest.raises(InternalError, match="lost exactness"):
+        linprog._divide_row([6, -8, 0], 3)

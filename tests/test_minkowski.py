@@ -5,7 +5,7 @@ import pytest
 
 from tropic.arrangement import count_regions_bruteforce
 from tropic.bounds import binom
-from tropic.linprog import GE, OPTIMAL, solve_lp
+from tropic.linprog import GE, OPTIMAL, BudgetExceededError, lp_call_count, solve_lp
 from tropic.minkowski import (
     classify_vertices,
     duality_check,
@@ -260,3 +260,12 @@ class TestPointSetJson:
     def test_rejects_floats(self):
         with pytest.raises(Exception, match="float"):
             parse_point_set('{"dim": 2, "points": [[0.5, 1]]}')
+
+
+def test_classify_lp_budget_is_checked_per_point():
+    # Each vertex of the triangle costs two LPs.
+    start = lp_call_count()
+    classify_vertices(TRIANGLE, lp_budget=6)
+    assert lp_call_count() - start == 6
+    with pytest.raises(BudgetExceededError):
+        classify_vertices(TRIANGLE, lp_budget=5)
