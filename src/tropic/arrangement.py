@@ -13,6 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, prod
 from typing import Iterable, Sequence
@@ -31,9 +32,6 @@ from .linprog import BudgetExceededError, charge_lp_calls, lp_call_count
 from .network import NO_BIAS, WITH_BIAS, LayerSpec, MaxoutUnitSpec, restrict_layer
 
 DEFAULT_SIGNATURE_BUDGET = 100_000
-DEFAULT_LP_BUDGET = 1_000_000
-
-LP_BUDGET_HINT = "--lp-budget (env TROPIC_BUDGET_LP)"
 SIGNATURE_BUDGET_HINT = "--max-signatures"
 
 
@@ -83,16 +81,6 @@ class GapResult:
     r_slice: int
     gap: int
     floor: int
-
-
-class _Budget:
-    def __init__(self, lp_budget: int):
-        self.lp_budget = lp_budget
-        self.start = lp_call_count()
-
-    def check(self):
-        if lp_call_count() - self.start > self.lp_budget:
-            raise BudgetExceededError(f"LP call budget exceeded; raise {LP_BUDGET_HINT}")
 
 
 def _pair_system(layer: LayerSpec, i: int, a: int, b: int) -> ConstraintSystem:
@@ -187,7 +175,7 @@ def _expand(args) -> tuple[list, int]:
     return out, lp_call_count() - start
 
 
-def _frontier(layer: LayerSpec, choices, lp_budget: int, jobs: int = 1) -> list[Cell]:
+def _frontier(layer: LayerSpec, choices, jobs: int = 1) -> list[Cell]:
     """Nonempty cells over the signatures choices[0] x choices[1] x ...,
     in lexicographic order.
 
@@ -195,14 +183,14 @@ def _frontier(layer: LayerSpec, choices, lp_budget: int, jobs: int = 1) -> list[
     drops the empty children; an empty prefix cell has only empty
     extensions, so whole subtrees are pruned.  A level is split into
     batches that run inline, or across a pool of jobs processes created
-    once per call.  Pool LPs are charged to this process's counter and the
-    budget is checked after every batch, so the cells, the LP count of a
-    finished walk and whether lp_budget is exceeded do not depend on jobs.
+    once per call.  Pool LPs are charged to this process's counter after
+    every batch, which checks them against the current linprog.lp_budget,
+    so the cells, the LP count of a finished walk and whether the budget is
+    exceeded do not depend on jobs.
     """
     n = layer.input_dim
     if not choices:  # no units: the whole space is the one cell
         return [Cell((), n, n == 0, (Fraction(0),) * n)]
-    budget = _Budget(lp_budget)
     pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
     nodes = [()]
     try:
@@ -215,7 +203,6 @@ def _frontier(layer: LayerSpec, choices, lp_budget: int, jobs: int = 1) -> list[
             for children, lps in (map if pool is None else pool.map)(_expand, batches):
                 if pool is not None:
                     charge_lp_calls(lps)
-                budget.check()
                 nodes.extend(children)
     finally:
         if pool is not None:
@@ -226,7 +213,6 @@ def _frontier(layer: LayerSpec, choices, lp_budget: int, jobs: int = 1) -> list[
 def enumerate_cells(
     layer: LayerSpec,
     max_signatures: int = DEFAULT_SIGNATURE_BUDGET,
-    lp_budget: int = DEFAULT_LP_BUDGET,
 ) -> list[Cell]:
     """Every nonempty relatively open argmax-signature cell, with dimension,
     boundedness of the closure, and a rational witness.
@@ -242,7 +228,7 @@ def enumerate_cells(
         raise BudgetExceededError(
             f"{total} signatures exceed the cap {max_signatures}; raise {SIGNATURE_BUDGET_HINT}"
         )
-    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units], lp_budget)
+    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units])
 
 
 def _dedupe_units(layer: LayerSpec) -> LayerSpec:
@@ -261,7 +247,6 @@ def _dedupe_units(layer: LayerSpec) -> LayerSpec:
 def count_regions_bruteforce(
     layer: LayerSpec,
     max_signatures: int = DEFAULT_SIGNATURE_BUDGET,
-    lp_budget: int = DEFAULT_LP_BUDGET,
     jobs: int = 1,
 ) -> RegionCount:
     """Region and bounded-region counts by strict-argmax enumeration.
@@ -271,9 +256,9 @@ def count_regions_bruteforce(
     so strict dominance is meaningful.  The patterns are walked by the same
     pruned frontier as enumerate_cells, with one singleton choice per
     feature.  With jobs > 1 each level's batches run in a process pool; the
-    workers' LPs count against lp_budget and in lp_call_count(), and the
-    counts, the LPs solved and whether lp_budget is exceeded are the same
-    for every jobs.
+    workers' LPs count in lp_call_count() and against linprog.lp_budget,
+    and the counts, the LPs solved and whether the budget is exceeded are
+    the same for every jobs.
     """
     layer = _dedupe_units(layer)
     total = prod(u.rank for u in layer.units)
@@ -282,7 +267,7 @@ def count_regions_bruteforce(
             f"{total} patterns exceed the cap {max_signatures}; raise {SIGNATURE_BUDGET_HINT}"
         )
     choices = [[(a,) for a in range(u.rank)] for u in layer.units]
-    cells = _frontier(layer, choices, lp_budget, jobs)
+    cells = _frontier(layer, choices, jobs)
     return RegionCount(len(cells), sum(c.bounded for c in cells))
 
 
@@ -304,35 +289,36 @@ class PosetElement:
 @dataclass(frozen=True)
 class Poset:
     arrangement: Arrangement
-    elements: tuple[PosetElement, ...]  # elements[0] is the ambient space
+    elements: tuple[PosetElement, ...]  # elements[0] is the ambient space, the bottom
     leq: tuple[tuple[bool, ...], ...]   # leq[i][j]: element i <= j (reverse inclusion)
-    mobius_from_bottom: tuple[int, ...]
+
+    @property
+    def mobius_from_bottom(self) -> tuple[int, ...]:
+        return self._mobius_row(0)
 
     def mobius(self, i: int, j: int) -> int:
-        return self._interval_mobius()[i][j]
+        return self._mobius_row(i)[j]
 
-    def _interval_mobius(self):
-        # mu(i, j) over the interval [i, j]; elements are processed upward in
-        # atom-support size, a linear extension of the order.
-        if not hasattr(self, "_mu"):
+    @cached_property
+    def _mobius_rows(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def _mobius_row(self, i: int) -> tuple[int, ...]:
+        # mu(i, j) for every j, 0 unless i <= j, computed once per row.  The
+        # elements above i are processed upward in atom-support size, a
+        # linear extension of the order.
+        if i not in self._mobius_rows:
             n = len(self.elements)
-            mu = [[0] * n for _ in range(n)]
-            order = sorted(range(n), key=lambda i: len(self.elements[i].atom_support))
-            pos = {e: k for k, e in enumerate(order)}
-            for i in range(n):
-                mu[i][i] = 1
-                for j in sorted(
-                    (j for j in range(n) if j != i and self.leq[i][j]),
-                    key=lambda j: pos[j],
-                ):
-                    mu[i][j] = -sum(
-                        mu[i][t] for t in range(n) if self.leq[i][t] and self.leq[t][j] and t != j
-                    )
-            object.__setattr__(self, "_mu", mu)
-        return self._mu
+            mu = [0] * n
+            mu[i] = 1
+            above = (j for j in range(n) if j != i and self.leq[i][j])
+            for j in sorted(above, key=lambda j: len(self.elements[j].atom_support)):
+                mu[j] = -sum(mu[t] for t in range(n) if t != j and self.leq[t][j])
+            self._mobius_rows[i] = tuple(mu)
+        return self._mobius_rows[i]
 
 
-def build_poset(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> Poset:
+def build_poset(arr: Arrangement) -> Poset:
     """Closure of the atoms under intersection, orderd by reverse inclusion.
 
     Every element is the intersection of all atoms containing it, so the set
@@ -341,7 +327,6 @@ def build_poset(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> Poset:
     The point that showed an element nonempty is kept as its witness, so
     its Euler characteristic needs no second emptiness LP.
     """
-    budget = _Budget(lp_budget)
     n = arr.ambient_dim
     ambient = ConstraintSystem(n)
     elements: dict[frozenset[int], ConstraintSystem] = {frozenset(): ambient}
@@ -353,7 +338,6 @@ def build_poset(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> Poset:
         for ai, atom in enumerate(arr.atoms):
             if ai in key:
                 continue
-            budget.check()
             cand = sys.intersection(atom.system)
             w = feasible(cand)
             if w is None:
@@ -378,7 +362,6 @@ def build_poset(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> Poset:
         sys = elements[key]
         dim = affine_dimension(sys)
         psi = euler_characteristic(sys, witness=witnesses[key])
-        budget.check()
         units = frozenset(arr.atoms[a].unit for a in key)
         is_central_origin = arr.central and dim == 0
         out.append(
@@ -388,27 +371,13 @@ def build_poset(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> Poset:
         tuple(out[i].atom_support <= out[j].atom_support for j in range(len(out)))
         for i in range(len(out))
     )
-    mu = _mobius_from_bottom(out, leq)
-    return Poset(arr, tuple(out), leq, tuple(mu))
+    return Poset(arr, tuple(out), leq)
 
 
-def _mobius_from_bottom(elements, leq):
-    n = len(elements)
-    mu = [0] * n
-    order = sorted(range(n), key=lambda i: (len(elements[i].atom_support), sorted(elements[i].atom_support)))
-    for i in order:
-        below = [j for j in range(n) if j != i and leq[j][i]]
-        mu[i] = 1 if not below else -sum(mu[j] for j in below)
-    return mu
-
-
-def count_regions_poset(
-    arr: Arrangement, poset: Poset | None = None, lp_budget: int = DEFAULT_LP_BUDGET
-) -> int:
-    """Region count via the alternating Euler/Mobius sum over the poset;
-    lp_budget bounds the poset build when no poset is given."""
+def count_regions_poset(arr: Arrangement, poset: Poset | None = None) -> int:
+    """Region count via the alternating Euler/Mobius sum over the poset."""
     if poset is None:
-        poset = build_poset(arr, lp_budget=lp_budget)
+        poset = build_poset(arr)
     n = arr.ambient_dim
     total = sum(e.psi * m for e, m in zip(poset.elements, poset.mobius_from_bottom))
     return (-1) ** n * total
@@ -437,13 +406,12 @@ def count_faces_poset(arr: Arrangement, s: int, poset: Poset | None = None) -> i
 # Simplicity
 
 
-def is_simple(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> SimplicityCertificate:
+def is_simple(arr: Arrangement) -> SimplicityCertificate:
     """Certify that any j atoms of distinct units intersect in codimension j
     (empty allowed; for central arrangements the origin is allowed instead).
 
     Subset sizes run to n+1 so one-too-many concurrences are caught.
     """
-    budget = _Budget(lp_budget)
     n = arr.ambient_dim
     by_unit: dict[int, list[int]] = {}
     for i, a in enumerate(arr.atoms):
@@ -452,7 +420,6 @@ def is_simple(arr: Arrangement, lp_budget: int = DEFAULT_LP_BUDGET) -> Simplicit
     max_j = min(len(units), n + 1)
 
     def check_subset(idxs: tuple[int, ...]) -> bool:
-        budget.check()
         j = len(idxs)
         sys = arr.atoms[idxs[0]].system
         for i in idxs[1:]:
@@ -497,7 +464,7 @@ def sub_layer(layer: LayerSpec, subset: Iterable[int]) -> LayerSpec:
     return LayerSpec(layer.input_dim, units, layer.bias_mode)
 
 
-def _subset_counts(layer: LayerSpec, n: int, counts, lp_budget):
+def _subset_counts(layer: LayerSpec, n: int, counts):
     m = layer.width
     out = {frozenset(): 1}
     for j in range(1, n + 1):
@@ -506,9 +473,7 @@ def _subset_counts(layer: LayerSpec, n: int, counts, lp_budget):
             if counts and key in counts:
                 out[key] = counts[key]
             else:
-                out[key] = count_regions_bruteforce(
-                    sub_layer(layer, S), lp_budget=lp_budget
-                ).regions
+                out[key] = count_regions_bruteforce(sub_layer(layer, S)).regions
     return out
 
 
@@ -533,7 +498,6 @@ def _require_units_with_atoms(layer: LayerSpec, arr: Arrangement):
 def subsum_identity_noncentral(
     layer: LayerSpec,
     counts=None,
-    lp_budget: int = DEFAULT_LP_BUDGET,
     assume_simple: bool = False,
 ) -> IdentityCheck:
     """Both sides of the region identity for a simple with-bias arrangement:
@@ -546,17 +510,16 @@ def subsum_identity_noncentral(
         raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
     arr = build_atoms(layer)
     _require_units_with_atoms(layer, arr)
-    if not assume_simple and not is_simple(arr, lp_budget=lp_budget).simple:
+    if not assume_simple and not is_simple(arr).simple:
         raise ValueError("arrangement is not simple")
-    lhs = count_regions_bruteforce(layer, lp_budget=lp_budget).regions
-    table = _subset_counts(layer, n, counts, lp_budget)
+    lhs = count_regions_bruteforce(layer).regions
+    table = _subset_counts(layer, n, counts)
     return IdentityCheck(lhs, _alternating_sum(m, n, table))
 
 
 def subsum_identity_central(
     layer: LayerSpec,
     counts=None,
-    lp_budget: int = DEFAULT_LP_BUDGET,
     assume_simple: bool = False,
 ) -> IdentityCheck:
     """Central variant in ambient Q^(n+1): the alternating sum gains the
@@ -569,10 +532,10 @@ def subsum_identity_central(
         raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
     arr = build_atoms(layer)
     _require_units_with_atoms(layer, arr)
-    if not assume_simple and not is_simple(arr, lp_budget=lp_budget).simple:
+    if not assume_simple and not is_simple(arr).simple:
         raise ValueError("arrangement is not simple")
-    lhs = count_regions_bruteforce(layer, lp_budget=lp_budget).regions
-    table = _subset_counts(layer, n, counts, lp_budget)
+    lhs = count_regions_bruteforce(layer).regions
+    table = _subset_counts(layer, n, counts)
     return IdentityCheck(lhs, comb(m - 1, n) + _alternating_sum(m, n, table))
 
 
@@ -580,7 +543,6 @@ def bounded_region_gap(
     layer: LayerSpec,
     g_normal: Sequence,
     g_rhs=1,
-    lp_budget: int = DEFAULT_LP_BUDGET,
 ) -> GapResult:
     """Regions of a central arrangement minus regions induced on the affine
     hyperplane {<x, w> = rhs}, with the binomial floor of the gap theorem."""
@@ -602,7 +564,7 @@ def bounded_region_gap(
     p0 = tuple(v / ww for v in w)
     basis = linalg.nullspace_basis([w], d)
     restricted = restrict_layer(layer, p0, basis)
-    r_total = count_regions_bruteforce(layer, lp_budget=lp_budget).regions
-    r_slice = count_regions_bruteforce(restricted, lp_budget=lp_budget).regions
+    r_total = count_regions_bruteforce(layer).regions
+    r_slice = count_regions_bruteforce(restricted).regions
     m = layer.width
     return GapResult(r_total, r_slice, r_total - r_slice, comb(m - 1, n))

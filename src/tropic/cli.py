@@ -6,6 +6,14 @@ arguments, seed, and input files; wall-clock timings live in their own field.
 
 Exit codes: 0 success, 2 usage, 3 budget exceeded, 4 precondition or
 certificate failure, 5 identity violation (counterexample in the report).
+
+Every command runs under one LP-call budget: --lp-budget where the command
+has that flag, else the environment variable TROPIC_BUDGET_LP, else 10^6.
+Exit 3 means the command would solve more LPs than that budget allows, or
+would try more signatures than --max-signatures.  The budget covers the
+whole command, so a long `verify identities` run can need it raised: with
+--seed 7 a trial solves about 530 LPs over all suites, so more than about
+1,880 trials need a larger TROPIC_BUDGET_LP.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ import time
 
 from . import bounds, minkowski, verify
 from .arrangement import (
-    DEFAULT_LP_BUDGET,
     DEFAULT_SIGNATURE_BUDGET,
     build_atoms,
     build_poset,
@@ -28,7 +35,7 @@ from .arrangement import (
     enumerate_cells,
     is_simple,
 )
-from .linprog import BudgetExceededError, lp_call_count
+from .linprog import BudgetExceededError, lp_budget
 from .network import (
     NO_BIAS,
     WITH_BIAS,
@@ -49,6 +56,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
 EXIT_IDENTITY = 5
+
+DEFAULT_LP_BUDGET = 1_000_000
 
 _start = time.monotonic()
 
@@ -89,12 +98,11 @@ def _write_out(args, text: str):
         print(text)
 
 
-def _budgets(args):
-    lp = args.lp_budget
+def _command_lp_budget(args) -> int:
+    if getattr(args, "lp_budget", None) is not None:
+        return args.lp_budget
     env = os.environ.get("TROPIC_BUDGET_LP")
-    if lp is None:
-        lp = int(env) if env else DEFAULT_LP_BUDGET
-    return lp, args.max_signatures
+    return int(env) if env else DEFAULT_LP_BUDGET
 
 
 def cmd_bounds(args) -> int:
@@ -126,13 +134,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_regions(args) -> int:
     net = _load_network(args.network)
-    lp_budget, max_sig = _budgets(args)
-    start = lp_call_count()
-
-    def remaining() -> int:
-        # One LP budget for the whole command: each stage gets what is left.
-        return lp_budget - (lp_call_count() - start)
-
     results: dict = {}
     certificates: dict = {}
     methods = ["pattern", "poset", "dual"] if args.method == "all" else [args.method]
@@ -149,7 +150,7 @@ def cmd_regions(args) -> int:
     layer = net.layers[0]
     if args.require_simple or "poset" in methods or "dual" in methods:
         atoms = build_atoms(layer)
-        cert = is_simple(atoms, lp_budget=remaining())
+        cert = is_simple(atoms)
         certificates["simple"] = cert.simple
         if args.require_simple and not cert.simple:
             print(f"arrangement is not simple: atoms {cert.violation}", file=sys.stderr)
@@ -157,14 +158,14 @@ def cmd_regions(args) -> int:
 
     for method in methods:
         if method == "pattern":
-            rc = count_regions_bruteforce(layer, max_signatures=max_sig,
-                                          lp_budget=remaining(), jobs=args.jobs)
+            rc = count_regions_bruteforce(layer, max_signatures=args.max_signatures,
+                                          jobs=args.jobs)
             results["pattern"] = {"regions": rc.regions, "bounded_regions": rc.bounded_regions}
         elif method == "poset":
-            results["poset"] = {"regions": count_regions_poset(atoms, lp_budget=remaining())}
+            results["poset"] = {"regions": count_regions_poset(atoms)}
         else:
             total = minkowski.minkowski_sum(minkowski.lift_layer(layer))
-            cls = minkowski.classify_vertices(total, lp_budget=remaining())
+            cls = minkowski.classify_vertices(total)
             upper = layer.bias_mode == WITH_BIAS
             results["dual"] = {"regions": cls.upper_count if upper else cls.vertex_count}
     if args.method == "all":
@@ -199,9 +200,8 @@ def cmd_poset(args) -> int:
     if len(net.layers) != 1:
         print("poset dump needs a single-layer network", file=sys.stderr)
         return EXIT_PRECONDITION
-    lp_budget, _ = _budgets(args)
     arr = build_atoms(net.layers[0])
-    poset = build_poset(arr, lp_budget=lp_budget)
+    poset = build_poset(arr)
     elements = []
     for e in poset.elements:
         elements.append({
@@ -242,8 +242,7 @@ def cmd_cells(args) -> int:
     if len(net.layers) != 1:
         print("cell dump needs a single-layer network", file=sys.stderr)
         return EXIT_PRECONDITION
-    lp_budget, max_sig = _budgets(args)
-    cells = enumerate_cells(net.layers[0], max_signatures=max_sig, lp_budget=lp_budget)
+    cells = enumerate_cells(net.layers[0], max_signatures=args.max_signatures)
     doc = {
         "cells": [
             {
@@ -289,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget_flags(sp):
         sp.add_argument("--lp-budget", type=int, default=None,
-                        help="LP-call budget (default 10^6; env TROPIC_BUDGET_LP)")
+                        help="LP-call budget for the whole command "
+                             "(default 10^6; env TROPIC_BUDGET_LP)")
         sp.add_argument("--max-signatures", type=int, default=DEFAULT_SIGNATURE_BUDGET)
 
     b = sub.add_parser("bounds", help="closed-form bound evaluation")
@@ -396,7 +396,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     args._command_echo = list(argv) if argv is not None else sys.argv[1:]
     try:
-        return args.func(args)
+        with lp_budget(_command_lp_budget(args)):
+            return args.func(args)
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET

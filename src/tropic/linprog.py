@@ -15,6 +15,7 @@ fixed input.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -28,12 +29,15 @@ EQ = "="
 GE = ">="
 
 _lp_calls = 0
+_lp_limit: int | None = None  # lp_call_count() may not pass this; None: no limit
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an operation exceeds its LP-call budget.
+    """Raised when an operation exceeds a budget: an LP would pass the limit
+    of the innermost lp_budget block, or a signature cap is too small.
 
-    The message names the controlling knobs (--lp-budget / TROPIC_BUDGET_LP).
+    The message names the knob to raise (--lp-budget / TROPIC_BUDGET_LP, or
+    --max-signatures).
     """
 
 
@@ -47,10 +51,38 @@ def lp_call_count() -> int:
     return _lp_calls
 
 
+def _lp_budget_exceeded() -> BudgetExceededError:
+    return BudgetExceededError(
+        "LP call budget exceeded; raise --lp-budget (env TROPIC_BUDGET_LP)"
+    )
+
+
 def charge_lp_calls(count: int) -> None:
-    """Count LPs that a worker process solved on this process's behalf."""
+    """Count LPs that a worker process solved on this process's behalf, and
+    raise BudgetExceededError if they pass the current limit."""
     global _lp_calls
     _lp_calls += count
+    if _lp_limit is not None and _lp_calls > _lp_limit:
+        raise _lp_budget_exceeded()
+
+
+@contextmanager
+def lp_budget(limit: int):
+    """Allow at most limit more LPs inside the block.
+
+    solve_lp refuses, uncounted, the LP that would pass the limit.  Nested
+    blocks keep the tighter limit, and the previous limit comes back when
+    the block exits, normally or by an exception.  A forked pool worker
+    inherits the limit and can only undercount the caller's total, so a
+    worker that raises has found a real excess.
+    """
+    global _lp_limit
+    saved = _lp_limit
+    _lp_limit = _lp_calls + limit if saved is None else min(saved, _lp_calls + limit)
+    try:
+        yield
+    finally:
+        _lp_limit = saved
 
 
 @dataclass(frozen=True)
@@ -97,6 +129,8 @@ def solve_lp(
     Returns an exact optimum with a rational witness, or infeasible/unbounded.
     """
     global _lp_calls
+    if _lp_limit is not None and _lp_calls >= _lp_limit:
+        raise _lp_budget_exceeded()
     _lp_calls += 1
 
     onum, oden = _split(objective)

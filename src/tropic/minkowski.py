@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .arrangement import DEFAULT_LP_BUDGET, _Budget, count_regions_bruteforce
+from .arrangement import count_regions_bruteforce
 from .linprog import EQ, INFEASIBLE, solve_lp
 from .network import WITH_BIAS, LayerSpec, NetworkParseError, _reject_float
 from .rational import format_rational, parse_rational
@@ -125,18 +125,15 @@ def _in_hull_with_ray(p: Vec, others: Sequence[Vec], ray: Vec | None) -> bool:
     return res.status != INFEASIBLE
 
 
-def classify_vertices(
-    ps: LabeledPointSet, lp_budget: int = DEFAULT_LP_BUDGET
-) -> VertexClassification:
+def classify_vertices(ps: LabeledPointSet) -> VertexClassification:
     """Exact three-way classification of every point.
 
     A vertex admits a strictly separating direction; its witness cone is an
     open set, so whenever a witness with nonnegative last coordinate exists a
     strictly positive one does too.  Hence a vertex is an upper vertex or a
     strict lower vertex, never horizontal-only; the classification is still
-    computed per point, not assumed.  lp_budget is checked after each point.
+    computed per point, not assumed.
     """
-    budget = _Budget(lp_budget)
     down = tuple(Fraction(0) for _ in range(ps.dim - 1)) + (Fraction(-1),)
     is_v, is_u, is_l = [], [], []
     # A point proven interior can be dropped from every later hull test: the
@@ -152,7 +149,6 @@ def classify_vertices(
         is_v.append(vertex)
         is_u.append(upper)
         is_l.append(vertex and not upper)
-        budget.check()
     return VertexClassification(ps.points, tuple(is_v), tuple(is_u), tuple(is_l))
 
 
@@ -173,12 +169,12 @@ def upper_vertex_count(ps: LabeledPointSet) -> int:
     return classify_vertices(ps).upper_count
 
 
-def duality_check(l: LayerSpec, lp_budget: int = DEFAULT_LP_BUDGET) -> DualityCheck:
+def duality_check(l: LayerSpec) -> DualityCheck:
     """Region count of a with-bias layer against the upper-vertex count of the
     Minkowski sum of its lifted coefficient sets (two independent pipelines)."""
     if l.bias_mode != WITH_BIAS:
         raise ValueError("duality check is defined for with-bias layers")
-    regions = count_regions_bruteforce(l, lp_budget=lp_budget).regions
+    regions = count_regions_bruteforce(l).regions
     total = minkowski_sum(lift_layer(l))
     return DualityCheck(regions, upper_vertex_count(total))
 

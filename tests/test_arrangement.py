@@ -19,7 +19,7 @@ from tropic.arrangement import (
 )
 from tropic.bounds import binom, shallow_formula
 from tropic.linalg import nullspace_basis
-from tropic.linprog import BudgetExceededError, lp_call_count
+from tropic.linprog import BudgetExceededError, lp_budget, lp_call_count
 from tropic.network import (
     NO_BIAS,
     WITH_BIAS,
@@ -114,8 +114,8 @@ class TestEnumerateCells:
             enumerate_cells(example_layer(), max_signatures=10)
 
     def test_lp_budget(self):
-        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"):
-            enumerate_cells(example_layer(), lp_budget=3)
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(3):
+            enumerate_cells(example_layer())
 
     @pytest.mark.parametrize(
         "make",
@@ -176,9 +176,12 @@ class TestCountRegionsBruteforce:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lp_budget_holds_for_any_jobs(self, jobs):
+        # The walk solves 58 LPs, whether inline or in a pool.
         l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
-        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"):
-            count_regions_bruteforce(l, lp_budget=5, jobs=jobs)
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(57):
+            count_regions_bruteforce(l, jobs=jobs)
+        with lp_budget(58):
+            assert count_regions_bruteforce(l, jobs=jobs).regions == 19
 
 
 class TestPoset:
@@ -226,6 +229,7 @@ class TestPoset:
                         if p.leq[x][y] and p.leq[y][z]
                     )
                     assert total == (1 if x == z else 0)
+            assert p.mobius_from_bottom == tuple(p.mobius(0, j) for j in range(n))
 
 
 class TestPosetCounting:
@@ -255,8 +259,8 @@ class TestPosetCounting:
 
     def test_lp_budget_reaches_the_poset_build(self):
         arr = build_atoms(example_layer())
-        with pytest.raises(BudgetExceededError):
-            count_regions_poset(arr, lp_budget=3)
+        with pytest.raises(BudgetExceededError), lp_budget(3):
+            count_regions_poset(arr)
 
 
 class TestIsSimple:

@@ -10,6 +10,7 @@ from tropic.cli import (
     EXIT_USAGE,
     main,
 )
+from tropic import linprog
 from tropic.linprog import lp_call_count
 
 
@@ -74,6 +75,8 @@ def test_regions_count_lp_cost(tmp_path, capsys):
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
         "--seed", "1", "-o", str(net))
     expected = {
+        "pattern": (58, {"pattern": {"regions": 19, "bounded_regions": 7}}),
+        "poset": (157, {"poset": {"regions": 19}}),
         "dual": (82, {"dual": {"regions": 19}}),
         "all": (262, {
             "pattern": {"regions": 19, "bounded_regions": 7},
@@ -88,6 +91,16 @@ def test_regions_count_lp_cost(tmp_path, capsys):
         assert code == EXIT_OK
         assert lp_call_count() - start == lps
         assert results_of(out) == results
+        # The pinned count is exactly the budget the command needs.
+        for jobs in ("1", "2"):
+            argv = ("regions", "count", "--network", str(net), "--method", method,
+                    "--jobs", jobs, "--lp-budget")
+            code, out, _ = run(capsys, *argv, str(lps))
+            assert code == EXIT_OK
+            assert results_of(out) == results
+            code, _, err = run(capsys, *argv, str(lps - 1))
+            assert code == EXIT_BUDGET
+            assert "TROPIC_BUDGET_LP" in err
 
 
 @pytest.mark.parametrize("method,budget", [("poset", 60), ("dual", 60), ("poset", 156)])
@@ -103,6 +116,25 @@ def test_lp_budget_bounds_the_whole_command(tmp_path, capsys, method, budget):
                        "--method", method, "--lp-budget", str(budget))
     assert code == EXIT_BUDGET
     assert "TROPIC_BUDGET_LP" in err
+
+
+def test_env_budget_bounds_commands_without_the_flag(tmp_path, capsys, monkeypatch):
+    # Classifying the six points solves 11 LPs.
+    f = tmp_path / "fig.json"
+    f.write_text(json.dumps({"dim": 2, "points": [[0, 0], [2, 0], [0, 2], [2, 2], [1, 1], [3, 1]]}))
+    monkeypatch.setenv("TROPIC_BUDGET_LP", "10")
+    code, _, err = run(capsys, "minkowski", "classify", "--points", str(f))
+    assert code == EXIT_BUDGET
+    assert "TROPIC_BUDGET_LP" in err
+    monkeypatch.setenv("TROPIC_BUDGET_LP", "11")
+    assert run(capsys, "minkowski", "classify", "--points", str(f))[0] == EXIT_OK
+    # The flag, where a command has it, overrides the environment.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3",
+        "--seed", "1", "-o", str(net))
+    argv = ("regions", "count", "--network", str(net))
+    assert run(capsys, *argv)[0] == EXIT_BUDGET
+    assert run(capsys, *argv, "--lp-budget", "1000")[0] == EXIT_OK
 
 
 def test_regions_deterministic_bytes(tmp_path, capsys):
@@ -121,6 +153,9 @@ def test_budget_exit(tmp_path, capsys):
     code, _, err = run(capsys, "regions", "count", "--network", str(net), "--lp-budget", "2")
     assert code == EXIT_BUDGET
     assert "TROPIC_BUDGET_LP" in err
+    # The next in-process command does not inherit the spent budget.
+    assert run(capsys, "regions", "count", "--network", str(net))[0] == EXIT_OK
+    assert linprog._lp_limit is None
 
 
 def test_require_simple_exit(tmp_path, capsys):
@@ -167,6 +202,19 @@ def test_poset_dump(tmp_path, capsys):
     assert len(doc["atoms"]) == 2
     assert any(e["dim"] == 0 and e["mobius"] == 1 for e in doc["elements"])
     assert doc["faces"]["1"] == 4 and doc["faces"]["0"] == 1
+
+
+def test_poset_dump_lp_budget_counts_the_atoms(tmp_path, capsys):
+    # 83 LPs in all, 7 of them for build_atoms before the poset is built.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,2",
+        "--seed", "1", "-o", str(net))
+    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "82")
+    assert code == EXIT_BUDGET
+    assert "TROPIC_BUDGET_LP" in err
+    code, out, _ = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "83")
+    assert code == EXIT_OK
+    assert json.loads(out)["regions"] == 14
 
 
 def test_cells_dump(tmp_path, capsys):

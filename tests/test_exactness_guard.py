@@ -1,0 +1,37 @@
+"""Static guards for the exactness invariants of the tropic package.
+
+An `assert` statement disappears under `python -O`, so internal invariants
+raise typed errors instead; and the package computes with int and Fraction
+only, so no float literal appears in its source.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "tropic").glob("*.py"))
+
+
+def _nodes(path):
+    return list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+
+
+def test_sources_are_found():
+    assert len(SOURCES) >= 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [n.lineno for n in _nodes(path) if isinstance(n, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_literals(path):
+    lines = [
+        n.lineno
+        for n in _nodes(path)
+        if isinstance(n, ast.Constant) and isinstance(n.value, (float, complex))
+    ]
+    assert lines == [], f"{path.name}: float literal at lines {lines}"

@@ -6,7 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropic import linprog
-from tropic.linprog import EQ, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError, solve_lp
+from tropic.linprog import (
+    EQ,
+    GE,
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    BudgetExceededError,
+    InternalError,
+    charge_lp_calls,
+    lp_budget,
+    lp_call_count,
+    solve_lp,
+)
 
 from oracles import solve_boxed_lp_by_enumeration, solve_lp_reference
 
@@ -165,3 +177,50 @@ def test_row_division_is_exact_or_an_internal_error():
     assert linprog._divide_row([6, -9, 0], 3) == [2, -3, 0]
     with pytest.raises(InternalError, match="lost exactness"):
         linprog._divide_row([6, -8, 0], 3)
+
+
+def _one_lp():
+    return solve_lp(1, [1], [((-1,), GE, -1)])
+
+
+def test_lp_budget_refuses_the_lp_past_its_limit_uncounted():
+    start = lp_call_count()
+    with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(3):
+        for _ in range(5):
+            _one_lp()
+    assert lp_call_count() - start == 3
+
+
+def test_lp_budget_limit_is_restored_on_exit_and_on_error():
+    with lp_budget(1):
+        _one_lp()
+    with pytest.raises(BudgetExceededError), lp_budget(1):
+        _one_lp()
+        _one_lp()
+    assert linprog._lp_limit is None
+    with lp_budget(2):
+        with pytest.raises(BudgetExceededError), lp_budget(0):
+            _one_lp()
+        _one_lp()  # the outer block's limit, not the spent inner one
+        _one_lp()
+    assert linprog._lp_limit is None
+
+
+def test_nested_lp_budget_keeps_the_tighter_limit():
+    start = lp_call_count()
+    with pytest.raises(BudgetExceededError), lp_budget(2), lp_budget(10):
+        for _ in range(5):
+            _one_lp()
+    assert lp_call_count() - start == 2
+    start = lp_call_count()
+    with pytest.raises(BudgetExceededError), lp_budget(10), lp_budget(1):
+        for _ in range(5):
+            _one_lp()
+    assert lp_call_count() - start == 1
+
+
+def test_charge_past_the_limit_raises():
+    with lp_budget(5):
+        charge_lp_calls(5)
+        with pytest.raises(BudgetExceededError):
+            charge_lp_calls(1)

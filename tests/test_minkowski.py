@@ -5,7 +5,7 @@ import pytest
 
 from tropic.arrangement import count_regions_bruteforce
 from tropic.bounds import binom
-from tropic.linprog import GE, OPTIMAL, BudgetExceededError, lp_call_count, solve_lp
+from tropic.linprog import GE, OPTIMAL, BudgetExceededError, lp_budget, lp_call_count, solve_lp
 from tropic.minkowski import (
     classify_vertices,
     duality_check,
@@ -265,7 +265,8 @@ class TestPointSetJson:
 def test_classify_lp_budget_is_checked_per_point():
     # Each vertex of the triangle costs two LPs.
     start = lp_call_count()
-    classify_vertices(TRIANGLE, lp_budget=6)
+    with lp_budget(6):
+        classify_vertices(TRIANGLE)
     assert lp_call_count() - start == 6
-    with pytest.raises(BudgetExceededError):
-        classify_vertices(TRIANGLE, lp_budget=5)
+    with pytest.raises(BudgetExceededError), lp_budget(5):
+        classify_vertices(TRIANGLE)
