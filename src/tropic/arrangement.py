@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, prod
+from math import comb
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -175,13 +175,15 @@ def _expand(args) -> tuple[list, int]:
     return out, lp_call_count() - start
 
 
-def _frontier(layer: LayerSpec, choices, jobs: int = 1) -> list[Cell]:
+def _frontier(layer: LayerSpec, choices, max_signatures: int, jobs: int = 1) -> list[Cell]:
     """Nonempty cells over the signatures choices[0] x choices[1] x ...,
     in lexicographic order.
 
     Level i extends every strictly feasible prefix by unit i's choices and
     drops the empty children; an empty prefix cell has only empty
-    extensions, so whole subtrees are pruned.  A level is split into
+    extensions, so whole subtrees are pruned.  A level that would try more
+    than max_signatures signatures (prefixes x choices) raises
+    BudgetExceededError before it starts.  A level is split into
     batches that run inline, or across a pool of jobs processes created
     once per call.  Pool LPs are charged to this process's counter after
     every batch, which checks them against the current linprog.lp_budget,
@@ -195,6 +197,12 @@ def _frontier(layer: LayerSpec, choices, jobs: int = 1) -> list[Cell]:
     nodes = [()]
     try:
         for unit_choices in choices:
+            tries = len(nodes) * len(unit_choices)
+            if tries > max_signatures:
+                raise BudgetExceededError(
+                    f"one level of the walk would try {tries} signatures, over the cap "
+                    f"{max_signatures}; raise {SIGNATURE_BUDGET_HINT}"
+                )
             size = 1 if pool is None else max(1, len(nodes) // (4 * jobs))
             batches = [
                 (layer, unit_choices, nodes[k : k + size]) for k in range(0, len(nodes), size)
@@ -219,16 +227,11 @@ def enumerate_cells(
 
     A unit's choices are the nonempty subsets of its features (the argmax
     set).  The walk is the pruned signature frontier: an empty prefix cuts
-    its subtree, so the LPs track the nonempty cells, not the
-    prod(2^k - 1) signatures that max_signatures caps.  Cells come out in
-    lexicographic signature order.
+    its subtree, so the LPs track the nonempty cells, not all prod(2^k - 1)
+    signatures.  max_signatures caps the signatures one level of the walk
+    tries.  Cells come out in lexicographic signature order.
     """
-    total = prod(2 ** u.rank - 1 for u in layer.units)
-    if total > max_signatures:
-        raise BudgetExceededError(
-            f"{total} signatures exceed the cap {max_signatures}; raise {SIGNATURE_BUDGET_HINT}"
-        )
-    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units])
+    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units], max_signatures)
 
 
 def _dedupe_units(layer: LayerSpec) -> LayerSpec:
@@ -258,16 +261,12 @@ def count_regions_bruteforce(
     feature.  With jobs > 1 each level's batches run in a process pool; the
     workers' LPs count in lp_call_count() and against linprog.lp_budget,
     and the counts, the LPs solved and whether the budget is exceeded are
-    the same for every jobs.
+    the same for every jobs.  max_signatures caps the patterns one level
+    tries.
     """
     layer = _dedupe_units(layer)
-    total = prod(u.rank for u in layer.units)
-    if total > max_signatures:
-        raise BudgetExceededError(
-            f"{total} patterns exceed the cap {max_signatures}; raise {SIGNATURE_BUDGET_HINT}"
-        )
     choices = [[(a,) for a in range(u.rank)] for u in layer.units]
-    cells = _frontier(layer, choices, jobs)
+    cells = _frontier(layer, choices, max_signatures, jobs)
     return RegionCount(len(cells), sum(c.bounded for c in cells))
 
 
@@ -495,6 +494,18 @@ def _require_units_with_atoms(layer: LayerSpec, arr: Arrangement):
         )
 
 
+def _subsum_sides(layer: LayerSpec, n: int, counts, assume_simple: bool) -> tuple[int, dict]:
+    """Region count and sub-arrangement table of a subsum identity in Q^n."""
+    m = layer.width
+    if m < n + 1:
+        raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
+    arr = build_atoms(layer)
+    _require_units_with_atoms(layer, arr)
+    if not assume_simple and not is_simple(arr).simple:
+        raise ValueError("arrangement is not simple")
+    return count_regions_bruteforce(layer).regions, _subset_counts(layer, n, counts)
+
+
 def subsum_identity_noncentral(
     layer: LayerSpec,
     counts=None,
@@ -505,16 +516,8 @@ def subsum_identity_noncentral(
     if layer.bias_mode != WITH_BIAS:
         raise ValueError("non-central identity needs a with-bias layer")
     n = layer.input_dim
-    m = layer.width
-    if m < n + 1:
-        raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
-    arr = build_atoms(layer)
-    _require_units_with_atoms(layer, arr)
-    if not assume_simple and not is_simple(arr).simple:
-        raise ValueError("arrangement is not simple")
-    lhs = count_regions_bruteforce(layer).regions
-    table = _subset_counts(layer, n, counts)
-    return IdentityCheck(lhs, _alternating_sum(m, n, table))
+    lhs, table = _subsum_sides(layer, n, counts, assume_simple)
+    return IdentityCheck(lhs, _alternating_sum(layer.width, n, table))
 
 
 def subsum_identity_central(
@@ -528,14 +531,7 @@ def subsum_identity_central(
         raise ValueError("central identity needs a no-bias layer")
     n = layer.input_dim - 1
     m = layer.width
-    if m < n + 1:
-        raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
-    arr = build_atoms(layer)
-    _require_units_with_atoms(layer, arr)
-    if not assume_simple and not is_simple(arr).simple:
-        raise ValueError("arrangement is not simple")
-    lhs = count_regions_bruteforce(layer).regions
-    table = _subset_counts(layer, n, counts)
+    lhs, table = _subsum_sides(layer, n, counts, assume_simple)
     return IdentityCheck(lhs, comb(m - 1, n) + _alternating_sum(m, n, table))
 
 

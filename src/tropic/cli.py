@@ -13,7 +13,9 @@ Exit 3 means the command would solve more LPs than that budget allows, or
 would try more signatures than --max-signatures.  The budget covers the
 whole command, so a long `verify identities` run can need it raised: with
 --seed 7 a trial solves about 530 LPs over all suites, so more than about
-1,880 trials need a larger TROPIC_BUDGET_LP.
+1,880 trials need a larger TROPIC_BUDGET_LP.  --max-signatures caps the
+signatures one level of a walk tries, and a TROPIC_BUDGET_LP that is not an
+integer is a usage error.
 """
 
 from __future__ import annotations
@@ -98,11 +100,16 @@ def _write_out(args, text: str):
         print(text)
 
 
-def _command_lp_budget(args) -> int:
+def _command_lp_budget(args, parser: argparse.ArgumentParser) -> int:
     if getattr(args, "lp_budget", None) is not None:
         return args.lp_budget
     env = os.environ.get("TROPIC_BUDGET_LP")
-    return int(env) if env else DEFAULT_LP_BUDGET
+    if not env:
+        return DEFAULT_LP_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        parser.error(f"TROPIC_BUDGET_LP must be an integer, got {env!r}")
 
 
 def cmd_bounds(args) -> int:
@@ -290,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lp-budget", type=int, default=None,
                         help="LP-call budget for the whole command "
                              "(default 10^6; env TROPIC_BUDGET_LP)")
-        sp.add_argument("--max-signatures", type=int, default=DEFAULT_SIGNATURE_BUDGET)
+        sp.add_argument("--max-signatures", type=int, default=DEFAULT_SIGNATURE_BUDGET,
+                        help="cap on the signatures one level of the walk tries")
 
     b = sub.add_parser("bounds", help="closed-form bound evaluation")
     bsub = b.add_subparsers(dest="kind", required=True)
@@ -392,11 +400,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        budget = _command_lp_budget(args, parser)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     args._command_echo = list(argv) if argv is not None else sys.argv[1:]
     try:
-        with lp_budget(_command_lp_budget(args)):
+        with lp_budget(budget):
             return args.func(args)
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,64 +1,112 @@
-"""Small exact linear-algebra helpers over the rationals."""
+"""Exact linear algebra over the rationals, on one integer elimination kernel.
+
+Every elimination in tropic (linprog's simplex tableau, rank, nullspace_basis
+and det) runs on integer rows from integer_row: int or Fraction values times
+the lcm of their denominators, not gcd-reduced.  pivot is one fraction-free
+Gauss-Jordan step of Bareiss (1968): each other row becomes
+(row * piv - row[s] * prow) / den, den the previous pivot, and divide_row
+checks that the division is exact.  The last pivot is the shared
+denominator of the whole matrix.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Sequence
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix given as rows of Fractions, by Gaussian elimination."""
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
+class InternalError(RuntimeError):
+    """An internal invariant failed; a bug in tropic, not in its input."""
+
+
+def integer_row(values: Sequence) -> tuple[list[int], int]:
+    """(ints, scale) with ints = values * scale, scale the lcm of the
+    denominators of the int or Fraction values; not gcd-reduced."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise TypeError(f"exact arithmetic requires int or Fraction, got {type(v).__name__}")
+    dens = [v.denominator for v in values]
+    scale = lcm(*dens)
+    return [v.numerator * (scale // d) for v, d in zip(values, dens)], scale
+
+
+def divide_row(vals: list[int], d: int) -> list[int]:
+    """vals // d entry by entry; d must divide every entry exactly."""
+    if gcd(*vals) % d:
+        raise InternalError("integer pivot lost exactness")
+    return [v // d for v in vals]
+
+
+def pivot(rows: list[list[int]], prow: list[int], s: int, den: int) -> int:
+    """One Bareiss Gauss-Jordan step on column s, in place on every row of
+    rows except prow; den is the previous pivot (1 before the first).
+    Returns the new shared denominator prow[s], which must be nonzero."""
+    piv = prow[s]
+    for row in rows:
+        if row is prow:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        prow = mat[r]
-        pval = prow[c]
-        for i in range(r + 1, len(mat)):
-            f = mat[i][c]
-            if f:
-                mat[i] = [a - f / pval * b for a, b in zip(mat[i], prow)]
-        r += 1
+        f = row[s]
+        if f:
+            vals = [a * piv - f * b for a, b in zip(row, prow)]
+        elif piv != den:
+            vals = [a * piv for a in row]
+        else:
+            continue
+        row[:] = vals if den == 1 else divide_row(vals, den)
+    return piv
+
+
+def _reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """(mat, pivot columns, den, sign of the row swaps) of the nonzero
+    integer rows: row i of mat has den in column pivots[i] and 0 in the other
+    pivot columns, so mat / den is the reduced row echelon form."""
+    mat = [r for r in rows if any(r)]
+    pivots: list[int] = []
+    den, sign = 1, 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
         if r == len(mat):
             break
-    return r
+        i = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            mat[r], mat[i] = mat[i], mat[r]
+            sign = -sign
+        den = pivot(mat, mat[r], c, den)
+        pivots.append(c)
+    return mat, pivots, den, sign
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a matrix given as rows of int or Fraction values."""
+    return len(_reduce([integer_row(r)[0] for r in rows])[1])
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : row . v = 0 for all rows}, as vectors in Q^dim."""
-    mat = [list(r) for r in rows if any(r)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(dim):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pval = mat[r][c]
-        mat[r] = [a / pval for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
+    """Basis of {v : row . v = 0 for all rows}, as vectors in Q^dim: one per
+    free column of the reduced row echelon form, with a 1 there."""
+    mat, pivots, den, _ = _reduce([integer_row(r)[0] for r in rows])
     basis = []
-    free_cols = [c for c in range(dim) if c not in pivots]
-    for fc in free_cols:
+    for fc in (c for c in range(dim) if c not in pivots):
         v = [Fraction(0)] * dim
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
+            v[pc] = Fraction(-mat[i][fc], den)
         basis.append(tuple(v))
     return basis
+
+
+def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square matrix given as rows of int or Fraction values."""
+    scaled = [integer_row(r) for r in rows]
+    if any(len(ints) != len(rows) for ints, _ in scaled):
+        raise ValueError("det needs a square matrix")
+    _, pivots, den, sign = _reduce([ints for ints, _ in scaled])
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return Fraction(sign * den, prod(s for _, s in scaled))
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -6,11 +6,8 @@ is multiplied by the lcm of its denominators (its slack entry becomes
 -scale) and is not gcd-reduced, so no Fraction is formed until the witness
 is read off.  The tableau then shares a single positive denominator (the
 determinant of the current basis) and every pivot is the fraction-free
-update of Bareiss (1968): each updated row is divided by the previous pivot
-as a whole, after checking that the pivot divides the gcd of the row's
-numerators, which holds iff it divides every entry.  Bland's rule
-guarantees termination and makes the returned witness deterministic for a
-fixed input.
+update of Bareiss (1968) in linalg.pivot.  Bland's rule guarantees
+termination and makes the returned witness deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -18,8 +15,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence
+
+from . import linalg
+from .linalg import InternalError, integer_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -39,10 +38,6 @@ class BudgetExceededError(RuntimeError):
     The message names the knob to raise (--lp-budget / TROPIC_BUDGET_LP, or
     --max-signatures).
     """
-
-
-class InternalError(RuntimeError):
-    """An internal invariant failed; a bug in tropic, not in its input."""
 
 
 def lp_call_count() -> int:
@@ -92,29 +87,6 @@ class LPResult:
     x: tuple[Fraction, ...] | None
 
 
-def _split(values) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of int or Fraction values."""
-    nums: list[int] = []
-    dens: list[int] = []
-    for v in values:
-        if isinstance(v, Fraction):
-            nums.append(v.numerator)
-            dens.append(v.denominator)
-        elif isinstance(v, int) and not isinstance(v, bool):
-            nums.append(v)
-            dens.append(1)
-        else:
-            raise TypeError(f"exact arithmetic requires int or Fraction, got {type(v).__name__}")
-    return nums, dens
-
-
-def _divide_row(vals: list[int], d: int) -> list[int]:
-    """vals // d entry by entry; d must divide every entry exactly."""
-    if gcd(*vals) % d:
-        raise InternalError("integer pivot lost exactness")
-    return [v // d for v in vals]
-
-
 def solve_lp(
     num_vars: int,
     objective: Sequence,
@@ -133,11 +105,11 @@ def solve_lp(
         raise _lp_budget_exceeded()
     _lp_calls += 1
 
-    onum, oden = _split(objective)
-    if len(onum) != num_vars:
+    zcoef, zscale = integer_row(objective)
+    if len(zcoef) != num_vars:
         raise ValueError("objective length != num_vars")
     if not maximize:
-        onum = [-c for c in onum]
+        zcoef = [-c for c in zcoef]
     if nonneg is None:
         nonneg = [False] * num_vars
 
@@ -157,27 +129,29 @@ def solve_lp(
 
     n_struct = ncols
 
+    def spread(ints: list[int], width: int) -> list[int]:
+        # Variable coefficients placed in their columns, padded to width.
+        out = [0] * width
+        for j, v in enumerate(ints):
+            if v:
+                out[pos_col[j]] = v
+                if neg_col[j] >= 0:
+                    out[neg_col[j]] = -v
+        return out
+
     # Rows become integers: each is multiplied by the lcm of its
     # denominators (its slack entry becomes -scale), not gcd-reduced, and
     # sign-normalized to rhs >= 0; a zero-rhs row flips only when its slack
     # entry is -1.
     rows: list[tuple[list[int], int, int]] = []  # (structural, slack entry or 0, rhs)
     for coeffs, op, rhs in constraints:
-        nums, dens = _split(coeffs)
-        if len(nums) != num_vars:
+        ints, scale = integer_row([*coeffs, rhs])
+        if len(ints) != num_vars + 1:
             raise ValueError("constraint length != num_vars")
         if op not in (GE, EQ):
             raise ValueError(f"unknown constraint op {op!r}")
-        (bnum,), (bden,) = _split((rhs,))
-        scale = lcm(bden, *dens)
-        irow = [0] * n_struct
-        for j, (c, cd) in enumerate(zip(nums, dens)):
-            if c:
-                v = c * (scale // cd)
-                irow[pos_col[j]] = v
-                if neg_col[j] >= 0:
-                    irow[neg_col[j]] = -v
-        ib = bnum * (scale // bden)
+        ib = ints.pop()
+        irow = spread(ints, n_struct)
         s = -scale if op == GE else 0
         if ib < 0 or (ib == 0 and s == -1):
             irow = [-v for v in irow]
@@ -215,14 +189,7 @@ def solve_lp(
     for c in range(n_before_art, ncols):
         z1[c] = 0
 
-    zscale = lcm(*oden)
-    zcoef = [c * (zscale // cd) for c, cd in zip(onum, oden)]
-    z2 = [0] * (ncols + 1)
-    for j, v in enumerate(zcoef):
-        if v:
-            z2[pos_col[j]] = v
-            if neg_col[j] >= 0:
-                z2[neg_col[j]] = -v
+    z2 = spread(zcoef, ncols + 1)
 
     den = 1
     rhs_i = ncols  # index of the rhs slot in every row
@@ -230,24 +197,10 @@ def solve_lp(
 
     def pivot(r: int, s: int) -> None:
         nonlocal den
-        prow = T[r]
-        piv = prow[s]
-        if piv <= 0:
-            raise InternalError(f"pivot element {piv} is not positive")
-        d = den
-        for row in all_rows:
-            if row is prow:
-                continue
-            f = row[s]
-            if f:
-                vals = [a * piv - f * b for a, b in zip(row, prow)]
-            elif piv != d:
-                vals = [a * piv for a in row]
-            else:
-                continue
-            row[:] = vals if d == 1 else _divide_row(vals, d)
+        if T[r][s] <= 0:
+            raise InternalError(f"pivot element {T[r][s]} is not positive")
+        den = linalg.pivot(all_rows, T[r], s, den)
         basis[r] = s
-        den = piv
 
     def ratio_row(s: int) -> int:
         best = -1

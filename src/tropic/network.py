@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .linalg import dot
+from .linalg import det, dot
 from .rational import format_rational, parse_rational
 
 WITH_BIAS = "bias"
@@ -241,28 +241,6 @@ def activation_pattern(l: LayerSpec, x: Sequence[Fraction]) -> tuple[frozenset[i
 # Bound-attaining constructions
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    # Bareiss fraction-free elimination.
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [r[:] for r in rows]
-    prev = 1
-    sign = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -301,7 +279,7 @@ def _shift_denominators(n: int, ts: list[int]) -> list[int]:
         size = min(n, m)
         for sub in combinations(ts, size):
             rows = [[t**j for j in range(size)] for t in sub]
-            bound = max(bound, abs(_int_det(rows)))
+            bound = max(bound, int(abs(det(rows))))
     return _primes_above(bound, m)
 
 

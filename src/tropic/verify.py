@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Callable
 
 from .arrangement import (
@@ -52,7 +53,7 @@ def sample_weibel_family(
     rng = random.Random(seed)
     for attempt in range(max_retries):
         sizes = [rng.randint(2, max_points) for _ in range(m)]
-        while _prod(sizes) > max_product:
+        while prod(sizes) > max_product:
             sizes[sizes.index(max(sizes))] -= 1
         sets = []
         for count in sizes:
@@ -63,13 +64,6 @@ def sample_weibel_family(
         if _weibel_certificate(sets, n):
             return sets, attempt
     raise ValueError(f"no certified family in {max_retries} attempts")
-
-
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 def _weibel_certificate(sets: list[LabeledPointSet], n: int) -> bool:

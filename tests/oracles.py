@@ -4,7 +4,9 @@ These deliberately avoid the library's simplex/closed-form code paths:
 LP optima come from exact vertex enumeration over constraint subsets, and
 Euler characteristics come from the definitional alternating sum over a
 face decomposition.  solve_lp_reference is the slow path that the
-integer-native solve_lp replaced, kept so the two can be compared LP by LP.
+integer-native solve_lp replaced, kept so the two can be compared LP by LP;
+rank_reference, nullspace_basis_reference and det_reference are the
+eliminations that linalg's integer kernel replaced, kept the same way.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from tropic.geometry import (
     recession_profile,
     strictly_feasible,
 )
-from tropic.linalg import dot, rank
+from tropic.linalg import dot
 from tropic.linprog import (
     EQ,
     GE,
@@ -134,7 +136,7 @@ def enumerate_cells_unpruned(layer) -> list[Cell]:
         cells.append(
             Cell(
                 tuple(frozenset(c + 1 for c in t) for t in sig),
-                n - rank([c for c, _ in eqs]),
+                n - rank_reference([c for c, _ in eqs]),
                 prof.lineality_dim == 0 and prof.pointed_part_bounded,
                 w,
             )
@@ -370,3 +372,82 @@ def solve_lp_reference(
     if not maximize:
         value = -value
     return LPResult(OPTIMAL, value, tuple(x))
+
+
+def rank_reference(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a matrix given as rows of Fractions, by Gaussian elimination."""
+    mat = [list(r) for r in rows if any(r)]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        prow = mat[r]
+        pval = prow[c]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c]
+            if f:
+                mat[i] = [a - f / pval * b for a, b in zip(mat[i], prow)]
+        r += 1
+        if r == len(mat):
+            break
+    return r
+
+
+def nullspace_basis_reference(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {v : row . v = 0 for all rows}, as vectors in Q^dim, by
+    Gauss-Jordan elimination over Fractions."""
+    mat = [list(r) for r in rows if any(r)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(dim):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pval = mat[r][c]
+        mat[r] = [a / pval for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    free_cols = [c for c in range(dim) if c not in pivots]
+    for fc in free_cols:
+        v = [Fraction(0)] * dim
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def det_reference(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination
+    below the diagonal only."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [r[:] for r in rows]
+    prev = 1
+    sign = 1
+    for c in range(n - 1):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
+        prev = m[c][c]
+    return sign * m[n - 1][n - 1]

@@ -113,6 +113,15 @@ class TestEnumerateCells:
         with pytest.raises(BudgetExceededError, match="--max-signatures"):
             enumerate_cells(example_layer(), max_signatures=10)
 
+    def test_signature_cap_bounds_the_widest_level(self):
+        # The levels try 7, 35 and 175 of the 343 signatures; 61 are cells.
+        l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
+        cells = enumerate_cells(l)
+        assert len(cells) == 61
+        assert enumerate_cells(l, max_signatures=175) == cells
+        with pytest.raises(BudgetExceededError, match="--max-signatures"):
+            enumerate_cells(l, max_signatures=174)
+
     def test_lp_budget(self):
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(3):
             enumerate_cells(example_layer())

@@ -137,6 +137,19 @@ def test_env_budget_bounds_commands_without_the_flag(tmp_path, capsys, monkeypat
     assert run(capsys, *argv, "--lp-budget", "1000")[0] == EXIT_OK
 
 
+def test_invalid_env_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Also for a command that solves no LP.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
+        "--seed", "1", "-o", str(net))
+    monkeypatch.setenv("TROPIC_BUDGET_LP", "abc")
+    for argv in (("bounds", "shallow", "--inputs", "2", "--ranks", "2,2"),
+                 ("regions", "count", "--network", str(net))):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "TROPIC_BUDGET_LP must be an integer, got 'abc'" in err
+
+
 def test_regions_deterministic_bytes(tmp_path, capsys):
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",

@@ -1,8 +1,9 @@
 """Static guards for the exactness invariants of the tropic package.
 
 An `assert` statement disappears under `python -O`, so internal invariants
-raise typed errors instead; and the package computes with int and Fraction
-only, so no float literal appears in its source.
+raise typed errors instead; the package computes with int and Fraction
+only, so no float literal appears in its source; and exact elimination
+lives in linalg alone.
 """
 
 import ast
@@ -35,3 +36,19 @@ def test_no_float_literals(path):
         if isinstance(n, ast.Constant) and isinstance(n.value, (float, complex))
     ]
     assert lines == [], f"{path.name}: float literal at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_integer_elimination_lives_in_linalg(path):
+    # gcd and lcm are the marks of integer row scaling and elimination,
+    # which linalg owns for the whole package.
+    if path.name == "linalg.py":
+        return
+    names = [
+        (n.lineno, a.name)
+        for n in _nodes(path)
+        if isinstance(n, ast.ImportFrom) and n.module == "math"
+        for a in n.names
+        if a.name in ("gcd", "lcm")
+    ]
+    assert names == [], f"{path.name}: imports {names} from math; use tropic.linalg"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropic import linprog
+from tropic import linalg, linprog
 from tropic.linprog import (
     EQ,
     GE,
@@ -174,9 +174,9 @@ def test_non_exact_inputs_raise_type_error(bad):
 
 
 def test_row_division_is_exact_or_an_internal_error():
-    assert linprog._divide_row([6, -9, 0], 3) == [2, -3, 0]
+    assert linalg.divide_row([6, -9, 0], 3) == [2, -3, 0]
     with pytest.raises(InternalError, match="lost exactness"):
-        linprog._divide_row([6, -8, 0], 3)
+        linalg.divide_row([6, -8, 0], 3)
 
 
 def _one_lp():
