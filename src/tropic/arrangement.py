@@ -19,6 +19,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from . import linalg
+from .bounds import IdentityCheck, subsum_coefficient
 from .geometry import (
     ConstraintSystem,
     affine_dimension,
@@ -70,12 +71,6 @@ class SimplicityCertificate:
 
 
 @dataclass(frozen=True)
-class IdentityCheck:
-    lhs: int
-    rhs: int
-
-
-@dataclass(frozen=True)
 class GapResult:
     r_total: int
     r_slice: int
@@ -83,17 +78,18 @@ class GapResult:
     floor: int
 
 
-def _pair_system(layer: LayerSpec, i: int, a: int, b: int) -> ConstraintSystem:
-    feats = layer.units[i].features()
-    wa, ba = feats[a]
-    wb, bb = feats[b]
-    eq = (tuple(x - y for x, y in zip(wa, wb)), bb - ba)
-    ineqs = []
-    for c, (wc, bc) in enumerate(feats):
-        if c in (a, b):
-            continue
-        ineqs.append((tuple(x - y for x, y in zip(wa, wc)), bc - ba))
-    return ConstraintSystem(layer.input_dim, (eq,), tuple(ineqs))
+def _unit_rows(feats, chosen: Sequence[int]) -> tuple[list, list]:
+    """(ties, strict dominances) of one unit whose argmax set is chosen:
+    the first chosen feature against each other chosen one, then against
+    each feature left out, in feature order."""
+    wr, br = feats[chosen[0]]
+
+    def row(c):  # feature chosen[0] minus feature c, as coeffs . x >= rhs
+        wc, bc = feats[c]
+        return tuple(x - y for x, y in zip(wr, wc)), bc - br
+
+    rest = [c for c in range(len(feats)) if c not in chosen]
+    return [row(c) for c in chosen[1:]], [row(c) for c in rest]
 
 
 def build_atoms(layer: LayerSpec) -> Arrangement:
@@ -109,7 +105,8 @@ def build_atoms(layer: LayerSpec) -> Arrangement:
         if u.rank < 2:
             continue
         for a, b in combinations(range(u.rank), 2):
-            sys = _pair_system(layer, i, a, b)
+            eqs, ineqs = _unit_rows(u.features(), (a, b))
+            sys = ConstraintSystem(n, tuple(eqs), tuple(ineqs))
             if affine_dimension(sys) == n - 1:  # None when empty
                 atoms.append(Atom(i + 1, (a + 1, b + 1), sys))
     return Arrangement(n, tuple(atoms), layer.bias_mode == NO_BIAS)
@@ -127,16 +124,9 @@ def _signature_system(layer: LayerSpec, sig: Sequence[Sequence[int]]):
     eqs = []
     ineqs = []
     for i, chosen in enumerate(sig):
-        feats = layer.units[i].features()
-        rep = chosen[0]
-        wr, br = feats[rep]
-        for c in chosen[1:]:
-            wc, bc = feats[c]
-            eqs.append((tuple(x - y for x, y in zip(wr, wc)), bc - br))
-        rest = set(range(len(feats))) - set(chosen)
-        for c in sorted(rest):
-            wc, bc = feats[c]
-            ineqs.append((tuple(x - y for x, y in zip(wr, wc)), bc - br))
+        ties, dominances = _unit_rows(layer.units[i].features(), chosen)
+        eqs += ties
+        ineqs += dominances
     return eqs, ineqs
 
 
@@ -479,9 +469,8 @@ def _subset_counts(layer: LayerSpec, n: int, counts):
 def _alternating_sum(m: int, n: int, counts) -> int:
     total = 0
     for j in range(n + 1):
-        coeff = (-1) ** (n - j) * comb(m - 1 - j, n - j)
         inner = sum(counts[frozenset(S)] for S in combinations(range(1, m + 1), j))
-        total += coeff * inner
+        total += subsum_coefficient(m, n, j) * inner
     return total
 
 

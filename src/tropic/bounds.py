@@ -31,6 +31,18 @@ def elementary_symmetric(values: Sequence[int], up_to: int) -> list[int]:
     return e
 
 
+def subsum_coefficient(m: int, n: int, j: int) -> int:
+    """(-1)^(n-j) C(m-1-j, n-j): the weight of the j-element subsums in the
+    alternating sums over at most n of m units or summands."""
+    return (-1) ** (n - j) * binom(m - 1 - j, n - j)
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    lhs: int
+    rhs: int
+
+
 @dataclass(frozen=True)
 class ShallowQuery:
     n: int
@@ -158,24 +170,19 @@ def identity_inclusion_exclusion(m: int, n: int, r: int) -> int:
     """The alternating binomial sum that collapses to 1 for 0 <= r <= n < m."""
     if not 0 <= r <= n < m:
         raise ValueError("need 0 <= r <= n < m")
-    return sum(
-        (-1) ** (n - j) * binom(m - 1 - j, n - j) * binom(m - r, j - r)
-        for j in range(n + 1)
-    )
+    return sum(subsum_coefficient(m, n, j) * binom(m - r, j - r) for j in range(n + 1))
 
 
 def identity_reformulation(m: int, n: int, ranks: Sequence[int]):
     """Both sides of the rewrite of the alternating subset sum over products
     of ranks into the plain subset sum over products of (rank - 1)."""
-    from .arrangement import IdentityCheck
-
     if not (m >= n + 1 >= 1):
         raise ValueError("need m >= n+1 >= 1")
     ranks = list(ranks)
     if len(ranks) != m or any(k < 2 for k in ranks):
         raise ValueError("need m ranks, all >= 2")
     ek = elementary_symmetric(ranks, n)
-    lhs = sum((-1) ** (n - j) * binom(m - 1 - j, n - j) * ek[j] for j in range(n + 1))
+    lhs = sum(subsum_coefficient(m, n, j) * ek[j] for j in range(n + 1))
     rhs = sum(elementary_symmetric([k - 1 for k in ranks], n))
     return IdentityCheck(lhs, rhs)
 

@@ -14,8 +14,11 @@ would try more signatures than --max-signatures.  The budget covers the
 whole command, so a long `verify identities` run can need it raised: with
 --seed 7 a trial solves about 530 LPs over all suites, so more than about
 1,880 trials need a larger TROPIC_BUDGET_LP.  --max-signatures caps the
-signatures one level of a walk tries, and a TROPIC_BUDGET_LP that is not an
-integer is a usage error.
+signatures one level of a walk tries.
+
+Limits are usage errors (exit 2, naming the flag or variable) unless they
+are integers in range: --lp-budget, TROPIC_BUDGET_LP and --max-signatures
+must be >= 0, and --jobs and --magnitude >= 1.
 """
 
 from __future__ import annotations
@@ -87,6 +90,21 @@ def _ranks(text: str) -> list[int]:
     return out
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _load_network(path: str):
     with open(path) as fh:
         return parse_network(fh.read())
@@ -107,9 +125,9 @@ def _command_lp_budget(args, parser: argparse.ArgumentParser) -> int:
     if not env:
         return DEFAULT_LP_BUDGET
     try:
-        return int(env)
-    except ValueError:
-        parser.error(f"TROPIC_BUDGET_LP must be an integer, got {env!r}")
+        return _at_least(0)(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"TROPIC_BUDGET_LP {exc}")
 
 
 def cmd_bounds(args) -> int:
@@ -293,12 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tropic", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_budget_flags(sp):
-        sp.add_argument("--lp-budget", type=int, default=None,
+    def add_budget_flags(sp, signatures=True):
+        sp.add_argument("--lp-budget", type=_at_least(0), default=None,
                         help="LP-call budget for the whole command "
                              "(default 10^6; env TROPIC_BUDGET_LP)")
-        sp.add_argument("--max-signatures", type=int, default=DEFAULT_SIGNATURE_BUDGET,
-                        help="cap on the signatures one level of the walk tries")
+        if signatures:
+            sp.add_argument("--max-signatures", type=_at_least(0),
+                            default=DEFAULT_SIGNATURE_BUDGET,
+                            help="cap on the signatures one level of the walk tries")
 
     b = sub.add_parser("bounds", help="closed-form bound evaluation")
     bsub = b.add_subparsers(dest="kind", required=True)
@@ -326,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--network", required=True)
     rc.add_argument("--method", choices=["pattern", "poset", "dual", "all"], default="pattern")
     rc.add_argument("--require-simple", action="store_true")
-    rc.add_argument("--jobs", type=int, default=1,
+    rc.add_argument("--jobs", type=_at_least(1), default=1,
                     help="worker processes for the pattern count (default 1: no pool); "
                          "results, LP counts and --lp-budget are the same for any value")
     add_budget_flags(rc)
@@ -356,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--ranks", type=_ranks, required=True)
     sl.add_argument("--seed", type=int, required=True)
     sl.add_argument("--no-bias", action="store_true")
-    sl.add_argument("--magnitude", type=int, default=12)
+    sl.add_argument("--magnitude", type=_at_least(1), default=12)
     sl.add_argument("-o", "--output")
     sl.set_defaults(func=cmd_sample)
 
@@ -365,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = posub.add_parser("dump")
     pd.add_argument("--network", required=True)
     pd.add_argument("-o", "--output")
-    add_budget_flags(pd)
+    add_budget_flags(pd, signatures=False)
     pd.set_defaults(func=cmd_poset)
     pc = posub.add_parser("cells")
     pc.add_argument("--network", required=True)

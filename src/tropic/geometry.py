@@ -2,9 +2,13 @@
 
 A ConstraintSystem is a finite list of affine equalities and inequalities
 (coeffs . x >= rhs) over Q^d.  Everything downstream (cells, posets, vertex
-classification) reduces to the operations here, which in turn reduce to
-exact LP feasibility queries.  One common-margin LP serves both
-strictly_feasible and affine_dimension, and decides emptiness on the way.
+classification) reduces to two LP formulations here, plus the violation LPs
+of contains.  The common-margin LP (maximize one slack t <= 1 shared by all
+inequalities) is infeasible exactly when the system is empty, and its point
+serves feasible, strictly_feasible and affine_dimension.  The implicit-
+equality LP of Freund, Roundy & Todd (1985, MIT Sloan WP 1674-85) finds in
+one LP the inequalities tight on the whole set; it serves affine_dimension
+at margin 0, and recession_profile on the recession cone.
 recession_profile and euler_characteristic skip their emptiness LP when the
 caller passes a point that the system satisfies.
 """
@@ -82,19 +86,18 @@ class RecessionProfile:
 
 
 def feasible(sys: ConstraintSystem) -> Vec | None:
-    """A rational point of the polyhedron, or None when it is empty."""
+    """A rational point of the polyhedron, or None when it is empty: the
+    point of the common-margin LP of strictly_feasible, one LP."""
     d = sys.ambient_dim
-    cons = [(c, EQ, r) for c, r in sys.equalities]
-    cons += [(c, GE, r) for c, r in sys.inequalities]
-    res = solve_lp(d, [0] * d, cons)
-    return res.x if res.status == OPTIMAL else None
+    res = _max_common_margin(d, sys.equalities, sys.inequalities)
+    return None if res.status == INFEASIBLE else res.x[:d]
 
 
 def strictly_feasible(sys: ConstraintSystem) -> Vec | None:
     """A point satisfying equalities exactly and every inequality strictly.
 
-    This is the one margin LP (shared with affine_dimension): maximize a
-    common slack margin t of all inequalities, capped at 1; the margin is
+    This is the common-margin LP, shared with feasible and affine_dimension:
+    maximize a slack margin t common to all inequalities, capped at 1; it is
     positive exactly when the relative interior in this sense is nonempty.
     """
     d = sys.ambient_dim
@@ -107,36 +110,29 @@ def strictly_feasible(sys: ConstraintSystem) -> Vec | None:
 def affine_dimension(sys: ConstraintSystem) -> int | None:
     """Dimension of the affine hull of the feasible set; None when empty.
 
-    The margin LP of strictly_feasible decides emptiness too: with margin
-    t = 0 it is the system itself, so it is infeasible exactly when the
-    system is empty.  A positive margin means no inequality is implicitly
-    tight and the dimension comes from the equalities alone.  At margin 0,
-    the implicit equalities (inequalities tight over the whole set) are
-    found one LP each, and the rank of the combined equality system is taken.
+    The common-margin LP decides emptiness, and a positive margin means no
+    inequality is implicitly tight: one LP.  At margin 0 only the rows tight
+    at its point can be implicit equalities, and one _implicit_equalities LP
+    picks them out.  The dimension is d minus the rank of the equalities and
+    the implicit equalities.
     """
     d = sys.ambient_dim
-    eqs = list(sys.equalities)
-    res = _max_common_margin(d, eqs, sys.inequalities)
+    res = _max_common_margin(d, sys.equalities, sys.inequalities)
     if res.status == INFEASIBLE:
         return None
-    if res.value == 0 and sys.inequalities:
-        # A strict slack at the witness clears a constraint; the rest are
-        # tested alone (max of its own slack over the unmodified system).
+    normals = [c for c, _ in sys.equalities]
+    if res.value == 0:
         x = res.x[:d]
-        for i, (c, r) in enumerate(sys.inequalities):
-            if linalg.dot(c, x) > r:
-                continue
-            others = [cc for k, cc in enumerate(sys.inequalities) if k != i]
-            res_i = _max_single_margin(d, eqs, (c, r), others)
-            if res_i.value == 0:
-                eqs.append((c, r))
-    return d - linalg.rank([c for c, _ in eqs])
+        tight = [k for k, (c, r) in enumerate(sys.inequalities) if linalg.dot(c, x) == r]
+        implicit = _implicit_equalities(d, sys.equalities, sys.inequalities, tight)
+        normals += [sys.inequalities[k][0] for k in implicit]
+    return d - linalg.rank(normals)
 
 
 def _solved(res):
-    # The single-margin LPs run on a nonempty system and the recession LP is
-    # homogeneous, so both are feasible; every objective variable is capped,
-    # so both are bounded.
+    """res, which must be optimal: the margin LP of a nonempty system and
+    the implicit-equality LP of a nonempty system or a cone are feasible,
+    and their objective variables are capped at 1, so they are bounded."""
     if res.status != OPTIMAL:
         raise InternalError(f"bounded feasible LP returned {res.status}")
     return res
@@ -155,16 +151,35 @@ def _max_common_margin(d, eqs, ineqs):
     return res if res.status == INFEASIBLE else _solved(res)
 
 
-def _max_single_margin(d, eqs, target, others):
-    c0, r0 = target
-    cons: list[tuple[list, str, object]] = []
-    for c, r in eqs:
-        cons.append((list(c) + [0], EQ, r))
-    cons.append((list(c0) + [-1], GE, r0))
-    for c, r in others:
-        cons.append((list(c) + [0], GE, r))
-    cons.append(([0] * d + [-1], GE, -1))
-    return _solved(solve_lp(d + 1, [0] * d + [1], cons, nonneg=[False] * d + [True]))
+def _implicit_equalities(d, eqs, ineqs, cand):
+    """The rows of cand (indices into ineqs) that hold with equality on the
+    whole nonempty system: one LP, none when cand is empty.
+
+    Freund, Roundy & Todd (1985): over x, theta >= 1 and one t_k in [0, 1]
+    per candidate, maximize sum t_k subject to eq . x = theta * rhs,
+    ineq_k . x - theta * rhs_k - t_k >= 0 for candidates and
+    ineq_i . x - theta * rhs_i >= 0 for the other rows.  Since x / theta
+    ranges over the system, t_k = 0 is forced on an implicit equality.  The
+    average of points slack on each other candidate, scaled by theta, gives
+    t_k = 1 on all of them at once, so every optimum has t_k = 1 there.
+    theta enters as 1 + s with s >= 0, so theta >= 1 needs no row.
+    """
+    if not cand:
+        return []
+    k = len(cand)
+    slot = {i: j for j, i in enumerate(cand)}
+
+    def row(c, r, j=None):  # coefficients of c . x - r * s - t_j
+        return [*c, -r] + [-int(q == j) for q in range(k)]
+
+    cons = [(row(c, r), EQ, r) for c, r in eqs]
+    cons += [(row(c, r, slot.get(i)), GE, r) for i, (c, r) in enumerate(ineqs)]
+    cons += [(row([0] * d, 0, j), GE, -1) for j in range(k)]  # t_j <= 1
+    obj = [0] * (d + 1) + [1] * k
+    t = _solved(solve_lp(d + 1 + k, obj, cons, nonneg=[False] * d + [True] * (1 + k))).x[d + 1 :]
+    if any(v not in (0, 1) for v in t):
+        raise InternalError(f"implicit-equality slacks {t} are not all 0 or 1")
+    return [i for i, v in zip(cand, t) if v == 0]
 
 
 def recession_profile(
@@ -173,36 +188,20 @@ def recession_profile(
     """Lineality dimension and boundedness of the pointed part.
 
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
-    (dim of its lineality space, whether the cone equals that space).  An
-    empty system raises EmptyPolyhedronError.  A witness that the system
-    exactly satisfies proves it nonempty and skips the emptiness LP; any
-    other witness is ignored.
+    (dim of its lineality space, whether the cone equals that space), and it
+    does exactly when every inequality is an implicit equality of the cone:
+    one _implicit_equalities LP, none without inequalities.  An empty system
+    raises EmptyPolyhedronError.  A witness that the system exactly
+    satisfies proves it nonempty and skips the emptiness LP; any other
+    witness is ignored.
     """
     if not (witness is not None and sys.satisfies(witness)) and feasible(sys) is None:
         raise EmptyPolyhedronError("recession profile of an empty polyhedron")
     d = sys.ambient_dim
-    all_normals = [c for c, _ in sys.equalities] + [c for c, _ in sys.inequalities]
-    lineality_dim = d - linalg.rank(all_normals)
-    # One LP: maximize the total inequality activity of a recession vector,
-    # boxed to [0,1] per row; positive optimum means the cone exceeds the
-    # lineality space.
-    n_in = len(sys.inequalities)
-    if n_in == 0:
-        return RecessionProfile(lineality_dim, True)
-    nv = d + n_in
-    cons: list[tuple[list, str, object]] = []
-    for c, r in sys.equalities:
-        cons.append((list(c) + [0] * n_in, EQ, 0))
-    for i, (c, r) in enumerate(sys.inequalities):
-        row = list(c) + [0] * n_in
-        row[d + i] = -1
-        cons.append((row, EQ, 0))  # s_i = c . v
-        cap = [0] * nv
-        cap[d + i] = -1
-        cons.append((cap, GE, -1))  # s_i <= 1
-    obj = [0] * d + [1] * n_in
-    res = _solved(solve_lp(nv, obj, cons, nonneg=[False] * d + [True] * n_in))
-    return RecessionProfile(lineality_dim, res.value == 0)
+    lineality_dim = d - linalg.rank([c for c, _ in sys.equalities + sys.inequalities])
+    cone = [(c, 0) for c, _ in sys.inequalities]
+    implicit = _implicit_equalities(d, [(c, 0) for c, _ in sys.equalities], cone, range(len(cone)))
+    return RecessionProfile(lineality_dim, len(implicit) == len(cone))
 
 
 def euler_characteristic(

@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from typing import Iterable, Sequence
 
 from .arrangement import count_regions_bruteforce
+from .bounds import IdentityCheck, subsum_coefficient
 from .linprog import EQ, INFEASIBLE, solve_lp
 from .network import WITH_BIAS, LayerSpec, NetworkParseError, _reject_float
 from .rational import format_rational, parse_rational
@@ -182,8 +182,6 @@ def duality_check(l: LayerSpec) -> DualityCheck:
 def weibel_upper_identity(sets: Sequence[LabeledPointSet]):
     """Upper-vertex count of the full sum against the alternating sum over
     partial sums of at most n of the summands (ambient Q^(n+1))."""
-    from .arrangement import IdentityCheck
-
     m = len(sets)
     if not sets:
         raise ValueError("need at least one summand")
@@ -196,14 +194,13 @@ def weibel_upper_identity(sets: Sequence[LabeledPointSet]):
     lhs = upper_vertex_count(minkowski_sum(sets))
     rhs = 0
     for j in range(n + 1):
-        coeff = (-1) ** (n - j) * comb(m - 1 - j, n - j)
         inner = 0
         for S in combinations(range(m), j):
             if not S:
                 inner += 1  # the one-point sum {0} has a single upper vertex
             else:
                 inner += upper_vertex_count(minkowski_sum([sets[i] for i in S]))
-        rhs += coeff * inner
+        rhs += subsum_coefficient(m, n, j) * inner
     return IdentityCheck(lhs, rhs)
 
 

@@ -7,6 +7,9 @@ face decomposition.  solve_lp_reference is the slow path that the
 integer-native solve_lp replaced, kept so the two can be compared LP by LP;
 rank_reference, nullspace_basis_reference and det_reference are the
 eliminations that linalg's integer kernel replaced, kept the same way.
+affine_dimension_reference (one single-margin LP per tight row) and
+recession_profile_reference (the row-activity LP) are the geometry that the
+implicit-equality LP replaced.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Iterable, Sequence
 from tropic.arrangement import Cell
 from tropic.geometry import (
     ConstraintSystem,
-    affine_dimension,
-    recession_profile,
+    EmptyPolyhedronError,
+    RecessionProfile,
     strictly_feasible,
 )
 from tropic.linalg import dot
@@ -32,6 +35,7 @@ from tropic.linprog import (
     UNBOUNDED,
     InternalError,
     LPResult,
+    solve_lp,
 )
 
 
@@ -97,7 +101,7 @@ def euler_characteristic_by_decomposition(sys: ConstraintSystem) -> int:
         )
         if strictly_feasible(piece) is None:
             continue
-        dim = affine_dimension(piece)
+        dim = affine_dimension_reference(piece)
         total += -1 if dim % 2 else 1
     return total
 
@@ -132,7 +136,7 @@ def enumerate_cells_unpruned(layer) -> list[Cell]:
         w = strictly_feasible(sys)
         if w is None:
             continue
-        prof = recession_profile(sys)
+        prof = recession_profile_reference(sys)
         cells.append(
             Cell(
                 tuple(frozenset(c + 1 for c in t) for t in sig),
@@ -142,6 +146,68 @@ def enumerate_cells_unpruned(layer) -> list[Cell]:
             )
         )
     return cells
+
+
+def _optimal(res: LPResult) -> LPResult:
+    if res.status != OPTIMAL:
+        raise InternalError(f"bounded feasible LP returned {res.status}")
+    return res
+
+
+def _max_margin(d, eqs, margined, plain):
+    # max t over {eqs, c . x >= r + t on margined rows, c . x >= r on plain
+    # rows, 0 <= t <= 1}.
+    cons = [(list(c) + [0], EQ, r) for c, r in eqs]
+    cons += [(list(c) + [-1], GE, r) for c, r in margined]
+    cons += [(list(c) + [0], GE, r) for c, r in plain]
+    cons.append(([0] * d + [-1], GE, -1))
+    return solve_lp(d + 1, [0] * d + [1], cons, nonneg=[False] * d + [True])
+
+
+def affine_dimension_reference(sys: ConstraintSystem) -> int | None:
+    """Affine dimension by one common-margin LP, then at margin 0 one
+    single-margin LP per inequality tight at its point: a row is an
+    implicit equality when its own margin cannot become positive."""
+    d = sys.ambient_dim
+    eqs = list(sys.equalities)
+    res = _max_margin(d, eqs, sys.inequalities, [])
+    if res.status == INFEASIBLE:
+        return None
+    if _optimal(res).value == 0 and sys.inequalities:
+        x = res.x[:d]
+        for i, (c, r) in enumerate(sys.inequalities):
+            if dot(c, x) > r:
+                continue
+            others = [row for k, row in enumerate(sys.inequalities) if k != i]
+            if _optimal(_max_margin(d, eqs, [(c, r)], others)).value == 0:
+                eqs.append((c, r))
+    return d - rank_reference([c for c, _ in eqs])
+
+
+def recession_profile_reference(sys: ConstraintSystem) -> RecessionProfile:
+    """Recession profile by a plain feasibility LP and the row-activity LP:
+    maximize the sum of s_i = c_i . v over the recession cone with each s_i
+    in [0, 1]; the pointed part is bounded when the optimum is 0."""
+    d = sys.ambient_dim
+    cons = [(c, EQ, r) for c, r in sys.equalities] + [(c, GE, r) for c, r in sys.inequalities]
+    if solve_lp(d, [0] * d, cons).status != OPTIMAL:
+        raise EmptyPolyhedronError("recession profile of an empty polyhedron")
+    lineality_dim = d - rank_reference([c for c, _ in sys.equalities + sys.inequalities])
+    n_in = len(sys.inequalities)
+    if n_in == 0:
+        return RecessionProfile(lineality_dim, True)
+    nv = d + n_in
+    cons = [(list(c) + [0] * n_in, EQ, 0) for c, _ in sys.equalities]
+    for i, (c, _) in enumerate(sys.inequalities):
+        row = list(c) + [0] * n_in
+        row[d + i] = -1
+        cons.append((row, EQ, 0))  # s_i = c . v
+        cap = [0] * nv
+        cap[d + i] = -1
+        cons.append((cap, GE, -1))  # s_i <= 1
+    obj = [0] * d + [1] * n_in
+    res = _optimal(solve_lp(nv, obj, cons, nonneg=[False] * d + [True] * n_in))
+    return RecessionProfile(lineality_dim, res.value == 0)
 
 
 def _as_fraction(v) -> Fraction:

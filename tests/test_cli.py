@@ -150,6 +150,52 @@ def test_invalid_env_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
         assert "TROPIC_BUDGET_LP must be an integer, got 'abc'" in err
 
 
+@pytest.mark.parametrize("argv,env,name", [
+    (("regions", "count", "--network", "{net}", "--lp-budget", "-1"), None, "--lp-budget"),
+    (("regions", "count", "--network", "{net}"), "-5", "TROPIC_BUDGET_LP"),
+    (("poset", "cells", "--network", "{net}", "--max-signatures", "-3"), None, "--max-signatures"),
+    (("regions", "count", "--network", "{net}", "--jobs", "-4"), None, "--jobs"),
+    (("regions", "count", "--network", "{net}", "--jobs", "0"), None, "--jobs"),
+    (("sample", "layer", "--inputs", "2", "--ranks", "2,2", "--seed", "1",
+      "--magnitude", "-3"), None, "--magnitude"),
+], ids=["lp-budget", "env-budget", "max-signatures", "jobs", "zero-jobs", "magnitude"])
+def test_negative_limits_are_usage_errors(tmp_path, capsys, monkeypatch, argv, env, name):
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
+        "--seed", "1", "-o", str(net))
+    if env is not None:
+        monkeypatch.setenv("TROPIC_BUDGET_LP", env)
+    code, _, err = run(capsys, *(a.format(net=net) for a in argv))
+    assert code == EXIT_USAGE
+    assert name in err and "must be an integer >=" in err
+
+
+def test_limits_at_their_floor_are_accepted(tmp_path, capsys, monkeypatch):
+    # A zero budget only stops a command that solves an LP.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
+        "--seed", "1", "-o", str(net))
+    assert run(capsys, "regions", "count", "--network", str(net), "--jobs", "1")[0] == EXIT_OK
+    assert run(capsys, "sample", "layer", "--inputs", "2", "--ranks", "2,2", "--seed", "1",
+               "--magnitude", "1")[0] == EXIT_OK
+    assert run(capsys, "poset", "cells", "--network", str(net),
+               "--max-signatures", "0")[0] == EXIT_BUDGET
+    monkeypatch.setenv("TROPIC_BUDGET_LP", "0")
+    assert run(capsys, "bounds", "shallow", "--inputs", "2", "--ranks", "2,2")[0] == EXIT_OK
+    assert run(capsys, "regions", "count", "--network", str(net))[0] == EXIT_BUDGET
+
+
+def test_poset_dump_has_no_signature_cap(tmp_path, capsys):
+    # poset dump walks no signatures, so it takes --lp-budget only.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
+        "--seed", "1", "-o", str(net))
+    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--max-signatures", "1")
+    assert code == EXIT_USAGE
+    assert "--max-signatures" in err
+    assert run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "1000")[0] == EXIT_OK
+
+
 def test_regions_deterministic_bytes(tmp_path, capsys):
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",

@@ -2,8 +2,8 @@
 
 An `assert` statement disappears under `python -O`, so internal invariants
 raise typed errors instead; the package computes with int and Fraction
-only, so no float literal appears in its source; and exact elimination
-lives in linalg alone.
+only, so no float literal appears in its source; exact elimination lives
+in linalg alone; and geometry solves its LPs in three places only.
 """
 
 import ast
@@ -52,3 +52,18 @@ def test_integer_elimination_lives_in_linalg(path):
         if a.name in ("gcd", "lcm")
     ]
     assert names == [], f"{path.name}: imports {names} from math; use tropic.linalg"
+
+
+def test_geometry_has_two_lp_formulations_plus_containment():
+    # The common-margin LP, the implicit-equality LP and the violation LPs
+    # of contains are the only places geometry may use solve_lp.
+    path = next(p for p in SOURCES if p.name == "geometry.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    users = {
+        getattr(stmt, "name", f"line {stmt.lineno}")
+        for stmt in tree.body
+        for n in ast.walk(stmt)
+        if (isinstance(n, ast.Name) and n.id == "solve_lp")
+        or (isinstance(n, ast.Attribute) and n.attr == "solve_lp")
+    }
+    assert users and users <= {"_max_common_margin", "_implicit_equalities", "contains"}, users

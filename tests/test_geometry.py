@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropic import geometry
 from tropic.geometry import (
@@ -14,9 +16,13 @@ from tropic.geometry import (
     recession_profile,
     strictly_feasible,
 )
-from tropic.linprog import UNBOUNDED, InternalError, LPResult, lp_call_count
+from tropic.linprog import OPTIMAL, UNBOUNDED, InternalError, LPResult, lp_call_count
 
-from oracles import euler_characteristic_by_decomposition
+from oracles import (
+    affine_dimension_reference,
+    euler_characteristic_by_decomposition,
+    recession_profile_reference,
+)
 
 
 def sys1(eqs=(), ineqs=()):
@@ -34,6 +40,11 @@ PLANE = ConstraintSystem.build(2)
 RAY = ConstraintSystem.build(2, equalities=[((0, 1), 0)], inequalities=[((1, 0), 0)])
 LINE = ConstraintSystem.build(2, equalities=[((0, 1), 0)])
 POINT = ConstraintSystem.build(2, equalities=[((1, 0), 0), ((0, 1), 0)])
+HALFPLANE = ConstraintSystem.build(2, inequalities=[((0, 1), 0)])
+# x >= 0 and x <= 0 force the segment {0} x [0,1]; dimension 1.
+SEGMENT = ConstraintSystem.build(
+    2, inequalities=[((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)]
+)
 
 
 class TestFeasible:
@@ -106,12 +117,11 @@ class TestAffineDimension:
         assert lp_call_count() - start == 1
 
     def test_implicit_equality_detected(self):
-        # x >= 0 and x <= 0 force the segment {0} x [0,1]; dimension 1.
-        s = ConstraintSystem.build(
-            2,
-            inequalities=[((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)],
-        )
-        assert affine_dimension(s) == 1
+        # The margin LP reads margin 0, and one implicit-equality LP over the
+        # rows tight at its point finds x >= 0 and x <= 0: 2 LPs.
+        start = lp_call_count()
+        assert affine_dimension(SEGMENT) == 1
+        assert lp_call_count() - start == 2
 
     def test_adding_equality_never_increases(self):
         rng = random.Random(7)
@@ -145,8 +155,7 @@ class TestRecessionProfile:
         assert p.lineality_dim == 0 and p.pointed_part_bounded
 
     def test_halfplane(self):
-        s = ConstraintSystem.build(2, inequalities=[((0, 1), 0)])
-        p = recession_profile(s)
+        p = recession_profile(HALFPLANE)
         assert p.lineality_dim == 1 and not p.pointed_part_bounded
 
     def test_empty_errors(self):
@@ -242,6 +251,82 @@ def test_euler_closed_form_matches_decomposition_oracle(seed):
         d = rng.choice([1, 2, 3])
         s = random_feasible_system(rng, d)
         assert euler_characteristic(s) == euler_characteristic_by_decomposition(s)
+
+
+EMPTY = ConstraintSystem.build(1, inequalities=[((1,), 1), ((-1,), 0)])
+CONTRADICTORY = ConstraintSystem.build(1, equalities=[((1,), 0), ((1,), 1)])
+COEF = st.integers(-3, 3)
+
+
+@st.composite
+def systems(draw):
+    """Systems in Q^1..Q^4 with up to 2 equalities and 6 inequalities, all
+    satisfied by one anchor point until a contradiction is added.
+
+    Coordinates no row touches give nonzero lineality.  Each inequality may
+    get its opposite row shifted by 0 (an implicit-equality pair, a
+    lower-dimensional set) or by 1 (a slab).  The first inequality may get
+    one shifted by -1 (an empty set), and the first equality a
+    contradictory copy.
+    """
+    d = draw(st.integers(1, 4))
+    free = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    anchor = [draw(COEF) for _ in range(d)]
+
+    def row(slack):  # a row that the anchor point satisfies with this slack
+        c = tuple(0 if j in free else draw(COEF) for j in range(d))
+        return c, sum(a * b for a, b in zip(c, anchor)) - slack
+
+    eqs = [row(0) for _ in range(draw(st.integers(0, 2)))]
+    if eqs and draw(st.integers(0, 4)) == 0:
+        eqs.append((eqs[0][0], eqs[0][1] + 1))
+    ineqs = []
+    for _ in range(draw(st.integers(0, 6))):
+        c, r = row(draw(st.integers(0, 2)))
+        ineqs.append((c, r))
+        shift = draw(st.sampled_from([None, 0, 1]))
+        if shift is not None:
+            ineqs.append((tuple(-v for v in c), -r - shift))
+    if ineqs and draw(st.integers(0, 5)) == 0:
+        c, r = ineqs[0]
+        ineqs.append((tuple(-v for v in c), -r + 1))
+    return ConstraintSystem.build(d, eqs, draw(st.permutations(ineqs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example(SEGMENT)
+@example(HALFPLANE)
+@example(EMPTY)
+@example(CONTRADICTORY)
+@example(PLANE)
+@example(LINE)
+def test_matches_single_margin_and_activity_references(sys):
+    dim = affine_dimension(sys)
+    assert dim == affine_dimension_reference(sys)
+    if dim is None:
+        assert feasible(sys) is None
+        with pytest.raises(EmptyPolyhedronError):
+            recession_profile(sys)
+        return
+    assert sys.satisfies(feasible(sys))
+    expected = recession_profile_reference(sys)
+    assert recession_profile(sys) == expected
+    assert recession_profile(sys, witness=feasible(sys)) == expected
+
+
+def test_no_candidates_solve_no_lp():
+    start = lp_call_count()
+    assert geometry._implicit_equalities(1, [], [((Fraction(1),), Fraction(0))], []) == []
+    assert lp_call_count() == start
+
+
+def test_implicit_equality_slack_outside_0_1_is_an_internal_error(monkeypatch):
+    # Every optimum has each slack t_k at 0 or 1, so t = 1/2 is a bug.
+    x = (Fraction(0), Fraction(1), Fraction(1, 2))
+    monkeypatch.setattr(geometry, "solve_lp", lambda *a, **k: LPResult(OPTIMAL, Fraction(1, 2), x))
+    with pytest.raises(InternalError, match="not all 0 or 1"):
+        geometry._implicit_equalities(1, [], [((Fraction(1),), Fraction(0))], [0])
 
 
 def test_unsolved_bounded_lp_is_an_internal_error(monkeypatch):
