@@ -29,11 +29,8 @@ from .geometry import (
     recession_profile,
     strictly_feasible,
 )
-from .linprog import BudgetExceededError, charge_lp_calls, lp_call_count
+from .linprog import charge_lp_calls, lp_call_count, require_lp_headroom
 from .network import NO_BIAS, WITH_BIAS, LayerSpec, MaxoutUnitSpec, restrict_layer
-
-DEFAULT_SIGNATURE_BUDGET = 100_000
-SIGNATURE_BUDGET_HINT = "--max-signatures"
 
 
 @dataclass(frozen=True)
@@ -45,6 +42,9 @@ class Atom:
 
 @dataclass(frozen=True)
 class Arrangement:
+    """Atoms of one layer, built by build_atoms only: every atom has affine
+    dimension ambient_dim - 1, which is_simple relies on."""
+
     ambient_dim: int
     atoms: tuple[Atom, ...]
     central: bool
@@ -165,20 +165,21 @@ def _expand(args) -> tuple[list, int]:
     return out, lp_call_count() - start
 
 
-def _frontier(layer: LayerSpec, choices, max_signatures: int, jobs: int = 1) -> list[Cell]:
+def _frontier(layer: LayerSpec, choices, jobs: int = 1) -> list[Cell]:
     """Nonempty cells over the signatures choices[0] x choices[1] x ...,
     in lexicographic order.
 
     Level i extends every strictly feasible prefix by unit i's choices and
     drops the empty children; an empty prefix cell has only empty
-    extensions, so whole subtrees are pruned.  A level that would try more
-    than max_signatures signatures (prefixes x choices) raises
-    BudgetExceededError before it starts.  A level is split into
+    extensions, so whole subtrees are pruned.  Every signature a level
+    tries (prefixes x choices) costs at least one LP, so a level that needs
+    more LPs than the current linprog.lp_budget has left raises
+    BudgetExceededError before it solves any.  A level is split into
     batches that run inline, or across a pool of jobs processes created
     once per call.  Pool LPs are charged to this process's counter after
-    every batch, which checks them against the current linprog.lp_budget,
-    so the cells, the LP count of a finished walk and whether the budget is
-    exceeded do not depend on jobs.
+    every batch, which checks them against the budget, so the cells, the
+    LP count of a finished walk and whether the budget is exceeded do not
+    depend on jobs.
     """
     n = layer.input_dim
     if not choices:  # no units: the whole space is the one cell
@@ -187,12 +188,7 @@ def _frontier(layer: LayerSpec, choices, max_signatures: int, jobs: int = 1) -> 
     nodes = [()]
     try:
         for unit_choices in choices:
-            tries = len(nodes) * len(unit_choices)
-            if tries > max_signatures:
-                raise BudgetExceededError(
-                    f"one level of the walk would try {tries} signatures, over the cap "
-                    f"{max_signatures}; raise {SIGNATURE_BUDGET_HINT}"
-                )
+            require_lp_headroom(len(nodes) * len(unit_choices))
             size = 1 if pool is None else max(1, len(nodes) // (4 * jobs))
             batches = [
                 (layer, unit_choices, nodes[k : k + size]) for k in range(0, len(nodes), size)
@@ -208,20 +204,17 @@ def _frontier(layer: LayerSpec, choices, max_signatures: int, jobs: int = 1) -> 
     return nodes
 
 
-def enumerate_cells(
-    layer: LayerSpec,
-    max_signatures: int = DEFAULT_SIGNATURE_BUDGET,
-) -> list[Cell]:
+def enumerate_cells(layer: LayerSpec) -> list[Cell]:
     """Every nonempty relatively open argmax-signature cell, with dimension,
     boundedness of the closure, and a rational witness.
 
     A unit's choices are the nonempty subsets of its features (the argmax
     set).  The walk is the pruned signature frontier: an empty prefix cuts
     its subtree, so the LPs track the nonempty cells, not all prod(2^k - 1)
-    signatures.  max_signatures caps the signatures one level of the walk
-    tries.  Cells come out in lexicographic signature order.
+    signatures.  A level that cannot finish within the LP budget is refused
+    before it starts.  Cells come out in lexicographic signature order.
     """
-    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units], max_signatures)
+    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units])
 
 
 def _dedupe_units(layer: LayerSpec) -> LayerSpec:
@@ -237,11 +230,7 @@ def _dedupe_units(layer: LayerSpec) -> LayerSpec:
     return LayerSpec(layer.input_dim, tuple(units), layer.bias_mode)
 
 
-def count_regions_bruteforce(
-    layer: LayerSpec,
-    max_signatures: int = DEFAULT_SIGNATURE_BUDGET,
-    jobs: int = 1,
-) -> RegionCount:
+def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
     """Region and bounded-region counts by strict-argmax enumeration.
 
     Regions are the full-dimensional cells, i.e. the strict single-argmax
@@ -251,12 +240,11 @@ def count_regions_bruteforce(
     feature.  With jobs > 1 each level's batches run in a process pool; the
     workers' LPs count in lp_call_count() and against linprog.lp_budget,
     and the counts, the LPs solved and whether the budget is exceeded are
-    the same for every jobs.  max_signatures caps the patterns one level
-    tries.
+    the same for every jobs.
     """
     layer = _dedupe_units(layer)
     choices = [[(a,) for a in range(u.rank)] for u in layer.units]
-    cells = _frontier(layer, choices, max_signatures, jobs)
+    cells = _frontier(layer, choices, jobs)
     return RegionCount(len(cells), sum(c.bounded for c in cells))
 
 
@@ -399,7 +387,9 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
     """Certify that any j atoms of distinct units intersect in codimension j
     (empty allowed; for central arrangements the origin is allowed instead).
 
-    Subset sizes run to n+1 so one-too-many concurrences are caught.
+    Subset sizes run to n+1 so one-too-many concurrences are caught.  A
+    single atom has codimension 1 by construction, so subsets start at two
+    atoms.
     """
     n = arr.ambient_dim
     by_unit: dict[int, list[int]] = {}
@@ -425,7 +415,7 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
     def rec(u_pos, chosen, size_left):
         if violation:
             return
-        if chosen and not check_subset(tuple(chosen)):
+        if len(chosen) > 1 and not check_subset(tuple(chosen)):
             violation.append(tuple(chosen))
             return
         if size_left == 0 or u_pos == len(units):
@@ -453,16 +443,11 @@ def sub_layer(layer: LayerSpec, subset: Iterable[int]) -> LayerSpec:
     return LayerSpec(layer.input_dim, units, layer.bias_mode)
 
 
-def _subset_counts(layer: LayerSpec, n: int, counts):
-    m = layer.width
+def _subset_counts(layer: LayerSpec, n: int):
     out = {frozenset(): 1}
     for j in range(1, n + 1):
-        for S in combinations(range(1, m + 1), j):
-            key = frozenset(S)
-            if counts and key in counts:
-                out[key] = counts[key]
-            else:
-                out[key] = count_regions_bruteforce(sub_layer(layer, S)).regions
+        for S in combinations(range(1, layer.width + 1), j):
+            out[frozenset(S)] = count_regions_bruteforce(sub_layer(layer, S)).regions
     return out
 
 
@@ -483,7 +468,7 @@ def _require_units_with_atoms(layer: LayerSpec, arr: Arrangement):
         )
 
 
-def _subsum_sides(layer: LayerSpec, n: int, counts, assume_simple: bool) -> tuple[int, dict]:
+def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, dict]:
     """Region count and sub-arrangement table of a subsum identity in Q^n."""
     m = layer.width
     if m < n + 1:
@@ -492,51 +477,40 @@ def _subsum_sides(layer: LayerSpec, n: int, counts, assume_simple: bool) -> tupl
     _require_units_with_atoms(layer, arr)
     if not assume_simple and not is_simple(arr).simple:
         raise ValueError("arrangement is not simple")
-    return count_regions_bruteforce(layer).regions, _subset_counts(layer, n, counts)
+    return count_regions_bruteforce(layer).regions, _subset_counts(layer, n)
 
 
-def subsum_identity_noncentral(
-    layer: LayerSpec,
-    counts=None,
-    assume_simple: bool = False,
-) -> IdentityCheck:
+def subsum_identity_noncentral(layer: LayerSpec, assume_simple: bool = False) -> IdentityCheck:
     """Both sides of the region identity for a simple with-bias arrangement:
     the full count against the alternating sum over <=n-unit sub-arrangements."""
     if layer.bias_mode != WITH_BIAS:
         raise ValueError("non-central identity needs a with-bias layer")
     n = layer.input_dim
-    lhs, table = _subsum_sides(layer, n, counts, assume_simple)
+    lhs, table = _subsum_sides(layer, n, assume_simple)
     return IdentityCheck(lhs, _alternating_sum(layer.width, n, table))
 
 
-def subsum_identity_central(
-    layer: LayerSpec,
-    counts=None,
-    assume_simple: bool = False,
-) -> IdentityCheck:
+def subsum_identity_central(layer: LayerSpec, assume_simple: bool = False) -> IdentityCheck:
     """Central variant in ambient Q^(n+1): the alternating sum gains the
     binomial correction C(m-1, n)."""
     if layer.bias_mode != NO_BIAS:
         raise ValueError("central identity needs a no-bias layer")
     n = layer.input_dim - 1
     m = layer.width
-    lhs, table = _subsum_sides(layer, n, counts, assume_simple)
+    lhs, table = _subsum_sides(layer, n, assume_simple)
     return IdentityCheck(lhs, comb(m - 1, n) + _alternating_sum(m, n, table))
 
 
-def bounded_region_gap(
-    layer: LayerSpec,
-    g_normal: Sequence,
-    g_rhs=1,
-) -> GapResult:
+def bounded_region_gap(layer: LayerSpec, g_normal: Sequence) -> GapResult:
     """Regions of a central arrangement minus regions induced on the affine
-    hyperplane {<x, w> = rhs}, with the binomial floor of the gap theorem."""
+    hyperplane {<x, w> = 1}, with the binomial floor of the gap theorem.
+
+    Every hyperplane that misses the origin is {<x, w> = 1} for a scaled
+    normal w.
+    """
     if layer.bias_mode != NO_BIAS:
         raise ValueError("gap theorem needs a central (no-bias) layer")
-    g_rhs = Fraction(g_rhs)
-    if g_rhs == 0:
-        raise ValueError("the hyperplane must not contain the origin")
-    w = tuple(Fraction(v) / g_rhs for v in g_normal)
+    w = tuple(Fraction(v) for v in g_normal)
     if all(v == 0 for v in w):
         raise ValueError("hyperplane normal must be nonzero")
     d = layer.input_dim

@@ -55,22 +55,6 @@ class ShallowQuery:
 
 
 @dataclass(frozen=True)
-class DeepQuery:
-    n0: int
-    widths: tuple[int, ...]
-    ranks: tuple[tuple[int, ...], ...]  # per layer, per unit
-    with_bias: bool = True
-
-    def __post_init__(self):
-        if self.n0 < 1 or not self.widths or any(w < 1 for w in self.widths):
-            raise ValueError("invalid architecture")
-        if len(self.ranks) != len(self.widths) or any(
-            len(r) != w for r, w in zip(self.ranks, self.widths)
-        ):
-            raise ValueError("ranks shape must match widths")
-
-
-@dataclass(frozen=True)
 class DeepLowerResult:
     value: int
     n: int  # the replication dimension attaining the maximum
@@ -101,19 +85,21 @@ def trivial_bound(ranks: Sequence[int]) -> int:
     return out
 
 
+def _check_architecture(n0: int, widths: Sequence[int]) -> None:
+    if n0 < 1 or not widths or any(w < 1 for w in widths):
+        raise ValueError("invalid architecture")
+
+
 def deep_upper(n0: int, widths: Sequence[int], ranks: Sequence[Sequence[int]], with_bias: bool = True) -> int:
     """Product over layers of the shallow maximum with the input dimension
     capped by the smallest width seen so far."""
-    q = DeepQuery(n0, tuple(widths), tuple(tuple(r) for r in ranks), with_bias)
+    _check_architecture(n0, widths)
+    if len(ranks) != len(widths) or any(len(r) != w for r, w in zip(ranks, widths)):
+        raise ValueError("ranks shape must match widths")
     total = 1
-    e = q.n0
-    for w, layer_ranks in zip(q.widths, q.ranks):
-        vals = [k - 1 for k in layer_ranks]
-        if with_bias:
-            factor = sum(elementary_symmetric(vals, e))
-        else:
-            factor = binom(w - 1, e - 1) + sum(elementary_symmetric(vals, e - 1))
-        total *= factor
+    e = n0
+    for w, layer_ranks in zip(widths, ranks):
+        total *= shallow_formula(e, layer_ranks, with_bias)
         e = min(e, w)
     return total
 
@@ -143,7 +129,7 @@ def deep_lower(n0: int, widths: Sequence[int], k: int, with_bias: bool = True) -
     admissible replication dimensions n (reported alongside the value)."""
     if k < 2:
         raise ValueError("rank must be >= 2")
-    DeepQuery(n0, tuple(widths), tuple(tuple([k] * w) for w in widths), with_bias)
+    _check_architecture(n0, widths)
     hidden = list(widths)[:-1]
     n_last = widths[-1]
     best = None
@@ -190,6 +176,8 @@ def identity_reformulation(m: int, n: int, ranks: Sequence[int]):
 def prior_bounds(n: int, m: int, k: int) -> tuple[int, int]:
     """Previously published lower/upper bounds for m uniform rank-k units,
     kept for comparison tables."""
+    if min(n, m, k) < 1:
+        raise ValueError("need n, m and k >= 1")
     lower = k ** min(n, m)
     upper = sum(binom(m * k * (k - 1) // 2, j) for j in range(n + 1))
     return lower, upper

@@ -9,16 +9,17 @@ certificate failure, 5 identity violation (counterexample in the report).
 
 Every command runs under one LP-call budget: --lp-budget where the command
 has that flag, else the environment variable TROPIC_BUDGET_LP, else 10^6.
-Exit 3 means the command would solve more LPs than that budget allows, or
-would try more signatures than --max-signatures.  The budget covers the
-whole command, so a long `verify identities` run can need it raised: with
---seed 7 a trial solves about 530 LPs over all suites, so more than about
-1,880 trials need a larger TROPIC_BUDGET_LP.  --max-signatures caps the
-signatures one level of a walk tries.
+It is the only work limit.  Exit 3 means the command would solve more LPs
+than that budget allows; a region or cell walk stops before a level that
+tries more signatures than LPs are left, since each costs at least one.
+The budget covers the whole command, so a long `verify identities` run can
+need it raised: with --seed 7 a trial solves about 530 LPs over all suites,
+so more than about 1,880 trials need a larger TROPIC_BUDGET_LP.
 
-Limits are usage errors (exit 2, naming the flag or variable) unless they
-are integers in range: --lp-budget, TROPIC_BUDGET_LP and --max-signatures
-must be >= 0, and --jobs and --magnitude >= 1.
+Integer arguments are usage errors (exit 2, naming the flag or variable)
+unless they are integers in range: --lp-budget, TROPIC_BUDGET_LP and --seed
+must be >= 0; --jobs, --magnitude, --inputs, --units, --rank and --trials
+>= 1; and every entry of --ranks and --widths >= 1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import time
 
 from . import bounds, minkowski, verify
 from .arrangement import (
-    DEFAULT_SIGNATURE_BUDGET,
     build_atoms,
     build_poset,
     count_faces_poset,
@@ -138,9 +138,6 @@ def cmd_bounds(args) -> int:
             "trivial": bounds.trivial_bound(args.ranks),
             "bias_mode": NO_BIAS if args.no_bias else WITH_BIAS,
         }
-        if args.table:
-            print(f"inputs={args.inputs} ranks={args.ranks} -> max regions {value} "
-                  f"(trivial {results['trivial']})", file=sys.stderr)
     elif args.kind == "deep":
         upper = bounds.deep_upper_uniform(args.inputs, args.widths, args.rank, not args.no_bias)
         results = {"upper": upper, "bias_mode": NO_BIAS if args.no_bias else WITH_BIAS}
@@ -183,8 +180,7 @@ def cmd_regions(args) -> int:
 
     for method in methods:
         if method == "pattern":
-            rc = count_regions_bruteforce(layer, max_signatures=args.max_signatures,
-                                          jobs=args.jobs)
+            rc = count_regions_bruteforce(layer, jobs=args.jobs)
             results["pattern"] = {"regions": rc.regions, "bounded_regions": rc.bounded_regions}
         elif method == "poset":
             results["poset"] = {"regions": count_regions_poset(atoms)}
@@ -267,7 +263,7 @@ def cmd_cells(args) -> int:
     if len(net.layers) != 1:
         print("cell dump needs a single-layer network", file=sys.stderr)
         return EXIT_PRECONDITION
-    cells = enumerate_cells(net.layers[0], max_signatures=args.max_signatures)
+    cells = enumerate_cells(net.layers[0])
     doc = {
         "cells": [
             {
@@ -311,33 +307,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tropic", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_budget_flags(sp, signatures=True):
+    def add_budget_flags(sp):
         sp.add_argument("--lp-budget", type=_at_least(0), default=None,
                         help="LP-call budget for the whole command "
                              "(default 10^6; env TROPIC_BUDGET_LP)")
-        if signatures:
-            sp.add_argument("--max-signatures", type=_at_least(0),
-                            default=DEFAULT_SIGNATURE_BUDGET,
-                            help="cap on the signatures one level of the walk tries")
 
     b = sub.add_parser("bounds", help="closed-form bound evaluation")
     bsub = b.add_subparsers(dest="kind", required=True)
     bs = bsub.add_parser("shallow")
-    bs.add_argument("--inputs", type=int, required=True)
+    bs.add_argument("--inputs", type=_at_least(1), required=True)
     bs.add_argument("--ranks", type=_ranks, required=True)
     bs.add_argument("--no-bias", action="store_true")
-    bs.add_argument("--table", action="store_true")
     bs.set_defaults(func=cmd_bounds)
     bd = bsub.add_parser("deep")
-    bd.add_argument("--inputs", type=int, required=True)
+    bd.add_argument("--inputs", type=_at_least(1), required=True)
     bd.add_argument("--widths", type=_ranks, required=True)
-    bd.add_argument("--rank", type=int, required=True)
+    bd.add_argument("--rank", type=_at_least(1), required=True)
     bd.add_argument("--no-bias", action="store_true")
     bd.set_defaults(func=cmd_bounds)
     bp = bsub.add_parser("prior")
-    bp.add_argument("--inputs", type=int, required=True)
-    bp.add_argument("--units", type=int, required=True)
-    bp.add_argument("--rank", type=int, required=True)
+    bp.add_argument("--inputs", type=_at_least(1), required=True)
+    bp.add_argument("--units", type=_at_least(1), required=True)
+    bp.add_argument("--rank", type=_at_least(1), required=True)
     bp.set_defaults(func=cmd_bounds)
 
     r = sub.add_parser("regions", help="region counting")
@@ -355,26 +346,26 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="bound-attaining constructions")
     csub = c.add_subparsers(dest="kind", required=True)
     cs = csub.add_parser("shallow-max")
-    cs.add_argument("--inputs", type=int, required=True)
+    cs.add_argument("--inputs", type=_at_least(1), required=True)
     cs.add_argument("--ranks", type=_ranks, required=True)
-    cs.add_argument("--seed", type=int, required=True)
+    cs.add_argument("--seed", type=_at_least(0), required=True)
     cs.add_argument("--no-bias", action="store_true")
     cs.add_argument("-o", "--output")
     cs.set_defaults(func=cmd_construct)
     cd = csub.add_parser("deep-lower")
-    cd.add_argument("--inputs", type=int, required=True)
+    cd.add_argument("--inputs", type=_at_least(1), required=True)
     cd.add_argument("--widths", type=_ranks, required=True)
-    cd.add_argument("--rank", type=int, required=True)
-    cd.add_argument("--seed", type=int, required=True)
+    cd.add_argument("--rank", type=_at_least(1), required=True)
+    cd.add_argument("--seed", type=_at_least(0), required=True)
     cd.add_argument("-o", "--output")
     cd.set_defaults(func=cmd_construct)
 
     s = sub.add_parser("sample", help="seeded generic layers (certified simple)")
     ssub = s.add_subparsers(dest="kind", required=True)
     sl = ssub.add_parser("layer")
-    sl.add_argument("--inputs", type=int, required=True)
+    sl.add_argument("--inputs", type=_at_least(1), required=True)
     sl.add_argument("--ranks", type=_ranks, required=True)
-    sl.add_argument("--seed", type=int, required=True)
+    sl.add_argument("--seed", type=_at_least(0), required=True)
     sl.add_argument("--no-bias", action="store_true")
     sl.add_argument("--magnitude", type=_at_least(1), default=12)
     sl.add_argument("-o", "--output")
@@ -385,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = posub.add_parser("dump")
     pd.add_argument("--network", required=True)
     pd.add_argument("-o", "--output")
-    add_budget_flags(pd, signatures=False)
+    add_budget_flags(pd)
     pd.set_defaults(func=cmd_poset)
     pc = posub.add_parser("cells")
     pc.add_argument("--network", required=True)
@@ -406,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="identity suites with counterexample dumps")
     vsub = v.add_subparsers(dest="kind", required=True)
     vi = vsub.add_parser("identities")
-    vi.add_argument("--trials", type=int, required=True)
-    vi.add_argument("--seed", type=int, required=True)
+    vi.add_argument("--trials", type=_at_least(1), required=True)
+    vi.add_argument("--seed", type=_at_least(0), required=True)
     vi.add_argument("--suite", choices=["all"] + list(verify.ALL_SUITES), default="all")
     vi.set_defaults(func=cmd_verify)
 

@@ -32,11 +32,11 @@ _lp_limit: int | None = None  # lp_call_count() may not pass this; None: no limi
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an operation exceeds a budget: an LP would pass the limit
-    of the innermost lp_budget block, or a signature cap is too small.
+    """Raised when LPs would pass the limit of the innermost lp_budget
+    block: the next solve_lp, a worker's charged LPs, or a walk level that
+    needs more LPs than are left.
 
-    The message names the knob to raise (--lp-budget / TROPIC_BUDGET_LP, or
-    --max-signatures).
+    The message names the knob to raise (--lp-budget / TROPIC_BUDGET_LP).
     """
 
 
@@ -58,6 +58,13 @@ def charge_lp_calls(count: int) -> None:
     global _lp_calls
     _lp_calls += count
     if _lp_limit is not None and _lp_calls > _lp_limit:
+        raise _lp_budget_exceeded()
+
+
+def require_lp_headroom(count: int) -> None:
+    """Raise BudgetExceededError unless count more LPs fit under the current
+    limit; solves and charges nothing."""
+    if _lp_limit is not None and _lp_calls + count > _lp_limit:
         raise _lp_budget_exceeded()
 
 

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 from .arrangement import count_regions_bruteforce
 from .bounds import IdentityCheck, subsum_coefficient
 from .linprog import EQ, INFEASIBLE, solve_lp
-from .network import WITH_BIAS, LayerSpec, NetworkParseError, _reject_float
-from .rational import format_rational, parse_rational
+from .network import WITH_BIAS, LayerSpec, NetworkParseError, json_rational, load_json
+from .rational import format_rational
 
 Vec = tuple[Fraction, ...]
 
@@ -225,7 +225,7 @@ def partial_sum_trivial_bound(sets: Sequence[LabeledPointSet], n: int):
 
 def parse_point_set(text: str) -> LabeledPointSet:
     """Point-set files: { "dim": d, "points": [["p/q", ...], ...], "label": str }."""
-    doc = json.loads(text, parse_float=_reject_float)
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise NetworkParseError("$: expected an object")
     dim = doc.get("dim")
@@ -238,7 +238,7 @@ def parse_point_set(text: str) -> LabeledPointSet:
     for i, row in enumerate(pts_doc):
         if not isinstance(row, list) or len(row) != dim:
             raise NetworkParseError(f"$.points[{i}]: expected an array of length {dim}")
-        pts.append(tuple(parse_rational(v, f"$.points[{i}][{j}]") for j, v in enumerate(row)))
+        pts.append(tuple(json_rational(v, f"$.points[{i}][{j}]") for j, v in enumerate(row)))
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise NetworkParseError("$.label: expected a string")

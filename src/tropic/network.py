@@ -23,6 +23,8 @@ NO_BIAS = "no_bias"
 
 Vec = tuple[Fraction, ...]
 
+SAMPLE_ATTEMPTS = 60  # draws sample_generic makes before it gives up
+
 
 class NetworkParseError(ValueError):
     """Schema or dimension violation; the message carries the JSON path."""
@@ -114,11 +116,25 @@ def _reject_float(s):
     raise NetworkParseError(f"float literal {s!r} not accepted; use 'p/q' strings")
 
 
-def parse_network(text: str) -> NetworkSpec:
+def load_json(text: str):
+    """The JSON document of a network or point-set file; bad JSON and float
+    literals raise NetworkParseError."""
     try:
-        doc = json.loads(text, parse_float=_reject_float)
+        return json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise NetworkParseError(f"invalid JSON: {exc}") from exc
+
+
+def json_rational(value, path: str) -> Fraction:
+    """parse_rational, raising NetworkParseError."""
+    try:
+        return parse_rational(value, path)
+    except ValueError as exc:
+        raise NetworkParseError(str(exc)) from exc
+
+
+def parse_network(text: str) -> NetworkSpec:
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise NetworkParseError("$: expected an object")
     n0 = doc.get("input_dim")
@@ -152,10 +168,7 @@ def parse_network(text: str) -> NetworkSpec:
                 rpath = f"{upath}.weights[{ri}]"
                 if not isinstance(row, list) or len(row) != expect:
                     raise NetworkParseError(f"{rpath}: expected an array of length {expect}")
-                try:
-                    weights.append(tuple(parse_rational(v, f"{rpath}[{ci}]") for ci, v in enumerate(row)))
-                except ValueError as exc:
-                    raise NetworkParseError(str(exc)) from exc
+                weights.append(tuple(json_rational(v, f"{rpath}[{ci}]") for ci, v in enumerate(row)))
             bdoc = udoc.get("biases")
             if mode == NO_BIAS:
                 if bdoc is not None:
@@ -166,12 +179,7 @@ def parse_network(text: str) -> NetworkSpec:
                     raise NetworkParseError(
                         f"{upath}.biases: expected an array of length {len(weights)}"
                     )
-                try:
-                    biases = tuple(
-                        parse_rational(v, f"{upath}.biases[{bi}]") for bi, v in enumerate(bdoc)
-                    )
-                except ValueError as exc:
-                    raise NetworkParseError(str(exc)) from exc
+                biases = tuple(json_rational(v, f"{upath}.biases[{bi}]") for bi, v in enumerate(bdoc))
             units.append(MaxoutUnitSpec(tuple(weights), biases))
         layers.append(LayerSpec(expect, tuple(units), mode))
         expect = len(units)
@@ -439,7 +447,6 @@ def sample_generic(
     bias_mode: str,
     seed: int,
     magnitude: int = 12,
-    max_retries: int = 60,
 ) -> LayerSpec:
     """Seeded integer-grid layer certified generic.
 
@@ -448,15 +455,15 @@ def sample_generic(
     homogenized central arrangement extended by the hyperplane at infinity
     must be simple as well (affine simplicity alone admits parallel atoms
     across units, which defeat the bounded-region floor).  Resamples until
-    the certificate passes; raises after max_retries with a hint to increase
-    the magnitude.
+    the certificate passes; raises after SAMPLE_ATTEMPTS draws with a hint
+    to increase the magnitude.
     """
     from .arrangement import build_atoms, is_simple
 
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(SAMPLE_ATTEMPTS):
         units = []
         for k in ranks:
             weights = tuple(
@@ -480,7 +487,7 @@ def sample_generic(
             continue
         return cand
     raise ValueError(
-        f"no simple layer found in {max_retries} samples; try a larger magnitude (B > {magnitude})"
+        f"no simple layer found in {SAMPLE_ATTEMPTS} samples; try a larger magnitude (B > {magnitude})"
     )
 
 

@@ -37,23 +37,25 @@ from .network import (
 )
 
 
+WEIBEL_ATTEMPTS = 200
+WEIBEL_MAX_PRODUCT = 200
+
+
 def _layer_json(layer: LayerSpec) -> str:
     return serialize_network(single_layer_network(layer))
 
 
-def sample_weibel_family(
-    n: int, m: int, max_points: int, seed: int, max_retries: int = 200,
-    max_product: int = 200,
-) -> tuple[list[LabeledPointSet], int]:
+def sample_weibel_family(n: int, m: int, max_points: int, seed: int) -> list[LabeledPointSet]:
     """Random positive-dimensional point sets in Q^(n+1) certified for the
     upper-face identity: the induced with-bias arrangement is simple, no unit
     has a vertical difference vector, and no two units have parallel
-    difference vectors.  The product of the set sizes is capped so the full
-    sum stays classifiable directly.  Returns (family, resample count)."""
+    difference vectors.  The product of the set sizes is capped at
+    WEIBEL_MAX_PRODUCT so the full sum stays classifiable directly; raises
+    after WEIBEL_ATTEMPTS draws."""
     rng = random.Random(seed)
-    for attempt in range(max_retries):
+    for _ in range(WEIBEL_ATTEMPTS):
         sizes = [rng.randint(2, max_points) for _ in range(m)]
-        while prod(sizes) > max_product:
+        while prod(sizes) > WEIBEL_MAX_PRODUCT:
             sizes[sizes.index(max(sizes))] -= 1
         sets = []
         for count in sizes:
@@ -62,8 +64,8 @@ def sample_weibel_family(
                 pts.add(tuple(Fraction(rng.randint(-9, 9)) for _ in range(n + 1)))
             sets.append(point_set(sorted(pts)))
         if _weibel_certificate(sets, n):
-            return sets, attempt
-    raise ValueError(f"no certified family in {max_retries} attempts")
+            return sets
+    raise ValueError(f"no certified family in {WEIBEL_ATTEMPTS} attempts")
 
 
 def _weibel_certificate(sets: list[LabeledPointSet], n: int) -> bool:
@@ -140,12 +142,12 @@ def verify_subsum_central(trials: int, seed: int) -> dict:
     return _suite("subsum_central", trials, gen)
 
 
-def verify_weibel(trials: int, seed: int, max_points: int = 4) -> dict:
+def verify_weibel(trials: int, seed: int) -> dict:
     grids = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)]
 
     def gen(t):
         n, m = grids[t % len(grids)]
-        sets, _ = sample_weibel_family(n, m, max_points, seed=seed * 10037 + t)
+        sets = sample_weibel_family(n, m, 4, seed=seed * 10037 + t)  # 2 to 4 points a set
         chk = weibel_upper_identity(sets)
         return chk.lhs == chk.rhs, {
             "trial": t,

@@ -262,7 +262,7 @@ def test_criterion_6_identity_suites():
 
     for t in range(100):
         n, m = weibel_cells[t % len(weibel_cells)]
-        sets, _ = sample_weibel_family(n, m, 4, seed=33000 + t)
+        sets = sample_weibel_family(n, m, 4, seed=33000 + t)
         chk = weibel_upper_identity(sets)
         assert chk.lhs == chk.rhs, (n, m, t)
     elapsed = time.time() - t0

@@ -109,18 +109,20 @@ class TestEnumerateCells:
         assert len(full) == 7
         assert sum(1 for c in full if c.bounded) == 1  # Buck: C(m-1, n)
 
-    def test_signature_budget(self):
-        with pytest.raises(BudgetExceededError, match="--max-signatures"):
-            enumerate_cells(example_layer(), max_signatures=10)
-
-    def test_signature_cap_bounds_the_widest_level(self):
-        # The levels try 7, 35 and 175 of the 343 signatures; 61 are cells.
+    def test_level_without_lp_headroom_is_refused_before_it_starts(self):
+        # The levels try 7, 35 and 175 of the 343 signatures, one LP each,
+        # and each of the 61 cells costs one recession LP: 278 in all.
+        # With 216, the last level finds 174 LPs left and solves none.
         l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
-        cells = enumerate_cells(l)
+        start = lp_call_count()
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(216):
+            enumerate_cells(l)
+        assert lp_call_count() - start == 42
+        start = lp_call_count()
+        with lp_budget(278):
+            cells = enumerate_cells(l)
+        assert lp_call_count() - start == 278
         assert len(cells) == 61
-        assert enumerate_cells(l, max_signatures=175) == cells
-        with pytest.raises(BudgetExceededError, match="--max-signatures"):
-            enumerate_cells(l, max_signatures=174)
 
     def test_lp_budget(self):
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(3):
@@ -185,10 +187,17 @@ class TestCountRegionsBruteforce:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lp_budget_holds_for_any_jobs(self, jobs):
-        # The walk solves 58 LPs, whether inline or in a pool.
+        # The walk solves 58 LPs, whether inline or in a pool: its levels
+        # try 3, 9 and 27 patterns and the 19 regions cost one recession LP
+        # each.  With 38, the last level finds 26 LPs left and is refused
+        # before any worker starts it.
         l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(57):
             count_regions_bruteforce(l, jobs=jobs)
+        start = lp_call_count()
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(38):
+            count_regions_bruteforce(l, jobs=jobs)
+        assert lp_call_count() - start == 12
         with lp_budget(58):
             assert count_regions_bruteforce(l, jobs=jobs).regions == 19
 
@@ -348,10 +357,6 @@ class TestBoundedRegionGap:
         res = bounded_region_gap(l, (1, 1))
         assert res.floor == binom(2, 1) == 2
         assert res.gap >= 2
-
-    def test_origin_hyperplane_rejected(self):
-        with pytest.raises(ValueError, match="origin"):
-            bounded_region_gap(central_3_2(), (1, 1), g_rhs=0)
 
     def test_too_few_units(self):
         l = sample_generic(3, (2, 2), NO_BIAS, seed=1)

@@ -66,6 +66,19 @@ class TestDeepBounds:
     def test_mixed_ranks_per_layer(self):
         assert deep_upper(2, [2, 1], [[3, 2], [4]]) == shallow_formula(2, (3, 2)) * shallow_formula(1, (4,))
 
+    def test_nobias_rank_one_units_count_nothing(self):
+        # Each layer's factor is the shallow maximum, which ignores rank-1
+        # units without bias as well.
+        assert deep_upper(2, [2], [[1, 1]], False) == 1 == shallow_formula(2, (1, 1), False)
+        assert deep_upper(2, [3], [[3, 1, 3]], False) == shallow_formula(2, (3, 1, 3), False)
+
+    @pytest.mark.parametrize("args", [
+        (0, [2], [[2, 2]]), (2, [], []), (2, [2], [[2]]), (2, [2], [[2, -1]]),
+    ])
+    def test_upper_rejects_bad_architectures(self, args):
+        with pytest.raises(ValueError):
+            deep_upper(*args)
+
     def test_lower_values(self):
         r = deep_lower(2, [2, 2], 3)
         assert (r.value, r.n) == (25, 1)
@@ -139,6 +152,11 @@ class TestPriorBounds:
 
     def test_wide_input_lower_is_trivial(self):
         assert prior_bounds(7, 3, 4)[0] == trivial_bound((4, 4, 4))
+
+    @pytest.mark.parametrize("n,m,k", [(-2, 3, 3), (0, 3, 3), (2, 0, 3), (2, 3, 0), (2, 3, -1)])
+    def test_rejects_sizes_below_one(self, n, m, k):
+        with pytest.raises(ValueError, match=">= 1"):
+            prior_bounds(n, m, k)
 
 
 @settings(max_examples=60, deadline=None)

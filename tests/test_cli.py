@@ -68,7 +68,7 @@ def test_construct_then_count_all_methods(tmp_path, capsys):
 
 def test_regions_count_lp_cost(tmp_path, capsys):
     # One build_atoms serves is_simple and the poset; the dual count is the
-    # upper-vertex count alone.  Per stage: atoms 9, is_simple 26, pattern
+    # upper-vertex count alone.  Per stage: atoms 9, is_simple 20, pattern
     # 58, poset 122, dual 47 LPs.  No stage re-proves with an LP what a
     # caller's point or the one margin LP already shows.
     net = tmp_path / "net.json"
@@ -76,9 +76,9 @@ def test_regions_count_lp_cost(tmp_path, capsys):
         "--seed", "1", "-o", str(net))
     expected = {
         "pattern": (58, {"pattern": {"regions": 19, "bounded_regions": 7}}),
-        "poset": (157, {"poset": {"regions": 19}}),
-        "dual": (82, {"dual": {"regions": 19}}),
-        "all": (262, {
+        "poset": (151, {"poset": {"regions": 19}}),
+        "dual": (76, {"dual": {"regions": 19}}),
+        "all": (256, {
             "pattern": {"regions": 19, "bounded_regions": 7},
             "poset": {"regions": 19},
             "dual": {"regions": 19},
@@ -103,11 +103,11 @@ def test_regions_count_lp_cost(tmp_path, capsys):
             assert "TROPIC_BUDGET_LP" in err
 
 
-@pytest.mark.parametrize("method,budget", [("poset", 60), ("dual", 60), ("poset", 156)])
+@pytest.mark.parametrize("method,budget", [("poset", 60), ("dual", 60), ("poset", 150)])
 def test_lp_budget_bounds_the_whole_command(tmp_path, capsys, method, budget):
-    # atoms and is_simple spend 35 LPs, then the poset (122) or the
+    # atoms and is_simple spend 29 LPs, then the poset (122) or the
     # upper-vertex classification (47) gets only what is left.  --method
-    # poset needs 157 LPs in all, the last of them for the Euler
+    # poset needs 151 LPs in all, the last of them for the Euler
     # characteristics of the poset's elements.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
@@ -153,12 +153,18 @@ def test_invalid_env_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("argv,env,name", [
     (("regions", "count", "--network", "{net}", "--lp-budget", "-1"), None, "--lp-budget"),
     (("regions", "count", "--network", "{net}"), "-5", "TROPIC_BUDGET_LP"),
-    (("poset", "cells", "--network", "{net}", "--max-signatures", "-3"), None, "--max-signatures"),
     (("regions", "count", "--network", "{net}", "--jobs", "-4"), None, "--jobs"),
     (("regions", "count", "--network", "{net}", "--jobs", "0"), None, "--jobs"),
     (("sample", "layer", "--inputs", "2", "--ranks", "2,2", "--seed", "1",
       "--magnitude", "-3"), None, "--magnitude"),
-], ids=["lp-budget", "env-budget", "max-signatures", "jobs", "zero-jobs", "magnitude"])
+    (("bounds", "prior", "--inputs", "-2", "--units", "3", "--rank", "3"), None, "--inputs"),
+    (("bounds", "prior", "--inputs", "2", "--units", "0", "--rank", "3"), None, "--units"),
+    (("bounds", "deep", "--inputs", "2", "--widths", "2,2", "--rank", "-1"), None, "--rank"),
+    (("verify", "identities", "--trials", "-2", "--seed", "1"), None, "--trials"),
+    (("construct", "shallow-max", "--inputs", "2", "--ranks", "2,2", "--seed", "-1"),
+     None, "--seed"),
+], ids=["lp-budget", "env-budget", "jobs", "zero-jobs", "magnitude", "inputs", "units",
+        "rank", "trials", "seed"])
 def test_negative_limits_are_usage_errors(tmp_path, capsys, monkeypatch, argv, env, name):
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
@@ -179,21 +185,29 @@ def test_limits_at_their_floor_are_accepted(tmp_path, capsys, monkeypatch):
     assert run(capsys, "sample", "layer", "--inputs", "2", "--ranks", "2,2", "--seed", "1",
                "--magnitude", "1")[0] == EXIT_OK
     assert run(capsys, "poset", "cells", "--network", str(net),
-               "--max-signatures", "0")[0] == EXIT_BUDGET
+               "--lp-budget", "0")[0] == EXIT_BUDGET
+    code, out, _ = run(capsys, "bounds", "prior", "--inputs", "1", "--units", "1", "--rank", "1")
+    assert code == EXIT_OK
+    assert results_of(out) == {"lower": 1, "upper": 1}
+    code, out, _ = run(capsys, "verify", "identities", "--trials", "1", "--seed", "0",
+                       "--suite", "lemmas")
+    assert code == EXIT_OK
+    assert results_of(out)["suites"][0]["passed"] == 1
     monkeypatch.setenv("TROPIC_BUDGET_LP", "0")
     assert run(capsys, "bounds", "shallow", "--inputs", "2", "--ranks", "2,2")[0] == EXIT_OK
     assert run(capsys, "regions", "count", "--network", str(net))[0] == EXIT_BUDGET
 
 
 def test_poset_dump_has_no_signature_cap(tmp_path, capsys):
-    # poset dump walks no signatures, so it takes --lp-budget only.
+    # The LP budget is the one work limit; no command takes a signature cap.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
         "--seed", "1", "-o", str(net))
-    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--max-signatures", "1")
-    assert code == EXIT_USAGE
-    assert "--max-signatures" in err
-    assert run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "1000")[0] == EXIT_OK
+    for argv in (("poset", "dump"), ("poset", "cells"), ("regions", "count")):
+        code, _, err = run(capsys, *argv, "--network", str(net), "--max-signatures", "1")
+        assert code == EXIT_USAGE
+        assert "--max-signatures" in err
+        assert run(capsys, *argv, "--network", str(net), "--lp-budget", "1000")[0] == EXIT_OK
 
 
 def test_regions_deterministic_bytes(tmp_path, capsys):
@@ -301,6 +315,20 @@ def test_minkowski_classify(tmp_path, capsys):
     assert code == EXIT_OK
     r = results_of(out)
     assert r["vertices"] == 6 and r["upper_vertices"] == 5
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps({"dim": 2, "points": [["abc", 0], [1, 1]]}),
+     "$.points[0][0]: not a valid rational string: 'abc'"),
+    ('{"dim": 2, "points": [[0, 0], [1', "invalid JSON"),
+], ids=["bad-rational", "truncated"])
+def test_bad_point_file_is_usage_error(tmp_path, capsys, text, message):
+    # The same faults as in a network file, and the same exit code.
+    f = tmp_path / "pts.json"
+    f.write_text(text)
+    code, _, err = run(capsys, "minkowski", "classify", "--points", str(f))
+    assert code == EXIT_USAGE
+    assert message in err
 
 
 def test_minkowski_lift_sum(tmp_path, capsys):

@@ -3,7 +3,8 @@
 An `assert` statement disappears under `python -O`, so internal invariants
 raise typed errors instead; the package computes with int and Fraction
 only, so no float literal appears in its source; exact elimination lives
-in linalg alone; and geometry solves its LPs in three places only.
+in linalg alone; geometry solves its LPs in three places only; and every
+integer command-line argument is range-checked.
 """
 
 import ast
@@ -67,3 +68,19 @@ def test_geometry_has_two_lp_formulations_plus_containment():
         or (isinstance(n, ast.Attribute) and n.attr == "solve_lp")
     }
     assert users and users <= {"_max_common_margin", "_implicit_equalities", "contains"}, users
+
+
+def test_cli_integer_arguments_are_range_checked():
+    # A plain type=int lets a negative size or count through to an exact
+    # report; _at_least and _ranks reject it as a usage error.
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    lines = [
+        n.lineno
+        for n in _nodes(path)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "add_argument"
+        for kw in n.keywords
+        if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int"
+    ]
+    assert lines == [], f"cli.py: type=int at lines {lines}; use _at_least or _ranks"

@@ -198,12 +198,12 @@ class TestDuality:
 
 class TestWeibelIdentity:
     def test_three_segments(self):
-        sets, _ = sample_weibel_family(1, 3, 2, seed=12)
+        sets = sample_weibel_family(1, 3, 2, seed=12)
         chk = weibel_upper_identity(sets)
         assert chk.lhs == chk.rhs
 
     def test_four_triangles(self):
-        sets, _ = sample_weibel_family(2, 4, 3, seed=21)
+        sets = sample_weibel_family(2, 4, 3, seed=21)
         chk = weibel_upper_identity(sets)
         assert chk.lhs == chk.rhs
 
@@ -227,7 +227,7 @@ class TestWeibelIdentity:
     def test_strict_lower_floor(self):
         # total - upper >= C(m-1, n) on certified families
         for seed in range(4):
-            sets, _ = sample_weibel_family(1, 3, 3, seed=40 + seed)
+            sets = sample_weibel_family(1, 3, 3, seed=40 + seed)
             total = minkowski_sum(sets)
             cls = classify_vertices(total)
             assert cls.vertex_count - cls.upper_count >= binom(len(sets) - 1, 1)

@@ -237,8 +237,9 @@ class TestSampleGeneric:
         pytest.fail("no full-dimensional central triangle among 20 seeds")
 
     def test_retry_cap_error(self):
-        with pytest.raises(ValueError, match="magnitude"):
-            sample_generic(2, (2, 2), WITH_BIAS, seed=0, magnitude=0, max_retries=3)
+        # Magnitude 0 draws only zero features, so every draw is rejected.
+        with pytest.raises(ValueError, match="no simple layer found in 60 samples; .*magnitude"):
+            sample_generic(2, (2, 2), WITH_BIAS, seed=0, magnitude=0)
 
 
 class TestCountRegionsLine:
