@@ -109,7 +109,17 @@ class TestEnumerateCells:
         assert len(full) == 7
         assert sum(1 for c in full if c.bounded) == 1  # Buck: C(m-1, n)
 
-    def test_level_without_lp_headroom_is_refused_before_it_starts(self):
+    def test_signature_budget(self):
+        # Each unit has 7 cells, so the levels try 7 and 49 signatures, one
+        # LP each.  A budget of 55 leaves 48 for the second level, which is
+        # refused before it solves any; 56 lets it start.
+        for limit, solved in ((10, 7), (55, 7), (56, 56)):
+            start = lp_call_count()
+            with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(limit):
+                enumerate_cells(example_layer())
+            assert lp_call_count() - start == solved
+
+    def test_signature_cap_bounds_the_widest_level(self):
         # The levels try 7, 35 and 175 of the 343 signatures, one LP each,
         # and each of the 61 cells costs one recession LP: 278 in all.
         # With 216, the last level finds 174 LPs left and solves none.
