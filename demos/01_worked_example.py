@@ -12,10 +12,11 @@ from tropic.arrangement import (
     build_atoms,
     build_poset,
     count_faces_poset,
+    count_regions_bruteforce,
     count_regions_poset,
     enumerate_cells,
 )
-from tropic.minkowski import duality_check
+from tropic.minkowski import dual_region_count
 from tropic.network import layer, unit
 
 l = layer(
@@ -45,6 +46,5 @@ print(f"regions via cell enumeration: {by_dim[2]}")
 print(f"1-faces via poset formula:    {count_faces_poset(arr, 1, poset)}")
 print(f"1-faces via cell enumeration: {by_dim[1]}")
 
-dual = duality_check(l)
-print(f"\nMinkowski duality: {dual.region_count} regions = "
-      f"{dual.upper_vertex_count} upper vertices of the lifted sum")
+print(f"\nMinkowski duality: {count_regions_bruteforce(l).regions} regions = "
+      f"{dual_region_count(l)} upper vertices of the lifted sum")

@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from . import linalg
-from .bounds import IdentityCheck, subsum_coefficient
+from .bounds import IdentityCheck, alternating_subsum
 from .geometry import (
     ConstraintSystem,
     affine_dimension,
@@ -443,22 +443,6 @@ def sub_layer(layer: LayerSpec, subset: Iterable[int]) -> LayerSpec:
     return LayerSpec(layer.input_dim, units, layer.bias_mode)
 
 
-def _subset_counts(layer: LayerSpec, n: int):
-    out = {frozenset(): 1}
-    for j in range(1, n + 1):
-        for S in combinations(range(1, layer.width + 1), j):
-            out[frozenset(S)] = count_regions_bruteforce(sub_layer(layer, S)).regions
-    return out
-
-
-def _alternating_sum(m: int, n: int, counts) -> int:
-    total = 0
-    for j in range(n + 1):
-        inner = sum(counts[frozenset(S)] for S in combinations(range(1, m + 1), j))
-        total += subsum_coefficient(m, n, j) * inner
-    return total
-
-
 def _require_units_with_atoms(layer: LayerSpec, arr: Arrangement):
     atom_units = {a.unit for a in arr.atoms}
     missing = [i + 1 for i in range(layer.width) if (i + 1) not in atom_units]
@@ -468,8 +452,9 @@ def _require_units_with_atoms(layer: LayerSpec, arr: Arrangement):
         )
 
 
-def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, dict]:
-    """Region count and sub-arrangement table of a subsum identity in Q^n."""
+def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, int]:
+    """Region count and alternating sum over the <=n-unit sub-arrangements
+    of a subsum identity in Q^n (the unitless one is 1 region, no LP)."""
     m = layer.width
     if m < n + 1:
         raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
@@ -477,7 +462,10 @@ def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, d
     _require_units_with_atoms(layer, arr)
     if not assume_simple and not is_simple(arr).simple:
         raise ValueError("arrangement is not simple")
-    return count_regions_bruteforce(layer).regions, _subset_counts(layer, n)
+    regions = count_regions_bruteforce(layer).regions
+    return regions, alternating_subsum(
+        m, n, lambda S: count_regions_bruteforce(sub_layer(layer, (i + 1 for i in S))).regions
+    )
 
 
 def subsum_identity_noncentral(layer: LayerSpec, assume_simple: bool = False) -> IdentityCheck:
@@ -485,9 +473,7 @@ def subsum_identity_noncentral(layer: LayerSpec, assume_simple: bool = False) ->
     the full count against the alternating sum over <=n-unit sub-arrangements."""
     if layer.bias_mode != WITH_BIAS:
         raise ValueError("non-central identity needs a with-bias layer")
-    n = layer.input_dim
-    lhs, table = _subsum_sides(layer, n, assume_simple)
-    return IdentityCheck(lhs, _alternating_sum(layer.width, n, table))
+    return IdentityCheck(*_subsum_sides(layer, layer.input_dim, assume_simple))
 
 
 def subsum_identity_central(layer: LayerSpec, assume_simple: bool = False) -> IdentityCheck:
@@ -496,9 +482,8 @@ def subsum_identity_central(layer: LayerSpec, assume_simple: bool = False) -> Id
     if layer.bias_mode != NO_BIAS:
         raise ValueError("central identity needs a no-bias layer")
     n = layer.input_dim - 1
-    m = layer.width
-    lhs, table = _subsum_sides(layer, n, assume_simple)
-    return IdentityCheck(lhs, comb(m - 1, n) + _alternating_sum(m, n, table))
+    lhs, rhs = _subsum_sides(layer, n, assume_simple)
+    return IdentityCheck(lhs, comb(layer.width - 1, n) + rhs)
 
 
 def bounded_region_gap(layer: LayerSpec, g_normal: Sequence) -> GapResult:

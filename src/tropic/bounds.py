@@ -8,7 +8,8 @@ the one-pass recurrence instead of 2^m subset enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import combinations
+from typing import Callable, Sequence
 
 
 def binom(a: int, b: int) -> int:
@@ -35,6 +36,16 @@ def subsum_coefficient(m: int, n: int, j: int) -> int:
     """(-1)^(n-j) C(m-1-j, n-j): the weight of the j-element subsums in the
     alternating sums over at most n of m units or summands."""
     return (-1) ** (n - j) * binom(m - 1 - j, n - j)
+
+
+def alternating_subsum(m: int, n: int, value: Callable[[tuple[int, ...]], int]) -> int:
+    """Sum of subsum_coefficient(m, n, |S|) * value(S) over the subsets S of
+    range(m) with |S| <= n, the empty one included, evaluated by size and
+    then lexicographically."""
+    return sum(
+        subsum_coefficient(m, n, j) * sum(value(S) for S in combinations(range(m), j))
+        for j in range(n + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,8 @@ def _admissible_ns(n0: int, widths: Sequence[int], with_bias: bool):
 
 def deep_lower(n0: int, widths: Sequence[int], k: int, with_bias: bool = True) -> DeepLowerResult:
     """Region count realized by the zig-zag construction, maximized over the
-    admissible replication dimensions n (reported alongside the value)."""
+    admissible replication dimensions n (reported alongside the value; the
+    largest n on a tie, which network.construct_deep_lower builds)."""
     if k < 2:
         raise ValueError("rank must be >= 2")
     _check_architecture(n0, widths)
@@ -144,7 +156,7 @@ def deep_lower(n0: int, widths: Sequence[int], k: int, with_bias: bool = True) -
             for w in hidden:
                 value *= (((w - 1) // (n - 1)) * (k - 1) + 1) ** (n - 1)
             value *= sum(binom(n_last, j) * (k - 1) ** j for j in range(n))
-        if best is None or value > best.value:
+        if best is None or value >= best.value:
             best = DeepLowerResult(value, n)
     if best is None:
         kind = "n_l/n even" if with_bias else "(n_l-1)/(n-1) even"

@@ -1,8 +1,11 @@
 """Batch command-line front end.
 
 Every command prints one JSON report: {"command", "seed", "results",
-"certificates", "timings_ms"}.  Results are byte-deterministic for fixed
-arguments, seed, and input files; wall-clock timings live in their own field.
+"certificates", "timings_ms"}, except `construct`, `sample`, `poset dump`,
+`poset cells` and `minkowski lift-sum`, which print (or write to -o) their
+own document: a network, a poset, a cell list or a point set.  Results are
+byte-deterministic for fixed arguments, seed, and input files; wall-clock
+timings live in their own field.
 
 Exit codes: 0 success, 2 usage, 3 budget exceeded, 4 precondition or
 certificate failure, 5 identity violation (counterexample in the report).
@@ -13,8 +16,9 @@ It is the only work limit.  Exit 3 means the command would solve more LPs
 than that budget allows; a region or cell walk stops before a level that
 tries more signatures than LPs are left, since each costs at least one.
 The budget covers the whole command, so a long `verify identities` run can
-need it raised: with --seed 7 a trial solves about 530 LPs over all suites,
-so more than about 1,880 trials need a larger TROPIC_BUDGET_LP.
+need it raised: with --seed 7 a trial solves about 460 LPs over all suites
+(458 on average over 30 trials), so more than about 2,180 trials need a
+larger TROPIC_BUDGET_LP.
 
 Integer arguments are usage errors (exit 2, naming the flag or variable)
 unless they are integers in range: --lp-budget, TROPIC_BUDGET_LP and --seed
@@ -185,10 +189,7 @@ def cmd_regions(args) -> int:
         elif method == "poset":
             results["poset"] = {"regions": count_regions_poset(atoms)}
         else:
-            total = minkowski.minkowski_sum(minkowski.lift_layer(layer))
-            cls = minkowski.classify_vertices(total)
-            upper = layer.bias_mode == WITH_BIAS
-            results["dual"] = {"regions": cls.upper_count if upper else cls.vertex_count}
+            results["dual"] = {"regions": minkowski.dual_region_count(layer)}
     if args.method == "all":
         counts = {results[m]["regions"] for m in results}
         results["consistent"] = len(counts) == 1

@@ -221,13 +221,17 @@ def euler_characteristic(
 
 
 def contains(outer: ConstraintSystem, inner: ConstraintSystem) -> bool:
-    """True iff every point of inner satisfies outer; exact, via violation LPs."""
+    """True iff every point of inner satisfies outer; exact, via violation LPs.
+
+    A witness of inner that satisfies outer also shows outer nonempty, so
+    outer's emptiness LP runs only when the witness fails it.
+    """
     if outer.ambient_dim != inner.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     w = feasible(inner)
-    if w is None or feasible(outer) is None:
-        raise EmptyPolyhedronError("containment requires both systems nonempty")
-    if not outer.satisfies(w):
+    if w is None or not outer.satisfies(w):
+        if w is None or feasible(outer) is None:
+            raise EmptyPolyhedronError("containment requires both systems nonempty")
         return False
     d = inner.ambient_dim
     cons = [(c, EQ, r) for c, r in inner.equalities]

@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .arrangement import count_regions_bruteforce
-from .bounds import IdentityCheck, subsum_coefficient
+from .bounds import IdentityCheck, alternating_subsum
 from .linprog import EQ, INFEASIBLE, solve_lp
 from .network import WITH_BIAS, LayerSpec, NetworkParseError, json_rational, load_json
 from .rational import format_rational
@@ -66,12 +65,6 @@ class VertexClassification:
     @property
     def strict_lower_count(self) -> int:
         return sum(self.is_strict_lower_vertex)
-
-
-@dataclass(frozen=True)
-class DualityCheck:
-    region_count: int
-    upper_vertex_count: int
 
 
 @dataclass(frozen=True)
@@ -169,14 +162,11 @@ def upper_vertex_count(ps: LabeledPointSet) -> int:
     return classify_vertices(ps).upper_count
 
 
-def duality_check(l: LayerSpec) -> DualityCheck:
-    """Region count of a with-bias layer against the upper-vertex count of the
-    Minkowski sum of its lifted coefficient sets (two independent pipelines)."""
-    if l.bias_mode != WITH_BIAS:
-        raise ValueError("duality check is defined for with-bias layers")
-    regions = count_regions_bruteforce(l).regions
-    total = minkowski_sum(lift_layer(l))
-    return DualityCheck(regions, upper_vertex_count(total))
+def dual_region_count(l: LayerSpec) -> int:
+    """Region count of a layer read off the Minkowski sum of its lifted
+    coefficient sets: the upper vertices with bias, all vertices without."""
+    cls = classify_vertices(minkowski_sum(lift_layer(l)))
+    return cls.upper_count if l.bias_mode == WITH_BIAS else cls.vertex_count
 
 
 def weibel_upper_identity(sets: Sequence[LabeledPointSet]):
@@ -192,15 +182,10 @@ def weibel_upper_identity(sets: Sequence[LabeledPointSet]):
         if len(set(s.points)) < 2:
             raise ValueError("summands must be positive-dimensional (>= 2 points)")
     lhs = upper_vertex_count(minkowski_sum(sets))
-    rhs = 0
-    for j in range(n + 1):
-        inner = 0
-        for S in combinations(range(m), j):
-            if not S:
-                inner += 1  # the one-point sum {0} has a single upper vertex
-            else:
-                inner += upper_vertex_count(minkowski_sum([sets[i] for i in S]))
-        rhs += subsum_coefficient(m, n, j) * inner
+    rhs = alternating_subsum(
+        # the empty sum is the one point {0}, a single upper vertex
+        m, n, lambda S: upper_vertex_count(minkowski_sum([sets[i] for i in S])) if S else 1
+    )
     return IdentityCheck(lhs, rhs)
 
 

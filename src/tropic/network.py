@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from .bounds import deep_lower
 from .linalg import det, dot
 from .rational import format_rational, parse_rational
 
@@ -360,27 +361,12 @@ def construct_deep_lower(n0: int, widths: Sequence[int], rank: int, seed: int) -
     zig-zag maps [0,1] -> [0,1]; the (absorbed) linear folds feed the next
     layer; the final layer is a parallel-hyperplane layer with all breakpoints
     inside the image cube and no zero slopes, so every fold stays visible.
+    The replication dimension n, and the refusal of a rank below 2 or an
+    architecture with no admissible n, are bounds.deep_lower's.
     """
     widths = list(widths)
-    if rank < 2:
-        raise ValueError("rank must be >= 2")
-    if n0 < 1 or not widths or any(w < 1 for w in widths):
-        raise ValueError("invalid architecture")
+    n = deep_lower(n0, widths, rank).n
     hidden = widths[:-1]
-    n = n0
-    for w in hidden:
-        n = min(n, w // 2)
-    if n < 1:
-        raise ValueError("hidden layers need width >= 2")
-    for w in hidden:
-        p, rem = divmod(w, n)
-        if rem or p % 2:
-            usable = (w // (2 * n)) * 2 * n
-            raise ValueError(
-                f"hidden width {w} is not an even multiple of n={n}; "
-                f"largest usable even portion is {usable}"
-            )
-
     rng = random.Random(seed)
     k = rank
     layers = []
@@ -450,13 +436,19 @@ def sample_generic(
 ) -> LayerSpec:
     """Seeded integer-grid layer certified generic.
 
-    The certificate requires every rank->=2 unit to contribute an indecision
-    boundary and the arrangement to be simple; for with-bias layers the
-    homogenized central arrangement extended by the hyperplane at infinity
-    must be simple as well (affine simplicity alone admits parallel atoms
-    across units, which defeat the bounded-region floor).  Resamples until
-    the certificate passes; raises after SAMPLE_ATTEMPTS draws with a hint
-    to increase the magnitude.
+    The certificate requires every rank->=2 unit to contribute an atom and
+    the arrangement to be simple.  A no-bias layer's own arrangement is
+    checked.  A with-bias layer is checked through its projectivization
+    only: the homogenized central arrangement extended by the hyperplane at
+    infinity (affine simplicity alone admits parallel atoms across units,
+    which defeat the bounded-region floor).  That implies affine
+    simplicity: each affine atom is the t = 1 slice of a homogenized atom,
+    so a nonempty affine intersection of j atoms from distinct units is
+    the t = 1 slice of the intersection C of their homogenized atoms, and C
+    is not {0}.  Projectivized simplicity then gives dim C = n+1-j >= 1 (so
+    n+1 such atoms never meet), and the slice, which meets t > 0, has
+    dimension n-j.  Resamples until the certificate passes; raises after
+    SAMPLE_ATTEMPTS draws with a hint to increase the magnitude.
     """
     from .arrangement import build_atoms, is_simple
 
@@ -481,9 +473,9 @@ def sample_generic(
         atom_units = {a.unit for a in arr.atoms}
         if any(k >= 2 and (i + 1) not in atom_units for i, k in enumerate(ranks)):
             continue
+        if bias_mode == WITH_BIAS:
+            arr = build_atoms(_projectivize(cand))
         if not is_simple(arr).simple:
-            continue
-        if bias_mode == WITH_BIAS and not is_simple(build_atoms(_projectivize(cand))).simple:
             continue
         return cand
     raise ValueError(

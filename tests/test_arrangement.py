@@ -243,6 +243,19 @@ class TestPoset:
         crossings = [e for e in p.elements if e.dim == 0 and len(e.support) == 2]
         assert len(crossings) == 3
 
+    def test_shared_tie_line_lp_cost(self):
+        # Units 1 and 2 tie on the same line x = 0, so build_poset asks
+        # contains 8 times; each time the witness of the smaller element
+        # already lies in the atom, which shows the atom nonempty.
+        l = layer([unit([[1, 0], [0, 0]], [0, 0]), unit([[1, 0], [0, 0]], [0, 0]),
+                   unit([[0, 1], [0, 0]], [0, 0])])
+        start = lp_call_count()
+        arr = build_atoms(l)
+        p = build_poset(arr)
+        assert lp_call_count() - start == 34
+        assert len(p.elements) == 4
+        assert count_regions_poset(arr, p) == count_regions_bruteforce(l).regions == 4
+
     def test_mobius_recursion(self):
         for l in (example_layer(), three_generic_lines(), central_3_2()):
             p = build_poset(build_atoms(l))

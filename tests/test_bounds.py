@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropic.bounds import (
+    DeepLowerResult,
     ShallowQuery,
+    alternating_subsum,
     binom,
     deep_lower,
     deep_upper,
@@ -85,6 +87,12 @@ class TestDeepBounds:
         r = deep_lower(1, [2, 1], 2)
         assert (r.value, r.n) == (6, 1)
 
+    def test_lower_tie_takes_the_largest_n(self):
+        # With no hidden layer every n >= n_L attains k^n_L; the largest is
+        # the n that construct_deep_lower builds.
+        assert deep_lower(3, [1], 2) == DeepLowerResult(2, 3)
+        assert deep_lower(4, [2], 3) == DeepLowerResult(9, 4)
+
     def test_lower_no_admissible_n(self):
         with pytest.raises(ValueError, match="admissible"):
             deep_lower(2, [3, 2], 2)
@@ -104,6 +112,19 @@ class TestDeepBounds:
 
 
 class TestIdentities:
+    def test_alternating_subsum_order_and_value(self):
+        seen = []
+
+        def value(S):
+            seen.append(S)
+            return 1
+
+        # With value 1 the sum is the r = 0 case of the inclusion-exclusion
+        # identity.
+        assert alternating_subsum(4, 2, value) == identity_inclusion_exclusion(4, 2, 0) == 1
+        assert seen == [(), (0,), (1,), (2,), (3,),
+                        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
     def test_inclusion_exclusion_examples(self):
         assert identity_inclusion_exclusion(3, 2, 0) == 1
         assert identity_inclusion_exclusion(5, 3, 2) == 1

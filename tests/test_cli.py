@@ -264,6 +264,17 @@ def test_deep_network_pattern_only(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
 
 
+def test_deep_lower_builds_what_the_bound_admits(tmp_path, capsys):
+    # bounds deep attains lower 14 on (2; 6,1) at n = 1, so construct
+    # deep-lower builds that network rather than refusing it.
+    _, out, _ = run(capsys, "bounds", "deep", "--inputs", "2", "--widths", "6,1", "--rank", "2")
+    assert (results_of(out)["lower"], results_of(out)["lower_n"]) == (14, 1)
+    net = tmp_path / "deep.json"
+    code, _, _ = run(capsys, "construct", "deep-lower", "--inputs", "2", "--widths", "6,1",
+                     "--rank", "2", "--seed", "0", "-o", str(net))
+    assert code == EXIT_OK
+
+
 def test_poset_dump(tmp_path, capsys):
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",

@@ -8,7 +8,7 @@ from tropic.bounds import binom
 from tropic.linprog import GE, OPTIMAL, BudgetExceededError, lp_budget, lp_call_count, solve_lp
 from tropic.minkowski import (
     classify_vertices,
-    duality_check,
+    dual_region_count,
     has_lower_witness,
     lift_layer,
     minkowski_sum,
@@ -171,18 +171,16 @@ class TestDuality:
         l = layer(
             [unit([[0, 2], [1, 1], [0, 0]], [0, 1, 2]), unit([[0, 0], [3, 2], [5, 1]], [0, 0, 0])]
         )
-        chk = duality_check(l)
-        assert chk.region_count == chk.upper_vertex_count == 8
+        assert count_regions_bruteforce(l).regions == dual_region_count(l) == 8
 
     def test_optimal_construction(self):
-        chk = duality_check(construct_shallow_optimal(2, (3, 3), seed=1))
-        assert chk.region_count == chk.upper_vertex_count == 9
+        l = construct_shallow_optimal(2, (3, 3), seed=1)
+        assert count_regions_bruteforce(l).regions == dual_region_count(l) == 9
 
     def test_single_unit_upper_hull(self):
         for seed in range(3):
             l = sample_generic(2, (4,), WITH_BIAS, seed=seed)
-            chk = duality_check(l)
-            assert chk.region_count == chk.upper_vertex_count
+            assert count_regions_bruteforce(l).regions == dual_region_count(l)
 
     def test_nobias_total_vertices(self):
         for seed in range(3):
@@ -191,9 +189,13 @@ class TestDuality:
             total = minkowski_sum(lift_layer(l))
             assert regions == vertex_count(total)
 
-    def test_rejects_nobias(self):
-        with pytest.raises(ValueError):
-            duality_check(sample_generic(2, (2, 2), NO_BIAS, seed=0))
+    def test_nobias_counts_all_vertices(self):
+        # Without bias the dual count is the vertex count of the whole sum,
+        # not its upper vertices.
+        l = sample_generic(2, (2, 2), NO_BIAS, seed=0)
+        total = minkowski_sum(lift_layer(l))
+        assert count_regions_bruteforce(l).regions == dual_region_count(l) == vertex_count(total)
+        assert dual_region_count(l) != upper_vertex_count(total)
 
 
 class TestWeibelIdentity:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropic.arrangement import build_atoms, is_simple
+from tropic.bounds import deep_lower
 from tropic.network import (
     NO_BIAS,
     WITH_BIAS,
     NetworkParseError,
+    _projectivize,
     activation_pattern,
     construct_deep_lower,
     construct_shallow_optimal,
@@ -197,7 +200,7 @@ class TestConstructions:
         assert construct_deep_lower(1, (2, 1), 2, 3) == construct_deep_lower(1, (2, 1), 2, 3)
 
     def test_deep_divisibility_error(self):
-        with pytest.raises(ValueError, match="largest usable even portion is 2"):
+        with pytest.raises(ValueError, match="no admissible replication dimension"):
             construct_deep_lower(2, [3, 2], 2, seed=0)
 
     def test_deep_one_input_reaches_bound(self):
@@ -212,6 +215,24 @@ class TestConstructions:
     def test_deep_three_layers(self):
         net = construct_deep_lower(1, [2, 2, 1], 2, seed=1)
         assert count_regions_line(net) >= 18
+
+    def test_deep_builds_every_admitted_architecture(self):
+        # Every (n0; w1, n_L) that deep_lower admits with n = 1 is built, and
+        # the first input axis crosses exactly deep_lower's count of regions.
+        cases = 0
+        for n0 in range(1, 5):
+            for w1 in range(2, 13, 2):
+                for n_last in range(1, 4):
+                    for k in (2, 3):
+                        low = deep_lower(n0, [w1, n_last], k)
+                        if low.n != 1:
+                            continue
+                        net = construct_deep_lower(n0, [w1, n_last], k, seed=0)
+                        e1 = [1] + [0] * (n0 - 1)
+                        line = restrict_network_to_line(net, [0] * n0, e1)
+                        assert count_regions_line(line) == low.value, (n0, w1, n_last, k)
+                        cases += 1
+        assert cases == 78
 
 
 class TestSampleGeneric:
@@ -235,6 +256,40 @@ class TestSampleGeneric:
             if count_regions_bruteforce(l).regions == 3:
                 return
         pytest.fail("no full-dimensional central triangle among 20 seeds")
+
+    @pytest.mark.parametrize("n,ranks,seed,units", [
+        (2, (3, 3), 0, [([[0, 12], [1, -11], [-4, 4]], [3, 0, -3]), ([[3, -1], [6, -6], [4, -8]], [-3, -8, 12])]),
+        (2, (3, 3), 1, [([[-8, 6], [12, -10], [-4, -9]], [3, 12, 2]), ([[3, 8], [0, -6], [-9, 3]], [-12, 0, 1])]),
+        (2, (3, 3), 2, [([[-11, -10], [-10, -1], [-7, 11]], [9, -3, -4]), ([[7, -6], [7, -11], [6, 9]], [-7, 1, 8])]),
+        (1, (3, 2), 0, [([[0], [12], [1]], [-11, -4, 4]), ([[3], [0]], [-3, 3])]),
+    ])
+    def test_with_bias_draws_are_pinned(self, n, ranks, seed, units):
+        # The draw each seed accepts, as (weights, biases) per unit.
+        expected = single_layer_network(layer([unit(w, b) for w, b in units]))
+        drawn = single_layer_network(sample_generic(n, ranks, WITH_BIAS, seed))
+        assert serialize_network(drawn) == serialize_network(expected)
+
+    def test_projectivized_simple_implies_affine_simple(self):
+        # sample_generic certifies a with-bias layer by its projectivization
+        # alone, which must imply affine simplicity: every affine-non-simple
+        # draw is projectivized-non-simple, with the affine is_simple as oracle.
+        rng = random.Random(0)
+        non_simple = 0
+        for _ in range(1000):
+            n = rng.randint(1, 3)
+            mag = rng.randint(1, 3)
+            units = []
+            for _ in range(rng.randint(2, 4)):
+                k = rng.randint(2, 3)
+                units.append(unit(
+                    [[rng.randint(-mag, mag) for _ in range(n)] for _ in range(k)],
+                    [rng.randint(-mag, mag) for _ in range(k)],
+                ))
+            l = layer(units)
+            if not is_simple(build_atoms(l)).simple:
+                non_simple += 1
+                assert not is_simple(build_atoms(_projectivize(l))).simple
+        assert non_simple >= 150
 
     def test_retry_cap_error(self):
         # Magnitude 0 draws only zero features, so every draw is rejected.
