@@ -136,9 +136,9 @@ def _expand(args) -> tuple[list, int]:
     Keeps the children whose signature system is strictly feasible, in
     prefix-then-choice order.  When the children are complete signatures
     they become Cells: the strictly-feasible point is the witness, and the
-    recession profile, spared its emptiness LP by that point, decides
-    boundedness.  Returns the children and the number of LPs solved, so a
-    pool worker's LPs can be charged to the caller.
+    dimension and the recession profile read the system's solved margin LP,
+    so the dimension costs no LP.  Returns the children and the number of
+    LPs solved, so a pool worker's LPs can be charged to the caller.
     """
     layer, choices, prefixes = args
     n = layer.input_dim
@@ -155,10 +155,10 @@ def _expand(args) -> tuple[list, int]:
             if len(sig) < layer.width:
                 out.append(sig)
                 continue
-            prof = recession_profile(sys, witness=w)
+            prof = recession_profile(sys)
             out.append(Cell(
                 tuple(frozenset(c + 1 for c in t) for t in sig),
-                n - linalg.rank([c for c, _ in eqs]),
+                affine_dimension(sys),
                 prof.lineality_dim == 0 and prof.pointed_part_bounded,
                 w,
             ))
@@ -301,13 +301,14 @@ def build_poset(arr: Arrangement) -> Poset:
     Every element is the intersection of all atoms containing it, so the set
     of containing atoms is a complete canonical key: equal sets of atoms mean
     equal elements (mutual-containment deduplication without pairwise LPs).
-    The point that showed an element nonempty is kept as its witness, so
-    its Euler characteristic needs no second emptiness LP.
+    Each element keeps the system whose margin LP showed it nonempty, so its
+    dimension and Euler characteristic solve no second emptiness LP, and the
+    first level's elements are the atoms' own systems, solved by
+    build_atoms.
     """
     n = arr.ambient_dim
     ambient = ConstraintSystem(n)
     elements: dict[frozenset[int], ConstraintSystem] = {frozenset(): ambient}
-    witnesses: dict[frozenset[int], tuple] = {frozenset(): feasible(ambient)}
     queue = [frozenset()]
     while queue:
         key = queue.pop(0)
@@ -330,7 +331,6 @@ def build_poset(arr: Arrangement) -> Poset:
             skey = frozenset(support)
             if skey not in elements:
                 elements[skey] = cand
-                witnesses[skey] = w
                 queue.append(skey)
 
     keys = sorted(elements, key=lambda s: (len(s), sorted(s)))
@@ -338,7 +338,7 @@ def build_poset(arr: Arrangement) -> Poset:
     for idx, key in enumerate(keys):
         sys = elements[key]
         dim = affine_dimension(sys)
-        psi = euler_characteristic(sys, witness=witnesses[key])
+        psi = euler_characteristic(sys)
         units = frozenset(arr.atoms[a].unit for a in key)
         is_central_origin = arr.central and dim == 0
         out.append(
@@ -410,26 +410,18 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
             return True
         return arr.central and dim == 0
 
-    violation: list[tuple[int, ...]] = []
+    def atom_tuples(u_pos: int, chosen: tuple[int, ...]):
+        # Tuples of atoms of distinct units extending chosen, depth first:
+        # a tuple comes before its extensions.
+        if len(chosen) > 1:
+            yield chosen
+        if len(chosen) < max_j:
+            for pos in range(u_pos, len(units)):
+                for ai in by_unit[units[pos]]:
+                    yield from atom_tuples(pos + 1, chosen + (ai,))
 
-    def rec(u_pos, chosen, size_left):
-        if violation:
-            return
-        if len(chosen) > 1 and not check_subset(tuple(chosen)):
-            violation.append(tuple(chosen))
-            return
-        if size_left == 0 or u_pos == len(units):
-            return
-        for next_pos in range(u_pos, len(units)):
-            for ai in by_unit[units[next_pos]]:
-                rec(next_pos + 1, chosen + [ai], size_left - 1)
-                if violation:
-                    return
-
-    rec(0, [], max_j)
-    if violation:
-        return SimplicityCertificate(False, violation[0])
-    return SimplicityCertificate(True, None)
+    violation = next((t for t in atom_tuples(0, ()) if not check_subset(t)), None)
+    return SimplicityCertificate(violation is None, violation)
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,6 @@ class IdentityCheck:
 
 
 @dataclass(frozen=True)
-class ShallowQuery:
-    n: int
-    ranks: tuple[int, ...]
-    with_bias: bool = True
-
-    def __post_init__(self):
-        if self.n < 1 or not self.ranks or any(k < 1 for k in self.ranks):
-            raise ValueError("need n >= 1 and ranks all >= 1")
-
-
-@dataclass(frozen=True)
 class DeepLowerResult:
     value: int
     n: int  # the replication dimension attaining the maximum
@@ -78,7 +67,8 @@ def shallow_formula(n: int, ranks: Sequence[int], with_bias: bool = True) -> int
     correction C(m'-1, n-1) plus the same sum truncated at n-1, where m'
     counts the units of rank > 1.
     """
-    ShallowQuery(n, tuple(ranks), with_bias)
+    if n < 1 or not ranks or any(k < 1 for k in ranks):
+        raise ValueError("need n >= 1 and ranks all >= 1")
     vals = [k - 1 for k in ranks]
     if with_bias:
         return sum(elementary_symmetric(vals, n))

@@ -165,9 +165,9 @@ def cmd_regions(args) -> int:
     methods = ["pattern", "poset", "dual"] if args.method == "all" else [args.method]
 
     if len(net.layers) > 1:
-        if args.method not in ("pattern", "all") or net.input_dim != 1:
-            print("multi-layer networks support only --method pattern with one input",
-                  file=sys.stderr)
+        if args.require_simple or args.method not in ("pattern", "all") or net.input_dim != 1:
+            print("multi-layer networks support only --method pattern with one input, "
+                  "and no --require-simple", file=sys.stderr)
             return EXIT_PRECONDITION
         results["pattern"] = {"regions": count_regions_line(net)}
         _emit(args, results, certificates)

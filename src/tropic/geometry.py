@@ -8,19 +8,21 @@ inequalities) is infeasible exactly when the system is empty, and its point
 serves feasible, strictly_feasible and affine_dimension.  The implicit-
 equality LP of Freund, Roundy & Todd (1985, MIT Sloan WP 1674-85) finds in
 one LP the inequalities tight on the whole set; it serves affine_dimension
-at margin 0, and recession_profile on the recession cone.
-recession_profile and euler_characteristic skip their emptiness LP when the
-caller passes a point that the system satisfies.
+at margin 0, and recession_profile on the recession cone.  A system solves
+its common-margin LP at most once: the result is cached on the system, so
+feasible, strictly_feasible, affine_dimension and the emptiness check of
+recession_profile share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .linprog import EQ, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError, solve_lp
+from .linprog import EQ, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError, LPResult, solve_lp
 
 Vec = tuple[Fraction, ...]
 Constraint = tuple[Vec, Fraction]
@@ -65,8 +67,14 @@ class ConstraintSystem:
         )
 
     def intersection(self, other: "ConstraintSystem") -> "ConstraintSystem":
+        """The system of both; an operand without rows returns the other one,
+        with its solved margin LP."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        if not (self.equalities or self.inequalities):
+            return other
+        if not (other.equalities or other.inequalities):
+            return self
         return ConstraintSystem(
             self.ambient_dim,
             self.equalities + other.equalities,
@@ -78,6 +86,12 @@ class ConstraintSystem:
             linalg.dot(c, x) >= r for c, r in self.inequalities
         )
 
+    @cached_property
+    def _margin(self) -> LPResult:
+        """The common-margin LP of this system, solved on first use.  An LP
+        that raises (say, over the LP budget) leaves nothing cached."""
+        return _max_common_margin(self.ambient_dim, self.equalities, self.inequalities)
+
 
 @dataclass(frozen=True)
 class RecessionProfile:
@@ -87,10 +101,9 @@ class RecessionProfile:
 
 def feasible(sys: ConstraintSystem) -> Vec | None:
     """A rational point of the polyhedron, or None when it is empty: the
-    point of the common-margin LP of strictly_feasible, one LP."""
-    d = sys.ambient_dim
-    res = _max_common_margin(d, sys.equalities, sys.inequalities)
-    return None if res.status == INFEASIBLE else res.x[:d]
+    point of the system's common-margin LP."""
+    res = sys._margin
+    return None if res.status == INFEASIBLE else res.x[: sys.ambient_dim]
 
 
 def strictly_feasible(sys: ConstraintSystem) -> Vec | None:
@@ -100,24 +113,24 @@ def strictly_feasible(sys: ConstraintSystem) -> Vec | None:
     maximize a slack margin t common to all inequalities, capped at 1; it is
     positive exactly when the relative interior in this sense is nonempty.
     """
-    d = sys.ambient_dim
-    res = _max_common_margin(d, sys.equalities, sys.inequalities)
+    res = sys._margin
     if res.status != OPTIMAL or res.value == 0:
         return None
-    return res.x[:d]
+    return res.x[: sys.ambient_dim]
 
 
 def affine_dimension(sys: ConstraintSystem) -> int | None:
     """Dimension of the affine hull of the feasible set; None when empty.
 
     The common-margin LP decides emptiness, and a positive margin means no
-    inequality is implicitly tight: one LP.  At margin 0 only the rows tight
-    at its point can be implicit equalities, and one _implicit_equalities LP
-    picks them out.  The dimension is d minus the rank of the equalities and
-    the implicit equalities.
+    inequality is implicitly tight, so after feasible or strictly_feasible
+    no LP is solved.  At margin 0 only the rows tight at its point can be
+    implicit equalities, and one _implicit_equalities LP picks them out.
+    The dimension is d minus the rank of the equalities and the implicit
+    equalities.
     """
     d = sys.ambient_dim
-    res = _max_common_margin(d, sys.equalities, sys.inequalities)
+    res = sys._margin
     if res.status == INFEASIBLE:
         return None
     normals = [c for c, _ in sys.equalities]
@@ -182,20 +195,17 @@ def _implicit_equalities(d, eqs, ineqs, cand):
     return [i for i, v in zip(cand, t) if v == 0]
 
 
-def recession_profile(
-    sys: ConstraintSystem, witness: Sequence[Fraction] | None = None
-) -> RecessionProfile:
+def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     """Lineality dimension and boundedness of the pointed part.
 
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
     (dim of its lineality space, whether the cone equals that space), and it
     does exactly when every inequality is an implicit equality of the cone:
     one _implicit_equalities LP, none without inequalities.  An empty system
-    raises EmptyPolyhedronError.  A witness that the system exactly
-    satisfies proves it nonempty and skips the emptiness LP; any other
-    witness is ignored.
+    raises EmptyPolyhedronError; the emptiness check is the system's
+    common-margin LP, which solves nothing once the system is solved.
     """
-    if not (witness is not None and sys.satisfies(witness)) and feasible(sys) is None:
+    if feasible(sys) is None:
         raise EmptyPolyhedronError("recession profile of an empty polyhedron")
     d = sys.ambient_dim
     lineality_dim = d - linalg.rank([c for c, _ in sys.equalities + sys.inequalities])
@@ -204,17 +214,15 @@ def recession_profile(
     return RecessionProfile(lineality_dim, len(implicit) == len(cone))
 
 
-def euler_characteristic(
-    sys: ConstraintSystem, witness: Sequence[Fraction] | None = None
-) -> int:
+def euler_characteristic(sys: ConstraintSystem) -> int:
     """Compactly-supported Euler characteristic of the closed polyhedron.
 
     Closed form: (-1)^lineality_dim when the pointed part is bounded, else 0.
     (A polyhedron splits as lineality space x pointed part; bounded pieces
     contribute 1, an unbounded pointed cone contributes 0, and each lineality
-    dimension flips the sign.)  witness is passed to recession_profile.
+    dimension flips the sign.)  Its LPs are recession_profile's.
     """
-    prof = recession_profile(sys, witness)
+    prof = recession_profile(sys)
     if not prof.pointed_part_bounded:
         return 0
     return -1 if prof.lineality_dim % 2 else 1

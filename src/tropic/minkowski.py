@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .bounds import IdentityCheck, alternating_subsum
 from .linprog import EQ, INFEASIBLE, solve_lp
-from .network import WITH_BIAS, LayerSpec, NetworkParseError, json_rational, load_json
+from .network import WITH_BIAS, LayerSpec, NetworkParseError, homogenize, json_rational, load_json
 from .rational import format_rational
 
 Vec = tuple[Fraction, ...]
@@ -76,14 +76,9 @@ class PartialSumBound:
 def lift_layer(l: LayerSpec) -> list[LabeledPointSet]:
     """Per unit, the feature coefficient points: (w, b) in Q^(n+1) for a
     with-bias layer, w in Q^n otherwise; duplicate features collapse."""
-    out = []
-    for i, u in enumerate(l.units):
-        if l.bias_mode == WITH_BIAS:
-            pts = [w + (b,) for w, b in u.features()]
-        else:
-            pts = [w for w, _ in u.features()]
-        out.append(point_set(pts, label=f"unit{i + 1}"))
-    return out
+    if l.bias_mode == WITH_BIAS:
+        l = homogenize(l)
+    return [point_set(u.weights, label=f"unit{i + 1}") for i, u in enumerate(l.units)]
 
 
 def minkowski_sum(sets: Sequence[LabeledPointSet]) -> LabeledPointSet:
@@ -124,8 +119,9 @@ def classify_vertices(ps: LabeledPointSet) -> VertexClassification:
     A vertex admits a strictly separating direction; its witness cone is an
     open set, so whenever a witness with nonnegative last coordinate exists a
     strictly positive one does too.  Hence a vertex is an upper vertex or a
-    strict lower vertex, never horizontal-only; the classification is still
-    computed per point, not assumed.
+    strict lower vertex, never horizontal-only, and the strict lower class
+    is taken as the vertices that are not upper, with no LP of its own;
+    has_lower_witness tests the class directly.
     """
     down = tuple(Fraction(0) for _ in range(ps.dim - 1)) + (Fraction(-1),)
     is_v, is_u, is_l = [], [], []

@@ -109,6 +109,15 @@ def single_layer_network(l: LayerSpec) -> NetworkSpec:
     return NetworkSpec(l.input_dim, (l,))
 
 
+def homogenize(l: LayerSpec) -> LayerSpec:
+    """The no-bias layer in Q^(n+1) whose features are (w, b), one per
+    feature (w, b) of l; l is its slice at last coordinate 1."""
+    units = tuple(
+        MaxoutUnitSpec(tuple(w + (b,) for w, b in u.features()), None) for u in l.units
+    )
+    return LayerSpec(l.input_dim + 1, units, NO_BIAS)
+
+
 # ---------------------------------------------------------------------------
 # JSON format
 
@@ -331,12 +340,7 @@ def construct_shallow_optimal_nobias(n: int, ranks: Sequence[int], seed: int) ->
     """
     if n < 2:
         raise ValueError("no-bias construction needs n >= 2 (one input allows at most 2 regions)")
-    inner = construct_shallow_optimal(n - 1, ranks, seed)
-    units = []
-    for u in inner.units:
-        weights = tuple(w + (b,) for w, b in zip(u.weights, u.biases))
-        units.append(MaxoutUnitSpec(weights, None))
-    return LayerSpec(n, tuple(units), NO_BIAS)
+    return homogenize(construct_shallow_optimal(n - 1, ranks, seed))
 
 
 def _convex_ladder(kinks: list[Fraction], jump: Fraction, init_slope: Fraction, rank: int):
@@ -486,9 +490,7 @@ def sample_generic(
 def _projectivize(l: LayerSpec) -> LayerSpec:
     """Homogenization of a with-bias layer plus a unit tying on the
     hyperplane at infinity, as a no-bias layer in Q^(n+1)."""
-    units = [
-        MaxoutUnitSpec(tuple(w + (b,) for w, b in u.features()), None) for u in l.units
-    ]
+    h = homogenize(l)
     infinity = MaxoutUnitSpec(
         (
             tuple(Fraction(0) for _ in range(l.input_dim)) + (Fraction(1),),
@@ -496,7 +498,7 @@ def _projectivize(l: LayerSpec) -> LayerSpec:
         ),
         None,
     )
-    return LayerSpec(l.input_dim + 1, tuple(units + [infinity]), NO_BIAS)
+    return LayerSpec(h.input_dim, h.units + (infinity,), NO_BIAS)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .network import (
     NO_BIAS,
     WITH_BIAS,
     LayerSpec,
+    MaxoutUnitSpec,
     sample_generic,
     serialize_network,
     single_layer_network,
@@ -82,8 +83,6 @@ def _weibel_certificate(sets: list[LabeledPointSet], n: int) -> bool:
             for b in dj:
                 if rank([a, b]) < 2:
                     return False  # parallel cross-unit directions
-    from .network import MaxoutUnitSpec
-
     units = [
         MaxoutUnitSpec(tuple(p[:n] for p in s.points), tuple(p[n] for p in s.points))
         for s in sets

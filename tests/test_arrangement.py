@@ -246,13 +246,14 @@ class TestPoset:
     def test_shared_tie_line_lp_cost(self):
         # Units 1 and 2 tie on the same line x = 0, so build_poset asks
         # contains 8 times; each time the witness of the smaller element
-        # already lies in the atom, which shows the atom nonempty.
+        # already lies in the atom, which shows the atom nonempty, and the
+        # smaller element has solved its margin LP already.
         l = layer([unit([[1, 0], [0, 0]], [0, 0]), unit([[1, 0], [0, 0]], [0, 0]),
                    unit([[0, 1], [0, 0]], [0, 0])])
         start = lp_call_count()
         arr = build_atoms(l)
         p = build_poset(arr)
-        assert lp_call_count() - start == 34
+        assert lp_call_count() - start == 19
         assert len(p.elements) == 4
         assert count_regions_poset(arr, p) == count_regions_bruteforce(l).regions == 4
 

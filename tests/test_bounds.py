@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from tropic.bounds import (
     DeepLowerResult,
-    ShallowQuery,
     alternating_subsum,
     binom,
     deep_lower,
@@ -45,7 +44,7 @@ class TestShallowFormula:
 
     def test_bad_query(self):
         with pytest.raises(ValueError):
-            ShallowQuery(0, (2,))
+            shallow_formula(0, (2,))
 
 
 class TestTrivialBound:

@@ -3,7 +3,8 @@
 An `assert` statement disappears under `python -O`, so internal invariants
 raise typed errors instead; the package computes with int and Fraction
 only, so no float literal appears in its source; exact elimination lives
-in linalg alone; geometry solves its LPs in three places only; and every
+in linalg alone; geometry solves its LPs in three places only, and a
+system's common-margin LP only through the system's cache; and every
 integer command-line argument is range-checked.
 """
 
@@ -68,6 +69,29 @@ def test_geometry_has_two_lp_formulations_plus_containment():
         or (isinstance(n, ast.Attribute) and n.attr == "solve_lp")
     }
     assert users and users <= {"_max_common_margin", "_implicit_equalities", "contains"}, users
+
+
+def test_margin_lp_is_solved_only_by_the_system_cache():
+    # ConstraintSystem caches its common-margin LP; a call from anywhere
+    # else would solve it again for a system that already has it.
+    outside = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {
+            id(n)
+            for stmt in tree.body
+            if isinstance(stmt, ast.ClassDef) and stmt.name == "ConstraintSystem"
+            for n in ast.walk(stmt)
+        }
+        outside += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if id(n) not in inside
+            and ((isinstance(n, ast.Name) and n.id == "_max_common_margin")
+                 or (isinstance(n, ast.Attribute) and n.attr == "_max_common_margin")
+                 or (isinstance(n, ast.alias) and n.name == "_max_common_margin"))
+        ]
+    assert outside == [], f"_max_common_margin referenced outside ConstraintSystem: {outside}"
 
 
 def test_cli_integer_arguments_are_range_checked():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,15 @@ from tropic.geometry import (
     recession_profile,
     strictly_feasible,
 )
-from tropic.linprog import OPTIMAL, UNBOUNDED, InternalError, LPResult, lp_call_count
+from tropic.linprog import (
+    OPTIMAL,
+    UNBOUNDED,
+    BudgetExceededError,
+    InternalError,
+    LPResult,
+    lp_budget,
+    lp_call_count,
+)
 
 from oracles import (
     affine_dimension_reference,
@@ -31,6 +40,12 @@ def sys1(eqs=(), ineqs=()):
 
 def unit_interval():
     return sys1(ineqs=[((1,), 0), ((-1,), -1)])  # 0 <= x <= 1
+
+
+def fresh(s):
+    """An equal system that has not solved its margin LP yet: the module
+    constants below keep theirs once a test has solved it."""
+    return ConstraintSystem(s.ambient_dim, s.equalities, s.inequalities)
 
 
 SQUARE = ConstraintSystem.build(
@@ -66,9 +81,9 @@ class TestFeasible:
         assert w is not None and atom.satisfies(w)
 
     def test_deterministic_witness(self):
-        a = feasible(SQUARE)
-        b = feasible(SQUARE)
-        assert a == b
+        a, b = fresh(SQUARE), fresh(SQUARE)
+        assert a is not b
+        assert feasible(a) == feasible(b)
 
     def test_malformed_dimensions(self):
         with pytest.raises(ValueError):
@@ -113,14 +128,14 @@ class TestAffineDimension:
 
     def test_one_lp_when_strictly_feasible(self):
         start = lp_call_count()
-        assert affine_dimension(RAY) == 1
+        assert affine_dimension(fresh(RAY)) == 1
         assert lp_call_count() - start == 1
 
     def test_implicit_equality_detected(self):
         # The margin LP reads margin 0, and one implicit-equality LP over the
         # rows tight at its point finds x >= 0 and x <= 0: 2 LPs.
         start = lp_call_count()
-        assert affine_dimension(SEGMENT) == 1
+        assert affine_dimension(fresh(SEGMENT)) == 1
         assert lp_call_count() - start == 2
 
     def test_adding_equality_never_increases(self):
@@ -162,21 +177,29 @@ class TestRecessionProfile:
         with pytest.raises(EmptyPolyhedronError):
             recession_profile(sys1(ineqs=[((1,), 1), ((-1,), 0)]))
 
-    def test_witness_must_satisfy_the_system(self):
+    def test_empty_system_raises_on_every_call(self):
+        # The infeasible margin LP is kept too: the second call raises
+        # without solving it again.
         empty = sys1(ineqs=[((1,), 1), ((-1,), 0)])
         with pytest.raises(EmptyPolyhedronError):
-            recession_profile(empty, witness=(Fraction(1),))
+            recession_profile(empty)
+        start = lp_call_count()
+        with pytest.raises(EmptyPolyhedronError):
+            recession_profile(empty)
+        assert lp_call_count() == start
 
-    def test_witness_skips_the_emptiness_lp(self):
+    def test_solved_system_skips_the_emptiness_lp(self):
+        # Margin LP plus the implicit-equality LP of the cone, then the cone
+        # LP alone: the margin LP of a solved system is not solved again.
+        square = fresh(SQUARE)
         start = lp_call_count()
-        assert recession_profile(SQUARE) == recession_profile(
-            SQUARE, witness=(Fraction(1, 2), Fraction(1, 2))
-        )
+        assert recession_profile(square) == recession_profile(square)
         assert lp_call_count() - start == 3
-        # A point outside the square proves nothing: the LP runs.
+        square = fresh(SQUARE)
+        assert feasible(square) is not None
         start = lp_call_count()
-        assert recession_profile(SQUARE, witness=(Fraction(2), Fraction(0))).pointed_part_bounded
-        assert lp_call_count() - start == 2
+        assert recession_profile(square).pointed_part_bounded
+        assert lp_call_count() - start == 1
 
 
 class TestEulerCharacteristic:
@@ -312,7 +335,40 @@ def test_matches_single_margin_and_activity_references(sys):
     assert sys.satisfies(feasible(sys))
     expected = recession_profile_reference(sys)
     assert recession_profile(sys) == expected
-    assert recession_profile(sys, witness=feasible(sys)) == expected
+    assert recession_profile(fresh(sys)) == expected
+
+
+def answers(s):
+    """What feasible, strictly_feasible, affine_dimension and
+    recession_profile say about s; an empty s has no recession profile."""
+    try:
+        prof = recession_profile(s)
+    except EmptyPolyhedronError:
+        prof = None
+    return feasible(s), strictly_feasible(s), affine_dimension(s), prof
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_solved_system_answers_as_a_fresh_one(sys):
+    solved = fresh(sys)
+    expected = answers(solved)
+    assert answers(fresh(sys)) == expected
+    # Every answer of a solved system reads its cached margin LP.
+    refuse = mock.patch.object(
+        geometry, "_max_common_margin", side_effect=AssertionError("margin LP solved again")
+    )
+    with refuse:
+        assert answers(solved) == expected
+    # An LP refused by the budget caches nothing: the system is solved by
+    # the next call outside the block.
+    refused = fresh(sys)
+    with lp_budget(0):
+        with pytest.raises(BudgetExceededError):
+            feasible(refused)
+    start = lp_call_count()
+    assert feasible(refused) == expected[0]
+    assert lp_call_count() - start == 1
 
 
 def test_no_candidates_solve_no_lp():

@@ -19,7 +19,9 @@ from tropic.network import (
     construct_shallow_optimal_nobias,
     count_regions_line,
     evaluate,
+    evaluate_layer,
     evaluate_unit,
+    homogenize,
     layer,
     parse_network,
     restrict_network_to_line,
@@ -136,6 +138,13 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(single_layer_network(example_layer()), (Fraction(1),))
+
+    def test_homogenized_layer_restricts_to_the_layer_at_last_coordinate_one(self):
+        h = homogenize(example_layer())
+        assert (h.input_dim, h.bias_mode, h.ranks) == (3, NO_BIAS, (3, 3))
+        for x in [(0, 0), (3, -7), (Fraction(-1, 2), 4)]:
+            xe = tuple(Fraction(v) for v in x)
+            assert evaluate_layer(h, xe + (Fraction(1),)) == evaluate_layer(example_layer(), xe)
 
 
 class TestActivationPattern:
