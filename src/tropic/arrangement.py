@@ -255,7 +255,6 @@ def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
 @dataclass(frozen=True)
 class PosetElement:
     id: int
-    system: ConstraintSystem
     dim: int
     psi: int
     atom_support: frozenset[int]        # indices into Arrangement.atoms
@@ -296,53 +295,66 @@ class Poset:
 
 
 def build_poset(arr: Arrangement) -> Poset:
-    """Closure of the atoms under intersection, orderd by reverse inclusion.
+    """Closure of the atoms under intersection, ordered by reverse inclusion.
 
-    Every element is the intersection of all atoms containing it, so the set
-    of containing atoms is a complete canonical key: equal sets of atoms mean
-    equal elements (mutual-containment deduplication without pairwise LPs).
-    Each element keeps the system whose margin LP showed it nonempty, so its
-    dimension and Euler characteristic solve no second emptiness LP, and the
-    first level's elements are the atoms' own systems, solved by
-    build_atoms.
+    An element is the intersection of the atoms containing it, so that set
+    of atoms, its key, names it: the keys are the closed sets of
+    cl(S) = {atoms containing the intersection of S}.  They are enumerated
+    by prefix-preserving closure extension (Uno, Kiyomi & Arimura 2004, LCM
+    ver. 2; Ganter 1984, NextClosure): a key found by adding atom c is
+    extended only by the atoms i > c outside it, and cl(key + {i}) is kept
+    only if it adds no atom below i.
+
+    - Each key is reached once.  For a key T let i be the least atom with
+      T = cl(T & {0..i}), and P = cl(T & {0..i-1}).  P is the root or a key
+      found by an atom below i, and it agrees with T below i, so P pushes T
+      by i.  A key S that pushes T by an atom i' agrees with T below i' and
+      is the closure of its atoms below i', so i' = i and S = P.
+    - A dropped extension loses nothing: its closure has an atom below i
+      outside the key, so it is another key, pushed by its own parent.
+    - Points need no LP.  An atom containing the candidate holds at its
+      margin-LP point w, so satisfies filters first; when the candidate's
+      equalities alone have rank n, the candidate is {w} and satisfies
+      decides.
+
+    Each element keeps the system that found it, so its dimension and Euler
+    characteristic solve no second emptiness LP, and the elements found
+    from the root keep the atoms' own systems, solved by build_atoms.
     """
     n = arr.ambient_dim
-    ambient = ConstraintSystem(n)
-    elements: dict[frozenset[int], ConstraintSystem] = {frozenset(): ambient}
-    queue = [frozenset()]
-    while queue:
-        key = queue.pop(0)
-        sys = elements[key]
-        for ai, atom in enumerate(arr.atoms):
-            if ai in key:
+    elements = []
+    stack = [(frozenset(), ConstraintSystem(n), 0)]
+    while stack:
+        key, sys, start = stack.pop()
+        elements.append((key, sys))
+        for i in range(start, len(arr.atoms)):
+            if i in key:
                 continue
-            cand = sys.intersection(atom.system)
+            cand = sys.intersection(arr.atoms[i].system)
             w = feasible(cand)
             if w is None:
                 continue
-            support = set(key) | {ai}
-            for bi, other in enumerate(arr.atoms):
-                if bi in support:
+            point = linalg.rank([c for c, _ in cand.equalities]) == n
+            support = set(key) | {i}
+            for j, other in enumerate(arr.atoms):
+                if j in support or not other.system.satisfies(w):
                     continue
-                if not other.system.satisfies(w):
-                    continue
-                if contains(other.system, cand):
-                    support.add(bi)
-            skey = frozenset(support)
-            if skey not in elements:
-                elements[skey] = cand
-                queue.append(skey)
+                if point or contains(other.system, cand):
+                    if j < i:
+                        break  # cl(key + {i}) is pushed by its own parent
+                    support.add(j)
+            else:
+                stack.append((frozenset(support), cand, i + 1))
 
-    keys = sorted(elements, key=lambda s: (len(s), sorted(s)))
+    elements.sort(key=lambda e: (len(e[0]), sorted(e[0])))
     out = []
-    for idx, key in enumerate(keys):
-        sys = elements[key]
+    for idx, (key, sys) in enumerate(elements):
         dim = affine_dimension(sys)
         psi = euler_characteristic(sys)
         units = frozenset(arr.atoms[a].unit for a in key)
         is_central_origin = arr.central and dim == 0
         out.append(
-            PosetElement(idx, sys, dim, psi, key, None if is_central_origin else units)
+            PosetElement(idx, dim, psi, key, None if is_central_origin else units)
         )
     leq = tuple(
         tuple(out[i].atom_support <= out[j].atom_support for j in range(len(out)))

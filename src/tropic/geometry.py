@@ -244,15 +244,11 @@ def contains(outer: ConstraintSystem, inner: ConstraintSystem) -> bool:
     d = inner.ambient_dim
     cons = [(c, EQ, r) for c, r in inner.equalities]
     cons += [(c, GE, r) for c, r in inner.inequalities]
-    for c, r in outer.inequalities:
+    rows = list(outer.inequalities)
+    for c, r in outer.equalities:  # c . x = r as c . x >= r and -c . x >= -r
+        rows += [(c, r), (tuple(-v for v in c), -r)]
+    for c, r in rows:
         res = solve_lp(d, c, cons, maximize=False)
         if res.status == UNBOUNDED or res.value < r:
-            return False
-    for c, r in outer.equalities:
-        res = solve_lp(d, c, cons, maximize=False)
-        if res.status == UNBOUNDED or res.value < r:
-            return False
-        res = solve_lp(d, c, cons, maximize=True)
-        if res.status == UNBOUNDED or res.value > r:
             return False
     return True

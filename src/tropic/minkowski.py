@@ -121,7 +121,7 @@ def classify_vertices(ps: LabeledPointSet) -> VertexClassification:
     strictly positive one does too.  Hence a vertex is an upper vertex or a
     strict lower vertex, never horizontal-only, and the strict lower class
     is taken as the vertices that are not upper, with no LP of its own;
-    has_lower_witness tests the class directly.
+    tests check that class against the has_lower_witness oracle.
     """
     down = tuple(Fraction(0) for _ in range(ps.dim - 1)) + (Fraction(-1),)
     is_v, is_u, is_l = [], [], []
@@ -139,15 +139,6 @@ def classify_vertices(ps: LabeledPointSet) -> VertexClassification:
         is_u.append(upper)
         is_l.append(vertex and not upper)
     return VertexClassification(ps.points, tuple(is_v), tuple(is_u), tuple(is_l))
-
-
-def has_lower_witness(ps: LabeledPointSet, index: int) -> bool:
-    """Whether point index admits a strict separator with negative last
-    coordinate (used to confirm the horizontal-only class is empty)."""
-    up = tuple(Fraction(0) for _ in range(ps.dim - 1)) + (Fraction(1),)
-    p = ps.points[index]
-    others = [q for j, q in enumerate(ps.points) if j != index]
-    return not _in_hull_with_ray(p, others, up)
 
 
 def vertex_count(ps: LabeledPointSet) -> int:

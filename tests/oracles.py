@@ -9,7 +9,9 @@ rank_reference, nullspace_basis_reference and det_reference are the
 eliminations that linalg's integer kernel replaced, kept the same way.
 affine_dimension_reference (one single-margin LP per tight row) and
 recession_profile_reference (the row-activity LP) are the geometry that the
-implicit-equality LP replaced.
+implicit-equality LP replaced.  build_poset_reference is the breadth-first
+poset walk that closure extension replaced, and has_lower_witness decides
+classify_vertices' strict-lower class by an LP of its own.
 """
 
 from __future__ import annotations
@@ -19,11 +21,15 @@ from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Sequence
 
-from tropic.arrangement import Cell
+from tropic.arrangement import Arrangement, Cell, Poset, PosetElement
 from tropic.geometry import (
     ConstraintSystem,
     EmptyPolyhedronError,
     RecessionProfile,
+    affine_dimension,
+    contains,
+    euler_characteristic,
+    feasible,
     strictly_feasible,
 )
 from tropic.linalg import dot
@@ -146,6 +152,61 @@ def enumerate_cells_unpruned(layer) -> list[Cell]:
             )
         )
     return cells
+
+
+def build_poset_reference(arr: Arrangement) -> Poset:
+    """The intersection poset by a breadth-first walk: every element is
+    intersected with every atom outside its key, so an element is reached
+    again from each of its parents, and the repeats are dropped by key.
+    Elements are sorted by (size, atoms), as build_poset sorts them.
+    """
+    n = arr.ambient_dim
+    elements: dict[frozenset[int], ConstraintSystem] = {frozenset(): ConstraintSystem(n)}
+    queue = [frozenset()]
+    while queue:
+        key = queue.pop(0)
+        sys = elements[key]
+        for ai, atom in enumerate(arr.atoms):
+            if ai in key:
+                continue
+            cand = sys.intersection(atom.system)
+            w = feasible(cand)
+            if w is None:
+                continue
+            support = set(key) | {ai}
+            for bi, other in enumerate(arr.atoms):
+                if bi not in support and other.system.satisfies(w) and contains(other.system, cand):
+                    support.add(bi)
+            skey = frozenset(support)
+            if skey not in elements:
+                elements[skey] = cand
+                queue.append(skey)
+
+    keys = sorted(elements, key=lambda s: (len(s), sorted(s)))
+    out = []
+    for idx, key in enumerate(keys):
+        dim = affine_dimension(elements[key])
+        units = frozenset(arr.atoms[a].unit for a in key)
+        support = None if arr.central and dim == 0 else units
+        out.append(PosetElement(idx, dim, euler_characteristic(elements[key]), key, support))
+    leq = tuple(tuple(x.atom_support <= y.atom_support for y in out) for x in out)
+    return Poset(arr, tuple(out), leq)
+
+
+def has_lower_witness(ps, index: int) -> bool:
+    """Whether point index of ps admits a strict separator with negative
+    last coordinate: whether it lies outside conv(other points) + cone(e_d).
+    One feasibility LP over convex weights and the ray's multiplier.
+    """
+    p = ps.points[index]
+    others = [q for j, q in enumerate(ps.points) if j != index]
+    if not others:
+        return True
+    up = [0] * (ps.dim - 1) + [1]
+    k = len(others)
+    cons = [([q[i] for q in others] + [up[i]], EQ, p[i]) for i in range(ps.dim)]
+    cons.append(([1] * k + [0], EQ, 1))
+    return solve_lp(k + 1, [0] * (k + 1), cons, nonneg=[True] * (k + 1)).status == INFEASIBLE
 
 
 def _optimal(res: LPResult) -> LPResult:

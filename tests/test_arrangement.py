@@ -31,7 +31,7 @@ from tropic.network import (
     unit,
 )
 
-from oracles import enumerate_cells_unpruned
+from oracles import build_poset_reference, enumerate_cells_unpruned
 
 RELU = unit([[1], [0]], [0, 0])
 
@@ -58,6 +58,22 @@ def three_generic_lines():
 def central_3_2():
     # max{0, x, y} and max{0, x + 2y} in Q^2
     return layer([unit([[0, 0], [1, 0], [0, 1]]), unit([[0, 0], [1, 2]])])
+
+
+def small_integer_layer(rng, bias):
+    # n in 1..3, 1 to 4 units of rank 1 to 3, entries in {-2, ..., 2}; with
+    # probability 0.3 a unit repeats one of its features.
+    n = rng.randint(1, 3)
+    units = []
+    for _ in range(rng.randint(1, 4)):
+        rank = rng.randint(1, 3)
+        w = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rank)]
+        b = [rng.randint(-2, 2) for _ in range(rank)]
+        if rank > 1 and rng.random() < 0.3:
+            j, k = rng.sample(range(rank), 2)
+            w[k], b[k] = w[j], b[j]
+        units.append(unit(w, b if bias else None))
+    return layer(units, n)
 
 
 class TestBuildAtoms:
@@ -244,18 +260,56 @@ class TestPoset:
         assert len(crossings) == 3
 
     def test_shared_tie_line_lp_cost(self):
-        # Units 1 and 2 tie on the same line x = 0, so build_poset asks
-        # contains 8 times; each time the witness of the smaller element
-        # already lies in the atom, which shows the atom nonempty, and the
-        # smaller element has solved its margin LP already.
+        # Units 1 and 2 tie on the same line x = 0.  Every atom's margin-LP
+        # point is the origin, so the satisfies prefilter passes and
+        # build_poset calls contains 5 times, for 7 LPs: twice to find that
+        # the line atoms 0 and 1 contain each other (2 LPs each), so that
+        # the extension by atom 1 is dropped at atom 0, and three times to
+        # find that x = 0 and y = 0 do not (1 LP each).  With the 3 atom
+        # LPs, the crossing point's margin LP and the ambient space's, that
+        # is 12.
         l = layer([unit([[1, 0], [0, 0]], [0, 0]), unit([[1, 0], [0, 0]], [0, 0]),
                    unit([[0, 1], [0, 0]], [0, 0])])
         start = lp_call_count()
         arr = build_atoms(l)
         p = build_poset(arr)
-        assert lp_call_count() - start == 19
+        assert lp_call_count() - start == 12
         assert len(p.elements) == 4
         assert count_regions_poset(arr, p) == count_regions_bruteforce(l).regions == 4
+
+    def test_central_point_lp_cost(self):
+        # Every pair of atoms of distinct units meets in a line through the
+        # origin and every triple at the origin alone.  The breadth-first
+        # walk reaches the origin from each of its parents and solves 3,054
+        # LPs; closure extension reaches it once, and its equalities have
+        # rank 3, so the atoms through it are found with no LP.
+        arr = build_atoms(construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1))
+        start = lp_call_count()
+        p = build_poset(arr)
+        assert lp_call_count() - start == 207
+        assert len(p.elements) == 29
+
+    def test_matches_breadth_first_reference(self):
+        rng = random.Random(11)
+        new_total = ref_total = 0
+        for i in range(100):
+            l = small_integer_layer(rng, bias=i % 2 == 0)
+            arr, ref_arr = build_atoms(l), build_atoms(l)
+            start = lp_call_count()
+            p = build_poset(arr)
+            new_lps = lp_call_count() - start
+            q = build_poset_reference(ref_arr)
+            ref_lps = lp_call_count() - start - new_lps
+            assert p.elements == q.elements  # keys, dim, psi and support
+            assert p.leq == q.leq
+            assert p.mobius_from_bottom == q.mobius_from_bottom
+            n = l.input_dim
+            assert [count_faces_poset(arr, s, p) for s in range(n)] == [
+                count_faces_poset(ref_arr, s, q) for s in range(n)
+            ]
+            assert new_lps <= ref_lps
+            new_total, ref_total = new_total + new_lps, ref_total + ref_lps
+        assert new_total < ref_total
 
     def test_mobius_recursion(self):
         for l in (example_layer(), three_generic_lines(), central_3_2()):

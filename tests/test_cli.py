@@ -69,16 +69,16 @@ def test_construct_then_count_all_methods(tmp_path, capsys):
 def test_regions_count_lp_cost(tmp_path, capsys):
     # One build_atoms serves is_simple and the poset; the dual count is the
     # upper-vertex count alone.  Per stage: atoms 9, is_simple 20, pattern
-    # 58, poset 97, dual 47 LPs.  No system solves its margin LP twice, and
-    # the poset's first level reuses the atoms' solved systems.
+    # 58, poset 48, dual 47 LPs.  No system solves its margin LP twice, and
+    # the poset's one-atom elements reuse the atoms' solved systems.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
         "--seed", "1", "-o", str(net))
     expected = {
         "pattern": (58, {"pattern": {"regions": 19, "bounded_regions": 7}}),
-        "poset": (126, {"poset": {"regions": 19}}),
+        "poset": (77, {"poset": {"regions": 19}}),
         "dual": (76, {"dual": {"regions": 19}}),
-        "all": (231, {
+        "all": (182, {
             "pattern": {"regions": 19, "bounded_regions": 7},
             "poset": {"regions": 19},
             "dual": {"regions": 19},
@@ -103,11 +103,11 @@ def test_regions_count_lp_cost(tmp_path, capsys):
             assert "TROPIC_BUDGET_LP" in err
 
 
-@pytest.mark.parametrize("method,budget", [("poset", 60), ("dual", 60), ("poset", 125)])
+@pytest.mark.parametrize("method,budget", [("poset", 60), ("dual", 60), ("poset", 76)])
 def test_lp_budget_bounds_the_whole_command(tmp_path, capsys, method, budget):
-    # atoms and is_simple spend 29 LPs, then the poset (97) or the
+    # atoms and is_simple spend 29 LPs, then the poset (48) or the
     # upper-vertex classification (47) gets only what is left.  --method
-    # poset needs 126 LPs in all, the last of them for the Euler
+    # poset needs 77 LPs in all, the last of them for the Euler
     # characteristics of the poset's elements.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
@@ -302,14 +302,14 @@ def test_poset_dump(tmp_path, capsys):
 
 
 def test_poset_dump_lp_budget_counts_the_atoms(tmp_path, capsys):
-    # 64 LPs in all, 7 of them for build_atoms before the poset is built.
+    # 36 LPs in all, 7 of them for build_atoms before the poset is built.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,2",
         "--seed", "1", "-o", str(net))
-    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "63")
+    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "35")
     assert code == EXIT_BUDGET
     assert "TROPIC_BUDGET_LP" in err
-    code, out, _ = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "64")
+    code, out, _ = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "36")
     assert code == EXIT_OK
     assert json.loads(out)["regions"] == 14
 

@@ -9,7 +9,6 @@ from tropic.linprog import GE, OPTIMAL, BudgetExceededError, lp_budget, lp_call_
 from tropic.minkowski import (
     classify_vertices,
     dual_region_count,
-    has_lower_witness,
     lift_layer,
     minkowski_sum,
     parse_point_set,
@@ -29,6 +28,8 @@ from tropic.network import (
     unit,
 )
 from tropic.verify import sample_weibel_family
+
+from oracles import has_lower_witness
 
 SEGMENT = point_set([[0, 0, 0], [2, 2, 0]])              # max(0, 2x+2y)
 TRIANGLE = point_set([[1, 0, 1], [0, 1, 1], [1, 1, 0]])  # max(x+1, y+1, x+y)
