@@ -16,8 +16,8 @@ It is the only work limit.  Exit 3 means the command would solve more LPs
 than that budget allows; a region or cell walk stops before a level that
 tries more signatures than LPs are left, since each costs at least one.
 The budget covers the whole command, so a long `verify identities` run can
-need it raised: with --seed 7 a trial solves about 460 LPs over all suites
-(458 on average over 30 trials), so more than about 2,180 trials need a
+need it raised: with --seed 7 a trial solves about 400 LPs over all suites
+(404 on average over 30 trials), so more than about 2,470 trials need a
 larger TROPIC_BUDGET_LP.
 
 Integer arguments are usage errors (exit 2, naming the flag or variable)

@@ -201,13 +201,16 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
     (dim of its lineality space, whether the cone equals that space), and it
     does exactly when every inequality is an implicit equality of the cone:
-    one _implicit_equalities LP, none without inequalities.  An empty system
+    one _implicit_equalities LP, none without inequalities, and none for a
+    point (equalities of rank d), whose cone is {0}.  An empty system
     raises EmptyPolyhedronError; the emptiness check is the system's
     common-margin LP, which solves nothing once the system is solved.
     """
     if feasible(sys) is None:
         raise EmptyPolyhedronError("recession profile of an empty polyhedron")
     d = sys.ambient_dim
+    if linalg.rank([c for c, _ in sys.equalities]) == d:
+        return RecessionProfile(0, True)
     lineality_dim = d - linalg.rank([c for c, _ in sys.equalities + sys.inequalities])
     cone = [(c, 0) for c, _ in sys.inequalities]
     implicit = _implicit_equalities(d, [(c, 0) for c, _ in sys.equalities], cone, range(len(cone)))

@@ -2,8 +2,9 @@
 
 A point is a vertex when it lies outside the convex hull of the others; it is
 an upper vertex when it stays outside even after the others may drop straight
-down (adding the cone spanned by minus the last coordinate direction).  Both
-tests are small feasibility LPs in convex-combination form.
+down (adding the cone spanned by minus the last coordinate direction).  One
+small LP in convex-combination form decides both: how far the point must be
+lifted along the last coordinate to reach the hull of the others.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bounds import IdentityCheck, alternating_subsum
-from .linprog import EQ, INFEASIBLE, solve_lp
+from .linprog import EQ, INFEASIBLE, OPTIMAL, InternalError, solve_lp
 from .network import WITH_BIAS, LayerSpec, NetworkParseError, homogenize, json_rational, load_json
 from .rational import format_rational
 
@@ -94,50 +95,42 @@ def minkowski_sum(sets: Sequence[LabeledPointSet]) -> LabeledPointSet:
     return point_set(acc, label=label)
 
 
-def _in_hull_with_ray(p: Vec, others: Sequence[Vec], ray: Vec | None) -> bool:
-    """Feasibility of p in conv(others) (+ cone(ray) when given)."""
+def _drop_to_hull(p: Vec, others: Sequence[Vec]) -> Fraction | None:
+    """The least lam >= 0 with p + lam * e_last in conv(others), or None when
+    there is none: minimize lam over mu, lam >= 0 subject to
+    sum mu_i q_i - lam * e_last = p and sum mu_i = 1."""
     if not others:
-        return False
-    d = len(p)
-    k = len(others)
-    nv = k + (1 if ray is not None else 0)
-    cons = []
-    for coord in range(d):
-        row = [q[coord] for q in others]
-        if ray is not None:
-            row.append(ray[coord])
-        cons.append((row, EQ, p[coord]))
-    row = [1] * k + ([0] if ray is not None else [])
-    cons.append((row, EQ, 1))
-    res = solve_lp(nv, [0] * nv, cons, nonneg=[True] * nv)
-    return res.status != INFEASIBLE
+        return None
+    k, last = len(others), len(p) - 1
+    cons = [([q[c] for q in others] + [-int(c == last)], EQ, p[c]) for c in range(len(p))]
+    cons.append(([1] * k + [0], EQ, 1))
+    res = solve_lp(k + 1, [0] * k + [1], cons, nonneg=[True] * (k + 1), maximize=False)
+    if res.status == INFEASIBLE:
+        return None
+    if res.status != OPTIMAL:
+        raise InternalError(f"drop LP with lam >= 0 returned {res.status}")
+    return res.value
 
 
 def classify_vertices(ps: LabeledPointSet) -> VertexClassification:
-    """Exact three-way classification of every point.
+    """Exact three-way classification of every point, one drop LP each.
 
-    A vertex admits a strictly separating direction; its witness cone is an
-    open set, so whenever a witness with nonnegative last coordinate exists a
-    strictly positive one does too.  Hence a vertex is an upper vertex or a
-    strict lower vertex, never horizontal-only, and the strict lower class
-    is taken as the vertices that are not upper, with no LP of its own;
-    tests check that class against the has_lower_witness oracle.
+    With no drop that reaches the hull of the others the point is an upper
+    vertex; a drop of 0 means it lies in that hull, so it is no vertex; a
+    positive drop means it is a strict lower vertex.
     """
-    down = tuple(Fraction(0) for _ in range(ps.dim - 1)) + (Fraction(-1),)
     is_v, is_u, is_l = [], [], []
-    # A point proven interior can be dropped from every later hull test: the
-    # hull of the remaining points is unchanged, and membership queries with
-    # the ray reduce to the true vertices as well.
+    # A point proven interior can be dropped from every later drop LP: the
+    # hull of the remaining points is unchanged, and a direction that singles
+    # out a vertex keeps the dropped points strictly behind it.
     alive = list(range(len(ps.points)))
     for i, p in enumerate(ps.points):
-        others = [ps.points[j] for j in alive if j != i]
-        vertex = not _in_hull_with_ray(p, others, None)
-        if not vertex and i in alive:
+        drop = _drop_to_hull(p, [ps.points[j] for j in alive if j != i])
+        if drop == 0:
             alive.remove(i)
-        upper = vertex and not _in_hull_with_ray(p, others, down)
-        is_v.append(vertex)
-        is_u.append(upper)
-        is_l.append(vertex and not upper)
+        is_v.append(drop != 0)
+        is_u.append(drop is None)
+        is_l.append(bool(drop))
     return VertexClassification(ps.points, tuple(is_v), tuple(is_u), tuple(is_l))
 
 

@@ -12,6 +12,8 @@ recession_profile_reference (the row-activity LP) are the geometry that the
 implicit-equality LP replaced.  build_poset_reference is the breadth-first
 poset walk that closure extension replaced, and has_lower_witness decides
 classify_vertices' strict-lower class by an LP of its own.
+classify_vertices_reference is the two-LP classification (a hull LP per
+point, then a hull-plus-ray LP per vertex) that the one drop LP replaced.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from tropic.geometry import (
     strictly_feasible,
 )
 from tropic.linalg import dot
+from tropic.minkowski import VertexClassification
 from tropic.linprog import (
     EQ,
     GE,
@@ -207,6 +210,46 @@ def has_lower_witness(ps, index: int) -> bool:
     cons = [([q[i] for q in others] + [up[i]], EQ, p[i]) for i in range(ps.dim)]
     cons.append(([1] * k + [0], EQ, 1))
     return solve_lp(k + 1, [0] * (k + 1), cons, nonneg=[True] * (k + 1)).status == INFEASIBLE
+
+
+def _in_hull_with_ray(p, others, ray) -> bool:
+    """Feasibility of p in conv(others) (+ cone(ray) when given)."""
+    if not others:
+        return False
+    d = len(p)
+    k = len(others)
+    nv = k + (1 if ray is not None else 0)
+    cons = []
+    for coord in range(d):
+        row = [q[coord] for q in others]
+        if ray is not None:
+            row.append(ray[coord])
+        cons.append((row, EQ, p[coord]))
+    row = [1] * k + ([0] if ray is not None else [])
+    cons.append((row, EQ, 1))
+    res = solve_lp(nv, [0] * nv, cons, nonneg=[True] * nv)
+    return res.status != INFEASIBLE
+
+
+def classify_vertices_reference(ps) -> VertexClassification:
+    """A point is a vertex when it lies outside the hull of the others, and
+    an upper vertex when it also lies outside that hull plus the downward
+    ray; strict lower vertices are the vertices that are not upper.  Points
+    proven interior leave later hulls, as in classify_vertices.
+    """
+    down = tuple(Fraction(0) for _ in range(ps.dim - 1)) + (Fraction(-1),)
+    is_v, is_u, is_l = [], [], []
+    alive = list(range(len(ps.points)))
+    for i, p in enumerate(ps.points):
+        others = [ps.points[j] for j in alive if j != i]
+        vertex = not _in_hull_with_ray(p, others, None)
+        if not vertex:
+            alive.remove(i)
+        upper = vertex and not _in_hull_with_ray(p, others, down)
+        is_v.append(vertex)
+        is_u.append(upper)
+        is_l.append(vertex and not upper)
+    return VertexClassification(ps.points, tuple(is_v), tuple(is_u), tuple(is_l))
 
 
 def _optimal(res: LPResult) -> LPResult:

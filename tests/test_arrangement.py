@@ -137,17 +137,18 @@ class TestEnumerateCells:
 
     def test_signature_cap_bounds_the_widest_level(self):
         # The levels try 7, 35 and 175 of the 343 signatures, one LP each,
-        # and each of the 61 cells costs one recession LP: 278 in all.
-        # With 216, the last level finds 174 LPs left and solves none.
+        # and each of the 49 cells that are not points costs one recession
+        # LP: 266 in all; the 12 point cells solve none.  With 216, the last
+        # level finds 174 LPs left and solves none.
         l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
         start = lp_call_count()
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(216):
             enumerate_cells(l)
         assert lp_call_count() - start == 42
         start = lp_call_count()
-        with lp_budget(278):
+        with lp_budget(266):
             cells = enumerate_cells(l)
-        assert lp_call_count() - start == 278
+        assert lp_call_count() - start == 266
         assert len(cells) == 61
 
     def test_lp_budget(self):
@@ -282,11 +283,12 @@ class TestPoset:
         # origin and every triple at the origin alone.  The breadth-first
         # walk reaches the origin from each of its parents and solves 3,054
         # LPs; closure extension reaches it once, and its equalities have
-        # rank 3, so the atoms through it are found with no LP.
+        # rank 3, so the atoms through it are found with no LP, and its
+        # Euler characteristic needs no recession LP.
         arr = build_atoms(construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1))
         start = lp_call_count()
         p = build_poset(arr)
-        assert lp_call_count() - start == 207
+        assert lp_call_count() - start == 206
         assert len(p.elements) == 29
 
     def test_matches_breadth_first_reference(self):

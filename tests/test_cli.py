@@ -69,16 +69,18 @@ def test_construct_then_count_all_methods(tmp_path, capsys):
 def test_regions_count_lp_cost(tmp_path, capsys):
     # One build_atoms serves is_simple and the poset; the dual count is the
     # upper-vertex count alone.  Per stage: atoms 9, is_simple 20, pattern
-    # 58, poset 48, dual 47 LPs.  No system solves its margin LP twice, and
-    # the poset's one-atom elements reuse the atoms' solved systems.
+    # 58, poset 36, dual 27 LPs: one drop LP per point of the lifted sum,
+    # and no recession LP for the poset's point elements.  No system solves
+    # its margin LP twice, and the poset's one-atom elements reuse the
+    # atoms' solved systems.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
         "--seed", "1", "-o", str(net))
     expected = {
         "pattern": (58, {"pattern": {"regions": 19, "bounded_regions": 7}}),
-        "poset": (77, {"poset": {"regions": 19}}),
-        "dual": (76, {"dual": {"regions": 19}}),
-        "all": (182, {
+        "poset": (65, {"poset": {"regions": 19}}),
+        "dual": (56, {"dual": {"regions": 19}}),
+        "all": (150, {
             "pattern": {"regions": 19, "bounded_regions": 7},
             "poset": {"regions": 19},
             "dual": {"regions": 19},
@@ -103,11 +105,11 @@ def test_regions_count_lp_cost(tmp_path, capsys):
             assert "TROPIC_BUDGET_LP" in err
 
 
-@pytest.mark.parametrize("method,budget", [("poset", 60), ("dual", 60), ("poset", 76)])
+@pytest.mark.parametrize("method,budget", [("poset", 60), ("dual", 55), ("poset", 64)])
 def test_lp_budget_bounds_the_whole_command(tmp_path, capsys, method, budget):
-    # atoms and is_simple spend 29 LPs, then the poset (48) or the
-    # upper-vertex classification (47) gets only what is left.  --method
-    # poset needs 77 LPs in all, the last of them for the Euler
+    # atoms and is_simple spend 29 LPs, then the poset (36) or the
+    # upper-vertex classification (27) gets only what is left.  --method
+    # poset needs 65 LPs in all, the last of them for the Euler
     # characteristics of the poset's elements.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
@@ -119,14 +121,14 @@ def test_lp_budget_bounds_the_whole_command(tmp_path, capsys, method, budget):
 
 
 def test_env_budget_bounds_commands_without_the_flag(tmp_path, capsys, monkeypatch):
-    # Classifying the six points solves 11 LPs.
+    # Classifying the six points solves 6 LPs, one per point.
     f = tmp_path / "fig.json"
     f.write_text(json.dumps({"dim": 2, "points": [[0, 0], [2, 0], [0, 2], [2, 2], [1, 1], [3, 1]]}))
-    monkeypatch.setenv("TROPIC_BUDGET_LP", "10")
+    monkeypatch.setenv("TROPIC_BUDGET_LP", "5")
     code, _, err = run(capsys, "minkowski", "classify", "--points", str(f))
     assert code == EXIT_BUDGET
     assert "TROPIC_BUDGET_LP" in err
-    monkeypatch.setenv("TROPIC_BUDGET_LP", "11")
+    monkeypatch.setenv("TROPIC_BUDGET_LP", "6")
     assert run(capsys, "minkowski", "classify", "--points", str(f))[0] == EXIT_OK
     # The flag, where a command has it, overrides the environment.
     net = tmp_path / "net.json"
@@ -302,14 +304,14 @@ def test_poset_dump(tmp_path, capsys):
 
 
 def test_poset_dump_lp_budget_counts_the_atoms(tmp_path, capsys):
-    # 36 LPs in all, 7 of them for build_atoms before the poset is built.
+    # 28 LPs in all, 7 of them for build_atoms before the poset is built.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,2",
         "--seed", "1", "-o", str(net))
-    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "35")
+    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "27")
     assert code == EXIT_BUDGET
     assert "TROPIC_BUDGET_LP" in err
-    code, out, _ = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "36")
+    code, out, _ = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "28")
     assert code == EXIT_OK
     assert json.loads(out)["regions"] == 14
 

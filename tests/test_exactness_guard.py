@@ -4,8 +4,9 @@ An `assert` statement disappears under `python -O`, so internal invariants
 raise typed errors instead; the package computes with int and Fraction
 only, so no float literal appears in its source; exact elimination lives
 in linalg alone; geometry solves its LPs in three places only, and a
-system's common-margin LP only through the system's cache; and every
-integer command-line argument is range-checked.
+system's common-margin LP only through the system's cache; minkowski solves
+its LPs in the drop LP alone; and every integer command-line argument is
+range-checked.
 """
 
 import ast
@@ -56,19 +57,30 @@ def test_integer_elimination_lives_in_linalg(path):
     assert names == [], f"{path.name}: imports {names} from math; use tropic.linalg"
 
 
-def test_geometry_has_two_lp_formulations_plus_containment():
-    # The common-margin LP, the implicit-equality LP and the violation LPs
-    # of contains are the only places geometry may use solve_lp.
-    path = next(p for p in SOURCES if p.name == "geometry.py")
+def _solve_lp_users(name):
+    # The top-level statements of module name that refer to solve_lp.
+    path = next(p for p in SOURCES if p.name == name)
     tree = ast.parse(path.read_text(), filename=str(path))
-    users = {
+    return {
         getattr(stmt, "name", f"line {stmt.lineno}")
         for stmt in tree.body
         for n in ast.walk(stmt)
         if (isinstance(n, ast.Name) and n.id == "solve_lp")
         or (isinstance(n, ast.Attribute) and n.attr == "solve_lp")
     }
+
+
+def test_geometry_has_two_lp_formulations_plus_containment():
+    # The common-margin LP, the implicit-equality LP and the violation LPs
+    # of contains are the only places geometry may use solve_lp.
+    users = _solve_lp_users("geometry.py")
     assert users and users <= {"_max_common_margin", "_implicit_equalities", "contains"}, users
+
+
+def test_minkowski_has_one_lp_formulation():
+    # One drop LP per point decides all three vertex classes; a second
+    # formulation would solve again what it already decides.
+    assert _solve_lp_users("minkowski.py") == {"_drop_to_hull"}
 
 
 def test_margin_lp_is_solved_only_by_the_system_cache():

@@ -10,6 +10,7 @@ from tropic import geometry
 from tropic.geometry import (
     ConstraintSystem,
     EmptyPolyhedronError,
+    RecessionProfile,
     affine_dimension,
     contains,
     euler_characteristic,
@@ -200,6 +201,21 @@ class TestRecessionProfile:
         start = lp_call_count()
         assert recession_profile(square).pointed_part_bounded
         assert lp_call_count() - start == 1
+
+    def test_point_solves_no_cone_lp(self):
+        # Equalities of rank d make the system a point, whose cone is {0}:
+        # once its margin LP is solved, the profile solves no LP, whatever
+        # inequalities it also has.
+        point = ConstraintSystem.build(
+            2,
+            equalities=[((1, 0), 1), ((1, 1), 3), ((2, 1), 4)],
+            inequalities=[((1, 1), 0), ((0, -1), -5)],
+        )
+        assert feasible(point) == (1, 2)
+        start = lp_call_count()
+        prof = recession_profile(point)
+        assert lp_call_count() == start
+        assert prof == recession_profile_reference(fresh(point)) == RecessionProfile(0, True)
 
 
 class TestEulerCharacteristic:

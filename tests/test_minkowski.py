@@ -5,7 +5,18 @@ import pytest
 
 from tropic.arrangement import count_regions_bruteforce
 from tropic.bounds import binom
-from tropic.linprog import GE, OPTIMAL, BudgetExceededError, lp_budget, lp_call_count, solve_lp
+from tropic import minkowski
+from tropic.linprog import (
+    GE,
+    OPTIMAL,
+    UNBOUNDED,
+    BudgetExceededError,
+    InternalError,
+    LPResult,
+    lp_budget,
+    lp_call_count,
+    solve_lp,
+)
 from tropic.minkowski import (
     classify_vertices,
     dual_region_count,
@@ -29,7 +40,7 @@ from tropic.network import (
 )
 from tropic.verify import sample_weibel_family
 
-from oracles import has_lower_witness
+from oracles import classify_vertices_reference, has_lower_witness
 
 SEGMENT = point_set([[0, 0, 0], [2, 2, 0]])              # max(0, 2x+2y)
 TRIANGLE = point_set([[1, 0, 1], [0, 1, 1], [1, 1, 0]])  # max(x+1, y+1, x+y)
@@ -167,6 +178,65 @@ class TestClassifyVertices:
                 assert cls.is_upper_vertex[i] == separation_witness(ps, i, "positive")
 
 
+def degenerate_point_sets(rng):
+    """Point sets in Q^1..Q^4 with coordinates in {-3, ..., 3}, cycling
+    through shapes: random, with vertical segments, sharing one last
+    coordinate, collinear, coplanar, and lifted sums of small random layers
+    with and without bias."""
+
+    def pt(d):
+        return [rng.randint(-3, 3) for _ in range(d)]
+
+    for t in range(360):
+        shape, d, k = t % 6, rng.randint(1, 4), rng.randint(1, 10)
+        if shape == 0:
+            pts = [pt(d) for _ in range(k)]
+        elif shape == 1:
+            pts = [pt(d) for _ in range(k)]
+            pts += [p[:-1] + [rng.randint(-3, 3)] for p in pts[: rng.randint(1, 3)]]
+        elif shape == 2:
+            last = rng.randint(-3, 3)
+            pts = [pt(d - 1) + [last] for _ in range(k)]
+        elif shape in (3, 4):
+            a, dirs = pt(d), [pt(d) for _ in range(shape - 2)]
+            pts = [[v + sum(rng.randint(-1, 1) * u[j] for u in dirs) for j, v in enumerate(a)]
+                   for _ in range(k)]
+        else:
+            n, units = rng.randint(1, 2), []
+            for _ in range(rng.randint(1, 3)):
+                rank = rng.randint(1, 3)
+                units.append(unit([pt(n) for _ in range(rank)], pt(rank) if t % 12 == 5 else None))
+            yield minkowski_sum(lift_layer(layer(units, n)))
+            continue
+        yield point_set(pts)
+
+
+def test_drop_lp_matches_two_lp_reference():
+    # One drop LP per point gives the classes of the hull LP plus the
+    # hull-plus-ray LP; a single point solves none.
+    seen = set()
+    for ps in degenerate_point_sets(random.Random(2024)):
+        expected = classify_vertices_reference(ps)
+        start = lp_call_count()
+        cls = classify_vertices(ps)
+        assert lp_call_count() - start == (len(ps.points) if len(ps.points) > 1 else 0)
+        assert cls.is_vertex == expected.is_vertex
+        assert cls.is_upper_vertex == expected.is_upper_vertex
+        assert cls.is_strict_lower_vertex == expected.is_strict_lower_vertex
+        seen.add((ps.dim, len(ps.points) == 1, cls.strict_lower_count > 0))
+    # Every dimension is reached, with single points and with strict lower
+    # vertices.
+    assert {d for d, one, _ in seen if one} == {d for d, _, lower in seen if lower} == {1, 2, 3, 4}
+
+
+def test_unbounded_drop_lp_is_an_internal_error(monkeypatch):
+    # lam >= 0 bounds the minimum, so an unbounded drop LP is a bug; it must
+    # raise a typed error that survives python -O.
+    monkeypatch.setattr(minkowski, "solve_lp", lambda *a, **k: LPResult(UNBOUNDED, None, None))
+    with pytest.raises(InternalError, match="unbounded"):
+        classify_vertices(TRIANGLE)
+
+
 class TestDuality:
     def test_worked_example(self):
         l = layer(
@@ -266,10 +336,10 @@ class TestPointSetJson:
 
 
 def test_classify_lp_budget_is_checked_per_point():
-    # Each vertex of the triangle costs two LPs.
+    # Each point of the triangle costs one drop LP.
     start = lp_call_count()
-    with lp_budget(6):
+    with lp_budget(3):
         classify_vertices(TRIANGLE)
-    assert lp_call_count() - start == 6
-    with pytest.raises(BudgetExceededError), lp_budget(5):
+    assert lp_call_count() - start == 3
+    with pytest.raises(BudgetExceededError), lp_budget(2):
         classify_vertices(TRIANGLE)
