@@ -78,10 +78,12 @@ class GapResult:
     floor: int
 
 
-def _unit_rows(feats, chosen: Sequence[int]) -> tuple[list, list]:
-    """(ties, strict dominances) of one unit whose argmax set is chosen:
-    the first chosen feature against each other chosen one, then against
-    each feature left out, in feature order."""
+def _choice_system(n: int, u: MaxoutUnitSpec, chosen: Sequence[int]) -> ConstraintSystem:
+    """{x in Q^n : the argmax set of unit u is exactly chosen}: the first
+    chosen feature tied with each other chosen one, then dominating each
+    feature left out (strictly in a relatively open cell), in feature order.
+    A rank-1 unit has no rows."""
+    feats = u.features()
     wr, br = feats[chosen[0]]
 
     def row(c):  # feature chosen[0] minus feature c, as coeffs . x >= rhs
@@ -89,24 +91,21 @@ def _unit_rows(feats, chosen: Sequence[int]) -> tuple[list, list]:
         return tuple(x - y for x, y in zip(wr, wc)), bc - br
 
     rest = [c for c in range(len(feats)) if c not in chosen]
-    return [row(c) for c in chosen[1:]], [row(c) for c in rest]
+    return ConstraintSystem(n, tuple(map(row, chosen[1:])), tuple(map(row, rest)))
 
 
 def build_atoms(layer: LayerSpec) -> Arrangement:
     """All nonempty codimension-1 tie boundaries, unit by unit.
 
-    Rank-1 units have no indecision boundaries and contribute nothing.  One
-    affine_dimension call per feature pair decides both emptiness and
-    dimension.
+    An atom is the choice system of a feature pair.  Rank-1 units have no
+    pairs and contribute nothing.  One affine_dimension call per feature
+    pair decides both emptiness and dimension.
     """
     n = layer.input_dim
     atoms = []
     for i, u in enumerate(layer.units):
-        if u.rank < 2:
-            continue
         for a, b in combinations(range(u.rank), 2):
-            eqs, ineqs = _unit_rows(u.features(), (a, b))
-            sys = ConstraintSystem(n, tuple(eqs), tuple(ineqs))
+            sys = _choice_system(n, u, (a, b))
             if affine_dimension(sys) == n - 1:  # None when empty
                 atoms.append(Atom(i + 1, (a + 1, b + 1), sys))
     return Arrangement(n, tuple(atoms), layer.bias_mode == NO_BIAS)
@@ -119,41 +118,31 @@ def _nonempty_subsets(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _signature_system(layer: LayerSpec, sig: Sequence[Sequence[int]]):
-    """(ties, strict dominances) for {x : argmax set of unit i is exactly sig[i]}."""
-    eqs = []
-    ineqs = []
-    for i, chosen in enumerate(sig):
-        ties, dominances = _unit_rows(layer.units[i].features(), chosen)
-        eqs += ties
-        ineqs += dominances
-    return eqs, ineqs
-
-
 def _expand(args) -> tuple[list, int]:
-    """One frontier batch: extend each prefix by each of the unit's choices.
+    """One frontier batch: extend each node by each of the level's choices.
 
-    Keeps the children whose signature system is strictly feasible, in
-    prefix-then-choice order.  When the children are complete signatures
-    they become Cells: the strictly-feasible point is the witness, and the
-    dimension and the recession profile read the system's solved margin LP,
-    so the dimension costs no LP.  Returns the children and the number of
-    LPs solved, so a pool worker's LPs can be charged to the caller.
+    A node is a (signature prefix, system) pair and a choice a (feature
+    subset, choice system) pair.  A child's system is its parent's
+    intersected with the choice's, so a rank-1 choice, which has no rows,
+    hands the child its parent's system and solved margin LP.  Keeps the
+    strictly feasible children, in node-then-choice order.  On the last
+    level they become Cells: the strictly-feasible point is the witness, and
+    the dimension and the recession profile read the system's solved margin
+    LP, so the dimension costs no LP.  Returns the children and the number
+    of LPs solved, so a pool worker's LPs can be charged to the caller.
     """
-    layer, choices, prefixes = args
-    n = layer.input_dim
+    nodes, choices, last = args
     start = lp_call_count()
     out = []
-    for prefix in prefixes:
-        for choice in choices:
+    for prefix, parent in nodes:
+        for choice, rows in choices:
             sig = prefix + (choice,)
-            eqs, ineqs = _signature_system(layer, sig)
-            sys = ConstraintSystem(n, tuple(eqs), tuple(ineqs))
+            sys = parent.intersection(rows)
             w = strictly_feasible(sys)
             if w is None:
                 continue
-            if len(sig) < layer.width:
-                out.append(sig)
+            if not last:
+                out.append((sig, sys))
                 continue
             prof = recession_profile(sys)
             out.append(Cell(
@@ -169,30 +158,32 @@ def _frontier(layer: LayerSpec, choices, jobs: int = 1) -> list[Cell]:
     """Nonempty cells over the signatures choices[0] x choices[1] x ...,
     in lexicographic order.
 
-    Level i extends every strictly feasible prefix by unit i's choices and
-    drops the empty children; an empty prefix cell has only empty
-    extensions, so whole subtrees are pruned.  Every signature a level
-    tries (prefixes x choices) costs at least one LP, so a level that needs
-    more LPs than the current linprog.lp_budget has left raises
-    BudgetExceededError before it solves any.  A level is split into
-    batches that run inline, or across a pool of jobs processes created
-    once per call.  Pool LPs are charged to this process's counter after
-    every batch, which checks them against the budget, so the cells, the
-    LP count of a finished walk and whether the budget is exceeded do not
-    depend on jobs.
+    Level i builds unit i's choice systems once, extends every nonempty
+    node by them and drops the empty children; an empty prefix cell has
+    only empty extensions, so whole subtrees are pruned.  Each child whose
+    choice system has rows is a new system and costs at least one LP (a
+    rank-1 unit's children cost none), so a level with more such children
+    than the current linprog.lp_budget has LPs left raises
+    BudgetExceededError before it solves any.  A level is split into batches
+    of nodes, each sent with the level's choice systems, that run inline, or
+    across a pool of jobs processes created once per call.  Pool LPs are
+    charged to this process's counter after every batch, which checks them
+    against the budget, so the cells, the LP count of a finished walk and
+    whether the budget is exceeded do not depend on jobs.
     """
     n = layer.input_dim
     if not choices:  # no units: the whole space is the one cell
         return [Cell((), n, n == 0, (Fraction(0),) * n)]
     pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
-    nodes = [()]
+    nodes = [((), ConstraintSystem(n))]
     try:
-        for unit_choices in choices:
-            require_lp_headroom(len(nodes) * len(unit_choices))
+        for i, (u, unit_choices) in enumerate(zip(layer.units, choices)):
+            level = [(c, _choice_system(n, u, c)) for c in unit_choices]
+            adding = sum(1 for _, rows in level if rows.equalities or rows.inequalities)
+            require_lp_headroom(len(nodes) * adding)
+            last = i == len(choices) - 1
             size = 1 if pool is None else max(1, len(nodes) // (4 * jobs))
-            batches = [
-                (layer, unit_choices, nodes[k : k + size]) for k in range(0, len(nodes), size)
-            ]
+            batches = [(nodes[k : k + size], level, last) for k in range(0, len(nodes), size)]
             nodes = []
             for children, lps in (map if pool is None else pool.map)(_expand, batches):
                 if pool is not None:
@@ -211,8 +202,10 @@ def enumerate_cells(layer: LayerSpec) -> list[Cell]:
     A unit's choices are the nonempty subsets of its features (the argmax
     set).  The walk is the pruned signature frontier: an empty prefix cuts
     its subtree, so the LPs track the nonempty cells, not all prod(2^k - 1)
-    signatures.  A level that cannot finish within the LP budget is refused
-    before it starts.  Cells come out in lexicographic signature order.
+    signatures.  A level is refused before it starts when the LP budget has
+    fewer LPs left than it has children that add rows; a rank-1 unit's
+    children add none and solve nothing.  Cells come out in lexicographic
+    signature order.
     """
     return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units])
 
@@ -220,10 +213,7 @@ def enumerate_cells(layer: LayerSpec) -> list[Cell]:
 def _dedupe_units(layer: LayerSpec) -> LayerSpec:
     units = []
     for u in layer.units:
-        seen = []
-        for f in u.features():
-            if f not in seen:
-                seen.append(f)
+        seen = dict.fromkeys(u.features())
         weights = tuple(w for w, _ in seen)
         biases = tuple(b for _, b in seen) if u.biases is not None else None
         units.append(MaxoutUnitSpec(weights, biases))
@@ -237,10 +227,12 @@ def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
     patterns with a nonempty interior; duplicate features are collapsed first
     so strict dominance is meaningful.  The patterns are walked by the same
     pruned frontier as enumerate_cells, with one singleton choice per
-    feature.  With jobs > 1 each level's batches run in a process pool; the
-    workers' LPs count in lp_call_count() and against linprog.lp_budget,
-    and the counts, the LPs solved and whether the budget is exceeded are
-    the same for every jobs.
+    feature.  A level is refused before it starts when the LP budget has
+    fewer LPs left than it has patterns that add rows, so a budget equal to
+    the walk's LPs completes.  With jobs > 1 each level's batches run in
+    a process pool; the workers' LPs count in lp_call_count() and against
+    linprog.lp_budget, and the counts, the LPs solved and whether the budget
+    is exceeded are the same for every jobs.
     """
     layer = _dedupe_units(layer)
     choices = [[(a,) for a in range(u.rank)] for u in layer.units]
@@ -401,7 +393,8 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
 
     Subset sizes run to n+1 so one-too-many concurrences are caught.  A
     single atom has codimension 1 by construction, so subsets start at two
-    atoms.
+    atoms.  The tuples are walked depth first, each with its system: its
+    prefix's system intersected with its last atom's.
     """
     n = arr.ambient_dim
     by_unit: dict[int, list[int]] = {}
@@ -410,11 +403,7 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
     units = sorted(by_unit)
     max_j = min(len(units), n + 1)
 
-    def check_subset(idxs: tuple[int, ...]) -> bool:
-        j = len(idxs)
-        sys = arr.atoms[idxs[0]].system
-        for i in idxs[1:]:
-            sys = sys.intersection(arr.atoms[i].system)
+    def check_subset(j: int, sys: ConstraintSystem) -> bool:
         dim = affine_dimension(sys)
         if dim is None:  # empty
             return not arr.central  # central atoms all meet at the origin
@@ -422,17 +411,20 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
             return True
         return arr.central and dim == 0
 
-    def atom_tuples(u_pos: int, chosen: tuple[int, ...]):
-        # Tuples of atoms of distinct units extending chosen, depth first:
-        # a tuple comes before its extensions.
+    def atom_tuples(u_pos: int, chosen: tuple[int, ...], sys: ConstraintSystem):
+        # (tuple, system) for the tuples of atoms of distinct units extending
+        # chosen, depth first: a tuple comes before its extensions.
         if len(chosen) > 1:
-            yield chosen
+            yield chosen, sys
         if len(chosen) < max_j:
             for pos in range(u_pos, len(units)):
                 for ai in by_unit[units[pos]]:
-                    yield from atom_tuples(pos + 1, chosen + (ai,))
+                    yield from atom_tuples(
+                        pos + 1, chosen + (ai,), sys.intersection(arr.atoms[ai].system)
+                    )
 
-    violation = next((t for t in atom_tuples(0, ()) if not check_subset(t)), None)
+    tuples = atom_tuples(0, (), ConstraintSystem(n))
+    violation = next((t for t, sys in tuples if not check_subset(len(t), sys)), None)
     return SimplicityCertificate(violation is None, violation)
 
 

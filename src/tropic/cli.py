@@ -14,7 +14,8 @@ Every command runs under one LP-call budget: --lp-budget where the command
 has that flag, else the environment variable TROPIC_BUDGET_LP, else 10^6.
 It is the only work limit.  Exit 3 means the command would solve more LPs
 than that budget allows; a region or cell walk stops before a level that
-tries more signatures than LPs are left, since each costs at least one.
+has more signatures adding rows to their prefix's system than LPs are left,
+since each of them costs at least one.
 The budget covers the whole command, so a long `verify identities` run can
 need it raised: with --seed 7 a trial solves about 400 LPs over all suites
 (404 on average over 30 trials), so more than about 2,470 trials need a

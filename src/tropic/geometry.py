@@ -1,8 +1,8 @@
 """Exact polyhedral primitives on rational constraint systems.
 
 A ConstraintSystem is a finite list of affine equalities and inequalities
-(coeffs . x >= rhs) over Q^d.  Everything downstream (cells, posets, vertex
-classification) reduces to two LP formulations here, plus the violation LPs
+(coeffs . x >= rhs) over Q^d.  Everything in arrangement (cells, posets,
+simplicity) reduces to two LP formulations here, plus the violation LPs
 of contains.  The common-margin LP (maximize one slack t <= 1 shared by all
 inequalities) is infeasible exactly when the system is empty, and its point
 serves feasible, strictly_feasible and affine_dimension.  The implicit-
@@ -67,14 +67,14 @@ class ConstraintSystem:
         )
 
     def intersection(self, other: "ConstraintSystem") -> "ConstraintSystem":
-        """The system of both; an operand without rows returns the other one,
-        with its solved margin LP."""
+        """The system of both; an operand without rows returns the other one
+        (self when neither has rows), with its solved margin LP."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if not (self.equalities or self.inequalities):
-            return other
         if not (other.equalities or other.inequalities):
             return self
+        if not (self.equalities or self.inequalities):
+            return other
         return ConstraintSystem(
             self.ambient_dim,
             self.equalities + other.equalities,

@@ -40,12 +40,8 @@ class LabeledPointSet:
 
 
 def point_set(points: Iterable[Sequence], label: str = "") -> LabeledPointSet:
-    pts = tuple(tuple(Fraction(v) for v in p) for p in points)
-    seen: list[Vec] = []
-    for p in pts:
-        if p not in seen:
-            seen.append(p)
-    return LabeledPointSet(len(seen[0]), tuple(seen), label)
+    pts = tuple(dict.fromkeys(tuple(Fraction(v) for v in p) for p in points))
+    return LabeledPointSet(len(pts[0]), pts, label)
 
 
 @dataclass(frozen=True)

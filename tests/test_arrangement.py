@@ -37,6 +37,7 @@ RELU = unit([[1], [0]], [0, 0])
 
 EX_UNIT1 = unit([[0, 2], [1, 1], [0, 0]], [0, 1, 2])
 EX_UNIT2 = unit([[0, 0], [3, 2], [5, 1]], [0, 0, 0])
+R1 = unit([[1, 0]], [2])  # rank 1: one choice, no argmax rows
 
 
 def example_layer():
@@ -160,7 +161,10 @@ class TestEnumerateCells:
         [
             lambda: construct_shallow_optimal(2, (3, 3, 2), seed=3),
             lambda: construct_shallow_optimal_nobias(2, (3, 3), seed=2),
-            lambda: layer([unit([[1, 0]], [2]), EX_UNIT1, EX_UNIT2]),
+            lambda: layer([R1, EX_UNIT1, EX_UNIT2]),
+            lambda: layer([EX_UNIT1, R1, EX_UNIT2]),
+            lambda: layer([EX_UNIT1, EX_UNIT2, R1]),
+            lambda: layer([R1, unit([[0, 1]], [-1])]),
             lambda: layer([unit([[1, 0], [0, 0], [1, 0]], [0, 0, 0]), EX_UNIT2]),
             # The first candidate sample_generic(2, (3, 3, 2), WITH_BIAS,
             # seed=5, magnitude=1) draws: not simple, and unit 1 repeats a
@@ -171,7 +175,8 @@ class TestEnumerateCells:
                 unit([[0, 1], [-1, 1]], [-1, -1]),
             ]),
         ],
-        ids=["bias", "no-bias", "rank-1-unit", "duplicate-features", "non-simple-draw"],
+        ids=["bias", "no-bias", "rank-1-unit", "rank-1-middle", "rank-1-last", "two-rank-1",
+             "duplicate-features", "non-simple-draw"],
     )
     def test_matches_unpruned_oracle(self, make):
         l = make()
@@ -180,6 +185,39 @@ class TestEnumerateCells:
         full = [c for c in cells if c.dim == l.input_dim]
         rc = count_regions_bruteforce(l)
         assert (rc.regions, rc.bounded_regions) == (len(full), sum(c.bounded for c in full))
+
+
+class TestRankOneUnits:
+    # A rank-1 unit's one choice adds no rows, so its children keep their
+    # parent's system and solved margin LP: only a leading one solves an LP,
+    # the whole space's.  A level's headroom counts only the children that
+    # add rows, so a budget equal to the walk's need completes.
+    @pytest.mark.parametrize(
+        "units, pattern_lps, cell_lps",
+        [
+            ([R1, EX_UNIT1, EX_UNIT2], 21, 77),
+            ([EX_UNIT1, R1, EX_UNIT2], 20, 76),
+            ([EX_UNIT1, EX_UNIT2, R1], 20, 76),
+            ([R1, unit([[0, 1]], [-1])], 1, 1),
+        ],
+        ids=["first", "middle", "last", "two"],
+    )
+    def test_budget_equal_to_the_need_completes(self, units, pattern_lps, cell_lps):
+        l = layer(units)
+        walks = [
+            (lambda: count_regions_bruteforce(l), pattern_lps),
+            (lambda: count_regions_bruteforce(l, jobs=2), pattern_lps),
+            (lambda: enumerate_cells(l), cell_lps),
+        ]
+        results = []
+        for walk, need in walks:
+            with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(need - 1):
+                walk()
+            start = lp_call_count()
+            with lp_budget(need):
+                results.append(walk())
+            assert lp_call_count() - start == need
+        assert results[0] == results[1]
 
 
 class TestCountRegionsBruteforce:

@@ -5,8 +5,8 @@ raise typed errors instead; the package computes with int and Fraction
 only, so no float literal appears in its source; exact elimination lives
 in linalg alone; geometry solves its LPs in three places only, and a
 system's common-margin LP only through the system's cache; minkowski solves
-its LPs in the drop LP alone; and every integer command-line argument is
-range-checked.
+its LPs in the drop LP alone; arrangement builds argmax rows in one helper;
+and every integer command-line argument is range-checked.
 """
 
 import ast
@@ -81,6 +81,29 @@ def test_minkowski_has_one_lp_formulation():
     # One drop LP per point decides all three vertex classes; a second
     # formulation would solve again what it already decides.
     assert _solve_lp_users("minkowski.py") == {"_drop_to_hull"}
+
+
+def test_arrangement_builds_argmax_rows_in_one_helper():
+    # Every walk in arrangement reaches a polyhedron by intersecting its
+    # parent's system with choice systems; a system with rows built anywhere
+    # else would be a second way to write argmax rows.  A walk's empty root,
+    # ConstraintSystem(n), is allowed.
+    path = next(p for p in SOURCES if p.name == "arrangement.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helper = next(s for s in tree.body if getattr(s, "name", None) == "_choice_system")
+
+    def builds_rows(n):
+        if not isinstance(n, ast.Call) or len(n.args) + len(n.keywords) < 2:
+            return False
+        f = n.func.value if isinstance(n.func, ast.Attribute) and n.func.attr == "build" else n.func
+        return (isinstance(f, ast.Name) and f.id == "ConstraintSystem") or (
+            isinstance(f, ast.Attribute) and f.attr == "ConstraintSystem"
+        )
+
+    inside = {id(n) for n in ast.walk(helper)}
+    lines = [n.lineno for n in ast.walk(tree) if builds_rows(n) and id(n) not in inside]
+    assert any(builds_rows(n) for n in ast.walk(helper))
+    assert lines == [], f"arrangement.py: ConstraintSystem with rows at lines {lines}"
 
 
 def test_margin_lp_is_solved_only_by_the_system_cache():
