@@ -257,33 +257,35 @@ class PosetElement:
 @dataclass(frozen=True)
 class Poset:
     arrangement: Arrangement
-    elements: tuple[PosetElement, ...]  # elements[0] is the ambient space, the bottom
+    elements: tuple[PosetElement, ...]  # elements[0] is the ambient space, the bottom;
+                                        # sorted by atom-support size, a linear extension
     leq: tuple[tuple[bool, ...], ...]   # leq[i][j]: element i <= j (reverse inclusion)
 
-    @property
+    @cached_property
     def mobius_from_bottom(self) -> tuple[int, ...]:
-        return self._mobius_row(0)
-
-    def mobius(self, i: int, j: int) -> int:
-        return self._mobius_row(i)[j]
+        """mu(0, x) for every element x: 1 at the bottom, else minus the sum
+        over the elements below x, which all come before x."""
+        mu = [1]
+        for j in range(1, len(self.elements)):
+            mu.append(-sum(m for i, m in enumerate(mu) if self.leq[i][j]))
+        return tuple(mu)
 
     @cached_property
-    def _mobius_rows(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
-    def _mobius_row(self, i: int) -> tuple[int, ...]:
-        # mu(i, j) for every j, 0 unless i <= j, computed once per row.  The
-        # elements above i are processed upward in atom-support size, a
-        # linear extension of the order.
-        if i not in self._mobius_rows:
-            n = len(self.elements)
-            mu = [0] * n
-            mu[i] = 1
-            above = (j for j in range(n) if j != i and self.leq[i][j])
-            for j in sorted(above, key=lambda j: len(self.elements[j].atom_support)):
-                mu[j] = -sum(mu[t] for t in range(n) if t != j and self.leq[t][j])
-            self._mobius_rows[i] = tuple(mu)
-        return self._mobius_rows[i]
+    def face_counts(self) -> tuple[int, ...]:
+        """(f_0, ..., f_n), the number of s-faces for each s: f_s is (-1)^s
+        times the sum over the elements x of dimension s of
+        g(x) = sum over y >= x of mu(x, y) psi(y) (Zaslavsky 1975).  By Mobius
+        inversion g is the one solution of psi(x) = sum over y >= x of g(y),
+        so one pass down from the top solves for it with no mu(x, y).  The
+        ambient space is the only n-dimensional element, so f_n counts the
+        regions."""
+        f = [0] * (self.arrangement.ambient_dim + 1)
+        g = [0] * len(self.elements)
+        for x in reversed(range(len(self.elements))):
+            e, above = self.elements[x], self.leq[x]
+            g[x] = e.psi - sum(g[y] for y in range(x + 1, len(g)) if above[y])
+            f[e.dim] += (-1) ** e.dim * g[x]
+        return tuple(f)
 
 
 def build_poset(arr: Arrangement) -> Poset:
@@ -356,31 +358,22 @@ def build_poset(arr: Arrangement) -> Poset:
 
 
 def count_regions_poset(arr: Arrangement, poset: Poset | None = None) -> int:
-    """Region count via the alternating Euler/Mobius sum over the poset."""
+    """Region count (-1)^n sum over y of mu(0, y) psi(y): the n-faces of
+    Poset.face_counts."""
     if poset is None:
         poset = build_poset(arr)
-    n = arr.ambient_dim
-    total = sum(e.psi * m for e, m in zip(poset.elements, poset.mobius_from_bottom))
-    return (-1) ** n * total
+    return poset.face_counts[arr.ambient_dim]
 
 
 def count_faces_poset(arr: Arrangement, s: int, poset: Poset | None = None) -> int:
-    """Number of s-dimensional faces of the arrangement, 0 <= s < ambient dim."""
+    """Number of s-dimensional faces, 0 <= s < ambient dim:
+    (-1)^s sum over dim x = s of sum over y >= x of mu(x, y) psi(y), read
+    from Poset.face_counts."""
     if not 0 <= s < arr.ambient_dim:
         raise ValueError(f"face dimension {s} out of range [0, {arr.ambient_dim})")
     if poset is None:
         poset = build_poset(arr)
-    total = 0
-    for x in poset.elements:
-        if x.dim != s:
-            continue
-        inner = sum(
-            y.psi * poset.mobius(x.id, y.id)
-            for y in poset.elements
-            if poset.leq[x.id][y.id]
-        )
-        total += (-1) ** s * inner
-    return total
+    return poset.face_counts[s]
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb, prod
 from typing import Callable, Sequence
 
 
 def binom(a: int, b: int) -> int:
     """Binomial with out-of-range arguments defined as 0."""
-    if b < 0 or a < 0 or b > a:
-        return 0
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
+    return comb(a, b) if 0 <= b <= a else 0
 
 
 def elementary_symmetric(values: Sequence[int], up_to: int) -> list[int]:
@@ -80,10 +76,7 @@ def shallow_formula(n: int, ranks: Sequence[int], with_bias: bool = True) -> int
 
 def trivial_bound(ranks: Sequence[int]) -> int:
     """Product of the ranks: the activation-pattern counting bound."""
-    out = 1
-    for k in ranks:
-        out *= k
-    return out
+    return prod(ranks)
 
 
 def _check_architecture(n0: int, widths: Sequence[int]) -> None:

@@ -39,7 +39,6 @@ from . import bounds, minkowski, verify
 from .arrangement import (
     build_atoms,
     build_poset,
-    count_faces_poset,
     count_regions_bruteforce,
     count_regions_poset,
     enumerate_cells,
@@ -72,8 +71,7 @@ DEFAULT_LP_BUDGET = 1_000_000
 _start = time.monotonic()
 
 
-def _emit(args, results, certificates=None, stream=None):
-    stream = stream or sys.stdout
+def _emit(args, results, certificates=None):
     report = {
         "command": args._command_echo,
         "seed": getattr(args, "seed", None),
@@ -81,8 +79,8 @@ def _emit(args, results, certificates=None, stream=None):
         "certificates": certificates or {},
         "timings_ms": {"wall": round((time.monotonic() - _start) * 1000, 3)},
     }
-    json.dump(report, stream, sort_keys=True)
-    stream.write("\n")
+    json.dump(report, sys.stdout, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _ranks(text: str) -> list[int]:
@@ -251,10 +249,8 @@ def cmd_poset(args) -> int:
         "central": arr.central,
         "elements": elements,
         "covers": covers,
-        "regions": count_regions_poset(arr, poset),
-        "faces": {
-            str(s): count_faces_poset(arr, s, poset) for s in range(arr.ambient_dim)
-        },
+        "regions": poset.face_counts[-1],
+        "faces": {str(s): f for s, f in enumerate(poset.face_counts[:-1])},
     }
     _write_out(args, json.dumps(doc, sort_keys=True))
     return EXIT_OK

@@ -10,8 +10,11 @@ eliminations that linalg's integer kernel replaced, kept the same way.
 affine_dimension_reference (one single-margin LP per tight row) and
 recession_profile_reference (the row-activity LP) are the geometry that the
 implicit-equality LP replaced.  build_poset_reference is the breadth-first
-poset walk that closure extension replaced, and has_lower_witness decides
-classify_vertices' strict-lower class by an LP of its own.
+poset walk that closure extension replaced.  mobius_reference is the
+all-pairs Mobius table that Poset.face_counts' one inversion pass replaced,
+and face_counts_reference evaluates the face-count formula on it.
+has_lower_witness decides classify_vertices' strict-lower class by an LP of
+its own.
 classify_vertices_reference is the two-LP classification (a hull LP per
 point, then a hull-plus-ray LP per vertex) that the one drop LP replaced.
 """
@@ -194,6 +197,33 @@ def build_poset_reference(arr: Arrangement) -> Poset:
         out.append(PosetElement(idx, dim, euler_characteristic(elements[key]), key, support))
     leq = tuple(tuple(x.atom_support <= y.atom_support for y in out) for x in out)
     return Poset(arr, tuple(out), leq)
+
+
+def mobius_reference(poset: Poset) -> tuple[tuple[int, ...], ...]:
+    """mu[x][y] for every pair of elements, 0 unless x <= y: row x by the
+    recursion mu(x, y) = -sum of mu(x, t) over x <= t < y, with the elements
+    above x processed upward in atom-support size, a linear extension of
+    the order."""
+    n = len(poset.elements)
+    rows = []
+    for i in range(n):
+        mu = [0] * n
+        mu[i] = 1
+        above = (j for j in range(n) if j != i and poset.leq[i][j])
+        for j in sorted(above, key=lambda j: len(poset.elements[j].atom_support)):
+            mu[j] = -sum(mu[t] for t in range(n) if t != j and poset.leq[t][j])
+        rows.append(tuple(mu))
+    return tuple(rows)
+
+
+def face_counts_reference(poset: Poset, mu) -> tuple[int, ...]:
+    """(f_0, ..., f_n) from the Mobius table mu:
+    f_s = (-1)^s sum over dim x = s of sum over y >= x of mu(x, y) psi(y)."""
+    f = [0] * (poset.arrangement.ambient_dim + 1)
+    for x in poset.elements:
+        inner = sum(y.psi * mu[x.id][y.id] for y in poset.elements if poset.leq[x.id][y.id])
+        f[x.dim] += (-1) ** x.dim * inner
+    return tuple(f)
 
 
 def has_lower_witness(ps, index: int) -> bool:

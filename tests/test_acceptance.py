@@ -48,7 +48,11 @@ from tropic.network import (
 )
 from tropic.verify import sample_weibel_family
 
-from oracles import euler_characteristic_by_decomposition
+from oracles import (
+    euler_characteristic_by_decomposition,
+    face_counts_reference,
+    mobius_reference,
+)
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -357,13 +361,16 @@ def test_criterion_10_euler_mobius_internals(grid4):
     ]
     for l in poset_layers:
         p = build_poset(build_atoms(l))
+        mu = mobius_reference(p)
         n = len(p.elements)
         for x in range(n):
             for z in range(n):
                 if p.leq[x][z]:
-                    total = sum(p.mobius(x, y) for y in range(n)
+                    total = sum(mu[x][y] for y in range(n)
                                 if p.leq[x][y] and p.leq[y][z])
                     assert total == (1 if x == z else 0)
+        assert p.mobius_from_bottom == mu[0]
+        assert p.face_counts == face_counts_reference(p, mu)
     elapsed = time.time() - t0
     report(10, True, f"Euler/Mobius internals: 200 psi oracles, cell Euler relation, "
                      f"Mobius recursion ({elapsed:.1f}s)")

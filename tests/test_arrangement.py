@@ -20,6 +20,7 @@ from tropic.arrangement import (
 from tropic.bounds import binom, shallow_formula
 from tropic.linalg import nullspace_basis
 from tropic.linprog import BudgetExceededError, lp_budget, lp_call_count
+from tropic.minkowski import dual_region_count
 from tropic.network import (
     NO_BIAS,
     WITH_BIAS,
@@ -31,7 +32,12 @@ from tropic.network import (
     unit,
 )
 
-from oracles import build_poset_reference, enumerate_cells_unpruned
+from oracles import (
+    build_poset_reference,
+    enumerate_cells_unpruned,
+    face_counts_reference,
+    mobius_reference,
+)
 
 RELU = unit([[1], [0]], [0, 0])
 
@@ -61,13 +67,17 @@ def central_3_2():
     return layer([unit([[0, 0], [1, 0], [0, 1]]), unit([[0, 0], [1, 2]])])
 
 
-def small_integer_layer(rng, bias):
-    # n in 1..3, 1 to 4 units of rank 1 to 3, entries in {-2, ..., 2}; with
-    # probability 0.3 a unit repeats one of its features.
+def small_integer_layer(rng, bias, max_rank=3, max_product=None):
+    # n in 1..3, 1 to 4 units of rank 1 to max_rank, each capped so that
+    # the product of the ranks stays at most max_product, entries in
+    # {-2, ..., 2}; with probability 0.3 a unit repeats one of its features.
     n = rng.randint(1, 3)
     units = []
+    product = 1
     for _ in range(rng.randint(1, 4)):
-        rank = rng.randint(1, 3)
+        cap = max_rank if max_product is None else min(max_rank, max_product // product)
+        rank = rng.randint(1, cap)
+        product *= rank
         w = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rank)]
         b = [rng.randint(-2, 2) for _ in range(rank)]
         if rank > 1 and rng.random() < 0.3:
@@ -347,6 +357,9 @@ class TestPoset:
             assert [count_faces_poset(arr, s, p) for s in range(n)] == [
                 count_faces_poset(ref_arr, s, q) for s in range(n)
             ]
+            mu = mobius_reference(p)
+            assert p.mobius_from_bottom == mu[0]
+            assert p.face_counts == face_counts_reference(p, mu)
             assert new_lps <= ref_lps
             new_total, ref_total = new_total + new_lps, ref_total + ref_lps
         assert new_total < ref_total
@@ -354,18 +367,20 @@ class TestPoset:
     def test_mobius_recursion(self):
         for l in (example_layer(), three_generic_lines(), central_3_2()):
             p = build_poset(build_atoms(l))
+            mu = mobius_reference(p)
             n = len(p.elements)
             for x in range(n):
                 for z in range(n):
                     if not p.leq[x][z]:
                         continue
                     total = sum(
-                        p.mobius(x, y)
+                        mu[x][y]
                         for y in range(n)
                         if p.leq[x][y] and p.leq[y][z]
                     )
                     assert total == (1 if x == z else 0)
-            assert p.mobius_from_bottom == tuple(p.mobius(0, j) for j in range(n))
+            assert p.mobius_from_bottom == mu[0]
+            assert p.face_counts == face_counts_reference(p, mu)
 
 
 class TestPosetCounting:
@@ -483,6 +498,30 @@ class TestBoundedRegionGap:
 
 
 class TestInvariants:
+    def test_degenerate_layers_differential(self):
+        # Integer layers drawn with no genericity check, some of them not
+        # simple, with duplicated features and both bias modes: the three
+        # region counters agree, the poset face counts are the cell
+        # dimension histogram, and the cells satisfy the Euler relation.
+        rng = random.Random(2104)
+        for i in range(100):
+            l = small_integer_layer(rng, bias=i % 2 == 0, max_rank=4, max_product=48)
+            n = l.input_dim
+            arr = build_atoms(l)
+            p = build_poset(arr)
+            rc = count_regions_bruteforce(l)
+            assert count_regions_poset(arr, p) == rc.regions == dual_region_count(l)
+            cells = enumerate_cells(l)
+            hist = [0] * (n + 1)
+            for c in cells:
+                hist[c.dim] += 1
+            assert p.face_counts == tuple(hist)
+            assert sum((-1) ** c.dim for c in cells) == (-1) ** n
+            assert sum(c.bounded for c in cells if c.dim == n) == rc.bounded_regions
+            if is_simple(arr).simple:
+                ranks = [u.rank for u in l.units]
+                assert rc.regions <= shallow_formula(n, ranks, l.bias_mode == WITH_BIAS)
+
     def test_poset_vs_bruteforce_grid(self):
         for seed, (n, ranks) in enumerate(
             [(1, (2, 2)), (2, (2, 2)), (2, (3, 2)), (2, (2, 2, 2)), (2, (3, 3))]
