@@ -30,6 +30,7 @@ must be >= 0; --jobs, --magnitude, --inputs, --units, --rank and --trials
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -164,7 +165,7 @@ def cmd_regions(args) -> int:
     methods = ["pattern", "poset", "dual"] if args.method == "all" else [args.method]
 
     if len(net.layers) > 1:
-        if args.require_simple or args.method not in ("pattern", "all") or net.input_dim != 1:
+        if args.require_simple or args.method != "pattern" or net.input_dim != 1:
             print("multi-layer networks support only --method pattern with one input, "
                   "and no --require-simple", file=sys.stderr)
             return EXIT_PRECONDITION
@@ -301,7 +302,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(prog="tropic", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 

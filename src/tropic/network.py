@@ -539,59 +539,44 @@ def restrict_network_to_line(net: NetworkSpec, point: Sequence[Fraction], direct
 def count_regions_line(net: NetworkSpec) -> int:
     """Exact number of linear regions of a one-input network.
 
-    Collects candidate breakpoints layer by layer (pairwise feature ties over
-    each interval of the current subdivision), then counts maximal intervals
-    on which the full network is one affine map.
+    One left-to-right pass over pieces.  A piece is an open interval of the
+    line, stored as its left end (None for -inf; it ends where the next
+    piece starts), with the affine map t -> p + t * q of the layers seen so
+    far.  Invariant: on every piece each unit of each layer seen so far has
+    one constant argmax set, so (p, q) is the network's prefix on all of
+    it.  A layer splits a piece at the ties, strictly inside it, of the
+    one-input layer that the piece sees; a tie at a sub-piece's interior
+    point holds on the whole sub-piece, so any argmax feature there gives
+    its next (p, q).  Adjacent pieces lie in one region iff their final
+    maps are equal.
     """
     if net.input_dim != 1:
         raise ValueError("count_regions_line needs a one-input network")
-    candidates: list[Fraction] = []
+    pieces = [(None, (Fraction(0),), (Fraction(1),))]
+    for l in net.layers:
+        split = []
+        rights = [piece[0] for piece in pieces[1:]] + [None]
+        for (left, p, q), right in zip(pieces, rights):
+            units = [[(b, w[0]) for w, b in u.features()] for u in restrict_layer(l, p, [q]).units]
+            ties = {
+                (d0 - c0) / (c1 - d1)
+                for feats in units
+                for (c0, c1), (d0, d1) in combinations(feats, 2)
+                if c1 != d1
+            }
+            ends = [left] + sorted(
+                x for x in ties if (left is None or left < x) and (right is None or x < right)
+            )
+            for a, b in zip(ends, ends[1:] + [right]):
+                t = _interior_point(a, b)
+                best = [max(feats, key=lambda f: f[0] + f[1] * t) for feats in units]
+                split.append((a, tuple(c0 for c0, _ in best), tuple(c1 for _, c1 in best)))
+        pieces = split
+    return 1 + sum(a[1:] != b[1:] for a, b in zip(pieces, pieces[1:]))
 
-    def representatives(cands: list[Fraction]) -> list[Fraction]:
-        if not cands:
-            return [Fraction(0)]
-        reps = [cands[0] - 1]
-        for a, b in zip(cands, cands[1:]):
-            reps.append((a + b) / 2)
-        reps.append(cands[-1] + 1)
-        return reps
 
-    def affine_through(layers, rep):
-        # Affine map t -> p + q t of the composition, valid on the interval
-        # of rep (ties at rep persist on the whole interval, so any argmax
-        # feature yields the same restriction).
-        p = [Fraction(0)]
-        q = [Fraction(1)]
-        for l in layers:
-            np_, nq = [], []
-            for u in l.units:
-                best = None
-                for w, b in u.features():
-                    c0 = dot(w, p) + b
-                    c1 = dot(w, q)
-                    val = c0 + c1 * rep
-                    if best is None or val > best[0]:
-                        best = (val, c0, c1)
-                np_.append(best[1])
-                nq.append(best[2])
-            p, q = np_, nq
-        return tuple(p), tuple(q)
-
-    for depth, l in enumerate(net.layers):
-        new_pts: set[Fraction] = set()
-        for rep in representatives(candidates):
-            p, q = affine_through(net.layers[:depth], rep)
-            for u in l.units:
-                feats = [(dot(w, p) + b, dot(w, q)) for w, b in u.features()]
-                for (c0, c1), (d0, d1) in combinations(feats, 2):
-                    if c1 != d1:
-                        new_pts.add((d0 - c0) / (c1 - d1))
-        candidates = sorted(set(candidates) | new_pts)
-
-    reps = representatives(candidates)
-    maps = [affine_through(net.layers, r) for r in reps]
-    regions = 1
-    for a, b in zip(maps, maps[1:]):
-        if a != b:
-            regions += 1
-    return regions
+def _interior_point(left: Fraction | None, right: Fraction | None) -> Fraction:
+    """A point of the open interval (left, right); None is -inf or +inf."""
+    if left is None:
+        return Fraction(0) if right is None else right - 1
+    return left + 1 if right is None else (left + right) / 2

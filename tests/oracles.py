@@ -17,6 +17,9 @@ has_lower_witness decides classify_vertices' strict-lower class by an LP of
 its own.
 classify_vertices_reference is the two-LP classification (a hull LP per
 point, then a hull-plus-ray LP per vertex) that the one drop LP replaced.
+count_regions_line_reference is the line counter that the one pass over
+pieces replaced: it collects tie points depth by depth, re-composing every
+earlier layer from the input at each candidate interval.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from tropic.geometry import (
 )
 from tropic.linalg import dot
 from tropic.minkowski import VertexClassification
+from tropic.network import NetworkSpec
 from tropic.linprog import (
     EQ,
     GE,
@@ -651,3 +655,64 @@ def det_reference(rows: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
         prev = m[c][c]
     return sign * m[n - 1][n - 1]
+
+
+def count_regions_line_reference(net: NetworkSpec) -> int:
+    """Exact number of linear regions of a one-input network.
+
+    Collects candidate breakpoints layer by layer (pairwise feature ties over
+    each interval of the current subdivision), then counts maximal intervals
+    on which the full network is one affine map.
+    """
+    if net.input_dim != 1:
+        raise ValueError("count_regions_line needs a one-input network")
+    candidates: list[Fraction] = []
+
+    def representatives(cands: list[Fraction]) -> list[Fraction]:
+        if not cands:
+            return [Fraction(0)]
+        reps = [cands[0] - 1]
+        for a, b in zip(cands, cands[1:]):
+            reps.append((a + b) / 2)
+        reps.append(cands[-1] + 1)
+        return reps
+
+    def affine_through(layers, rep):
+        # Affine map t -> p + q t of the composition, valid on the interval
+        # of rep (ties at rep persist on the whole interval, so any argmax
+        # feature yields the same restriction).
+        p = [Fraction(0)]
+        q = [Fraction(1)]
+        for l in layers:
+            np_, nq = [], []
+            for u in l.units:
+                best = None
+                for w, b in u.features():
+                    c0 = dot(w, p) + b
+                    c1 = dot(w, q)
+                    val = c0 + c1 * rep
+                    if best is None or val > best[0]:
+                        best = (val, c0, c1)
+                np_.append(best[1])
+                nq.append(best[2])
+            p, q = np_, nq
+        return tuple(p), tuple(q)
+
+    for depth, l in enumerate(net.layers):
+        new_pts: set[Fraction] = set()
+        for rep in representatives(candidates):
+            p, q = affine_through(net.layers[:depth], rep)
+            for u in l.units:
+                feats = [(dot(w, p) + b, dot(w, q)) for w, b in u.features()]
+                for (c0, c1), (d0, d1) in combinations(feats, 2):
+                    if c1 != d1:
+                        new_pts.add((d0 - c0) / (c1 - d1))
+        candidates = sorted(set(candidates) | new_pts)
+
+    reps = representatives(candidates)
+    maps = [affine_through(net.layers, r) for r in reps]
+    regions = 1
+    for a, b in zip(maps, maps[1:]):
+        if a != b:
+            regions += 1
+    return regions

@@ -8,6 +8,7 @@ from tropic.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from tropic import linprog
@@ -52,6 +53,35 @@ def test_bounds_prior(capsys):
 def test_usage_error(capsys):
     code, _, _ = run(capsys, "bounds", "shallow", "--inputs", "2")
     assert code == EXIT_USAGE
+
+
+def test_cached_parser_gives_the_outputs_of_a_fresh_one(capsys):
+    # main reuses one parser per process: a usage error and the commands
+    # after it print what they print with a newly built parser.
+    commands = [
+        ("bounds", "shallow", "--inputs", "2"),
+        ("bounds", "shallow", "--inputs", "2", "--ranks", "2,2,2", "--no-bias"),
+        ("bounds", "shallow", "--inputs", "2", "--ranks", "2,2,2"),
+        ("construct", "shallow-max", "--inputs", "2", "--ranks", "3,3", "--seed", "1"),
+    ]
+
+    def outputs(fresh):
+        seen = []
+        for argv in commands:
+            if fresh:
+                build_parser.cache_clear()
+            code, out, err = run(capsys, *argv)
+            doc = json.loads(out) if out else None
+            if isinstance(doc, dict):
+                doc.pop("timings_ms", None)
+            seen.append((code, doc, err))
+        return seen
+
+    cached = outputs(fresh=False)
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in cached] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert cached[1][1] != cached[2][1]
+    assert cached == outputs(fresh=True)
 
 
 def test_construct_then_count_all_methods(tmp_path, capsys):
@@ -264,6 +294,12 @@ def test_deep_network_pattern_only(tmp_path, capsys):
     assert results_of(out)["pattern"]["regions"] >= 6
     code, _, _ = run(capsys, "regions", "count", "--network", str(net), "--method", "poset")
     assert code == EXIT_PRECONDITION
+    # --method all would report the pattern count alone, with no
+    # consistency check across methods, so it is refused too.
+    code, out, err = run(capsys, "regions", "count", "--network", str(net), "--method", "all")
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "only --method pattern" in err
 
 
 def test_require_simple_refused_on_multi_layer_input(tmp_path, capsys):

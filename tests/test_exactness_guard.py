@@ -6,7 +6,8 @@ only, so no float literal appears in its source; exact elimination lives
 in linalg alone; geometry solves its LPs in three places only, and a
 system's common-margin LP only through the system's cache; minkowski solves
 its LPs in the drop LP alone; arrangement builds argmax rows in one helper;
-and every integer command-line argument is range-checked.
+the line counter composes features through restrict_layer alone; and every
+integer command-line argument is range-checked.
 """
 
 import ast
@@ -104,6 +105,25 @@ def test_arrangement_builds_argmax_rows_in_one_helper():
     lines = [n.lineno for n in ast.walk(tree) if builds_rows(n) and id(n) not in inside]
     assert any(builds_rows(n) for n in ast.walk(helper))
     assert lines == [], f"arrangement.py: ConstraintSystem with rows at lines {lines}"
+
+
+def test_line_counter_composes_features_through_restrict_layer():
+    # count_regions_line reads the one-input layer each piece sees off
+    # restrict_layer; a dot product in it would compose features by hand
+    # a second time.
+    path = next(p for p in SOURCES if p.name == "network.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    counter = next(s for s in tree.body if getattr(s, "name", None) == "count_regions_line")
+    nodes = list(ast.walk(counter))
+    assert any(isinstance(n, ast.Name) and n.id == "restrict_layer" for n in nodes)
+    lines = [
+        n.lineno
+        for n in nodes
+        if isinstance(n, ast.Call)
+        and ((isinstance(n.func, ast.Name) and n.func.id == "dot")
+             or (isinstance(n.func, ast.Attribute) and n.func.attr == "dot"))
+    ]
+    assert lines == [], f"network.py: count_regions_line calls dot at lines {lines}"
 
 
 def test_margin_lp_is_solved_only_by_the_system_cache():

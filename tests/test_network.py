@@ -12,6 +12,7 @@ from tropic.network import (
     NO_BIAS,
     WITH_BIAS,
     NetworkParseError,
+    NetworkSpec,
     _projectivize,
     activation_pattern,
     construct_deep_lower,
@@ -30,6 +31,8 @@ from tropic.network import (
     single_layer_network,
     unit,
 )
+
+from oracles import count_regions_line_reference
 
 RELU = unit([[1], [0]], [0, 0])  # max{x, 0}
 
@@ -324,3 +327,33 @@ class TestCountRegionsLine:
     def test_needs_one_input(self):
         with pytest.raises(ValueError):
             count_regions_line(single_layer_network(example_layer()))
+
+    def test_matches_reference_on_random_networks(self):
+        # Depth 1-3, width 1-3, ranks 1-3, entries in -2..2, each layer with
+        # or without bias: small entries make rank-1 units, repeated
+        # features, parallel features and ties shared by units common.
+        rng = random.Random(0)
+        rank_one = repeated = 0
+        for _ in range(400):
+            layers = []
+            dim = 1
+            for _ in range(rng.randint(1, 3)):
+                bias = rng.random() < 0.5
+                units = []
+                for _ in range(rng.randint(1, 3)):
+                    k = rng.randint(1, 3)
+                    weights = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(k)]
+                    biases = [rng.randint(-2, 2) for _ in range(k)] if bias else None
+                    units.append(unit(weights, biases))
+                    rank_one += k == 1
+                    repeated += len(set(units[-1].features())) < k
+                layers.append(layer(units, dim))
+                dim = len(units)
+            net = NetworkSpec(1, tuple(layers))
+            assert count_regions_line(net) == count_regions_line_reference(net), serialize_network(net)
+        assert rank_one >= 100 and repeated >= 20, (rank_one, repeated)
+
+    @pytest.mark.parametrize("widths,rank", [([2, 2, 2], 3), ([4, 4, 4], 2)], ids=["2-2-2_k3", "4-4-4_k2"])
+    def test_matches_reference_on_deep_constructions(self, widths, rank):
+        net = construct_deep_lower(1, widths, rank, seed=0)
+        assert count_regions_line(net) == count_regions_line_reference(net)
