@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .bounds import IdentityCheck, alternating_subsum
@@ -220,23 +220,27 @@ def _dedupe_units(layer: LayerSpec) -> LayerSpec:
     return LayerSpec(layer.input_dim, tuple(units), layer.bias_mode)
 
 
+def _regions(layer: LayerSpec, jobs: int = 1) -> list[Cell]:
+    """The regions: the cells of the pruned frontier over one singleton
+    choice per feature, after duplicate features are collapsed so strict
+    dominance is meaningful.  A signature holds every unit's strict argmax."""
+    layer = _dedupe_units(layer)
+    return _frontier(layer, [[(a,) for a in range(u.rank)] for u in layer.units], jobs)
+
+
 def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
     """Region and bounded-region counts by strict-argmax enumeration.
 
     Regions are the full-dimensional cells, i.e. the strict single-argmax
-    patterns with a nonempty interior; duplicate features are collapsed first
-    so strict dominance is meaningful.  The patterns are walked by the same
-    pruned frontier as enumerate_cells, with one singleton choice per
-    feature.  A level is refused before it starts when the LP budget has
-    fewer LPs left than it has patterns that add rows, so a budget equal to
-    the walk's LPs completes.  With jobs > 1 each level's batches run in
-    a process pool; the workers' LPs count in lp_call_count() and against
-    linprog.lp_budget, and the counts, the LPs solved and whether the budget
-    is exceeded are the same for every jobs.
+    patterns with a nonempty interior, walked by _regions with the same
+    pruned frontier as enumerate_cells.  A level is refused before it starts
+    when the LP budget has fewer LPs left than it has patterns that add
+    rows, so a budget equal to the walk's LPs completes.  With jobs > 1 each
+    level's batches run in a process pool; the workers' LPs count in
+    lp_call_count() and against linprog.lp_budget, and the counts, the LPs
+    solved and whether the budget is exceeded are the same for every jobs.
     """
-    layer = _dedupe_units(layer)
-    choices = [[(a,) for a in range(u.rank)] for u in layer.units]
-    cells = _frontier(layer, choices, jobs)
+    cells = _regions(layer, jobs)
     return RegionCount(len(cells), sum(c.bounded for c in cells))
 
 
@@ -328,7 +332,7 @@ def build_poset(arr: Arrangement) -> Poset:
             w = feasible(cand)
             if w is None:
                 continue
-            point = linalg.rank([c for c, _ in cand.equalities]) == n
+            point = cand.equality_rank == n
             support = set(key) | {i}
             for j, other in enumerate(arr.atoms):
                 if j in support or not other.system.satisfies(w):
@@ -386,8 +390,12 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
 
     Subset sizes run to n+1 so one-too-many concurrences are caught.  A
     single atom has codimension 1 by construction, so subsets start at two
-    atoms.  The tuples are walked depth first, each with its system: its
-    prefix's system intersected with its last atom's.
+    atoms.  The tuples are walked depth first, a tuple before its
+    extensions, each with its system: its prefix's system intersected with
+    its last atom's; the first tuple that fails is the violation.  An empty
+    tuple of a non-central arrangement passes, and so does every extension
+    of it, so the walk does not extend it.  Central atoms all contain the
+    origin, so no central tuple is empty and none is skipped.
     """
     n = arr.ambient_dim
     by_unit: dict[int, list[int]] = {}
@@ -396,40 +404,29 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
     units = sorted(by_unit)
     max_j = min(len(units), n + 1)
 
-    def check_subset(j: int, sys: ConstraintSystem) -> bool:
-        dim = affine_dimension(sys)
-        if dim is None:  # empty
-            return not arr.central  # central atoms all meet at the origin
-        if dim == n - j:
-            return True
-        return arr.central and dim == 0
-
-    def atom_tuples(u_pos: int, chosen: tuple[int, ...], sys: ConstraintSystem):
-        # (tuple, system) for the tuples of atoms of distinct units extending
-        # chosen, depth first: a tuple comes before its extensions.
+    def first_violation(u_pos: int, chosen: tuple[int, ...], sys: ConstraintSystem):
         if len(chosen) > 1:
-            yield chosen, sys
+            dim = affine_dimension(sys)
+            if dim is None:  # empty
+                return chosen if arr.central else None
+            if dim != n - len(chosen) and not (arr.central and dim == 0):
+                return chosen
         if len(chosen) < max_j:
             for pos in range(u_pos, len(units)):
                 for ai in by_unit[units[pos]]:
-                    yield from atom_tuples(
+                    found = first_violation(
                         pos + 1, chosen + (ai,), sys.intersection(arr.atoms[ai].system)
                     )
+                    if found is not None:
+                        return found
+        return None
 
-    tuples = atom_tuples(0, (), ConstraintSystem(n))
-    violation = next((t for t, sys in tuples if not check_subset(len(t), sys)), None)
+    violation = first_violation(0, (), ConstraintSystem(n))
     return SimplicityCertificate(violation is None, violation)
 
 
 # ---------------------------------------------------------------------------
 # Subsum identities and the bounded-region gap
-
-
-def sub_layer(layer: LayerSpec, subset: Iterable[int]) -> LayerSpec:
-    """Layer keeping only the (1-based) units in subset."""
-    keep = sorted(subset)
-    units = tuple(layer.units[i - 1] for i in keep)
-    return LayerSpec(layer.input_dim, units, layer.bias_mode)
 
 
 def _require_units_with_atoms(layer: LayerSpec, arr: Arrangement):
@@ -443,7 +440,19 @@ def _require_units_with_atoms(layer: LayerSpec, arr: Arrangement):
 
 def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, int]:
     """Region count and alternating sum over the <=n-unit sub-arrangements
-    of a subsum identity in Q^n (the unitless one is 1 region, no LP)."""
+    of a subsum identity in Q^n, all read off one region walk: r(A_S) is the
+    number of distinct restrictions to S of the walk's region signatures
+    (the unitless S keeps the one empty restriction, the one region).
+
+    The sub-arrangements cost no LP beyond the walk's, and the count is
+    exact.  The argmax over S is constant on a region of A, so that region
+    lies in the region of A_S its restriction names.  Every region of A_S
+    is open and A's regions are dense, so it meets one of them and thus
+    contains it: every region of A_S is named.  Distinct restrictions are
+    distinct strict argmax patterns over S, so they name distinct regions
+    of A_S.  _dedupe_units works unit by unit, so A and A_S index their
+    features alike.
+    """
     m = layer.width
     if m < n + 1:
         raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
@@ -451,9 +460,9 @@ def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, i
     _require_units_with_atoms(layer, arr)
     if not assume_simple and not is_simple(arr).simple:
         raise ValueError("arrangement is not simple")
-    regions = count_regions_bruteforce(layer).regions
-    return regions, alternating_subsum(
-        m, n, lambda S: count_regions_bruteforce(sub_layer(layer, (i + 1 for i in S))).regions
+    sigs = [c.signature for c in _regions(layer)]
+    return len(sigs), alternating_subsum(
+        m, n, lambda S: len({tuple(sig[i] for i in S) for sig in sigs})
     )
 
 

@@ -102,43 +102,25 @@ def deep_upper_uniform(n0: int, widths: Sequence[int], k: int, with_bias: bool =
     return deep_upper(n0, widths, [[k] * w for w in widths], with_bias)
 
 
-def _admissible_ns(n0: int, widths: Sequence[int], with_bias: bool):
-    hidden = list(widths)[:-1]
-    out = []
-    max_n = n0
-    for n in range(1, max_n + 1):
-        if with_bias:
-            ok = all(w % n == 0 and (w // n) % 2 == 0 for w in hidden)
-        else:
-            ok = n >= 2 and all(
-                (w - 1) % (n - 1) == 0 and ((w - 1) // (n - 1)) % 2 == 0 for w in hidden
-            )
-        if ok:
-            out.append(n)
-    return out
-
-
 def deep_lower(n0: int, widths: Sequence[int], k: int, with_bias: bool = True) -> DeepLowerResult:
     """Region count realized by the zig-zag construction, maximized over the
     admissible replication dimensions n (reported alongside the value; the
-    largest n on a tie, which network.construct_deep_lower builds)."""
+    largest n on a tie, which network.construct_deep_lower builds).  Without
+    biases it is the with-bias formula with e = n - 1 in place of n and w - 1
+    in place of each hidden width w, and n admits when every such width
+    splits into e groups of even size."""
     if k < 2:
         raise ValueError("rank must be >= 2")
     _check_architecture(n0, widths)
-    hidden = list(widths)[:-1]
-    n_last = widths[-1]
+    shift = 0 if with_bias else 1
+    hidden = [w - shift for w in widths[:-1]]
     best = None
-    for n in _admissible_ns(n0, widths, with_bias):
-        if with_bias:
-            value = 1
-            for w in hidden:
-                value *= ((w // n) * (k - 1) + 1) ** n
-            value *= sum(binom(n_last, j) * (k - 1) ** j for j in range(n + 1))
-        else:
-            value = 1
-            for w in hidden:
-                value *= (((w - 1) // (n - 1)) * (k - 1) + 1) ** (n - 1)
-            value *= sum(binom(n_last, j) * (k - 1) ** j for j in range(n))
+    for n in range(1 + shift, n0 + 1):
+        e = n - shift
+        if any(h % e or (h // e) % 2 for h in hidden):
+            continue
+        value = prod(((h // e) * (k - 1) + 1) ** e for h in hidden)
+        value *= sum(binom(widths[-1], j) * (k - 1) ** j for j in range(e + 1))
         if best is None or value >= best.value:
             best = DeepLowerResult(value, n)
     if best is None:

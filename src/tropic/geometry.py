@@ -87,6 +87,12 @@ class ConstraintSystem:
         )
 
     @cached_property
+    def equality_rank(self) -> int:
+        """Rank of the equality rows; when it is ambient_dim, the equalities
+        fix at most one point."""
+        return linalg.rank([c for c, _ in self.equalities])
+
+    @cached_property
     def _margin(self) -> LPResult:
         """The common-margin LP of this system, solved on first use.  An LP
         that raises (say, over the LP budget) leaves nothing cached."""
@@ -127,18 +133,18 @@ def affine_dimension(sys: ConstraintSystem) -> int | None:
     no LP is solved.  At margin 0 only the rows tight at its point can be
     implicit equalities, and one _implicit_equalities LP picks them out.
     The dimension is d minus the rank of the equalities and the implicit
-    equalities.
+    equalities: the system's equality_rank at positive margin.
     """
     d = sys.ambient_dim
     res = sys._margin
     if res.status == INFEASIBLE:
         return None
-    normals = [c for c, _ in sys.equalities]
-    if res.value == 0:
-        x = res.x[:d]
-        tight = [k for k, (c, r) in enumerate(sys.inequalities) if linalg.dot(c, x) == r]
-        implicit = _implicit_equalities(d, sys.equalities, sys.inequalities, tight)
-        normals += [sys.inequalities[k][0] for k in implicit]
+    if res.value > 0:
+        return d - sys.equality_rank
+    x = res.x[:d]
+    tight = [k for k, (c, r) in enumerate(sys.inequalities) if linalg.dot(c, x) == r]
+    implicit = _implicit_equalities(d, sys.equalities, sys.inequalities, tight)
+    normals = [c for c, _ in sys.equalities] + [sys.inequalities[k][0] for k in implicit]
     return d - linalg.rank(normals)
 
 
@@ -209,7 +215,7 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     if feasible(sys) is None:
         raise EmptyPolyhedronError("recession profile of an empty polyhedron")
     d = sys.ambient_dim
-    if linalg.rank([c for c, _ in sys.equalities]) == d:
+    if sys.equality_rank == d:
         return RecessionProfile(0, True)
     lineality_dim = d - linalg.rank([c for c, _ in sys.equalities + sys.inequalities])
     cone = [(c, 0) for c, _ in sys.inequalities]

@@ -419,14 +419,9 @@ def construct_deep_lower(n0: int, widths: Sequence[int], rank: int, seed: int) -
         total = sum(wvec, Fraction(0))
         folded = [sum(wvec[d] * fold_rows[d][c] for d in range(n)) for c in range(len(fold_rows[0]))]
         betas = [total * Fraction(i + 1 + r * n_last, nb + 1) for r in range(k - 1)]
-        slopes = [Fraction(0)]
-        intercepts = [Fraction(0)]
-        for r in range(k - 1):
-            slopes.append(slopes[-1] + 1)
-            intercepts.append(intercepts[-1] - betas[r])
-        weights = tuple(tuple((s + 1) * c for c in folded) for s in slopes)
-        biases = tuple(intercepts)
-        units.append(MaxoutUnitSpec(weights, biases))
+        feats = _convex_ladder(betas, Fraction(1), Fraction(0), k)
+        weights = tuple(tuple((s + 1) * c for c in folded) for s, _ in feats)
+        units.append(MaxoutUnitSpec(weights, tuple(g for _, g in feats)))
     layers.append(LayerSpec(len(fold_rows[0]), tuple(units), WITH_BIAS))
     return NetworkSpec(n0, tuple(layers))
 

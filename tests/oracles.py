@@ -20,6 +20,10 @@ point, then a hull-plus-ray LP per vertex) that the one drop LP replaced.
 count_regions_line_reference is the line counter that the one pass over
 pieces replaced: it collects tie points depth by depth, re-composing every
 earlier layer from the input at each candidate interval.
+subsum_sides_reference is the subsum identity evaluation that reading every
+sub-arrangement off one region walk replaced: it walks each sub-layer
+(sub_layer) again.  is_simple_reference is the simplicity check that the
+pruned depth-first search replaced: it checks every atom tuple.
 """
 
 from __future__ import annotations
@@ -29,7 +33,17 @@ from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Sequence
 
-from tropic.arrangement import Arrangement, Cell, Poset, PosetElement
+from tropic.arrangement import (
+    Arrangement,
+    Cell,
+    Poset,
+    PosetElement,
+    SimplicityCertificate,
+    _require_units_with_atoms,
+    build_atoms,
+    count_regions_bruteforce,
+)
+from tropic.bounds import alternating_subsum
 from tropic.geometry import (
     ConstraintSystem,
     EmptyPolyhedronError,
@@ -42,7 +56,7 @@ from tropic.geometry import (
 )
 from tropic.linalg import dot
 from tropic.minkowski import VertexClassification
-from tropic.network import NetworkSpec
+from tropic.network import LayerSpec, NetworkSpec
 from tropic.linprog import (
     EQ,
     GE,
@@ -716,3 +730,62 @@ def count_regions_line_reference(net: NetworkSpec) -> int:
         if a != b:
             regions += 1
     return regions
+
+
+def sub_layer(layer: LayerSpec, subset: Iterable[int]) -> LayerSpec:
+    """Layer keeping only the (1-based) units in subset."""
+    keep = sorted(subset)
+    units = tuple(layer.units[i - 1] for i in keep)
+    return LayerSpec(layer.input_dim, units, layer.bias_mode)
+
+
+def subsum_sides_reference(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, int]:
+    """Region count and alternating sum over the <=n-unit sub-arrangements
+    of a subsum identity in Q^n, each sub-arrangement counted by a region
+    walk of its own (the unitless one is 1 region, no LP)."""
+    m = layer.width
+    if m < n + 1:
+        raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
+    arr = build_atoms(layer)
+    _require_units_with_atoms(layer, arr)
+    if not assume_simple and not is_simple_reference(arr).simple:
+        raise ValueError("arrangement is not simple")
+    regions = count_regions_bruteforce(layer).regions
+    return regions, alternating_subsum(
+        m, n, lambda S: count_regions_bruteforce(sub_layer(layer, (i + 1 for i in S))).regions
+    )
+
+
+def is_simple_reference(arr: Arrangement) -> SimplicityCertificate:
+    """Certify that any j atoms of distinct units intersect in codimension j
+    (empty allowed; for central arrangements the origin is allowed instead),
+    checking every tuple of two to n+1 atoms of distinct units depth first,
+    a tuple before its extensions, and reporting the first that fails."""
+    n = arr.ambient_dim
+    by_unit: dict[int, list[int]] = {}
+    for i, a in enumerate(arr.atoms):
+        by_unit.setdefault(a.unit, []).append(i)
+    units = sorted(by_unit)
+    max_j = min(len(units), n + 1)
+
+    def check_subset(j: int, sys: ConstraintSystem) -> bool:
+        dim = affine_dimension(sys)
+        if dim is None:  # empty
+            return not arr.central  # central atoms all meet at the origin
+        if dim == n - j:
+            return True
+        return arr.central and dim == 0
+
+    def atom_tuples(u_pos: int, chosen: tuple[int, ...], sys: ConstraintSystem):
+        if len(chosen) > 1:
+            yield chosen, sys
+        if len(chosen) < max_j:
+            for pos in range(u_pos, len(units)):
+                for ai in by_unit[units[pos]]:
+                    yield from atom_tuples(
+                        pos + 1, chosen + (ai,), sys.intersection(arr.atoms[ai].system)
+                    )
+
+    tuples = atom_tuples(0, (), ConstraintSystem(n))
+    violation = next((t for t, sys in tuples if not check_subset(len(t), sys)), None)
+    return SimplicityCertificate(violation is None, violation)

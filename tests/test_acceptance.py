@@ -21,7 +21,6 @@ from tropic.arrangement import (
     count_regions_poset,
     enumerate_cells,
     is_simple,
-    sub_layer,
     subsum_identity_central,
     subsum_identity_noncentral,
 )
@@ -52,6 +51,7 @@ from oracles import (
     euler_characteristic_by_decomposition,
     face_counts_reference,
     mobius_reference,
+    sub_layer,
 )
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tropic.arrangement import (
+    _subsum_sides,
     bounded_region_gap,
     build_atoms,
     build_poset,
@@ -13,7 +14,6 @@ from tropic.arrangement import (
     count_regions_poset,
     enumerate_cells,
     is_simple,
-    sub_layer,
     subsum_identity_central,
     subsum_identity_noncentral,
 )
@@ -36,7 +36,9 @@ from oracles import (
     build_poset_reference,
     enumerate_cells_unpruned,
     face_counts_reference,
+    is_simple_reference,
     mobius_reference,
+    subsum_sides_reference,
 )
 
 RELU = unit([[1], [0]], [0, 0])
@@ -440,6 +442,24 @@ class TestIsSimple:
         )
         assert not is_simple(build_atoms(l)).simple
 
+    def test_matches_every_tuple_reference(self):
+        # The search that stops at empty non-central tuples gives the flag
+        # and the first violation of the check of every tuple, with no
+        # more LPs.
+        rng = random.Random(1975)
+        seen = Counter()
+        for i in range(200):
+            arr = build_atoms(small_integer_layer(rng, i % 2 == 0, max_rank=4, max_product=48))
+            start = lp_call_count()
+            cert = is_simple(arr)
+            mid = lp_call_count()
+            assert cert == is_simple_reference(arr)
+            saved = lp_call_count() - mid - (mid - start)
+            assert saved >= 0 and not (arr.central and saved)
+            seen["pruned"] += saved > 0
+            seen[f"not simple, central {arr.central}"] += not cert.simple
+        assert min(seen.values()) >= 5, seen
+
 
 class TestSubsumIdentities:
     def test_three_lines(self):
@@ -473,6 +493,43 @@ class TestSubsumIdentities:
         )  # three concurrent lines: m = 3 >= n+1 but not simple
         with pytest.raises(ValueError, match="simple"):
             subsum_identity_noncentral(l)
+
+    def test_unit_without_atoms_rejected(self):
+        # The third unit's features share one weight vector, so one of them
+        # dominates everywhere and the unit has no atom.
+        l = layer(list(three_generic_lines().units[:2]) + [unit([[1, 1], [1, 1]], [0, 1])])
+        with pytest.raises(ValueError, match=r"units \[3\] contribute no atoms"):
+            subsum_identity_noncentral(l)
+
+    def test_matches_sub_walk_reference(self):
+        # Reading every sub-arrangement off the one walk gives what walking
+        # each sub-layer again gives, on layers that need not be simple and
+        # may repeat features; a layer one side refuses, both refuse alike.
+        # Layers with m < n+1 or a unit of one distinct feature are skipped
+        # before any LP.
+        rng = random.Random(16)
+        seen = Counter()
+        while seen["compared"] < 100:
+            bias = seen["drawn"] % 2 == 0
+            seen["drawn"] += 1
+            l = small_integer_layer(rng, bias)
+            n = l.input_dim if bias else l.input_dim - 1
+            if l.width < n + 1 or any(len(set(u.features())) < 2 for u in l.units):
+                continue
+            sides = []
+            for f in (_subsum_sides, subsum_sides_reference):
+                try:
+                    sides.append(f(l, n, True))
+                except ValueError as exc:
+                    sides.append(str(exc))
+            assert sides[0] == sides[1]
+            if isinstance(sides[0], str):
+                continue
+            seen["compared"] += 1
+            seen["with bias"] += bias
+            seen["not simple"] += not is_simple(build_atoms(l)).simple
+            seen["repeats"] += any(len(set(u.features())) < u.rank for u in l.units)
+        assert seen["with bias"] >= 25 and seen["not simple"] >= 10 and seen["repeats"] >= 25
 
 
 class TestBoundedRegionGap:

@@ -6,8 +6,9 @@ only, so no float literal appears in its source; exact elimination lives
 in linalg alone; geometry solves its LPs in three places only, and a
 system's common-margin LP only through the system's cache; minkowski solves
 its LPs in the drop LP alone; arrangement builds argmax rows in one helper;
-the line counter composes features through restrict_layer alone; and every
-integer command-line argument is range-checked.
+the line counter composes features through restrict_layer alone; the
+subsum identities walk the regions once; and every integer command-line
+argument is range-checked.
 """
 
 import ast
@@ -124,6 +125,26 @@ def test_line_counter_composes_features_through_restrict_layer():
              or (isinstance(n.func, ast.Attribute) and n.func.attr == "dot"))
     ]
     assert lines == [], f"network.py: count_regions_line calls dot at lines {lines}"
+
+
+def test_subsum_identities_walk_the_regions_once():
+    # Every sub-arrangement's count is read off the full walk's signatures;
+    # a second walk, or a sub-layer to walk, would count again what the
+    # one walk already has.
+    path = next(p for p in SOURCES if p.name == "arrangement.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sides = next(s for s in tree.body if getattr(s, "name", None) == "_subsum_sides")
+    called = [
+        n.func.id for n in ast.walk(sides) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    ]
+    assert called.count("_regions") == 1 and "count_regions_bruteforce" not in called, called
+    defined = [
+        f"{p.name}:{n.lineno}"
+        for p in SOURCES
+        for n in _nodes(p)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "sub_layer"
+    ]
+    assert defined == [], f"sub_layer defined at {defined}"
 
 
 def test_margin_lp_is_solved_only_by_the_system_cache():
