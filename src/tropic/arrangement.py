@@ -118,6 +118,21 @@ def _nonempty_subsets(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _node(sig, sys, w):
+    """A walk node, or a leaf that keeps only what counting needs."""
+    return sig, sys
+
+
+def _cell(sig, sys, w) -> Cell:
+    """A leaf as a Cell with witness w; the dimension reads the solved margin
+    LP, so only the recession profile may cost an LP."""
+    if not sig:  # no units: the whole space, which needs no LP
+        return Cell((), sys.ambient_dim, sys.ambient_dim == 0, w)
+    prof = recession_profile(sys)
+    bounded = prof.lineality_dim == 0 and prof.pointed_part_bounded
+    return Cell(tuple(frozenset(c + 1 for c in t) for t in sig), affine_dimension(sys), bounded, w)
+
+
 def _expand(args) -> tuple[list, int]:
     """One frontier batch: extend each node by each of the level's choices.
 
@@ -125,55 +140,43 @@ def _expand(args) -> tuple[list, int]:
     subset, choice system) pair.  A child's system is its parent's
     intersected with the choice's, so a rank-1 choice, which has no rows,
     hands the child its parent's system and solved margin LP.  Keeps the
-    strictly feasible children, in node-then-choice order.  On the last
-    level they become Cells: the strictly-feasible point is the witness, and
-    the dimension and the recession profile read the system's solved margin
-    LP, so the dimension costs no LP.  Returns the children and the number
-    of LPs solved, so a pool worker's LPs can be charged to the caller.
+    strictly feasible children, in node-then-choice order, as
+    leaf(signature, system, strictly-feasible point).  Returns them and the
+    number of LPs solved, so a pool worker's LPs can be charged to the caller.
     """
-    nodes, choices, last = args
+    nodes, choices, leaf = args
     start = lp_call_count()
     out = []
     for prefix, parent in nodes:
         for choice, rows in choices:
-            sig = prefix + (choice,)
             sys = parent.intersection(rows)
             w = strictly_feasible(sys)
-            if w is None:
-                continue
-            if not last:
-                out.append((sig, sys))
-                continue
-            prof = recession_profile(sys)
-            out.append(Cell(
-                tuple(frozenset(c + 1 for c in t) for t in sig),
-                affine_dimension(sys),
-                prof.lineality_dim == 0 and prof.pointed_part_bounded,
-                w,
-            ))
+            if w is not None:
+                out.append(leaf(prefix + (choice,), sys, w))
     return out, lp_call_count() - start
 
 
-def _frontier(layer: LayerSpec, choices, jobs: int = 1) -> list[Cell]:
-    """Nonempty cells over the signatures choices[0] x choices[1] x ...,
-    in lexicographic order.
+def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1) -> list:
+    """leaf(signature, system, witness) of each nonempty cell over the
+    signatures choices[0] x choices[1] x ..., in lexicographic order.
 
     Level i builds unit i's choice systems once, extends every nonempty
     node by them and drops the empty children; an empty prefix cell has
-    only empty extensions, so whole subtrees are pruned.  Each child whose
-    choice system has rows is a new system and costs at least one LP (a
-    rank-1 unit's children cost none), so a level with more such children
-    than the current linprog.lp_budget has LPs left raises
-    BudgetExceededError before it solves any.  A level is split into batches
-    of nodes, each sent with the level's choice systems, that run inline, or
-    across a pool of jobs processes created once per call.  Pool LPs are
-    charged to this process's counter after every batch, which checks them
-    against the budget, so the cells, the LP count of a finished walk and
-    whether the budget is exceeded do not depend on jobs.
+    only empty extensions, so whole subtrees are pruned.  Only the last
+    level applies leaf, so what a cell costs beyond its margin LP is the
+    caller's choice.  Each child whose choice system has rows is a new
+    system and costs at least one LP (a rank-1 unit's children cost none),
+    so a level with more such children than the current linprog.lp_budget
+    has LPs left raises BudgetExceededError before it solves any.  A level is split into batches
+    of nodes, each sent with the level's choice systems and leaf, that run
+    inline, or across a pool of jobs processes created once per call.  Pool
+    LPs are charged to this process's counter after every batch, which checks
+    them against the budget, so the leaves, the LP count of a finished walk
+    and whether the budget is exceeded do not depend on jobs.
     """
     n = layer.input_dim
     if not choices:  # no units: the whole space is the one cell
-        return [Cell((), n, n == 0, (Fraction(0),) * n)]
+        return [leaf((), ConstraintSystem(n), (Fraction(0),) * n)]
     pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
     nodes = [((), ConstraintSystem(n))]
     try:
@@ -181,9 +184,9 @@ def _frontier(layer: LayerSpec, choices, jobs: int = 1) -> list[Cell]:
             level = [(c, _choice_system(n, u, c)) for c in unit_choices]
             adding = sum(1 for _, rows in level if rows.equalities or rows.inequalities)
             require_lp_headroom(len(nodes) * adding)
-            last = i == len(choices) - 1
+            f = leaf if i == len(choices) - 1 else _node
             size = 1 if pool is None else max(1, len(nodes) // (4 * jobs))
-            batches = [(nodes[k : k + size], level, last) for k in range(0, len(nodes), size)]
+            batches = [(nodes[k : k + size], level, f) for k in range(0, len(nodes), size)]
             nodes = []
             for children, lps in (map if pool is None else pool.map)(_expand, batches):
                 if pool is not None:
@@ -202,12 +205,12 @@ def enumerate_cells(layer: LayerSpec) -> list[Cell]:
     A unit's choices are the nonempty subsets of its features (the argmax
     set).  The walk is the pruned signature frontier: an empty prefix cuts
     its subtree, so the LPs track the nonempty cells, not all prod(2^k - 1)
-    signatures.  A level is refused before it starts when the LP budget has
-    fewer LPs left than it has children that add rows; a rank-1 unit's
-    children add none and solve nothing.  Cells come out in lexicographic
-    signature order.
+    signatures, and each leaf is made a Cell by _cell.  A level is refused
+    before it starts when the LP budget has fewer LPs left than it has
+    children that add rows; a rank-1 unit's children add none and solve
+    nothing.  Cells come out in lexicographic signature order.
     """
-    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units])
+    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units], _cell)
 
 
 def _dedupe_units(layer: LayerSpec) -> LayerSpec:
@@ -220,12 +223,12 @@ def _dedupe_units(layer: LayerSpec) -> LayerSpec:
     return LayerSpec(layer.input_dim, tuple(units), layer.bias_mode)
 
 
-def _regions(layer: LayerSpec, jobs: int = 1) -> list[Cell]:
-    """The regions: the cells of the pruned frontier over one singleton
-    choice per feature, after duplicate features are collapsed so strict
-    dominance is meaningful.  A signature holds every unit's strict argmax."""
+def _regions(layer: LayerSpec, leaf=_node, jobs: int = 1) -> list:
+    """The regions as leaves of the pruned frontier over one singleton choice
+    per feature, after duplicate features are collapsed so strict dominance
+    is meaningful.  A signature holds every unit's strict argmax."""
     layer = _dedupe_units(layer)
-    return _frontier(layer, [[(a,) for a in range(u.rank)] for u in layer.units], jobs)
+    return _frontier(layer, [[(a,) for a in range(u.rank)] for u in layer.units], leaf, jobs)
 
 
 def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
@@ -233,14 +236,15 @@ def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
 
     Regions are the full-dimensional cells, i.e. the strict single-argmax
     patterns with a nonempty interior, walked by _regions with the same
-    pruned frontier as enumerate_cells.  A level is refused before it starts
-    when the LP budget has fewer LPs left than it has patterns that add
-    rows, so a budget equal to the walk's LPs completes.  With jobs > 1 each
-    level's batches run in a process pool; the workers' LPs count in
-    lp_call_count() and against linprog.lp_budget, and the counts, the LPs
-    solved and whether the budget is exceeded are the same for every jobs.
+    pruned frontier as enumerate_cells, each made a Cell by _cell.  A level
+    is refused before it starts when the LP budget has fewer LPs left than
+    it has patterns that add rows, so a budget equal to the walk's LPs
+    completes.  With jobs > 1 each level's batches, _cell included, run in a
+    process pool; the workers' LPs count in lp_call_count() and against
+    linprog.lp_budget, and the counts, the LPs solved and whether the
+    budget is exceeded are the same for every jobs.
     """
-    cells = _regions(layer, jobs)
+    cells = _regions(layer, _cell, jobs)
     return RegionCount(len(cells), sum(c.bounded for c in cells))
 
 
@@ -429,20 +433,11 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
 # Subsum identities and the bounded-region gap
 
 
-def _require_units_with_atoms(layer: LayerSpec, arr: Arrangement):
-    atom_units = {a.unit for a in arr.atoms}
-    missing = [i + 1 for i in range(layer.width) if (i + 1) not in atom_units]
-    if missing:
-        raise ValueError(
-            f"units {missing} contribute no atoms; drop them before applying the identity"
-        )
-
-
 def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, int]:
     """Region count and alternating sum over the <=n-unit sub-arrangements
-    of a subsum identity in Q^n, all read off one region walk: r(A_S) is the
-    number of distinct restrictions to S of the walk's region signatures
-    (the unitless S keeps the one empty restriction, the one region).
+    of a subsum identity in Q^n, all read off the signatures of one region
+    walk: r(A_S) is the number of distinct restrictions to S of them (the
+    unitless S keeps the one empty restriction, the one region).
 
     The sub-arrangements cost no LP beyond the walk's, and the count is
     exact.  The argmax over S is constant on a region of A, so that region
@@ -452,15 +447,29 @@ def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, i
     distinct strict argmax patterns over S, so they name distinct regions
     of A_S.  _dedupe_units works unit by unit, so A and A_S index their
     features alike.
+
+    A unit has an atom exactly when two of its features have different
+    gradients, so that check solves no LP.  If all gradients are equal, the
+    features differ by constants, and a pair ties nowhere or, for
+    duplicates, on Q^n or nowhere: no tie has dimension n-1.  Otherwise no
+    feature is the maximum everywhere, as it would dominate one of another
+    gradient, so (the open sets where one feature is the strict maximum are
+    dense together) the unit's column of the walk's signatures takes two or
+    more values.  The closed pieces {f_a >= every feature} of those features
+    cover Q^n, so two of them, a and b, meet in an (n-1)-face inside
+    {f_a = f_b}, a hyperplane since both are strict somewhere: an atom.
+    The atom check and the simplicity check, which alone builds atoms, come
+    before the walk, so a refused layer solves none of the walk's LPs.
     """
     m = layer.width
     if m < n + 1:
         raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
-    arr = build_atoms(layer)
-    _require_units_with_atoms(layer, arr)
-    if not assume_simple and not is_simple(arr).simple:
+    missing = [i + 1 for i, u in enumerate(layer.units) if len(set(u.weights)) < 2]
+    if missing:
+        raise ValueError(f"units {missing} contribute no atoms; drop them before applying the identity")
+    if not assume_simple and not is_simple(build_atoms(layer)).simple:
         raise ValueError("arrangement is not simple")
-    sigs = [c.signature for c in _regions(layer)]
+    sigs = [sig for sig, _ in _regions(layer)]
     return len(sigs), alternating_subsum(
         m, n, lambda S: len({tuple(sig[i] for i in S) for sig in sigs})
     )
@@ -489,7 +498,7 @@ def bounded_region_gap(layer: LayerSpec, g_normal: Sequence) -> GapResult:
     hyperplane {<x, w> = 1}, with the binomial floor of the gap theorem.
 
     Every hyperplane that misses the origin is {<x, w> = 1} for a scaled
-    normal w.
+    normal w.  Both counts are the leaves of a walk, with no recession LP.
     """
     if layer.bias_mode != NO_BIAS:
         raise ValueError("gap theorem needs a central (no-bias) layer")
@@ -506,7 +515,7 @@ def bounded_region_gap(layer: LayerSpec, g_normal: Sequence) -> GapResult:
     p0 = tuple(v / ww for v in w)
     basis = linalg.nullspace_basis([w], d)
     restricted = restrict_layer(layer, p0, basis)
-    r_total = count_regions_bruteforce(layer).regions
-    r_slice = count_regions_bruteforce(restricted).regions
+    r_total = len(_regions(layer))
+    r_slice = len(_regions(restricted))
     m = layer.width
     return GapResult(r_total, r_slice, r_total - r_slice, comb(m - 1, n))

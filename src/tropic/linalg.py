@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals, on one integer elimination kernel.
 
-Every elimination in tropic (linprog's simplex tableau, rank, nullspace_basis
-and det) runs on integer rows from integer_row: int or Fraction values times
+Every elimination in tropic (linprog's simplex tableau, rank and
+nullspace_basis) runs on integer rows from integer_row: int or Fraction values times
 the lcm of their denominators, not gcd-reduced.  pivot is one fraction-free
 Gauss-Jordan step of Bareiss (1968): each other row becomes
 (row * piv - row[s] * prow) / den, den the previous pivot, and divide_row
@@ -12,7 +12,7 @@ denominator of the whole matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -57,13 +57,13 @@ def pivot(rows: list[list[int]], prow: list[int], s: int, den: int) -> int:
     return piv
 
 
-def _reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
-    """(mat, pivot columns, den, sign of the row swaps) of the nonzero
-    integer rows: row i of mat has den in column pivots[i] and 0 in the other
-    pivot columns, so mat / den is the reduced row echelon form."""
+def _reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """(mat, pivot columns, den) of the nonzero integer rows: row i of mat
+    has den in column pivots[i] and 0 in the other pivot columns, so
+    mat / den is the reduced row echelon form."""
     mat = [r for r in rows if any(r)]
     pivots: list[int] = []
-    den, sign = 1, 1
+    den = 1
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
         if r == len(mat):
@@ -71,12 +71,10 @@ def _reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int, int
         i = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if i is None:
             continue
-        if i != r:
-            mat[r], mat[i] = mat[i], mat[r]
-            sign = -sign
+        mat[r], mat[i] = mat[i], mat[r]
         den = pivot(mat, mat[r], c, den)
         pivots.append(c)
-    return mat, pivots, den, sign
+    return mat, pivots, den
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -87,7 +85,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
     """Basis of {v : row . v = 0 for all rows}, as vectors in Q^dim: one per
     free column of the reduced row echelon form, with a 1 there."""
-    mat, pivots, den, _ = _reduce([integer_row(r)[0] for r in rows])
+    mat, pivots, den = _reduce([integer_row(r)[0] for r in rows])
     basis = []
     for fc in (c for c in range(dim) if c not in pivots):
         v = [Fraction(0)] * dim
@@ -96,17 +94,6 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[
             v[pc] = Fraction(-mat[i][fc], den)
         basis.append(tuple(v))
     return basis
-
-
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix given as rows of int or Fraction values."""
-    scaled = [integer_row(r) for r in rows]
-    if any(len(ints) != len(rows) for ints, _ in scaled):
-        raise ValueError("det needs a square matrix")
-    _, pivots, den, sign = _reduce([ints for ints, _ in scaled])
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    return Fraction(sign * den, prod(s for _, s in scaled))
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -13,10 +13,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from .bounds import deep_lower
-from .linalg import det, dot
+from .linalg import dot
 from .rational import format_rational, parse_rational
 
 WITH_BIAS = "bias"
@@ -289,15 +290,15 @@ def _shift_denominators(n: int, ts: list[int]) -> list[int]:
 
     Any n+1 breakpoint hyperplanes of distinct units are concurrent only if an
     integer combination of moment-matrix minors cancels against the shifts;
-    primes larger than every minor make that impossible.
+    primes larger than every minor make that impossible.  A minor's rows are
+    (1, t, ..., t^(k-1)) for k of the ts, so it is a Vandermonde determinant:
+    up to sign, the product of the differences of those ts.
     """
     m = len(ts)
     bound = 2
     if n >= 1 and m >= 1:
-        size = min(n, m)
-        for sub in combinations(ts, size):
-            rows = [[t**j for j in range(size)] for t in sub]
-            bound = max(bound, int(abs(det(rows))))
+        for sub in combinations(ts, min(n, m)):
+            bound = max(bound, abs(prod(b - a for a, b in combinations(sub, 2))))
     return _primes_above(bound, m)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import prod
 from typing import Callable
@@ -107,30 +108,14 @@ def _suite(
     }
 
 
-def verify_subsum_noncentral(trials: int, seed: int) -> dict:
-    grids = [(1, (2, 2)), (2, (2, 2, 2)), (2, (3, 2, 2)), (2, (3, 3, 3)), (1, (3, 2))]
-
-    def gen(t):
-        n, ranks = grids[t % len(grids)]
-        layer = sample_generic(n, ranks, WITH_BIAS, seed=seed * 10007 + t)
-        chk = subsum_identity_noncentral(layer, assume_simple=True)
-        return chk.lhs == chk.rhs, {
-            "trial": t,
-            "lhs": chk.lhs,
-            "rhs": chk.rhs,
-            "layer": _layer_json(layer),
-        }
-
-    return _suite("subsum_noncentral", trials, gen)
-
-
-def verify_subsum_central(trials: int, seed: int) -> dict:
-    grids = [(2, (2, 2)), (2, (3, 2)), (2, (3, 3)), (3, (2, 2, 2)), (3, (3, 2, 2))]
+def _subsum_suite(name, grids, bias_mode, multiplier, identity, trials: int, seed: int) -> dict:
+    """A subsum identity suite: trial t samples a generic layer of grid
+    t mod len(grids), (inputs, ranks), at seed seed * multiplier + t."""
 
     def gen(t):
         d, ranks = grids[t % len(grids)]
-        layer = sample_generic(d, ranks, NO_BIAS, seed=seed * 10009 + t)
-        chk = subsum_identity_central(layer, assume_simple=True)
+        layer = sample_generic(d, ranks, bias_mode, seed=seed * multiplier + t)
+        chk = identity(layer, assume_simple=True)
         return chk.lhs == chk.rhs, {
             "trial": t,
             "lhs": chk.lhs,
@@ -138,7 +123,21 @@ def verify_subsum_central(trials: int, seed: int) -> dict:
             "layer": _layer_json(layer),
         }
 
-    return _suite("subsum_central", trials, gen)
+    return _suite(name, trials, gen)
+
+
+verify_subsum_noncentral = partial(
+    _subsum_suite,
+    "subsum_noncentral",
+    [(1, (2, 2)), (2, (2, 2, 2)), (2, (3, 2, 2)), (2, (3, 3, 3)), (1, (3, 2))],
+    WITH_BIAS, 10007, subsum_identity_noncentral,
+)
+verify_subsum_central = partial(
+    _subsum_suite,
+    "subsum_central",
+    [(2, (2, 2)), (2, (3, 2)), (2, (3, 3)), (3, (2, 2, 2)), (3, (3, 2, 2))],
+    NO_BIAS, 10009, subsum_identity_central,
+)
 
 
 def verify_weibel(trials: int, seed: int) -> dict:

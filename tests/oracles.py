@@ -5,8 +5,10 @@ LP optima come from exact vertex enumeration over constraint subsets, and
 Euler characteristics come from the definitional alternating sum over a
 face decomposition.  solve_lp_reference is the slow path that the
 integer-native solve_lp replaced, kept so the two can be compared LP by LP;
-rank_reference, nullspace_basis_reference and det_reference are the
-eliminations that linalg's integer kernel replaced, kept the same way.
+rank_reference and nullspace_basis_reference are the eliminations that
+linalg's integer kernel replaced, kept the same way; det_reference is the
+determinant that the Vandermonde product of network._shift_denominators
+replaced.
 affine_dimension_reference (one single-margin LP per tight row) and
 recession_profile_reference (the row-activity LP) are the geometry that the
 implicit-equality LP replaced.  build_poset_reference is the breadth-first
@@ -22,8 +24,10 @@ pieces replaced: it collects tie points depth by depth, re-composing every
 earlier layer from the input at each candidate interval.
 subsum_sides_reference is the subsum identity evaluation that reading every
 sub-arrangement off one region walk replaced: it walks each sub-layer
-(sub_layer) again.  is_simple_reference is the simplicity check that the
-pruned depth-first search replaced: it checks every atom tuple.
+(sub_layer) again, and checks that every unit has an atom by building the
+atoms (_require_units_with_atoms).  is_simple_reference is the simplicity
+check that the pruned depth-first search replaced: it checks every atom
+tuple.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from tropic.arrangement import (
     Poset,
     PosetElement,
     SimplicityCertificate,
-    _require_units_with_atoms,
     build_atoms,
     count_regions_bruteforce,
 )
@@ -737,6 +740,15 @@ def sub_layer(layer: LayerSpec, subset: Iterable[int]) -> LayerSpec:
     keep = sorted(subset)
     units = tuple(layer.units[i - 1] for i in keep)
     return LayerSpec(layer.input_dim, units, layer.bias_mode)
+
+
+def _require_units_with_atoms(layer: LayerSpec, arr: Arrangement):
+    atom_units = {a.unit for a in arr.atoms}
+    missing = [i + 1 for i in range(layer.width) if (i + 1) not in atom_units]
+    if missing:
+        raise ValueError(
+            f"units {missing} contribute no atoms; drop them before applying the identity"
+        )
 
 
 def subsum_sides_reference(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, int]:

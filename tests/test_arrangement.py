@@ -1,10 +1,15 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from tropic import arrangement
 from tropic.arrangement import (
+    Cell,
+    RegionCount,
+    _regions,
     _subsum_sides,
     bounded_region_gap,
     build_atoms,
@@ -24,6 +29,7 @@ from tropic.minkowski import dual_region_count
 from tropic.network import (
     NO_BIAS,
     WITH_BIAS,
+    LayerSpec,
     construct_shallow_optimal,
     construct_shallow_optimal_nobias,
     layer,
@@ -89,6 +95,16 @@ def small_integer_layer(rng, bias, max_rank=3, max_product=None):
     return layer(units, n)
 
 
+def refuse_leaf_lps(monkeypatch):
+    # A walk that keeps only signatures builds no atom, certifies nothing
+    # and solves no recession or dimension LP; any call fails the test.
+    def refuse(*args):
+        raise AssertionError("a signature-only walk solved a leaf or atom LP")
+
+    for name in ("build_atoms", "is_simple", "recession_profile", "affine_dimension"):
+        monkeypatch.setattr(arrangement, name, refuse)
+
+
 class TestBuildAtoms:
     def test_relu_single_atom(self):
         arr = build_atoms(layer([RELU]))
@@ -137,6 +153,14 @@ class TestEnumerateCells:
         full = [c for c in cells if c.dim == 2]
         assert len(full) == 7
         assert sum(1 for c in full if c.bounded) == 1  # Buck: C(m-1, n)
+
+    def test_unitless_layer_is_the_whole_space_with_no_lp(self):
+        for n in (0, 2):
+            l = LayerSpec(n, (), WITH_BIAS)
+            start = lp_call_count()
+            assert enumerate_cells(l) == [Cell((), n, n == 0, (Fraction(0),) * n)]
+            assert count_regions_bruteforce(l) == RegionCount(1, int(n == 0))
+            assert lp_call_count() - start == 0
 
     def test_signature_budget(self):
         # Each unit has 7 cells, so the levels try 7 and 49 signatures, one
@@ -531,6 +555,48 @@ class TestSubsumIdentities:
             seen["repeats"] += any(len(set(u.features())) < u.rank for u in l.units)
         assert seen["with bias"] >= 25 and seen["not simple"] >= 10 and seen["repeats"] >= 25
 
+    def test_assumed_simple_identity_solves_only_the_walk(self, monkeypatch):
+        # The walk's margin LPs, one per strict argmax pattern that adds
+        # rows, and no atom, simplicity or recession LP.
+        l = construct_shallow_optimal(2, (3, 3, 2), seed=1)
+        start = lp_call_count()
+        _regions(l)
+        walk = lp_call_count() - start
+        refuse_leaf_lps(monkeypatch)
+        start = lp_call_count()
+        chk = subsum_identity_noncentral(l, assume_simple=True)
+        assert (chk.lhs, chk.rhs) == (14, 14)
+        assert lp_call_count() - start == walk == 30
+
+    def test_atom_units_are_the_units_with_two_strict_argmaxes(self):
+        # The units build_atoms finds an atom for are exactly the units
+        # whose column of the region walk's signatures takes two or more
+        # values, and exactly the units _subsum_sides does not refuse, by
+        # their gradients, as contributing no atom.  n = 0 makes m >= n+1
+        # hold on every layer, so every layer reaches the check.  The draws
+        # include rank-1 units, units whose features are all duplicates,
+        # and units with two features of equal gradient.
+        rng = random.Random(1975)
+        seen = Counter()
+        for k in range(200):
+            l = small_integer_layer(rng, k % 2 == 0)
+            atom_units = {a.unit for a in build_atoms(l).atoms}
+            sigs = [sig for sig, _ in _regions(l)]
+            assert atom_units == {i + 1 for i in range(l.width) if len({s[i] for s in sigs}) > 1}
+            missing = [i + 1 for i in range(l.width) if i + 1 not in atom_units]
+            if missing:
+                with pytest.raises(ValueError, match=re.escape(f"units {missing} contribute no atoms")):
+                    _subsum_sides(l, 0, True)
+            else:
+                _subsum_sides(l, 0, True)
+            for i, u in enumerate(l.units):
+                distinct = set(u.features())
+                seen["rank 1"] += u.rank == 1
+                seen["all duplicates"] += u.rank > 1 and len(distinct) == 1
+                seen["equal gradients"] += len({w for w, _ in distinct}) < len(distinct)
+                seen["atom, repeats"] += i + 1 in atom_units and len(distinct) < u.rank
+        assert min(seen.values()) >= 10, seen
+
 
 class TestBoundedRegionGap:
     def test_lifted_pair_of_breakpoint_units(self):
@@ -552,6 +618,21 @@ class TestBoundedRegionGap:
         l = sample_generic(3, (2, 2), NO_BIAS, seed=1)
         with pytest.raises(ValueError, match="m >= n\\+1"):
             bounded_region_gap(l, (1, 0, 0))
+
+    def test_solves_only_the_two_walks(self, monkeypatch):
+        # The margin LPs of the layer's walk and of its slice's walk, and no
+        # recession LP.
+        l = sample_generic(2, (2, 2, 2), NO_BIAS, seed=5)
+        start = lp_call_count()
+        res = bounded_region_gap(l, (1, 1))
+        need = lp_call_count() - start
+        w = (Fraction(1), Fraction(1))
+        sliced = restrict_layer(l, (Fraction(1, 2),) * 2, nullspace_basis([w], 2))
+        start = lp_call_count()
+        assert (len(_regions(l)), len(_regions(sliced))) == (res.r_total, res.r_slice) == (6, 4)
+        assert lp_call_count() - start == need == 26
+        refuse_leaf_lps(monkeypatch)
+        assert bounded_region_gap(l, (1, 1)) == res
 
 
 class TestInvariants:

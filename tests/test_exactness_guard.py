@@ -7,8 +7,9 @@ in linalg alone; geometry solves its LPs in three places only, and a
 system's common-margin LP only through the system's cache; minkowski solves
 its LPs in the drop LP alone; arrangement builds argmax rows in one helper;
 the line counter composes features through restrict_layer alone; the
-subsum identities walk the regions once; and every integer command-line
-argument is range-checked.
+subsum identities walk the regions once and build atoms only when
+simplicity is not assumed; the region walk only traverses; and every
+integer command-line argument is range-checked.
 """
 
 import ast
@@ -145,6 +146,65 @@ def test_subsum_identities_walk_the_regions_once():
         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "sub_layer"
     ]
     assert defined == [], f"sub_layer defined at {defined}"
+
+
+def _arrangement_function(name):
+    path = next(p for p in SOURCES if p.name == "arrangement.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(s for s in tree.body if getattr(s, "name", None) == name)
+
+
+def test_region_walk_only_traverses():
+    # What a leaf becomes is up to the caller's leaf function; a Cell, a
+    # recession LP or a dimension in the walk itself would charge every
+    # caller for what only cell reports need.
+    expand = _arrangement_function("_expand")
+    names = {n.id for n in ast.walk(expand) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(expand) if isinstance(n, ast.Attribute)}
+    found = names & {"Cell", "recession_profile", "affine_dimension"}
+    assert found == set(), f"_expand refers to {sorted(found)}"
+
+
+def test_subsum_sides_builds_atoms_only_without_assumed_simplicity():
+    # A unit's gradients show whether it has an atom, so the atoms, and the
+    # simplicity check that needs them, are built only when simplicity is
+    # not assumed: behind `not assume_simple`, as an if test or as an
+    # earlier operand of the same `and`.
+    sides = _arrangement_function("_subsum_sides")
+
+    def is_guard(n):
+        return (
+            isinstance(n, ast.UnaryOp)
+            and isinstance(n.op, ast.Not)
+            and isinstance(n.operand, ast.Name)
+            and n.operand.id == "assume_simple"
+        )
+
+    def guarded(node, path):
+        for parent, child in zip(path, path[1:] + [node]):
+            if isinstance(parent, ast.If) and child in parent.body and is_guard(parent.test):
+                return True
+            if isinstance(parent, ast.BoolOp) and isinstance(parent.op, ast.And):
+                k = parent.values.index(child)
+                if any(is_guard(v) for v in parent.values[:k]):
+                    return True
+        return False
+
+    calls = []
+
+    def visit(node, path):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in (
+            "build_atoms",
+            "is_simple",
+        ):
+            calls.append((node.func.id, node.lineno, guarded(node, path)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path + [node])
+
+    visit(sides, [])
+    assert {name for name, _, _ in calls} == {"build_atoms", "is_simple"}, calls
+    unguarded = [(name, line) for name, line, ok in calls if not ok]
+    assert unguarded == [], f"_subsum_sides calls {unguarded} without `not assume_simple`"
 
 
 def test_margin_lp_is_solved_only_by_the_system_cache():

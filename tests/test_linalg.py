@@ -2,15 +2,14 @@
 Fraction eliminations it replaced (tests/oracles.py)."""
 
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropic.linalg import det, integer_row, nullspace_basis, rank
+from tropic.linalg import integer_row, nullspace_basis, rank
 
-from oracles import det_reference, nullspace_basis_reference, rank_reference
+from oracles import nullspace_basis_reference, rank_reference
 
 F = Fraction
 SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -19,20 +18,20 @@ NONZERO = SMALL.filter(bool)
 
 
 @st.composite
-def matrices(draw, entries=ENTRIES, factors=NONZERO, square=False):
+def matrices(draw):
     """Rows up to 6 x 6.  Each row may be replaced by a zero row or by a
     scaled copy of an earlier row (rank deficits), or have its sign set so
     its first nonzero entry is negative (negative pivots)."""
     nrows = draw(st.integers(0, 6))
-    ncols = nrows if square else draw(st.integers(0, 6))
-    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    ncols = draw(st.integers(0, 6))
+    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     for i in range(nrows):
         kind = draw(st.sampled_from(["keep", "zero", "copy", "negative"]))
         if kind == "zero":
             rows[i] = [v * 0 for v in rows[i]]
         elif kind == "copy" and i:
             src = rows[draw(st.integers(0, i - 1))]
-            factor = draw(factors)
+            factor = draw(NONZERO)
             rows[i] = [factor * v for v in src]
         elif kind == "negative":
             lead = next((v for v in rows[i] if v), 0)
@@ -64,24 +63,6 @@ def test_nullspace_basis_matches_reference(rows, dim):
     assert nullspace_basis(rows, dim) == nullspace_basis_reference(rows, dim)
 
 
-@settings(max_examples=400, deadline=None)
-@given(matrices(st.integers(-6, 6), st.integers(-3, 3).filter(bool), square=True))
-@example([])
-@example([[0, 1], [1, 0]])
-@example([[-3, 1, 2], [6, -2, -4], [1, 1, 1]])
-def test_det_matches_reference(rows):
-    assert det(rows) == det_reference(rows)
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices(square=True))
-def test_det_of_fraction_rows_matches_reference(rows):
-    # Scaling row i by the product of its denominators scales det by it too.
-    scales = [prod(v.denominator for v in row) for row in rows]
-    ints = [[int(v * s) for v in row] for row, s in zip(rows, scales)]
-    assert det(rows) * prod(scales) == det_reference(ints)
-
-
 def test_integer_row_scales_by_the_lcm_without_gcd_reduction():
     assert integer_row([F(1, 2), F(2, 3), F(-1, 6), 4]) == ([3, 4, -1, 24], 6)
     assert integer_row([2, 4]) == ([2, 4], 1)
@@ -89,7 +70,3 @@ def test_integer_row_scales_by_the_lcm_without_gcd_reduction():
     with pytest.raises(TypeError):
         integer_row([1, "1"])
 
-
-def test_det_needs_a_square_matrix():
-    with pytest.raises(ValueError, match="square"):
-        det([[1, 2, 3], [4, 5, 6]])

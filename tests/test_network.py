@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,9 @@ from tropic.network import (
     WITH_BIAS,
     NetworkParseError,
     NetworkSpec,
+    _primes_above,
     _projectivize,
+    _shift_denominators,
     activation_pattern,
     construct_deep_lower,
     construct_shallow_optimal,
@@ -32,7 +35,7 @@ from tropic.network import (
     unit,
 )
 
-from oracles import count_regions_line_reference
+from oracles import count_regions_line_reference, det_reference
 
 RELU = unit([[1], [0]], [0, 0])  # max{x, 0}
 
@@ -210,6 +213,21 @@ class TestConstructions:
     def test_determinism(self):
         assert construct_shallow_optimal(2, (3, 3), 7) == construct_shallow_optimal(2, (3, 3), 7)
         assert construct_deep_lower(1, (2, 1), 2, 3) == construct_deep_lower(1, (2, 1), 2, 3)
+
+    def test_shift_denominators_bound_every_moment_minor(self):
+        # The Vandermonde product is |det| of each moment minor, so the
+        # primes are those above the largest determinant, as computed by
+        # elimination, over the ts draws of construct_shallow_optimal.
+        rng = random.Random(2104)
+        for _ in range(300):
+            n, m = rng.randint(1, 5), rng.randint(1, 6)
+            ts = sorted(rng.sample(range(1, 4 * m + 1), m))
+            size = min(n, m)
+            minors = [
+                abs(det_reference([[t**j for j in range(size)] for t in sub]))
+                for sub in combinations(ts, size)
+            ]
+            assert _shift_denominators(n, ts) == _primes_above(max(minors + [2]), m)
 
     def test_deep_divisibility_error(self):
         with pytest.raises(ValueError, match="no admissible replication dimension"):
