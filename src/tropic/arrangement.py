@@ -29,7 +29,7 @@ from .geometry import (
     recession_profile,
     strictly_feasible,
 )
-from .linprog import charge_lp_calls, lp_call_count, require_lp_headroom
+from .linprog import charge_lp_calls, lp_call_count, lp_pivot_count, require_lp_headroom
 from .network import NO_BIAS, WITH_BIAS, LayerSpec, MaxoutUnitSpec, restrict_layer
 
 
@@ -133,7 +133,7 @@ def _cell(sig, sys, w) -> Cell:
     return Cell(tuple(frozenset(c + 1 for c in t) for t in sig), affine_dimension(sys), bounded, w)
 
 
-def _expand(args) -> tuple[list, int]:
+def _expand(args) -> tuple[list, int, int]:
     """One frontier batch: extend each node by each of the level's choices.
 
     A node is a (signature prefix, system) pair and a choice a (feature
@@ -142,10 +142,11 @@ def _expand(args) -> tuple[list, int]:
     hands the child its parent's system and solved margin LP.  Keeps the
     strictly feasible children, in node-then-choice order, as
     leaf(signature, system, strictly-feasible point).  Returns them and the
-    number of LPs solved, so a pool worker's LPs can be charged to the caller.
+    numbers of LPs solved and of their pivots, so a pool worker's LPs can be
+    charged to the caller.
     """
     nodes, choices, leaf = args
-    start = lp_call_count()
+    start, pivots = lp_call_count(), lp_pivot_count()
     out = []
     for prefix, parent in nodes:
         for choice, rows in choices:
@@ -153,7 +154,7 @@ def _expand(args) -> tuple[list, int]:
             w = strictly_feasible(sys)
             if w is not None:
                 out.append(leaf(prefix + (choice,), sys, w))
-    return out, lp_call_count() - start
+    return out, lp_call_count() - start, lp_pivot_count() - pivots
 
 
 def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1) -> list:
@@ -170,9 +171,10 @@ def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1) -> list:
     has LPs left raises BudgetExceededError before it solves any.  A level is split into batches
     of nodes, each sent with the level's choice systems and leaf, that run
     inline, or across a pool of jobs processes created once per call.  Pool
-    LPs are charged to this process's counter after every batch, which checks
-    them against the budget, so the leaves, the LP count of a finished walk
-    and whether the budget is exceeded do not depend on jobs.
+    LPs and their pivots are charged to this process's counters after every
+    batch, which checks the LPs against the budget, so the leaves, the LP
+    and pivot counts of a finished walk and whether the budget is exceeded
+    do not depend on jobs.
     """
     n = layer.input_dim
     if not choices:  # no units: the whole space is the one cell
@@ -188,9 +190,9 @@ def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1) -> list:
             size = 1 if pool is None else max(1, len(nodes) // (4 * jobs))
             batches = [(nodes[k : k + size], level, f) for k in range(0, len(nodes), size)]
             nodes = []
-            for children, lps in (map if pool is None else pool.map)(_expand, batches):
+            for children, lps, pivots in (map if pool is None else pool.map)(_expand, batches):
                 if pool is not None:
-                    charge_lp_calls(lps)
+                    charge_lp_calls(lps, pivots)
                 nodes.extend(children)
     finally:
         if pool is not None:

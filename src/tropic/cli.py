@@ -17,9 +17,9 @@ than that budget allows; a region or cell walk stops before a level that
 has more signatures adding rows to their prefix's system than LPs are left,
 since each of them costs at least one.
 The budget covers the whole command, so a long `verify identities` run can
-need it raised: with --seed 7 a trial solves about 280 LPs over all suites
-(279 on average over 30 trials), so more than about 3,500 trials need a
-larger TROPIC_BUDGET_LP.
+need it raised: with --seed 7 a trial solves about 163 LPs over all suites
+(4,879 over 30 trials), so more than about 6,100 trials need a larger
+TROPIC_BUDGET_LP.
 
 Integer arguments are usage errors (exit 2, naming the flag or variable)
 unless they are integers in range: --lp-budget, TROPIC_BUDGET_LP and --seed

@@ -28,6 +28,7 @@ EQ = "="
 GE = ">="
 
 _lp_calls = 0
+_lp_pivots = 0
 _lp_limit: int | None = None  # lp_call_count() may not pass this; None: no limit
 
 
@@ -46,17 +47,26 @@ def lp_call_count() -> int:
     return _lp_calls
 
 
+def lp_pivot_count() -> int:
+    """Total simplex tableau pivots of solve_lp in this process, plus those
+    charged from worker processes; like LP calls, a count that does not
+    depend on the host."""
+    return _lp_pivots
+
+
 def _lp_budget_exceeded() -> BudgetExceededError:
     return BudgetExceededError(
         "LP call budget exceeded; raise --lp-budget (env TROPIC_BUDGET_LP)"
     )
 
 
-def charge_lp_calls(count: int) -> None:
-    """Count LPs that a worker process solved on this process's behalf, and
-    raise BudgetExceededError if they pass the current limit."""
-    global _lp_calls
+def charge_lp_calls(count: int, pivots: int = 0) -> None:
+    """Count LPs, and their pivots, that a worker process solved on this
+    process's behalf, and raise BudgetExceededError if the LPs pass the
+    current limit."""
+    global _lp_calls, _lp_pivots
     _lp_calls += count
+    _lp_pivots += pivots
     if _lp_limit is not None and _lp_calls > _lp_limit:
         raise _lp_budget_exceeded()
 
@@ -204,9 +214,11 @@ def solve_lp(
 
     def pivot(r: int, s: int) -> None:
         nonlocal den
+        global _lp_pivots
         if T[r][s] <= 0:
             raise InternalError(f"pivot element {T[r][s]} is not positive")
         den = linalg.pivot(all_rows, T[r], s, den)
+        _lp_pivots += 1
         basis[r] = s
 
     def ratio_row(s: int) -> int:

@@ -16,6 +16,7 @@ from itertools import combinations
 from math import prod
 from typing import Sequence
 
+from . import linalg
 from .bounds import deep_lower
 from .linalg import dot
 from .rational import format_rational, parse_rational
@@ -447,11 +448,12 @@ def sample_generic(
     the t = 1 slice of the intersection C of their homogenized atoms, and C
     is not {0}.  Projectivized simplicity then gives dim C = n+1-j >= 1 (so
     n+1 such atoms never meet), and the slice, which meets t > 0, has
-    dimension n-j.  Resamples until the certificate passes; raises after
-    SAMPLE_ATTEMPTS draws with a hint to increase the magnitude.
+    dimension n-j.  A draw whose checked central layer has transverse tie
+    flats (_flats_transverse) is accepted with no LP; any other draw is
+    decided by build_atoms and is_simple.  Resamples until the certificate
+    passes; raises after SAMPLE_ATTEMPTS draws with a hint to increase the
+    magnitude.
     """
-    from .arrangement import build_atoms, is_simple
-
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
@@ -469,18 +471,80 @@ def sample_generic(
             )
             units.append(MaxoutUnitSpec(weights, biases))
         cand = LayerSpec(n, tuple(units), bias_mode)
-        arr = build_atoms(cand)
-        atom_units = {a.unit for a in arr.atoms}
-        if any(k >= 2 and (i + 1) not in atom_units for i, k in enumerate(ranks)):
-            continue
-        if bias_mode == WITH_BIAS:
-            arr = build_atoms(_projectivize(cand))
-        if not is_simple(arr).simple:
-            continue
-        return cand
+        central = _projectivize(cand) if bias_mode == WITH_BIAS else cand
+        if _flats_transverse(central) or _generic_by_lp(cand, central):
+            return cand
     raise ValueError(
         f"no simple layer found in {SAMPLE_ATTEMPTS} samples; try a larger magnitude (B > {magnitude})"
     )
+
+
+def _generic_by_lp(l: LayerSpec, central: LayerSpec) -> bool:
+    """sample_generic's certificate by LPs: every rank->=2 unit of l has an
+    atom, and central, l or its projectivization, is simple."""
+    from .arrangement import build_atoms, is_simple
+
+    arr = build_atoms(l)
+    atom_units = {a.unit for a in arr.atoms}
+    if any(u.rank >= 2 and (i + 1) not in atom_units for i, u in enumerate(l.units)):
+        return False
+    return is_simple(build_atoms(central) if l.bias_mode == WITH_BIAS else arr).simple
+
+
+def _flats_transverse(l: LayerSpec) -> bool:
+    """Whether the tie flats of a central layer's units are transverse, by
+    linalg.rank alone: if so, the layer's arrangement is simple and every
+    unit of rank >= 2 has an atom.
+
+    In Q^N, a unit's flat for a subset S of 2 to min(k, N+1) of its k
+    features is the rows f_s0 - f_c, c in S minus its first feature s0: the
+    points where S ties.  A larger S contains N+1 features whose flat has
+    rank N, so it needs no check.  The flats are transverse when every
+    tuple of flats from distinct units, single flats included, has stacked
+    rank min(rows, N); a tuple of N rows or more has rank N, and so has
+    every extension of it, which is not walked.
+
+    Simplicity.  Take closed atoms of j distinct units and x != 0 in their
+    intersection C, with T_i the argmax set of unit i at x.  Each T_i holds
+    its atom's pair and ties at x, so x lies on every flat of T_i.  The
+    flat of N+1 features meets only at 0, so |T_i| <= N+1, and the stacked
+    flats of the T_i have R = sum(|T_i| - 1) rows and, as x != 0, rank
+    below N: the rows are independent and R < N.  Near x only the features
+    of T_i compete, so C is x + M^-1(Q_1 x ... x Q_j), with M the stacked
+    rows, which map Q^N onto Q^R, and Q_i the cone of dimension |T_i| - 2
+    where the atom's pair is the argmax within T_i.  So dim C = N - R +
+    sum(|T_i| - 2) = N - j; and j >= N, as R >= j, leaves C = {0}.
+
+    Atoms.  Two features of a unit with one gradient give a pair flat of
+    rank 0 in a no-bias layer.  In a projectivized layer (_projectivize),
+    features (w, b) and (w, b') give the pair flat (0, b - b'), which
+    stacks with the flat (0, 1) of the unit at infinity to rank 1 < 2.  So
+    each unit of the no-bias layer, or of the with-bias layer that was
+    projectivized, has features of distinct gradients.  Their max is then
+    not affine, so two of them are the strict max on open sets of its input
+    space with a common facet, which lies in their tie: an atom.
+    """
+    n = l.input_dim
+    flats = [
+        [
+            [tuple(a - b for a, b in zip(u.weights[s[0]], u.weights[c])) for c in s[1:]]
+            for size in range(2, min(u.rank, n + 1) + 1)
+            for s in combinations(range(u.rank), size)
+        ]
+        for u in l.units
+    ]
+
+    def transverse(start: int, rows: list) -> bool:
+        for i in range(start, len(flats)):
+            for flat in flats[i]:
+                stacked = rows + flat
+                if linalg.rank(stacked) < min(len(stacked), n):
+                    return False
+                if len(stacked) < n and not transverse(i + 1, stacked):
+                    return False
+        return True
+
+    return transverse(0, [])
 
 
 def _projectivize(l: LayerSpec) -> LayerSpec:

@@ -33,6 +33,8 @@ from .network import (
     WITH_BIAS,
     LayerSpec,
     MaxoutUnitSpec,
+    _flats_transverse,
+    _projectivize,
     sample_generic,
     serialize_network,
     single_layer_network,
@@ -89,7 +91,9 @@ def _weibel_certificate(sets: list[LabeledPointSet], n: int) -> bool:
         for s in sets
     ]
     layer = LayerSpec(n, tuple(units), WITH_BIAS)
-    return is_simple(build_atoms(layer)).simple
+    # Transverse projectivized flats imply projectivized simplicity, and so
+    # affine simplicity (network.sample_generic); only other layers need LPs.
+    return _flats_transverse(_projectivize(layer)) or is_simple(build_atoms(layer)).simple
 
 
 def _suite(

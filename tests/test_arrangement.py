@@ -24,7 +24,7 @@ from tropic.arrangement import (
 )
 from tropic.bounds import binom, shallow_formula
 from tropic.linalg import nullspace_basis
-from tropic.linprog import BudgetExceededError, lp_budget, lp_call_count
+from tropic.linprog import BudgetExceededError, lp_budget, lp_call_count, lp_pivot_count
 from tropic.minkowski import dual_region_count
 from tropic.network import (
     NO_BIAS,
@@ -278,13 +278,15 @@ class TestCountRegionsBruteforce:
 
     def test_jobs_match_sequential(self):
         l = construct_shallow_optimal(2, (3, 2), seed=2)
-        counts, lps = [], []
+        counts, lps, pivots = [], [], []
         for jobs in (1, 2):
-            start = lp_call_count()
+            start, pivot_start = lp_call_count(), lp_pivot_count()
             counts.append(count_regions_bruteforce(l, jobs=jobs))
             lps.append(lp_call_count() - start)
+            pivots.append(lp_pivot_count() - pivot_start)
         assert counts[0] == counts[1]
         assert lps[0] == lps[1] > 0  # worker LPs are charged to this process
+        assert pivots[0] == pivots[1] > 0  # and so are their pivots
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lp_budget_holds_for_any_jobs(self, jobs):

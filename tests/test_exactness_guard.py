@@ -8,8 +8,9 @@ system's common-margin LP only through the system's cache; minkowski solves
 its LPs in the drop LP alone; arrangement builds argmax rows in one helper;
 the line counter composes features through restrict_layer alone; the
 subsum identities walk the regions once and build atoms only when
-simplicity is not assumed; the region walk only traverses; and every
-integer command-line argument is range-checked.
+simplicity is not assumed; the region walk only traverses; the flat
+certificate of sampled layers solves no LP; and every integer
+command-line argument is range-checked.
 """
 
 import ast
@@ -205,6 +206,28 @@ def test_subsum_sides_builds_atoms_only_without_assumed_simplicity():
     assert {name for name, _, _ in calls} == {"build_atoms", "is_simple"}, calls
     unguarded = [(name, line) for name, line, ok in calls if not ok]
     assert unguarded == [], f"_subsum_sides calls {unguarded} without `not assume_simple`"
+
+
+def test_flat_certificate_uses_rank_alone():
+    # The certificate sample_generic tries first answers with linalg.rank
+    # alone; an LP, a geometry question or an atom inside it would spend
+    # what it exists to save.
+    path = next(p for p in SOURCES if p.name == "network.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cert = next(s for s in tree.body if getattr(s, "name", None) == "_flats_transverse")
+    geometry = next(p for p in SOURCES if p.name == "geometry.py")
+    banned = {"solve_lp", "build_atoms", "is_simple", "geometry"} | {
+        s.name for s in ast.parse(geometry.read_text()).body if isinstance(s, (ast.FunctionDef, ast.ClassDef))
+    }
+    nodes = list(ast.walk(cert))
+    assert any(
+        isinstance(n, ast.Attribute) and n.attr == "rank" and isinstance(n.value, ast.Name) and n.value.id == "linalg"
+        for n in nodes
+    )
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    found = names & banned
+    assert found == set(), f"_flats_transverse refers to {sorted(found)}"
 
 
 def test_margin_lp_is_solved_only_by_the_system_cache():

@@ -17,6 +17,7 @@ from tropic.linprog import (
     charge_lp_calls,
     lp_budget,
     lp_call_count,
+    lp_pivot_count,
     solve_lp,
 )
 
@@ -70,6 +71,21 @@ def test_degenerate_lp_terminates():
     res = solve_lp(2, [1, 1], cons)
     assert res.status == OPTIMAL
     assert res.value == 1
+
+
+def test_pivot_count_of_a_pinned_lp():
+    # max x1 + 2 x2 on x1 + x2 = 1, x >= 0: phase 1 enters x1, the lowest
+    # column with a positive reduced cost (Bland), and phase 2 swaps it for x2.
+    start = lp_pivot_count()
+    res = solve_lp(2, [1, 2], [((1, 1), EQ, 1)], nonneg=[True, True])
+    assert res.x == (0, 1)
+    assert lp_pivot_count() - start == 2
+
+
+def test_charged_pivots_are_counted():
+    start = lp_pivot_count()
+    charge_lp_calls(0, 7)
+    assert lp_pivot_count() - start == 7
 
 
 def test_determinism_bitwise():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -14,6 +15,8 @@ from tropic.network import (
     WITH_BIAS,
     NetworkParseError,
     NetworkSpec,
+    _flats_transverse,
+    _generic_by_lp,
     _primes_above,
     _projectivize,
     _shift_denominators,
@@ -320,6 +323,64 @@ class TestSampleGeneric:
                 non_simple += 1
                 assert not is_simple(build_atoms(_projectivize(l))).simple
         assert non_simple >= 150
+
+    @staticmethod
+    def _draws(seed, count):
+        # Layers of 2-3 units of ranks 1-3 in Q^1..Q^3, with entries up to a
+        # magnitude of 1, 2, 3 or 12, with or without bias: small
+        # magnitudes make repeated features and degenerate ties common.
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(1, 3)
+            mag = rng.choice((1, 2, 3, 12))
+            bias = rng.random() < 0.5
+            units = []
+            for _ in range(rng.randint(2, 3)):
+                k = rng.randint(1, 3)
+                units.append(unit(
+                    [[rng.randint(-mag, mag) for _ in range(n)] for _ in range(k)],
+                    [rng.randint(-mag, mag) for _ in range(k)] if bias else None,
+                ))
+            l = layer(units, n)
+            yield l, _projectivize(l) if bias else l
+
+    def test_transverse_flats_never_accept_what_the_lp_path_rejects(self):
+        # The LP path is the oracle; the floors show that both paths, and
+        # the rank-1 and repeated-feature units, are exercised.
+        certified = lp_only = rank_one = repeated = 0
+        for l, central in self._draws(2104, 1000):
+            by_lp = _generic_by_lp(l, central)
+            if _flats_transverse(central):
+                assert by_lp, serialize_network(single_layer_network(l))
+                certified += 1
+            else:
+                lp_only += by_lp
+            rank_one += sum(u.rank == 1 for u in l.units)
+            repeated += sum(len(set(u.features())) < u.rank for u in l.units)
+        assert certified >= 600 and lp_only >= 60, (certified, lp_only)
+        assert rank_one >= 600 and repeated >= 100, (rank_one, repeated)
+
+    def test_transverse_flats_give_every_unit_an_affine_atom(self):
+        certified = 0
+        for l, central in self._draws(8135, 300):
+            if _flats_transverse(central):
+                certified += 1
+                atom_units = {a.unit for a in build_atoms(l).atoms}
+                need = {i + 1 for i, u in enumerate(l.units) if u.rank >= 2}
+                assert need <= atom_units, serialize_network(single_layer_network(l))
+        assert certified >= 150, certified
+
+    def test_sampled_layers_are_pinned(self):
+        # The sha256 of 400 sampled layers, one a line, as the LP path alone
+        # draws them: the flats accept only draws the LP path accepts, so
+        # they change no layer.
+        digest = hashlib.sha256()
+        shapes = [(2, (3, 3), WITH_BIAS), (2, (3, 3), NO_BIAS), (3, (2, 2, 2), WITH_BIAS), (2, (3, 1, 3), WITH_BIAS)]
+        for n, ranks, mode in shapes:
+            for seed in range(1, 101):
+                l = sample_generic(n, ranks, mode, seed)
+                digest.update(serialize_network(single_layer_network(l)).encode() + b"\n")
+        assert digest.hexdigest() == "262474dac07696c93acd11ac5b7c2000380ade8a746bb6245e65efaad650f737"
 
     def test_retry_cap_error(self):
         # Magnitude 0 draws only zero features, so every draw is rejected.
