@@ -1,4 +1,4 @@
-"""Exact rational linear programming via simplex with Bland's rule.
+"""Exact rational linear programming via the simplex method.
 
 All arithmetic is exact and integer.  Each constraint row is built straight
 from the numerators and denominators of its int or Fraction inputs: the row
@@ -6,8 +6,17 @@ is multiplied by the lcm of its denominators (its slack entry becomes
 -scale) and is not gcd-reduced, so no Fraction is formed until the witness
 is read off.  The tableau then shares a single positive denominator (the
 determinant of the current basis) and every pivot is the fraction-free
-update of Bareiss (1968) in linalg.pivot.  Bland's rule guarantees
-termination and makes the returned witness deterministic for a fixed input.
+update of Bareiss (1968) in linalg.pivot.
+
+Two entering rules are offered.  Bland's rule (BLAND, the default) enters
+the lowest column with a positive reduced cost; its witness is a fixed
+function of the input, so every LP whose point is emitted or reused uses
+it.  DANTZIG enters the column with the largest reduced cost until the
+first degenerate pivot (one whose leaving row has right-hand side 0), then
+follows Bland's rule for the rest of the LP.  Both terminate: before that
+switch every pivot strictly improves the phase objective, so no basis
+repeats, and after it Bland's rule cannot cycle.  The status and the
+optimal value do not depend on the rule; the witness may.
 """
 
 from __future__ import annotations
@@ -26,6 +35,9 @@ UNBOUNDED = "unbounded"
 
 EQ = "="
 GE = ">="
+
+BLAND = "bland"
+DANTZIG = "dantzig"
 
 _lp_calls = 0
 _lp_pivots = 0
@@ -110,13 +122,20 @@ def solve_lp(
     constraints: Iterable[tuple[Sequence, str, object]],
     nonneg: Sequence[bool] | None = None,
     maximize: bool = True,
+    *,
+    entering: str = BLAND,
 ) -> LPResult:
     """Maximize (or minimize) objective . x subject to linear constraints.
 
     constraints are triples (coeffs, op, rhs) with op '=' or '>=' (meaning
     coeffs . x >= rhs).  Variables are free unless nonneg marks them.
     Returns an exact optimum with a rational witness, or infeasible/unbounded.
+    entering picks the entering rule (see the module docstring): BLAND
+    makes the witness deterministic; DANTZIG usually takes fewer pivots and
+    suits callers that read only the status and the value.
     """
+    if entering not in (BLAND, DANTZIG):
+        raise ValueError(f"unknown entering rule {entering!r}")
     global _lp_calls
     if _lp_limit is not None and _lp_calls >= _lp_limit:
         raise _lp_budget_exceeded()
@@ -250,9 +269,30 @@ def solve_lp(
             basis_row[enter] = leave
             pivot(leave, enter)
 
-    basis_row: dict[int, int] = {basis[i]: i for i in range(m)}
+    bland = False  # DANTZIG hands over to Bland's rule for good
 
-    if run(z1) != OPTIMAL:
+    def run_largest(zrow: list[int]) -> str:
+        # Reduced costs share the tableau's denominator, so the integer
+        # entries compare directly; a basic column's entry is 0.
+        nonlocal bland
+        while not bland:
+            best = max(zrow[:n_before_art], default=0)
+            if best <= 0:
+                return OPTIMAL
+            enter = zrow.index(best)
+            leave = ratio_row(enter)
+            if leave == -1:
+                return UNBOUNDED
+            bland = T[leave][rhs_i] == 0
+            del basis_row[basis[leave]]
+            basis_row[enter] = leave
+            pivot(leave, enter)
+        return run(zrow)
+
+    basis_row: dict[int, int] = {basis[i]: i for i in range(m)}
+    phase = run if entering == BLAND else run_largest
+
+    if phase(z1) != OPTIMAL:
         raise InternalError("phase 1 unbounded, but the artificial sum is >= 0")
     if z1[rhs_i] != 0:
         return LPResult(INFEASIBLE, None, None)
@@ -270,7 +310,7 @@ def solve_lp(
                     pivot(i, j)
                     break
 
-    status = run(z2)
+    status = phase(z2)
 
     # Witness numerators over the common denominator den.
     xnum = [0] * num_vars

@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bounds import IdentityCheck, alternating_subsum
-from .linprog import EQ, INFEASIBLE, OPTIMAL, InternalError, solve_lp
+from .linprog import DANTZIG, EQ, INFEASIBLE, OPTIMAL, InternalError, solve_lp
 from .network import WITH_BIAS, LayerSpec, NetworkParseError, homogenize, json_rational, load_json
 from .rational import format_rational
 
@@ -64,12 +63,6 @@ class VertexClassification:
         return sum(self.is_strict_lower_vertex)
 
 
-@dataclass(frozen=True)
-class PartialSumBound:
-    actual: int
-    trivial: int
-
-
 def lift_layer(l: LayerSpec) -> list[LabeledPointSet]:
     """Per unit, the feature coefficient points: (w, b) in Q^(n+1) for a
     with-bias layer, w in Q^n otherwise; duplicate features collapse."""
@@ -94,13 +87,16 @@ def minkowski_sum(sets: Sequence[LabeledPointSet]) -> LabeledPointSet:
 def _drop_to_hull(p: Vec, others: Sequence[Vec]) -> Fraction | None:
     """The least lam >= 0 with p + lam * e_last in conv(others), or None when
     there is none: minimize lam over mu, lam >= 0 subject to
-    sum mu_i q_i - lam * e_last = p and sum mu_i = 1."""
+    sum mu_i q_i - lam * e_last = p and sum mu_i = 1.  Only the status and
+    the value are read, so the LP may take the largest-coefficient rule."""
     if not others:
         return None
     k, last = len(others), len(p) - 1
     cons = [([q[c] for q in others] + [-int(c == last)], EQ, p[c]) for c in range(len(p))]
     cons.append(([1] * k + [0], EQ, 1))
-    res = solve_lp(k + 1, [0] * k + [1], cons, nonneg=[True] * (k + 1), maximize=False)
+    res = solve_lp(
+        k + 1, [0] * k + [1], cons, nonneg=[True] * (k + 1), maximize=False, entering=DANTZIG
+    )
     if res.status == INFEASIBLE:
         return None
     if res.status != OPTIMAL:
@@ -163,21 +159,6 @@ def weibel_upper_identity(sets: Sequence[LabeledPointSet]):
         m, n, lambda S: upper_vertex_count(minkowski_sum([sets[i] for i in S])) if S else 1
     )
     return IdentityCheck(lhs, rhs)
-
-
-def partial_sum_trivial_bound(sets: Sequence[LabeledPointSet], n: int):
-    """actual vs trivial vertex counts, f_0(sum over S) vs prod f_0(P_i),
-    for every nonempty S with |S| <= n."""
-    singles = [vertex_count(s) for s in sets]
-    out = {}
-    for j in range(1, n + 1):
-        for S in combinations(range(len(sets)), j):
-            actual = vertex_count(minkowski_sum([sets[i] for i in S]))
-            trivial = 1
-            for i in S:
-                trivial *= singles[i]
-            out[frozenset(i + 1 for i in S)] = PartialSumBound(actual, trivial)
-    return out
 
 
 # ---------------------------------------------------------------------------

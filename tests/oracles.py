@@ -19,6 +19,8 @@ has_lower_witness decides classify_vertices' strict-lower class by an LP of
 its own.
 classify_vertices_reference is the two-LP classification (a hull LP per
 point, then a hull-plus-ray LP per vertex) that the one drop LP replaced.
+partial_sum_trivial_bound compares the vertex count of every partial
+Minkowski sum with the product bound, which only the tests check.
 count_regions_line_reference is the line counter that the one pass over
 pieces replaced: it collects tie points depth by depth, re-composing every
 earlier layer from the input at each candidate interval.
@@ -32,6 +34,7 @@ tuple.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -58,7 +61,7 @@ from tropic.geometry import (
     strictly_feasible,
 )
 from tropic.linalg import dot
-from tropic.minkowski import VertexClassification
+from tropic.minkowski import LabeledPointSet, VertexClassification, minkowski_sum, vertex_count
 from tropic.network import LayerSpec, NetworkSpec
 from tropic.linprog import (
     EQ,
@@ -301,6 +304,27 @@ def classify_vertices_reference(ps) -> VertexClassification:
         is_u.append(upper)
         is_l.append(vertex and not upper)
     return VertexClassification(ps.points, tuple(is_v), tuple(is_u), tuple(is_l))
+
+
+@dataclass(frozen=True)
+class PartialSumBound:
+    actual: int
+    trivial: int
+
+
+def partial_sum_trivial_bound(sets: Sequence[LabeledPointSet], n: int):
+    """actual vs trivial vertex counts, f_0(sum over S) vs prod f_0(P_i),
+    for every nonempty S with |S| <= n."""
+    singles = [vertex_count(s) for s in sets]
+    out = {}
+    for j in range(1, n + 1):
+        for S in combinations(range(len(sets)), j):
+            actual = vertex_count(minkowski_sum([sets[i] for i in S]))
+            trivial = 1
+            for i in S:
+                trivial *= singles[i]
+            out[frozenset(i + 1 for i in S)] = PartialSumBound(actual, trivial)
+    return out
 
 
 def _optimal(res: LPResult) -> LPResult:

@@ -33,7 +33,7 @@ from tropic.bounds import (
     shallow_formula,
 )
 from tropic.geometry import ConstraintSystem, euler_characteristic, feasible
-from tropic.minkowski import dual_region_count, lift_layer, partial_sum_trivial_bound
+from tropic.minkowski import dual_region_count, lift_layer
 from tropic.network import (
     NO_BIAS,
     WITH_BIAS,
@@ -51,6 +51,7 @@ from oracles import (
     euler_characteristic_by_decomposition,
     face_counts_reference,
     mobius_reference,
+    partial_sum_trivial_bound,
     sub_layer,
 )
 

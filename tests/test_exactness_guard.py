@@ -5,10 +5,11 @@ raise typed errors instead; the package computes with int and Fraction
 only, so no float literal appears in its source; exact elimination lives
 in linalg alone; geometry solves its LPs in three places only, and a
 system's common-margin LP only through the system's cache; minkowski solves
-its LPs in the drop LP alone; arrangement builds argmax rows in one helper;
-the line counter composes features through restrict_layer alone; the
-subsum identities walk the regions once and build atoms only when
-simplicity is not assumed; the region walk only traverses; the flat
+its LPs in the drop LP alone, the only LP that enters by the largest
+coefficient rather than by Bland's rule; arrangement builds argmax rows in
+one helper; the line counter composes features through restrict_layer
+alone; the subsum identities walk the regions once and build atoms only
+when simplicity is not assumed; the region walk only traverses; the flat
 certificate of sampled layers solves no LP; and every integer
 command-line argument is range-checked.
 """
@@ -85,6 +86,25 @@ def test_minkowski_has_one_lp_formulation():
     # One drop LP per point decides all three vertex classes; a second
     # formulation would solve again what it already decides.
     assert _solve_lp_users("minkowski.py") == {"_drop_to_hull"}
+
+
+def test_only_the_drop_lp_chooses_its_entering_rule():
+    # Every other LP keeps Bland's rule, whose witness is a fixed function
+    # of the input: the margin LP's point is emitted and reused, and
+    # contains and the implicit-equality LP gain nothing from the fast rule.
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            for n in ast.walk(stmt):
+                if (
+                    isinstance(n, ast.Call)
+                    and ((isinstance(n.func, ast.Name) and n.func.id == "solve_lp")
+                         or (isinstance(n.func, ast.Attribute) and n.func.attr == "solve_lp"))
+                    and any(kw.arg in ("entering", None) for kw in n.keywords)
+                ):
+                    callers.add(f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}")
+    assert callers == {"minkowski.py:_drop_to_hull"}, callers
 
 
 def test_arrangement_builds_argmax_rows_in_one_helper():

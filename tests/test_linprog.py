@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from tropic import linalg, linprog
 from tropic.linprog import (
+    BLAND,
+    DANTZIG,
     EQ,
     GE,
     INFEASIBLE,
@@ -82,6 +84,59 @@ def test_pivot_count_of_a_pinned_lp():
     assert lp_pivot_count() - start == 2
 
 
+@pytest.mark.parametrize("rule, pivots", [(BLAND, 2), (DANTZIG, 1)])
+def test_pivot_count_of_each_entering_rule(rule, pivots):
+    # max x1 + 2 x2 on x1 + x2 <= 1, x >= 0 from the slack basis: Bland's
+    # rule enters x1 and then swaps it for x2; the largest cost enters x2.
+    start = lp_pivot_count()
+    res = solve_lp(2, [1, 2], [((-1, -1), GE, -1)], nonneg=[True, True], entering=rule)
+    assert (res.value, res.x) == (2, (0, 1))
+    assert lp_pivot_count() - start == pivots
+
+
+# Beale's (1955) cycling example: maximize 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7
+# over x >= 0 with -x4/4 + 8 x5 + x6 - 9 x7 >= 0, -x4/2 + 12 x5 + x6/2 - 3 x7
+# >= 0 and x6 <= 1.  Entering by the largest coefficient throughout, this
+# tableau cycles.
+BEALE = (
+    4,
+    [Fraction(3, 4), -20, Fraction(1, 2), -6],
+    [
+        ([Fraction(-1, 4), 8, 1, -9], GE, 0),
+        ([Fraction(-1, 2), 12, Fraction(1, 2), -3], GE, 0),
+        ([0, 0, -1, 0], GE, -1),
+    ],
+    [True] * 4,
+)
+
+
+def test_largest_coefficient_rule_switches_to_bland_on_beale(monkeypatch):
+    # Record each pivot's column, the right-hand side of its pivot row and
+    # the phase-2 cost row it sees.
+    pivots = []
+    real_pivot = linalg.pivot
+
+    def recording_pivot(rows, prow, s, den):
+        if len(pivots) == 50:
+            raise AssertionError("the LP cycles")
+        pivots.append((s, prow[-1], list(rows[-1][:-1])))
+        return real_pivot(rows, prow, s, den)
+
+    monkeypatch.setattr(linalg, "pivot", recording_pivot)
+    start = lp_pivot_count()
+    res = solve_lp(*BEALE, entering=DANTZIG)
+    assert lp_pivot_count() - start == len(pivots) == 5
+    assert res == solve_lp_reference(*BEALE, True)
+    assert res.value == Fraction(5, 4) and res.x == (1, 0, 1, 0)
+    # The first pivot is degenerate, so the LP follows Bland's rule from
+    # then on: the third pivot, the first of phase 2, enters column 2, the
+    # lowest with a positive cost, where the largest cost is in column 4.
+    assert pivots[0][1] == 0
+    column, _, costs = pivots[2]
+    assert column == 2 == min(j for j, c in enumerate(costs) if c > 0)
+    assert costs.index(max(costs)) == 4
+
+
 def test_charged_pivots_are_counted():
     start = lp_pivot_count()
     charge_lp_calls(0, 7)
@@ -155,6 +210,35 @@ def test_matches_fraction_reference(lp):
     d, obj, cons, nonneg, maximize = lp
     expected = solve_lp_reference(d, obj, cons, nonneg, maximize)
     assert solve_lp(d, obj, cons, nonneg, maximize) == expected
+
+
+def _satisfies(x, cons, nonneg):
+    for coeffs, op, r in cons:
+        v = sum(Fraction(c) * xi for c, xi in zip(coeffs, x))
+        if not (v == r if op == EQ else v >= r):
+            return False
+    return all(xi >= 0 for xi, nn in zip(x, nonneg or []) if nn)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lps())
+def test_largest_coefficient_rule_matches_fraction_reference(lp):
+    # The rule may reach another optimal vertex, so the witness is checked
+    # for feasibility and value rather than compared.
+    d, obj, cons, nonneg, maximize = lp
+    expected = solve_lp_reference(d, obj, cons, nonneg, maximize)
+    res = solve_lp(d, obj, cons, nonneg, maximize, entering=DANTZIG)
+    assert (res.status, res.value) == (expected.status, expected.value)
+    if res.status != INFEASIBLE:
+        assert _satisfies(res.x, cons, nonneg)
+    if res.status == OPTIMAL:
+        assert sum(Fraction(c) * xi for c, xi in zip(obj, res.x)) == res.value
+
+
+def test_unknown_entering_rule_is_refused():
+    with pytest.raises(ValueError, match="entering rule"):
+        solve_lp(1, [1], [((-1,), GE, -1)], entering="steepest")
+    assert solve_lp(1, [1], [((-1,), GE, -1)], entering=BLAND) == _one_lp()
 
 
 def test_rows_are_not_gcd_reduced():

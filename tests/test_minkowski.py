@@ -7,6 +7,7 @@ from tropic.arrangement import count_regions_bruteforce
 from tropic.bounds import binom
 from tropic import minkowski
 from tropic.linprog import (
+    DANTZIG,
     GE,
     OPTIMAL,
     UNBOUNDED,
@@ -23,7 +24,6 @@ from tropic.minkowski import (
     lift_layer,
     minkowski_sum,
     parse_point_set,
-    partial_sum_trivial_bound,
     point_set,
     serialize_point_set,
     upper_vertex_count,
@@ -40,7 +40,7 @@ from tropic.network import (
 )
 from tropic.verify import sample_weibel_family
 
-from oracles import classify_vertices_reference, has_lower_witness
+from oracles import classify_vertices_reference, has_lower_witness, partial_sum_trivial_bound
 
 SEGMENT = point_set([[0, 0, 0], [2, 2, 0]])              # max(0, 2x+2y)
 TRIANGLE = point_set([[1, 0, 1], [0, 1, 1], [1, 1, 0]])  # max(x+1, y+1, x+y)
@@ -227,6 +227,23 @@ def test_drop_lp_matches_two_lp_reference():
     # Every dimension is reached, with single points and with strict lower
     # vertices.
     assert {d for d, one, _ in seen if one} == {d for d, _, lower in seen if lower} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("seed", [7, 2025])
+def test_fast_rule_drop_lps_match_two_lp_reference(monkeypatch, seed):
+    # Every drop LP enters by the largest coefficient; the classes it reads
+    # off the status and the value are those of the Bland-rule reference.
+    rules = []
+
+    def recording_solve_lp(*args, **kwargs):
+        rules.append(kwargs.get("entering"))
+        return solve_lp(*args, **kwargs)
+
+    sets = list(degenerate_point_sets(random.Random(seed)))
+    expected = [classify_vertices_reference(ps) for ps in sets]
+    monkeypatch.setattr(minkowski, "solve_lp", recording_solve_lp)
+    assert [classify_vertices(ps) for ps in sets] == expected
+    assert rules and set(rules) == {DANTZIG}
 
 
 def test_unbounded_drop_lp_is_an_internal_error(monkeypatch):
