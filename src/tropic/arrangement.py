@@ -134,26 +134,20 @@ def _cell(sig, sys, w) -> Cell:
 
 
 def _expand(args) -> tuple[list, int, int]:
-    """One frontier batch: extend each node by each of the level's choices.
+    """One frontier batch: keep the strictly feasible children.
 
-    A node is a (signature prefix, system) pair and a choice a (feature
-    subset, choice system) pair.  A child's system is its parent's
-    intersected with the choice's, so a rank-1 choice, which has no rows,
-    hands the child its parent's system and solved margin LP.  Keeps the
-    strictly feasible children, in node-then-choice order, as
-    leaf(signature, system, strictly-feasible point).  Returns them and the
-    numbers of LPs solved and of their pivots, so a pool worker's LPs can be
-    charged to the caller.
+    A child is a (signature, system) pair.  Keeps the strictly feasible
+    ones, in order, as leaf(signature, system, strictly-feasible point).
+    Returns them and the numbers of LPs solved and of their pivots, so a
+    pool worker's LPs can be charged to the caller.
     """
-    nodes, choices, leaf = args
+    children, leaf = args
     start, pivots = lp_call_count(), lp_pivot_count()
     out = []
-    for prefix, parent in nodes:
-        for choice, rows in choices:
-            sys = parent.intersection(rows)
-            w = strictly_feasible(sys)
-            if w is not None:
-                out.append(leaf(prefix + (choice,), sys, w))
+    for sig, sys in children:
+        w = strictly_feasible(sys)
+        if w is not None:
+            out.append(leaf(sig, sys, w))
     return out, lp_call_count() - start, lp_pivot_count() - pivots
 
 
@@ -165,16 +159,19 @@ def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1) -> list:
     node by them and drops the empty children; an empty prefix cell has
     only empty extensions, so whole subtrees are pruned.  Only the last
     level applies leaf, so what a cell costs beyond its margin LP is the
-    caller's choice.  Each child whose choice system has rows is a new
-    system and costs at least one LP (a rank-1 unit's children cost none),
-    so a level with more such children than the current linprog.lp_budget
-    has LPs left raises BudgetExceededError before it solves any.  A level is split into batches
-    of nodes, each sent with the level's choice systems and leaf, that run
-    inline, or across a pool of jobs processes created once per call.  Pool
-    LPs and their pivots are charged to this process's counters after every
-    batch, which checks the LPs against the budget, so the leaves, the LP
-    and pivot counts of a finished walk and whether the budget is exceeded
-    do not depend on jobs.
+    caller's choice.  A child's system is its parent's intersected with its
+    choice's, so a rank-1 choice, which has no rows, hands the child its
+    parent's system and solved margin LP.  Every other child is a new
+    system, and it costs one margin LP unless its rank decides it
+    (ConstraintSystem.rank_decided), so a level with more such children
+    than the current linprog.lp_budget has LPs left raises
+    BudgetExceededError before it solves any.  The children are built, and
+    their equalities reduced, before that check; they are then split into
+    batches, each sent with leaf, that run inline, or across a pool of jobs
+    processes created once per call.  Pool LPs and their pivots are charged
+    to this process's counters after every batch, which checks the LPs
+    against the budget, so the leaves, the LP and pivot counts of a
+    finished walk and whether the budget is exceeded do not depend on jobs.
     """
     n = layer.input_dim
     if not choices:  # no units: the whole space is the one cell
@@ -184,16 +181,21 @@ def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1) -> list:
     try:
         for i, (u, unit_choices) in enumerate(zip(layer.units, choices)):
             level = [(c, _choice_system(n, u, c)) for c in unit_choices]
-            adding = sum(1 for _, rows in level if rows.equalities or rows.inequalities)
-            require_lp_headroom(len(nodes) * adding)
+            children, needs = [], 0
+            for prefix, parent in nodes:
+                for c, rows in level:
+                    sys = parent.intersection(rows)
+                    needs += sys is not parent and not sys.rank_decided
+                    children.append((prefix + (c,), sys))
+            require_lp_headroom(needs)
             f = leaf if i == len(choices) - 1 else _node
-            size = 1 if pool is None else max(1, len(nodes) // (4 * jobs))
-            batches = [(nodes[k : k + size], level, f) for k in range(0, len(nodes), size)]
+            size = max(1, len(children) if pool is None else len(children) // (4 * jobs))
+            batches = [(children[k : k + size], f) for k in range(0, len(children), size)]
             nodes = []
-            for children, lps, pivots in (map if pool is None else pool.map)(_expand, batches):
+            for out, lps, pivots in (map if pool is None else pool.map)(_expand, batches):
                 if pool is not None:
                     charge_lp_calls(lps, pivots)
-                nodes.extend(children)
+                nodes.extend(out)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -209,8 +211,10 @@ def enumerate_cells(layer: LayerSpec) -> list[Cell]:
     its subtree, so the LPs track the nonempty cells, not all prod(2^k - 1)
     signatures, and each leaf is made a Cell by _cell.  A level is refused
     before it starts when the LP budget has fewer LPs left than it has
-    children that add rows; a rank-1 unit's children add none and solve
-    nothing.  Cells come out in lexicographic signature order.
+    children whose system needs an LP; a rank-1 unit's children add no
+    rows, and a child whose equalities are inconsistent or fix a point is
+    decided by rank, so neither solves anything.  Cells come out in
+    lexicographic signature order.
     """
     return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units], _cell)
 
@@ -240,8 +244,8 @@ def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
     patterns with a nonempty interior, walked by _regions with the same
     pruned frontier as enumerate_cells, each made a Cell by _cell.  A level
     is refused before it starts when the LP budget has fewer LPs left than
-    it has patterns that add rows, so a budget equal to the walk's LPs
-    completes.  With jobs > 1 each level's batches, _cell included, run in a
+    it has patterns whose system needs an LP, so a budget equal to the
+    walk's LPs completes.  With jobs > 1 each level's batches, _cell included, run in a
     process pool; the workers' LPs count in lp_call_count() and against
     linprog.lp_budget, and the counts, the LPs solved and whether the
     budget is exceeded are the same for every jobs.
@@ -316,10 +320,12 @@ def build_poset(arr: Arrangement) -> Poset:
       is the closure of its atoms below i', so i' = i and S = P.
     - A dropped extension loses nothing: its closure has an atom below i
       outside the key, so it is another key, pushed by its own parent.
-    - Points need no LP.  An atom containing the candidate holds at its
-      margin-LP point w, so satisfies filters first; when the candidate's
-      equalities alone have rank n, the candidate is {w} and satisfies
-      decides.
+    - Points need no LP.  When the candidate's equalities alone have rank
+      n, its margin is decided by rank (ConstraintSystem.rank_decided), and
+      the candidate is its point w.  An atom containing the candidate holds
+      at w, so satisfies decides, and a point's dimension and Euler
+      characteristic are read off the rank as well.  So is a line's Euler
+      characteristic.
 
     Each element keeps the system that found it, so its dimension and Euler
     characteristic solve no second emptiness LP, and the elements found
@@ -401,7 +407,9 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
     its last atom's; the first tuple that fails is the violation.  An empty
     tuple of a non-central arrangement passes, and so does every extension
     of it, so the walk does not extend it.  Central atoms all contain the
-    origin, so no central tuple is empty and none is skipped.
+    origin, so no central tuple is empty and none is skipped.  A tuple whose
+    ties contradict each other or fix a point is decided by rank, with no
+    LP.
     """
     n = arr.ambient_dim
     by_unit: dict[int, list[int]] = {}

@@ -14,11 +14,12 @@ Every command runs under one LP-call budget: --lp-budget where the command
 has that flag, else the environment variable TROPIC_BUDGET_LP, else 10^6.
 It is the only work limit.  Exit 3 means the command would solve more LPs
 than that budget allows; a region or cell walk stops before a level that
-has more signatures adding rows to their prefix's system than LPs are left,
-since each of them costs at least one.
+has more signatures needing an LP than LPs are left: those that add rows to
+their prefix's system and whose equalities neither contradict each other
+nor fix a point.
 The budget covers the whole command, so a long `verify identities` run can
-need it raised: with --seed 7 a trial solves about 163 LPs over all suites
-(4,879 over 30 trials), so more than about 6,100 trials need a larger
+need it raised: with --seed 7 a trial solves about 144 LPs over all suites
+(4,317 over 30 trials), so more than about 6,900 trials need a larger
 TROPIC_BUDGET_LP.
 
 Integer arguments are usage errors (exit 2, naming the flag or variable)

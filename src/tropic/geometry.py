@@ -12,6 +12,17 @@ at margin 0, and recession_profile on the recession cone.  A system solves
 its common-margin LP at most once: the result is cached on the system, so
 feasible, strictly_feasible, affine_dimension and the emptiness check of
 recession_profile share it.
+
+Some systems need no LP at all, because one exact elimination of the
+equality rows [A | b] (linalg.solve_affine, cached on the system) already
+knows the answer.  If rank [A | b] > rank A the system is empty.  If
+rank A = d the equalities fix one point x, so t is the margin LP's only
+freedom: the LP is infeasible when the least inequality slack at x is
+negative, and otherwise its unique optimum is x with t = min(1, that
+slack), the LP's own result, witness included.  Such a point has
+dimension 0 and recession cone {0}.  If rank A = d - 1 the equalities
+leave a line, and its direction v decides the recession profile by the
+signs of the c . v.
 """
 
 from __future__ import annotations
@@ -87,16 +98,38 @@ class ConstraintSystem:
         )
 
     @cached_property
+    def _solution(self) -> linalg.AffineSolution:
+        """The equalities reduced once: their rank, whether they are
+        consistent, and the point they fix or the line they leave."""
+        return linalg.solve_affine(self.equalities, self.ambient_dim)
+
+    @property
     def equality_rank(self) -> int:
         """Rank of the equality rows; when it is ambient_dim, the equalities
         fix at most one point."""
-        return linalg.rank([c for c, _ in self.equalities])
+        return self._solution.rank
+
+    @property
+    def rank_decided(self) -> bool:
+        """Whether the equalities alone decide the common-margin LP, so that
+        it needs no LP: they are inconsistent or fix at most one point."""
+        sol = self._solution
+        return not sol.consistent or sol.rank == self.ambient_dim
 
     @cached_property
     def _margin(self) -> LPResult:
         """The common-margin LP of this system, solved on first use.  An LP
-        that raises (say, over the LP budget) leaves nothing cached."""
-        return _max_common_margin(self.ambient_dim, self.equalities, self.inequalities)
+        that raises (say, over the LP budget) leaves nothing cached.  A
+        rank-decided system solves none and returns the LP's unique
+        optimum, witness included (see the module docstring).
+        """
+        if not self.rank_decided:
+            return _max_common_margin(self.ambient_dim, self.equalities, self.inequalities)
+        x = self._solution.point
+        if x is None:  # inconsistent equalities
+            return LPResult(INFEASIBLE, None, None)
+        t = min([Fraction(1)] + [linalg.dot(c, x) - r for c, r in self.inequalities])
+        return LPResult(INFEASIBLE, None, None) if t < 0 else LPResult(OPTIMAL, t, x + (t,))
 
 
 @dataclass(frozen=True)
@@ -133,13 +166,14 @@ def affine_dimension(sys: ConstraintSystem) -> int | None:
     no LP is solved.  At margin 0 only the rows tight at its point can be
     implicit equalities, and one _implicit_equalities LP picks them out.
     The dimension is d minus the rank of the equalities and the implicit
-    equalities: the system's equality_rank at positive margin.
+    equalities: the system's equality_rank at positive margin, and 0 with
+    no LP for a point, whose equalities have rank d.
     """
     d = sys.ambient_dim
     res = sys._margin
     if res.status == INFEASIBLE:
         return None
-    if res.value > 0:
+    if res.value > 0 or sys.equality_rank == d:
         return d - sys.equality_rank
     x = res.x[:d]
     tight = [k for k, (c, r) in enumerate(sys.inequalities) if linalg.dot(c, x) == r]
@@ -207,16 +241,26 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
     (dim of its lineality space, whether the cone equals that space), and it
     does exactly when every inequality is an implicit equality of the cone:
-    one _implicit_equalities LP, none without inequalities, and none for a
-    point (equalities of rank d), whose cone is {0}.  An empty system
+    one _implicit_equalities LP, none without inequalities, and none when
+    the equalities have rank d or d - 1.  A point's cone is {0}.  For a
+    line, with v spanning the null space of the equalities, the cone is
+    the line itself when every c . v is 0, a ray when the nonzero c . v
+    share one sign, and {0} otherwise.  An empty system
     raises EmptyPolyhedronError; the emptiness check is the system's
     common-margin LP, which solves nothing once the system is solved.
     """
     if feasible(sys) is None:
         raise EmptyPolyhedronError("recession profile of an empty polyhedron")
     d = sys.ambient_dim
-    if sys.equality_rank == d:
+    sol = sys._solution
+    if sol.rank == d:
         return RecessionProfile(0, True)
+    if sol.rank == d - 1:  # the cone is {s v : s (c . v) >= 0 for every inequality c}
+        slopes = [linalg.dot(c, sol.direction) for c, _ in sys.inequalities]
+        if not any(slopes):
+            return RecessionProfile(1, True)
+        one_sign = all(p >= 0 for p in slopes) or all(p <= 0 for p in slopes)
+        return RecessionProfile(0, not one_sign)
     lineality_dim = d - linalg.rank([c for c, _ in sys.equalities + sys.inequalities])
     cone = [(c, 0) for c, _ in sys.inequalities]
     implicit = _implicit_equalities(d, [(c, 0) for c, _ in sys.equalities], cone, range(len(cone)))

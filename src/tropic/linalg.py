@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals, on one integer elimination kernel.
 
-Every elimination in tropic (linprog's simplex tableau, rank and
-nullspace_basis) runs on integer rows from integer_row: int or Fraction values times
-the lcm of their denominators, not gcd-reduced.  pivot is one fraction-free
+Every elimination in tropic (linprog's simplex tableau, rank,
+nullspace_basis and solve_affine) runs on integer rows from integer_row:
+int or Fraction values times the lcm of their denominators, not
+gcd-reduced.  pivot is one fraction-free
 Gauss-Jordan step of Bareiss (1968): each other row becomes
 (row * piv - row[s] * prow) / den, den the previous pivot, and divide_row
 checks that the division is exact.  The last pivot is the shared
@@ -11,6 +12,7 @@ denominator of the whole matrix.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -82,18 +84,50 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_reduce([integer_row(r)[0] for r in rows])[1])
 
 
-def nullspace_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : row . v = 0 for all rows}, as vectors in Q^dim: one per
-    free column of the reduced row echelon form, with a 1 there."""
-    mat, pivots, den = _reduce([integer_row(r)[0] for r in rows])
+def _kernel(mat: list[list[int]], pivots: list[int], den: int, dim: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the null space of the first dim columns of a _reduce result:
+    one vector per free column below dim, with a 1 there."""
     basis = []
     for fc in (c for c in range(dim) if c not in pivots):
         v = [Fraction(0)] * dim
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = Fraction(-mat[i][fc], den)
+            if pc < dim:
+                v[pc] = Fraction(-mat[i][fc], den)
         basis.append(tuple(v))
     return basis
+
+
+def nullspace_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {v : row . v = 0 for all rows}, as vectors in Q^dim: one per
+    free column of the reduced row echelon form, with a 1 there."""
+    return _kernel(*_reduce([integer_row(r)[0] for r in rows]), dim)
+
+
+@dataclass(frozen=True)
+class AffineSolution:
+    """What one reduction of [A | b] says about {x in Q^dim : A x = b}."""
+
+    rank: int                                   # rank of A
+    consistent: bool                            # rank [A | b] == rank A
+    point: tuple[Fraction, ...] | None          # the one solution, when consistent with rank dim
+    direction: tuple[Fraction, ...] | None      # spans the null space of A, when rank is dim - 1
+
+
+def solve_affine(rows: Sequence[tuple[Sequence, object]], dim: int) -> AffineSolution:
+    """The rank, consistency and unique solution of the equations
+    coeffs . x = rhs, given as (coeffs, rhs) pairs in Q^dim, by one
+    reduction of [A | b].  The columns are eliminated left to right, so the
+    pivots below dim are A's, and a pivot in the last column is a row
+    0 = nonzero."""
+    mat, pivots, den = _reduce([integer_row([*c, r])[0] for c, r in rows])
+    consistent = not pivots or pivots[-1] < dim
+    rank = len(pivots) if consistent else len(pivots) - 1
+    point = None
+    if consistent and rank == dim:
+        point = tuple(Fraction(row[dim], den) for row in mat[:dim])
+    direction = _kernel(mat, pivots, den, dim)[0] if rank == dim - 1 else None
+    return AffineSolution(rank, consistent, point, direction)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

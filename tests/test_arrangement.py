@@ -38,6 +38,7 @@ from tropic.network import (
     unit,
 )
 
+import oracles
 from oracles import (
     build_poset_reference,
     enumerate_cells_unpruned,
@@ -163,30 +164,36 @@ class TestEnumerateCells:
             assert lp_call_count() - start == 0
 
     def test_signature_budget(self):
-        # Each unit has 7 cells, so the levels try 7 and 49 signatures, one
-        # LP each.  A budget of 55 leaves 48 for the second level, which is
-        # refused before it solves any; 56 lets it start.
-        for limit, solved in ((10, 7), (55, 7), (56, 56)):
+        # Each unit has 7 cells, so the levels try 7 and 49 signatures.  A
+        # signature whose ties fix a point or contradict each other is
+        # decided by rank, with no LP: unit 1's triple tie on the first
+        # level, and 22 of the 49 on the second, so the levels solve 6 and
+        # 27 LPs.  A budget of 32 leaves 26 for the second level, which is
+        # refused before it solves any; 33 lets it start.
+        for limit, solved in ((10, 6), (32, 6), (33, 33)):
             start = lp_call_count()
             with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(limit):
                 enumerate_cells(example_layer())
             assert lp_call_count() - start == solved
 
     def test_signature_cap_bounds_the_widest_level(self):
-        # The levels try 7, 35 and 175 of the 343 signatures, one LP each,
-        # and each of the 49 cells that are not points costs one recession
-        # LP: 266 in all; the 12 point cells solve none.  With 216, the last
-        # level finds 174 LPs left and solves none.
+        # The levels try 7, 35 and 175 of the 343 signatures.  Those not
+        # decided by rank cost one LP each, 6, 24 and 90, and each of the 19
+        # regions costs one recession LP: 139 in all.  The 30 edge cells
+        # are lines and the 12 point cells are points, so their recession
+        # profiles need no LP.  With 119, the last level finds 89 LPs left
+        # and solves none.
         l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
         start = lp_call_count()
-        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(216):
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(119):
             enumerate_cells(l)
-        assert lp_call_count() - start == 42
+        assert lp_call_count() - start == 30
         start = lp_call_count()
-        with lp_budget(266):
+        with lp_budget(139):
             cells = enumerate_cells(l)
-        assert lp_call_count() - start == 266
+        assert lp_call_count() - start == 139
         assert len(cells) == 61
+        assert Counter(c.dim for c in cells) == {2: 19, 1: 30, 0: 12}
 
     def test_lp_budget(self):
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(3):
@@ -227,13 +234,14 @@ class TestRankOneUnits:
     # A rank-1 unit's one choice adds no rows, so its children keep their
     # parent's system and solved margin LP: only a leading one solves an LP,
     # the whole space's.  A level's headroom counts only the children that
-    # add rows, so a budget equal to the walk's need completes.
+    # add rows and are not decided by rank, so a budget equal to the walk's
+    # need completes.
     @pytest.mark.parametrize(
         "units, pattern_lps, cell_lps",
         [
-            ([R1, EX_UNIT1, EX_UNIT2], 21, 77),
-            ([EX_UNIT1, R1, EX_UNIT2], 20, 76),
-            ([EX_UNIT1, EX_UNIT2, R1], 20, 76),
+            ([R1, EX_UNIT1, EX_UNIT2], 21, 42),
+            ([EX_UNIT1, R1, EX_UNIT2], 20, 41),
+            ([EX_UNIT1, EX_UNIT2, R1], 20, 41),
             ([R1, unit([[0, 1]], [-1])], 1, 1),
         ],
         ids=["first", "middle", "last", "two"],
@@ -343,14 +351,14 @@ class TestPoset:
         # the line atoms 0 and 1 contain each other (2 LPs each), so that
         # the extension by atom 1 is dropped at atom 0, and three times to
         # find that x = 0 and y = 0 do not (1 LP each).  With the 3 atom
-        # LPs, the crossing point's margin LP and the ambient space's, that
-        # is 12.
+        # LPs and the ambient space's margin LP, that is 11: the crossing
+        # point's equalities have rank 2, so its margin needs no LP.
         l = layer([unit([[1, 0], [0, 0]], [0, 0]), unit([[1, 0], [0, 0]], [0, 0]),
                    unit([[0, 1], [0, 0]], [0, 0])])
         start = lp_call_count()
         arr = build_atoms(l)
         p = build_poset(arr)
-        assert lp_call_count() - start == 12
+        assert lp_call_count() - start == 11
         assert len(p.elements) == 4
         assert count_regions_poset(arr, p) == count_regions_bruteforce(l).regions == 4
 
@@ -359,12 +367,13 @@ class TestPoset:
         # origin and every triple at the origin alone.  The breadth-first
         # walk reaches the origin from each of its parents and solves 3,054
         # LPs; closure extension reaches it once, and its equalities have
-        # rank 3, so the atoms through it are found with no LP, and its
-        # Euler characteristic needs no recession LP.
+        # rank 3, so its margin, the atoms through it and its Euler
+        # characteristic need no LP.  The lines' Euler characteristics are
+        # read off their directions, also with no LP.
         arr = build_atoms(construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1))
         start = lp_call_count()
         p = build_poset(arr)
-        assert lp_call_count() - start == 206
+        assert lp_call_count() - start == 148
         assert len(p.elements) == 29
 
     def test_matches_breadth_first_reference(self):
@@ -437,9 +446,14 @@ class TestPosetCounting:
             count_faces_poset(arr, 2)
 
     def test_lp_budget_reaches_the_poset_build(self):
+        # The example's poset solves one LP, the ambient space's margin LP.
+        # Its other elements are atoms, lines solved by build_atoms whose
+        # Euler characteristics need no LP, or points decided by rank.
         arr = build_atoms(example_layer())
-        with pytest.raises(BudgetExceededError), lp_budget(3):
+        with pytest.raises(BudgetExceededError), lp_budget(0):
             count_regions_poset(arr)
+        with lp_budget(1):
+            assert count_regions_poset(arr) == 8
 
 
 class TestIsSimple:
@@ -468,21 +482,38 @@ class TestIsSimple:
         )
         assert not is_simple(build_atoms(l)).simple
 
-    def test_matches_every_tuple_reference(self):
+    def test_matches_every_tuple_reference(self, monkeypatch):
         # The search that stops at empty non-central tuples gives the flag
         # and the first violation of the check of every tuple, with no
-        # more LPs.
+        # more LPs.  A pruned tuple is one the reference visits, with an
+        # affine_dimension call, and the search does not; it may cost no
+        # LP on either side, as its equalities are often decided by rank.
+        visits = Counter()
+
+        def counting(owner):
+            real = owner.affine_dimension
+
+            def affine_dimension(sys):
+                visits[owner.__name__] += 1
+                return real(sys)
+
+            monkeypatch.setattr(owner, "affine_dimension", affine_dimension)
+
+        counting(arrangement)
+        counting(oracles)
         rng = random.Random(1975)
         seen = Counter()
         for i in range(200):
             arr = build_atoms(small_integer_layer(rng, i % 2 == 0, max_rank=4, max_product=48))
+            visits.clear()
             start = lp_call_count()
             cert = is_simple(arr)
             mid = lp_call_count()
             assert cert == is_simple_reference(arr)
-            saved = lp_call_count() - mid - (mid - start)
-            assert saved >= 0 and not (arr.central and saved)
-            seen["pruned"] += saved > 0
+            assert lp_call_count() - mid >= mid - start
+            pruned = visits[oracles.__name__] - visits[arrangement.__name__]
+            assert pruned >= 0 and not (arr.central and pruned)
+            seen["pruned"] += pruned > 0
             seen[f"not simple, central {arr.central}"] += not cert.simple
         assert min(seen.values()) >= 5, seen
 

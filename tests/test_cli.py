@@ -98,19 +98,21 @@ def test_construct_then_count_all_methods(tmp_path, capsys):
 
 def test_regions_count_lp_cost(tmp_path, capsys):
     # One build_atoms serves is_simple and the poset; the dual count is the
-    # upper-vertex count alone.  Per stage: atoms 9, is_simple 20, pattern
-    # 58, poset 36, dual 27 LPs: one drop LP per point of the lifted sum,
-    # and no recession LP for the poset's point elements.  No system solves
-    # its margin LP twice, and the poset's one-atom elements reuse the
-    # atoms' solved systems.
+    # upper-vertex count alone.  Per stage: atoms 9, is_simple 0, pattern
+    # 58, poset 1, dual 27 LPs: one drop LP per point of the lifted sum.
+    # In Q^2 two atoms of this generic layer meet in a point and three have
+    # inconsistent ties, so is_simple and the poset's point elements are
+    # decided by rank; the poset's one LP is the ambient space's margin LP.
+    # No system solves its margin LP twice, and the poset's one-atom
+    # elements reuse the atoms' solved systems.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
         "--seed", "1", "-o", str(net))
     expected = {
         "pattern": (58, {"pattern": {"regions": 19, "bounded_regions": 7}}),
-        "poset": (65, {"poset": {"regions": 19}}),
-        "dual": (56, {"dual": {"regions": 19}}),
-        "all": (150, {
+        "poset": (10, {"poset": {"regions": 19}}),
+        "dual": (36, {"dual": {"regions": 19}}),
+        "all": (95, {
             "pattern": {"regions": 19, "bounded_regions": 7},
             "poset": {"regions": 19},
             "dual": {"regions": 19},
@@ -135,12 +137,11 @@ def test_regions_count_lp_cost(tmp_path, capsys):
             assert "TROPIC_BUDGET_LP" in err
 
 
-@pytest.mark.parametrize("method,budget", [("poset", 60), ("dual", 55), ("poset", 64)])
+@pytest.mark.parametrize("method,budget", [("poset", 5), ("dual", 35), ("poset", 9)])
 def test_lp_budget_bounds_the_whole_command(tmp_path, capsys, method, budget):
-    # atoms and is_simple spend 29 LPs, then the poset (36) or the
+    # atoms and is_simple spend 9 LPs, then the poset (1) or the
     # upper-vertex classification (27) gets only what is left.  --method
-    # poset needs 65 LPs in all, the last of them for the Euler
-    # characteristics of the poset's elements.
+    # poset needs 10 LPs in all and --method dual 36.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
         "--seed", "1", "-o", str(net))
@@ -340,14 +341,14 @@ def test_poset_dump(tmp_path, capsys):
 
 
 def test_poset_dump_lp_budget_counts_the_atoms(tmp_path, capsys):
-    # 28 LPs in all, 7 of them for build_atoms before the poset is built.
+    # 8 LPs in all, 7 of them for build_atoms before the poset is built.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,2",
         "--seed", "1", "-o", str(net))
-    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "27")
+    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "7")
     assert code == EXIT_BUDGET
     assert "TROPIC_BUDGET_LP" in err
-    code, out, _ = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "28")
+    code, out, _ = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "8")
     assert code == EXIT_OK
     assert json.loads(out)["regions"] == 14
 

@@ -3,7 +3,7 @@
 An `assert` statement disappears under `python -O`, so internal invariants
 raise typed errors instead; the package computes with int and Fraction
 only, so no float literal appears in its source; exact elimination lives
-in linalg alone; geometry solves its LPs in three places only, and a
+in linalg alone, and no other module uses its private names; geometry solves its LPs in three places only, and a
 system's common-margin LP only through the system's cache; minkowski solves
 its LPs in the drop LP alone, the only LP that enters by the largest
 coefficient rather than by Bland's rule; arrangement builds argmax rows in
@@ -60,6 +60,29 @@ def test_integer_elimination_lives_in_linalg(path):
         if a.name in ("gcd", "lcm")
     ]
     assert names == [], f"{path.name}: imports {names} from math; use tropic.linalg"
+
+
+def test_no_module_uses_a_private_linalg_name():
+    # linalg's private helpers (its elimination _reduce, say) are its own;
+    # a module that reduced rows through them would bypass the public
+    # functions, solve_affine among them, that say what a reduction means.
+    linalg = next(p for p in SOURCES if p.name == "linalg.py")
+    private = {
+        s.name
+        for s in ast.parse(linalg.read_text()).body
+        if isinstance(s, (ast.FunctionDef, ast.ClassDef)) and s.name.startswith("_")
+    }
+    assert "_reduce" in private
+    found = []
+    for path in SOURCES:
+        if path == linalg:
+            continue
+        for n in _nodes(path):
+            if isinstance(n, ast.Attribute) and n.attr in private:
+                found.append(f"{path.name}:{n.lineno} {n.attr}")
+            if isinstance(n, ast.ImportFrom) and n.module and n.module.endswith("linalg"):
+                found += [f"{path.name}:{n.lineno} {a.name}" for a in n.names if a.name in private]
+    assert found == [], f"private linalg names used outside linalg: {found}"
 
 
 def _solve_lp_users(name):

@@ -18,6 +18,7 @@ from tropic.geometry import (
     recession_profile,
     strictly_feasible,
 )
+from tropic.linalg import dot
 from tropic.linprog import (
     OPTIMAL,
     UNBOUNDED,
@@ -31,6 +32,8 @@ from tropic.linprog import (
 from oracles import (
     affine_dimension_reference,
     euler_characteristic_by_decomposition,
+    nullspace_basis_reference,
+    rank_reference,
     recession_profile_reference,
 )
 
@@ -376,15 +379,131 @@ def test_solved_system_answers_as_a_fresh_one(sys):
     )
     with refuse:
         assert answers(solved) == expected
-    # An LP refused by the budget caches nothing: the system is solved by
-    # the next call outside the block.
+    # A system decided by rank solves no margin LP.  Any other system
+    # solves one, and an LP refused by the budget caches nothing: the
+    # system is solved by the next call outside the block.
     refused = fresh(sys)
+    if refused.rank_decided:
+        start = lp_call_count()
+        with lp_budget(0):
+            assert feasible(refused) == expected[0]
+        assert lp_call_count() == start
+        return
     with lp_budget(0):
         with pytest.raises(BudgetExceededError):
             feasible(refused)
     start = lp_call_count()
     assert feasible(refused) == expected[0]
     assert lp_call_count() - start == 1
+
+
+FRAC = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def eliminated_systems(draw):
+    """Systems in Q^1..Q^4 whose equalities are inconsistent, fix one point,
+    or leave a line, with Fraction entries and up to 5 inequalities.
+
+    The equalities are independent rows, triangular on their pivot
+    columns, through an anchor point, plus a combination of them: with its
+    right-hand side shifted off the anchor for an inconsistent system.  A
+    point's inequalities have slack -1 (violated), 0 (tight), 1/2 or 2 at
+    the anchor.  A line's inequalities get each slope c . v in {-1, 0, 1/2}
+    along its direction v, so every sign mix occurs, and slack 0 or 1, or
+    -1 once in a while for an empty line.
+    """
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["inconsistent", "point", "line"]))
+    r = {"point": d, "line": d - 1}[kind] if kind != "inconsistent" else draw(st.integers(0, d))
+    pivots = sorted(draw(st.permutations(range(d)))[:r])
+    anchor = [draw(FRAC) for _ in range(d)]
+
+    def through_anchor(c, slack=0):
+        return tuple(c), sum((a * b for a, b in zip(c, anchor)), Fraction(0)) - slack
+
+    eqs = []
+    for k, p in enumerate(pivots):
+        c = [draw(FRAC) for _ in range(d)]
+        c[p] = draw(FRAC.filter(bool))
+        for q in pivots[:k]:
+            c[q] = 0
+        eqs.append(through_anchor(c))
+    weights = [draw(FRAC) for _ in eqs]
+    combo = [sum((w * c[j] for w, (c, _) in zip(weights, eqs)), Fraction(0)) for j in range(d)]
+    shift = draw(FRAC.filter(bool)) if kind == "inconsistent" else 0
+    if shift or draw(st.booleans()):
+        eqs.append(through_anchor(combo, shift))
+    eqs = draw(st.permutations(eqs))
+    ineqs = []
+    for _ in range(draw(st.integers(0, 5))):
+        c = [draw(FRAC) for _ in range(d)]
+        if kind == "line":
+            (v,) = nullspace_basis_reference([c for c, _ in eqs], d)
+            slope = draw(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2)]))
+            step = (slope - dot(c, v)) / dot(v, v)
+            c = [a + step * b for a, b in zip(c, v)]
+            slack = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(0), Fraction(-1)]))
+        else:
+            slack = draw(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)]))
+        ineqs.append(through_anchor(c, slack))
+    return ConstraintSystem(d, tuple(eqs), tuple(ineqs))
+
+
+POINT_ON_A_TIGHT_ROW = ConstraintSystem.build(2, [((1, 0), 1), ((1, 1), 1)], [((0, -1), 0)])
+POINT_OFF_A_ROW = ConstraintSystem.build(2, [((1, 0), 1), ((0, 1), 0)], [((1, 1), 2)])
+RAY_OF_A_LINE = ConstraintSystem.build(2, [((1, -1), 0)], [((1, 0), 0), ((1, 1), -1)])
+CROSSED_LINE = ConstraintSystem.build(2, [((1, -1), 0)], [((1, 0), 0), ((-1, 0), -1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(eliminated_systems())
+@example(CONTRADICTORY)
+@example(POINT)
+@example(POINT_ON_A_TIGHT_ROW)
+@example(POINT_OFF_A_ROW)
+@example(ConstraintSystem.build(0, [((), 0)], [((), -1)]))
+@example(ConstraintSystem.build(0, [], [((), 1)]))
+def test_rank_decided_margin_is_the_lp_optimum(sys):
+    # Inconsistent equalities, and equalities that fix a point, answer the
+    # common-margin LP with no LP, and with the LP's own result: status,
+    # value and witness.  Every other system solves it.
+    lp = geometry._max_common_margin(sys.ambient_dim, sys.equalities, sys.inequalities)
+    fast = fresh(sys)
+    start = lp_call_count()
+    assert fast._margin == lp
+    assert lp_call_count() - start == (0 if fast.rank_decided else 1)
+    if lp.x is not None:
+        assert all(type(v) is Fraction for v in fast._margin.x)
+    assert affine_dimension(fast) == affine_dimension_reference(sys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eliminated_systems())
+@example(LINE)
+@example(RAY)
+@example(RAY_OF_A_LINE)
+@example(CROSSED_LINE)
+@example(POINT)
+def test_line_and_point_recession_matches_the_cone_lp(sys):
+    # A nonempty system whose equalities fix a point or leave a line reads
+    # its recession profile off the elimination, with no LP, and agrees
+    # with the implicit-equality LP on the recession cone.
+    d = sys.ambient_dim
+    if feasible(sys) is None:
+        with pytest.raises(EmptyPolyhedronError):
+            recession_profile(sys)
+        return
+    start = lp_call_count()
+    prof = recession_profile(sys)
+    if sys.equality_rank >= d - 1:
+        assert lp_call_count() == start
+    cone = [(c, 0) for c, _ in sys.inequalities]
+    implicit = geometry._implicit_equalities(
+        d, [(c, 0) for c, _ in sys.equalities], cone, range(len(cone))
+    )
+    lineality = d - rank_reference([c for c, _ in sys.equalities + sys.inequalities])
+    assert prof == RecessionProfile(lineality, len(implicit) == len(cone))
 
 
 def test_no_candidates_solve_no_lp():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropic.linalg import integer_row, nullspace_basis, rank
+from tropic.linalg import dot, integer_row, nullspace_basis, rank, solve_affine
 
 from oracles import nullspace_basis_reference, rank_reference
 
@@ -61,6 +61,35 @@ def test_nullspace_basis_matches_reference(rows, dim):
     if rows:
         dim = len(rows[0])
     assert nullspace_basis(rows, dim) == nullspace_basis_reference(rows, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.integers(0, 5))
+@example([], 2)
+@example([[F(0), F(0), F(1)]], 0)
+@example([[F(1), F(0), F(2)], [F(2), F(0), F(5)]], 0)
+@example([[F(1, 2), F(1), F(3)], [F(0), F(2), F(-1)]], 0)
+@example([[F(1), F(-1), F(0)], [F(-2), F(2), F(0)]], 0)
+def test_solve_affine_matches_reference(rows, dim):
+    # The rows are [A | b], their last column b; without columns, A x = b
+    # is the empty system in Q^dim.
+    if rows and rows[0]:
+        dim = len(rows[0]) - 1
+        eqs = [(r[:-1], r[-1]) for r in rows]
+    else:
+        eqs = []
+    a = [c for c, _ in eqs]
+    sol = solve_affine(eqs, dim)
+    assert sol.rank == rank_reference(a)
+    assert sol.consistent == (rank_reference([[*c, r] for c, r in eqs]) == sol.rank)
+    if sol.consistent and sol.rank == dim:
+        assert len(sol.point) == dim and all(dot(c, sol.point) == r for c, r in eqs)
+    else:
+        assert sol.point is None
+    if sol.rank == dim - 1:
+        assert [sol.direction] == nullspace_basis_reference(a, dim)
+    else:
+        assert sol.direction is None
 
 
 def test_integer_row_scales_by_the_lcm_without_gcd_reduction():
