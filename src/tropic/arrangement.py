@@ -126,8 +126,6 @@ def _node(sig, sys, w):
 def _cell(sig, sys, w) -> Cell:
     """A leaf as a Cell with witness w; the dimension reads the solved margin
     LP, so only the recession profile may cost an LP."""
-    if not sig:  # no units: the whole space, which needs no LP
-        return Cell((), sys.ambient_dim, sys.ambient_dim == 0, w)
     prof = recession_profile(sys)
     bounded = prof.lineality_dim == 0 and prof.pointed_part_bounded
     return Cell(tuple(frozenset(c + 1 for c in t) for t in sig), affine_dimension(sys), bounded, w)
@@ -325,7 +323,8 @@ def build_poset(arr: Arrangement) -> Poset:
       the candidate is its point w.  An atom containing the candidate holds
       at w, so satisfies decides, and a point's dimension and Euler
       characteristic are read off the rank as well.  So is a line's Euler
-      characteristic.
+      characteristic.  The root, Q^n, has no rows, and its margin is
+      decided with no LP too.
 
     Each element keeps the system that found it, so its dimension and Euler
     characteristic solve no second emptiness LP, and the elements found
@@ -458,23 +457,15 @@ def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, i
     of A_S.  _dedupe_units works unit by unit, so A and A_S index their
     features alike.
 
-    A unit has an atom exactly when two of its features have different
-    gradients, so that check solves no LP.  If all gradients are equal, the
-    features differ by constants, and a pair ties nowhere or, for
-    duplicates, on Q^n or nowhere: no tie has dimension n-1.  Otherwise no
-    feature is the maximum everywhere, as it would dominate one of another
-    gradient, so (the open sets where one feature is the strict maximum are
-    dense together) the unit's column of the walk's signatures takes two or
-    more values.  The closed pieces {f_a >= every feature} of those features
-    cover Q^n, so two of them, a and b, meet in an (n-1)-face inside
-    {f_a = f_b}, a hyperplane since both are strict somewhere: an atom.
-    The atom check and the simplicity check, which alone builds atoms, come
-    before the walk, so a refused layer solves none of the walk's LPs.
+    Whether a unit has an atom is read off its gradients
+    (MaxoutUnitSpec.has_atom), so that check solves no LP.  It and the
+    simplicity check, which alone builds atoms, come before the walk, so a
+    refused layer solves none of the walk's LPs.
     """
     m = layer.width
     if m < n + 1:
         raise ValueError(f"identity requires m >= n+1 (m={m}, n={n})")
-    missing = [i + 1 for i, u in enumerate(layer.units) if len(set(u.weights)) < 2]
+    missing = [i + 1 for i, u in enumerate(layer.units) if not u.has_atom]
     if missing:
         raise ValueError(f"units {missing} contribute no atoms; drop them before applying the identity")
     if not assume_simple and not is_simple(build_atoms(layer)).simple:

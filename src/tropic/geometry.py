@@ -20,7 +20,9 @@ rank A = d the equalities fix one point x, so t is the margin LP's only
 freedom: the LP is infeasible when the least inequality slack at x is
 negative, and otherwise its unique optimum is x with t = min(1, that
 slack), the LP's own result, witness included.  Such a point has
-dimension 0 and recession cone {0}.  If rank A = d - 1 the equalities
+dimension 0 and recession cone {0}.  A system with no rows at all is
+Q^d, and its LP takes one pivot, t in for the slack of its cap t <= 1:
+the optimum is t = 1 at the origin.  If rank A = d - 1 the equalities
 leave a line, and its direction v decides the recession profile by the
 signs of the c . v.
 """
@@ -112,22 +114,25 @@ class ConstraintSystem:
     @property
     def rank_decided(self) -> bool:
         """Whether the equalities alone decide the common-margin LP, so that
-        it needs no LP: they are inconsistent or fix at most one point."""
+        it needs no LP: they are inconsistent or fix at most one point, or
+        the system has no rows at all."""
         sol = self._solution
-        return not sol.consistent or sol.rank == self.ambient_dim
+        no_rows = not (self.equalities or self.inequalities)
+        return not sol.consistent or sol.rank == self.ambient_dim or no_rows
 
     @cached_property
     def _margin(self) -> LPResult:
         """The common-margin LP of this system, solved on first use.  An LP
         that raises (say, over the LP budget) leaves nothing cached.  A
-        rank-decided system solves none and returns the LP's unique
-        optimum, witness included (see the module docstring).
+        rank-decided system solves none and returns the LP's own result,
+        witness included (see the module docstring).
         """
         if not self.rank_decided:
             return _max_common_margin(self.ambient_dim, self.equalities, self.inequalities)
-        x = self._solution.point
-        if x is None:  # inconsistent equalities
+        sol = self._solution
+        if not sol.consistent:
             return LPResult(INFEASIBLE, None, None)
+        x = sol.point if sol.rank == self.ambient_dim else (Fraction(0),) * self.ambient_dim
         t = min([Fraction(1)] + [linalg.dot(c, x) - r for c, r in self.inequalities])
         return LPResult(INFEASIBLE, None, None) if t < 0 else LPResult(OPTIMAL, t, x + (t,))
 

@@ -6,17 +6,22 @@ is multiplied by the lcm of its denominators (its slack entry becomes
 -scale) and is not gcd-reduced, so no Fraction is formed until the witness
 is read off.  The tableau then shares a single positive denominator (the
 determinant of the current basis) and every pivot is the fraction-free
-update of Bareiss (1968) in linalg.pivot.
+update of Bareiss (1968) in linalg.pivot.  The update is exact, so a basic
+column is den in its own row and 0 in every other row, the cost rows
+included: its reduced cost is exactly 0.  No set of basic columns is kept
+beside the basis list, as a positive reduced cost already names a nonbasic
+column, and the witness is read off the basis list.
 
-Two entering rules are offered.  Bland's rule (BLAND, the default) enters
-the lowest column with a positive reduced cost; its witness is a fixed
-function of the input, so every LP whose point is emitted or reused uses
-it.  DANTZIG enters the column with the largest reduced cost until the
-first degenerate pivot (one whose leaving row has right-hand side 0), then
-follows Bland's rule for the rest of the LP.  Both terminate: before that
-switch every pivot strictly improves the phase objective, so no basis
-repeats, and after it Bland's rule cannot cycle.  The status and the
-optimal value do not depend on the rule; the witness may.
+Both phases run one pivot loop with two entering rules.  Bland's rule
+(BLAND, the default) enters the lowest column with a positive reduced
+cost; its witness is a fixed function of the input, so every LP whose
+point is emitted or reused uses it.  DANTZIG enters the column with the
+largest reduced cost until the first degenerate pivot (one whose leaving
+row has right-hand side 0), then follows Bland's rule for the rest of the
+LP, phase 2 included.  Both terminate: before that switch every pivot
+strictly improves the phase objective, so no basis repeats, and after it
+Bland's rule cannot cycle.  The status and the optimal value do not depend
+on the rule; the witness may.
 """
 
 from __future__ import annotations
@@ -150,30 +155,10 @@ def solve_lp(
         nonneg = [False] * num_vars
 
     # Column layout: per variable one column (nonneg) or a split pair
-    # (free x = pos - neg), then one slack per '>=' row, then artificials.
-    pos_col: list[int] = []
-    neg_col: list[int] = []
-    ncols = 0
-    for j in range(num_vars):
-        pos_col.append(ncols)
-        ncols += 1
-        if nonneg[j]:
-            neg_col.append(-1)
-        else:
-            neg_col.append(ncols)
-            ncols += 1
-
-    n_struct = ncols
-
-    def spread(ints: list[int], width: int) -> list[int]:
-        # Variable coefficients placed in their columns, padded to width.
-        out = [0] * width
-        for j, v in enumerate(ints):
-            if v:
-                out[pos_col[j]] = v
-                if neg_col[j] >= 0:
-                    out[neg_col[j]] = -v
-        return out
+    # (free x = pos - neg), each the (variable, sign) pair it carries, then
+    # one slack per '>=' row, then artificials.
+    cols = [(j, sign) for j in range(num_vars) for sign in ((1,) if nonneg[j] else (1, -1))]
+    n_struct = len(cols)
 
     # Rows become integers: each is multiplied by the lcm of its
     # denominators (its slack entry becomes -scale), not gcd-reduced, and
@@ -187,7 +172,7 @@ def solve_lp(
         if op not in (GE, EQ):
             raise ValueError(f"unknown constraint op {op!r}")
         ib = ints.pop()
-        irow = spread(ints, n_struct)
+        irow = [ints[j] * sign for j, sign in cols]
         s = -scale if op == GE else 0
         if ib < 0 or (ib == 0 and s == -1):
             irow = [-v for v in irow]
@@ -225,7 +210,7 @@ def solve_lp(
     for c in range(n_before_art, ncols):
         z1[c] = 0
 
-    z2 = spread(zcoef, ncols + 1)
+    z2 = [zcoef[j] * sign for j, sign in cols] + [0] * (ncols + 1 - n_struct)
 
     den = 1
     rhs_i = ncols  # index of the rhs slot in every row
@@ -253,75 +238,49 @@ def solve_lp(
                         best = i
         return best
 
+    bland = entering == BLAND  # DANTZIG hands over to Bland's rule for good
+
     def run(zrow: list[int]) -> str:
+        # A basic column's reduced cost is 0, so every positive one is
+        # nonbasic.  Reduced costs share the tableau's denominator, so the
+        # integer entries compare directly.
+        nonlocal bland
         while True:
-            enter = -1
-            for j in range(n_before_art):
-                if zrow[j] > 0 and j not in basis_row:
-                    enter = j
-                    break
+            enter = next((j for j in range(n_before_art) if zrow[j] > 0), -1)
             if enter == -1:
                 return OPTIMAL
+            if not bland:
+                enter = max(range(enter, n_before_art), key=zrow.__getitem__)
             leave = ratio_row(enter)
             if leave == -1:
                 return UNBOUNDED
-            del basis_row[basis[leave]]
-            basis_row[enter] = leave
+            bland = bland or T[leave][rhs_i] == 0
             pivot(leave, enter)
 
-    bland = False  # DANTZIG hands over to Bland's rule for good
-
-    def run_largest(zrow: list[int]) -> str:
-        # Reduced costs share the tableau's denominator, so the integer
-        # entries compare directly; a basic column's entry is 0.
-        nonlocal bland
-        while not bland:
-            best = max(zrow[:n_before_art], default=0)
-            if best <= 0:
-                return OPTIMAL
-            enter = zrow.index(best)
-            leave = ratio_row(enter)
-            if leave == -1:
-                return UNBOUNDED
-            bland = T[leave][rhs_i] == 0
-            del basis_row[basis[leave]]
-            basis_row[enter] = leave
-            pivot(leave, enter)
-        return run(zrow)
-
-    basis_row: dict[int, int] = {basis[i]: i for i in range(m)}
-    phase = run if entering == BLAND else run_largest
-
-    if phase(z1) != OPTIMAL:
+    if run(z1) != OPTIMAL:
         raise InternalError("phase 1 unbounded, but the artificial sum is >= 0")
     if z1[rhs_i] != 0:
         return LPResult(INFEASIBLE, None, None)
 
-    # Drive basic artificials out (or leave them on redundant zero rows).
+    # Drive basic artificials out (or leave them on redundant zero rows);
+    # a basic column is 0 in every other row, so a nonzero entry is nonbasic.
     for i in range(m):
         if basis[i] >= n_before_art:
             row = T[i]
-            for j in range(n_before_art):
-                if row[j] != 0 and j not in basis_row:
-                    if row[j] < 0:
-                        row[:] = [-v for v in row]
-                    del basis_row[basis[i]]
-                    basis_row[j] = i
-                    pivot(i, j)
-                    break
+            j = next((j for j in range(n_before_art) if row[j]), None)
+            if j is not None:
+                if row[j] < 0:
+                    row[:] = [-v for v in row]
+                pivot(i, j)
 
-    status = phase(z2)
+    status = run(z2)
 
     # Witness numerators over the common denominator den.
     xnum = [0] * num_vars
-    for j in range(num_vars):
-        r = basis_row.get(pos_col[j])
-        if r is not None:
-            xnum[j] += T[r][rhs_i]
-        if neg_col[j] >= 0:
-            r = basis_row.get(neg_col[j])
-            if r is not None:
-                xnum[j] -= T[r][rhs_i]
+    for i, b in enumerate(basis):
+        if b < n_struct:
+            j, sign = cols[b]
+            xnum[j] += sign * T[i][rhs_i]
     x = tuple(Fraction(v, den) for v in xnum)
 
     if status == UNBOUNDED:

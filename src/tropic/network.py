@@ -42,6 +42,24 @@ class MaxoutUnitSpec:
     def rank(self) -> int:
         return len(self.weights)
 
+    @property
+    def has_atom(self) -> bool:
+        """Whether two features tie on an (n-1)-dimensional face of the
+        unit's argmax pieces in Q^n, the unit's atom: exactly when two of
+        its features have different gradients, so no LP decides it.
+
+        If all gradients are equal, the features differ by constants, and a
+        pair ties nowhere or, for duplicates, on Q^n or nowhere: no tie has
+        dimension n-1.  Otherwise no feature is the maximum everywhere, as
+        it would dominate one of another gradient, so (the open sets where
+        one feature is the strict maximum are dense together) two or more
+        features are the strict maximum somewhere.  The closed pieces
+        {f_a >= every feature} of those features cover Q^n, so two of them,
+        a and b, meet in an (n-1)-face inside {f_a = f_b}, a hyperplane
+        since both are strict somewhere: an atom.
+        """
+        return len(set(self.weights)) >= 2
+
     def features(self) -> list[tuple[Vec, Fraction]]:
         """(weight vector, bias) per preactivation feature; bias 0 when absent."""
         if self.biases is None:
@@ -481,14 +499,13 @@ def sample_generic(
 
 def _generic_by_lp(l: LayerSpec, central: LayerSpec) -> bool:
     """sample_generic's certificate by LPs: every rank->=2 unit of l has an
-    atom, and central, l or its projectivization, is simple."""
+    atom, which its gradients decide with no LP (MaxoutUnitSpec.has_atom),
+    and central, l or its projectivization, is simple."""
     from .arrangement import build_atoms, is_simple
 
-    arr = build_atoms(l)
-    atom_units = {a.unit for a in arr.atoms}
-    if any(u.rank >= 2 and (i + 1) not in atom_units for i, u in enumerate(l.units)):
+    if any(u.rank >= 2 and not u.has_atom for u in l.units):
         return False
-    return is_simple(build_atoms(central) if l.bias_mode == WITH_BIAS else arr).simple
+    return is_simple(build_atoms(central)).simple
 
 
 def _flats_transverse(l: LayerSpec) -> bool:
@@ -520,9 +537,8 @@ def _flats_transverse(l: LayerSpec) -> bool:
     features (w, b) and (w, b') give the pair flat (0, b - b'), which
     stacks with the flat (0, 1) of the unit at infinity to rank 1 < 2.  So
     each unit of the no-bias layer, or of the with-bias layer that was
-    projectivized, has features of distinct gradients.  Their max is then
-    not affine, so two of them are the strict max on open sets of its input
-    space with a common facet, which lies in their tie: an atom.
+    projectivized, has features of distinct gradients, and so an atom
+    (MaxoutUnitSpec.has_atom).
     """
     n = l.input_dim
     flats = [

@@ -71,6 +71,12 @@ def three_generic_lines():
     )
 
 
+def shared_tie_line():
+    # Units 1 and 2 tie on the same line x = 0, unit 3 on y = 0.
+    return layer([unit([[1, 0], [0, 0]], [0, 0]), unit([[1, 0], [0, 0]], [0, 0]),
+                  unit([[0, 1], [0, 0]], [0, 0])])
+
+
 def central_3_2():
     # max{0, x, y} and max{0, x + 2y} in Q^2
     return layer([unit([[0, 0], [1, 0], [0, 1]]), unit([[0, 0], [1, 2]])])
@@ -232,17 +238,18 @@ class TestEnumerateCells:
 
 class TestRankOneUnits:
     # A rank-1 unit's one choice adds no rows, so its children keep their
-    # parent's system and solved margin LP: only a leading one solves an LP,
-    # the whole space's.  A level's headroom counts only the children that
-    # add rows and are not decided by rank, so a budget equal to the walk's
-    # need completes.
+    # parent's system and solved margin LP; a leading one keeps the whole
+    # space's, which has no rows and so needs no LP, and two rank-1 units
+    # solve none.  A level's headroom counts only the children that add
+    # rows and are not decided by rank, so a budget equal to the walk's
+    # need completes, and one below it, -1 for two rank-1 units, raises.
     @pytest.mark.parametrize(
         "units, pattern_lps, cell_lps",
         [
-            ([R1, EX_UNIT1, EX_UNIT2], 21, 42),
+            ([R1, EX_UNIT1, EX_UNIT2], 20, 41),
             ([EX_UNIT1, R1, EX_UNIT2], 20, 41),
             ([EX_UNIT1, EX_UNIT2, R1], 20, 41),
-            ([R1, unit([[0, 1]], [-1])], 1, 1),
+            ([R1, unit([[0, 1]], [-1])], 0, 0),
         ],
         ids=["first", "middle", "last", "two"],
     )
@@ -351,14 +358,13 @@ class TestPoset:
         # the line atoms 0 and 1 contain each other (2 LPs each), so that
         # the extension by atom 1 is dropped at atom 0, and three times to
         # find that x = 0 and y = 0 do not (1 LP each).  With the 3 atom
-        # LPs and the ambient space's margin LP, that is 11: the crossing
-        # point's equalities have rank 2, so its margin needs no LP.
-        l = layer([unit([[1, 0], [0, 0]], [0, 0]), unit([[1, 0], [0, 0]], [0, 0]),
-                   unit([[0, 1], [0, 0]], [0, 0])])
+        # LPs that is 10: the ambient space has no rows and the crossing
+        # point's equalities have rank 2, so neither margin needs an LP.
+        l = shared_tie_line()
         start = lp_call_count()
         arr = build_atoms(l)
         p = build_poset(arr)
-        assert lp_call_count() - start == 11
+        assert lp_call_count() - start == 10
         assert len(p.elements) == 4
         assert count_regions_poset(arr, p) == count_regions_bruteforce(l).regions == 4
 
@@ -369,11 +375,12 @@ class TestPoset:
         # LPs; closure extension reaches it once, and its equalities have
         # rank 3, so its margin, the atoms through it and its Euler
         # characteristic need no LP.  The lines' Euler characteristics are
-        # read off their directions, also with no LP.
+        # read off their directions, and the ambient space's margin is
+        # decided as a system with no rows, also with no LP.
         arr = build_atoms(construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1))
         start = lp_call_count()
         p = build_poset(arr)
-        assert lp_call_count() - start == 148
+        assert lp_call_count() - start == 147
         assert len(p.elements) == 29
 
     def test_matches_breadth_first_reference(self):
@@ -446,14 +453,19 @@ class TestPosetCounting:
             count_faces_poset(arr, 2)
 
     def test_lp_budget_reaches_the_poset_build(self):
-        # The example's poset solves one LP, the ambient space's margin LP.
-        # Its other elements are atoms, lines solved by build_atoms whose
-        # Euler characteristics need no LP, or points decided by rank.
+        # The example's poset solves no LP: the ambient space has no rows,
+        # and its other elements are atoms, lines solved by build_atoms
+        # whose Euler characteristics need no LP, or points decided by rank.
+        # The shared tie line's poset solves 7 LPs, all in contains (see
+        # TestPoset), so a budget of 6 stops it and one of 7 completes.
         arr = build_atoms(example_layer())
-        with pytest.raises(BudgetExceededError), lp_budget(0):
-            count_regions_poset(arr)
-        with lp_budget(1):
+        with lp_budget(0):
             assert count_regions_poset(arr) == 8
+        arr = build_atoms(shared_tie_line())
+        with pytest.raises(BudgetExceededError), lp_budget(6):
+            count_regions_poset(arr)
+        with lp_budget(7):
+            assert count_regions_poset(arr) == 4
 
 
 class TestIsSimple:

@@ -99,10 +99,10 @@ def test_construct_then_count_all_methods(tmp_path, capsys):
 def test_regions_count_lp_cost(tmp_path, capsys):
     # One build_atoms serves is_simple and the poset; the dual count is the
     # upper-vertex count alone.  Per stage: atoms 9, is_simple 0, pattern
-    # 58, poset 1, dual 27 LPs: one drop LP per point of the lifted sum.
+    # 58, poset 0, dual 27 LPs: one drop LP per point of the lifted sum.
     # In Q^2 two atoms of this generic layer meet in a point and three have
     # inconsistent ties, so is_simple and the poset's point elements are
-    # decided by rank; the poset's one LP is the ambient space's margin LP.
+    # decided by rank, and the ambient space, with no rows, needs no LP.
     # No system solves its margin LP twice, and the poset's one-atom
     # elements reuse the atoms' solved systems.
     net = tmp_path / "net.json"
@@ -110,9 +110,9 @@ def test_regions_count_lp_cost(tmp_path, capsys):
         "--seed", "1", "-o", str(net))
     expected = {
         "pattern": (58, {"pattern": {"regions": 19, "bounded_regions": 7}}),
-        "poset": (10, {"poset": {"regions": 19}}),
+        "poset": (9, {"poset": {"regions": 19}}),
         "dual": (36, {"dual": {"regions": 19}}),
-        "all": (95, {
+        "all": (94, {
             "pattern": {"regions": 19, "bounded_regions": 7},
             "poset": {"regions": 19},
             "dual": {"regions": 19},
@@ -137,11 +137,11 @@ def test_regions_count_lp_cost(tmp_path, capsys):
             assert "TROPIC_BUDGET_LP" in err
 
 
-@pytest.mark.parametrize("method,budget", [("poset", 5), ("dual", 35), ("poset", 9)])
+@pytest.mark.parametrize("method,budget", [("poset", 5), ("dual", 35), ("poset", 8)])
 def test_lp_budget_bounds_the_whole_command(tmp_path, capsys, method, budget):
-    # atoms and is_simple spend 9 LPs, then the poset (1) or the
+    # atoms and is_simple spend 9 LPs, then the poset (0) or the
     # upper-vertex classification (27) gets only what is left.  --method
-    # poset needs 10 LPs in all and --method dual 36.
+    # poset needs 9 LPs in all and --method dual 36.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
         "--seed", "1", "-o", str(net))
@@ -341,14 +341,14 @@ def test_poset_dump(tmp_path, capsys):
 
 
 def test_poset_dump_lp_budget_counts_the_atoms(tmp_path, capsys):
-    # 8 LPs in all, 7 of them for build_atoms before the poset is built.
+    # 7 LPs in all, every one for build_atoms: the poset itself solves none.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,2",
         "--seed", "1", "-o", str(net))
-    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "7")
+    code, _, err = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "6")
     assert code == EXIT_BUDGET
     assert "TROPIC_BUDGET_LP" in err
-    code, out, _ = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "8")
+    code, out, _ = run(capsys, "poset", "dump", "--network", str(net), "--lp-budget", "7")
     assert code == EXIT_OK
     assert json.loads(out)["regions"] == 14
 

@@ -3,7 +3,9 @@
 An `assert` statement disappears under `python -O`, so internal invariants
 raise typed errors instead; the package computes with int and Fraction
 only, so no float literal appears in its source; exact elimination lives
-in linalg alone, and no other module uses its private names; geometry solves its LPs in three places only, and a
+in linalg alone, and no other module uses its private names; solve_lp
+runs both phases and both entering rules in one pivot loop; geometry
+solves its LPs in three places only, and a
 system's common-margin LP only through the system's cache; minkowski solves
 its LPs in the drop LP alone, the only LP that enters by the largest
 coefficient rather than by Bland's rule; arrangement builds argmax rows in
@@ -83,6 +85,29 @@ def test_no_module_uses_a_private_linalg_name():
             if isinstance(n, ast.ImportFrom) and n.module and n.module.endswith("linalg"):
                 found += [f"{path.name}:{n.lineno} {a.name}" for a in n.names if a.name in private]
     assert found == [], f"private linalg names used outside linalg: {found}"
+
+
+def test_solve_lp_has_one_pivot_loop():
+    # Both phases and both entering rules share one simplex loop, and one
+    # helper hands each pivot to linalg.pivot and records it in the basis;
+    # a second loop or a second pivot call would be a second simplex to
+    # keep in step with the first.
+    path = next(p for p in SOURCES if p.name == "linprog.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    solve = next(s for s in tree.body if getattr(s, "name", None) == "solve_lp")
+    nodes = list(ast.walk(solve))
+    loops = [n.lineno for n in nodes if isinstance(n, ast.While)]
+    pivots = [
+        n.lineno
+        for n in nodes
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "pivot"
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "linalg"
+    ]
+    assert len(loops) == 1, f"linprog.py: solve_lp has while loops at lines {loops}"
+    assert len(pivots) == 1, f"linprog.py: solve_lp calls linalg.pivot at lines {pivots}"
 
 
 def _solve_lp_users(name):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropic import linalg, linprog
+from tropic import linalg, linprog, minkowski
+from tropic.arrangement import build_atoms, build_poset, count_regions_bruteforce, enumerate_cells
 from tropic.linprog import (
     BLAND,
     DANTZIG,
@@ -22,6 +23,7 @@ from tropic.linprog import (
     lp_pivot_count,
     solve_lp,
 )
+from tropic.network import construct_shallow_optimal, construct_shallow_optimal_nobias
 
 from oracles import solve_boxed_lp_by_enumeration, solve_lp_reference
 
@@ -135,6 +137,27 @@ def test_largest_coefficient_rule_switches_to_bland_on_beale(monkeypatch):
     column, _, costs = pivots[2]
     assert column == 2 == min(j for j, c in enumerate(costs) if c > 0)
     assert costs.index(max(costs)) == 4
+
+
+# Fixed stages on fixed inputs: every LP they solve, and every pivot of
+# those LPs, is a fixed function of the input and the entering rules, so a
+# change to the pivot path that alters a single choice moves a count.
+# classify_vertices' drop LPs enter by the largest coefficient, the others
+# by Bland's rule.  The poset count includes the atoms it is built from.
+@pytest.mark.parametrize("make, run, lps, pivots", [
+    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 58, 458),
+    (
+        lambda: minkowski.minkowski_sum(minkowski.lift_layer(construct_shallow_optimal(3, (2,) * 5, seed=1))),
+        minkowski.classify_vertices, 32, 215,
+    ),
+    (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 95, 560),
+    (lambda: construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1), lambda l: build_poset(build_atoms(l)), 156, 849),
+], ids=["count_regions_bruteforce", "classify_vertices", "enumerate_cells", "build_poset"])
+def test_lp_and_pivot_counts_of_fixed_stages(make, run, lps, pivots):
+    x = make()
+    start, pivot_start = lp_call_count(), lp_pivot_count()
+    run(x)
+    assert (lp_call_count() - start, lp_pivot_count() - pivot_start) == (lps, pivots)
 
 
 def test_charged_pivots_are_counted():

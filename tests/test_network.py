@@ -370,6 +370,24 @@ class TestSampleGeneric:
                 assert need <= atom_units, serialize_network(single_layer_network(l))
         assert certified >= 150, certified
 
+    def test_has_atom_matches_the_atoms_build_atoms_finds(self):
+        # MaxoutUnitSpec.has_atom reads the gradients alone; build_atoms,
+        # one LP-decided tie per feature pair, is the oracle, on each draw
+        # and its central layer.  The floors show that rank-1 units,
+        # repeated features and units of one gradient but several features
+        # are exercised.
+        rank_one = repeated = one_gradient = 0
+        for l, central in self._draws(2021, 300):
+            for x in (l, central):
+                atom_units = {a.unit for a in build_atoms(x).atoms}
+                assert [u.has_atom for u in x.units] == [i + 1 in atom_units for i in range(x.width)], (
+                    serialize_network(single_layer_network(x))
+                )
+            rank_one += sum(u.rank == 1 for u in l.units)
+            repeated += sum(len(set(u.features())) < u.rank for u in l.units)
+            one_gradient += sum(u.rank >= 2 and len(set(u.weights)) == 1 for u in l.units)
+        assert rank_one >= 200 and repeated >= 40 and one_gradient >= 20, (rank_one, repeated, one_gradient)
+
     def test_sampled_layers_are_pinned(self):
         # The sha256 of 400 sampled layers, one a line, as the LP path alone
         # draws them: the flats accept only draws the LP path accepts, so
