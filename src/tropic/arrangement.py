@@ -31,6 +31,7 @@ from .geometry import (
 )
 from .linprog import charge_lp_calls, lp_call_count, lp_pivot_count, require_lp_headroom
 from .network import NO_BIAS, WITH_BIAS, LayerSpec, MaxoutUnitSpec, restrict_layer
+from .rational import parse_rational
 
 
 @dataclass(frozen=True)
@@ -320,11 +321,10 @@ def build_poset(arr: Arrangement) -> Poset:
       outside the key, so it is another key, pushed by its own parent.
     - Points need no LP.  When the candidate's equalities alone have rank
       n, its margin is decided by rank (ConstraintSystem.rank_decided), and
-      the candidate is its point w.  An atom containing the candidate holds
-      at w, so satisfies decides, and a point's dimension and Euler
-      characteristic are read off the rank as well.  So is a line's Euler
-      characteristic.  The root, Q^n, has no rows, and its margin is
-      decided with no LP too.
+      the candidate is its point w, so contains decides with satisfies
+      alone.  A point's dimension and Euler characteristic are read off
+      the rank as well.  So is a line's Euler characteristic.  The root,
+      Q^n, has no rows, and its margin is decided with no LP too.
 
     Each element keeps the system that found it, so its dimension and Euler
     characteristic solve no second emptiness LP, and the elements found
@@ -343,12 +343,11 @@ def build_poset(arr: Arrangement) -> Poset:
             w = feasible(cand)
             if w is None:
                 continue
-            point = cand.equality_rank == n
             support = set(key) | {i}
             for j, other in enumerate(arr.atoms):
                 if j in support or not other.system.satisfies(w):
                     continue
-                if point or contains(other.system, cand):
+                if contains(other.system, cand):
                     if j < i:
                         break  # cl(key + {i}) is pushed by its own parent
                     support.add(j)
@@ -503,7 +502,7 @@ def bounded_region_gap(layer: LayerSpec, g_normal: Sequence) -> GapResult:
     """
     if layer.bias_mode != NO_BIAS:
         raise ValueError("gap theorem needs a central (no-bias) layer")
-    w = tuple(Fraction(v) for v in g_normal)
+    w = tuple(parse_rational(v, "normal") for v in g_normal)
     if all(v == 0 for v in w):
         raise ValueError("hyperplane normal must be nonzero")
     d = layer.input_dim

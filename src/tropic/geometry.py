@@ -3,15 +3,22 @@
 A ConstraintSystem is a finite list of affine equalities and inequalities
 (coeffs . x >= rhs) over Q^d.  Everything in arrangement (cells, posets,
 simplicity) reduces to two LP formulations here, plus the violation LPs
-of contains.  The common-margin LP (maximize one slack t <= 1 shared by all
-inequalities) is infeasible exactly when the system is empty, and its point
-serves feasible, strictly_feasible and affine_dimension.  The implicit-
-equality LP of Freund, Roundy & Todd (1985, MIT Sloan WP 1674-85) finds in
-one LP the inequalities tight on the whole set; it serves affine_dimension
-at margin 0, and recession_profile on the recession cone.  A system solves
-its common-margin LP at most once: the result is cached on the system, so
-feasible, strictly_feasible, affine_dimension and the emptiness check of
-recession_profile share it.
+of contains.  Each question has one formulation:
+
+- emptiness and recession: the common-margin LP (maximize one slack t <= 1
+  shared by all inequalities), infeasible exactly when the system is
+  empty.  Its point serves feasible, strictly_feasible and
+  affine_dimension, and recession_profile asks it of one derived system,
+  the far system, whose emptiness is boundedness;
+- dimension at margin 0: the implicit-equality LP of Freund, Roundy & Todd
+  (1985, MIT Sloan WP 1674-85), which finds in one LP the inequalities
+  tight on the whole set;
+- containment: the violation LPs of contains, one per row of the outer
+  system.
+
+A system solves its common-margin LP at most once: the result is cached on
+the system, so feasible, strictly_feasible, affine_dimension and the
+emptiness check of recession_profile share it.
 
 Some systems need no LP at all, because one exact elimination of the
 equality rows [A | b] (linalg.solve_affine, cached on the system) already
@@ -36,6 +43,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .linprog import EQ, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError, LPResult, solve_lp
+from .rational import parse_rational
 
 Vec = tuple[Fraction, ...]
 Constraint = tuple[Vec, Fraction]
@@ -46,7 +54,7 @@ class EmptyPolyhedronError(ValueError):
 
 
 def _vec(coeffs: Sequence) -> Vec:
-    return tuple(Fraction(c) for c in coeffs)
+    return tuple(parse_rational(c) for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,8 @@ class ConstraintSystem:
     ) -> "ConstraintSystem":
         return cls(
             ambient_dim,
-            tuple((_vec(c), Fraction(r)) for c, r in equalities),
-            tuple((_vec(c), Fraction(r)) for c, r in inequalities),
+            tuple((_vec(c), parse_rational(r)) for c, r in equalities),
+            tuple((_vec(c), parse_rational(r)) for c, r in inequalities),
         )
 
     def intersection(self, other: "ConstraintSystem") -> "ConstraintSystem":
@@ -188,9 +196,9 @@ def affine_dimension(sys: ConstraintSystem) -> int | None:
 
 
 def _solved(res):
-    """res, which must be optimal: the margin LP of a nonempty system and
-    the implicit-equality LP of a nonempty system or a cone are feasible,
-    and their objective variables are capped at 1, so they are bounded."""
+    """res, which must be optimal: the margin LP and the implicit-equality
+    LP of a nonempty system are feasible, and their objective variables are
+    capped at 1, so they are bounded."""
     if res.status != OPTIMAL:
         raise InternalError(f"bounded feasible LP returned {res.status}")
     return res
@@ -211,7 +219,7 @@ def _max_common_margin(d, eqs, ineqs):
 
 def _implicit_equalities(d, eqs, ineqs, cand):
     """The rows of cand (indices into ineqs) that hold with equality on the
-    whole nonempty system: one LP, none when cand is empty.
+    whole nonempty system: one LP.
 
     Freund, Roundy & Todd (1985): over x, theta >= 1 and one t_k in [0, 1]
     per candidate, maximize sum t_k subject to eq . x = theta * rhs,
@@ -222,8 +230,6 @@ def _implicit_equalities(d, eqs, ineqs, cand):
     t_k = 1 on all of them at once, so every optimum has t_k = 1 there.
     theta enters as 1 + s with s >= 0, so theta >= 1 needs no row.
     """
-    if not cand:
-        return []
     k = len(cand)
     slot = {i: j for j, i in enumerate(cand)}
 
@@ -245,14 +251,20 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
 
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
     (dim of its lineality space, whether the cone equals that space), and it
-    does exactly when every inequality is an implicit equality of the cone:
-    one _implicit_equalities LP, none without inequalities, and none when
-    the equalities have rank d or d - 1.  A point's cone is {0}.  For a
-    line, with v spanning the null space of the equalities, the cone is
-    the line itself when every c . v is 0, a ray when the nonzero c . v
-    share one sign, and {0} otherwise.  An empty system
-    raises EmptyPolyhedronError; the emptiness check is the system's
-    common-margin LP, which solves nothing once the system is solved.
+    does exactly when every inequality c_i is tight on the whole cone.
+    With s the sum of the c_i, that is an emptiness question: the cone
+    equals its lineality space exactly when the far system
+    {eq . v = 0, c_i . v >= 0, s . v >= 1} is empty.  A v of the cone has
+    s . v > 0 exactly when some c_i . v > 0, and the cone is closed under
+    positive scaling, so some v of it reaches s . v >= 1 exactly when some
+    inequality is not tight on it.  The far system's own margin LP answers:
+    one LP, none without inequalities (the cone is then a linear space),
+    and none when the equalities have rank d or d - 1.  A point's cone is
+    {0}.  For a line, with v spanning the null space of the equalities, the
+    cone is the line itself when every c . v is 0, a ray when the nonzero
+    c . v share one sign, and {0} otherwise.  An empty system raises
+    EmptyPolyhedronError; the emptiness check is the system's common-margin
+    LP, which solves nothing once the system is solved.
     """
     if feasible(sys) is None:
         raise EmptyPolyhedronError("recession profile of an empty polyhedron")
@@ -267,9 +279,12 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
         one_sign = all(p >= 0 for p in slopes) or all(p <= 0 for p in slopes)
         return RecessionProfile(0, not one_sign)
     lineality_dim = d - linalg.rank([c for c, _ in sys.equalities + sys.inequalities])
-    cone = [(c, 0) for c, _ in sys.inequalities]
-    implicit = _implicit_equalities(d, [(c, 0) for c, _ in sys.equalities], cone, range(len(cone)))
-    return RecessionProfile(lineality_dim, len(implicit) == len(cone))
+    normals = [c for c, _ in sys.inequalities]
+    if not normals:
+        return RecessionProfile(lineality_dim, True)
+    rows = [(c, 0) for c in normals] + [(tuple(map(sum, zip(*normals))), 1)]  # s . v >= 1
+    far = ConstraintSystem.build(d, [(c, 0) for c, _ in sys.equalities], rows)
+    return RecessionProfile(lineality_dim, feasible(far) is None)
 
 
 def euler_characteristic(sys: ConstraintSystem) -> int:
@@ -290,7 +305,9 @@ def contains(outer: ConstraintSystem, inner: ConstraintSystem) -> bool:
     """True iff every point of inner satisfies outer; exact, via violation LPs.
 
     A witness of inner that satisfies outer also shows outer nonempty, so
-    outer's emptiness LP runs only when the witness fails it.
+    outer's emptiness LP runs only when the witness fails it.  An inner
+    whose equalities have rank d is its witness, so it needs no violation
+    LP.
     """
     if outer.ambient_dim != inner.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -300,6 +317,8 @@ def contains(outer: ConstraintSystem, inner: ConstraintSystem) -> bool:
             raise EmptyPolyhedronError("containment requires both systems nonempty")
         return False
     d = inner.ambient_dim
+    if inner.equality_rank == d:
+        return True
     cons = [(c, EQ, r) for c, r in inner.equalities]
     cons += [(c, GE, r) for c, r in inner.inequalities]
     rows = list(outer.inequalities)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .bounds import IdentityCheck, alternating_subsum
 from .linprog import DANTZIG, EQ, INFEASIBLE, OPTIMAL, InternalError, solve_lp
 from .network import WITH_BIAS, LayerSpec, NetworkParseError, homogenize, json_rational, load_json
-from .rational import format_rational
+from .rational import format_rational, parse_rational
 
 Vec = tuple[Fraction, ...]
 
@@ -39,7 +39,9 @@ class LabeledPointSet:
 
 
 def point_set(points: Iterable[Sequence], label: str = "") -> LabeledPointSet:
-    pts = tuple(dict.fromkeys(tuple(Fraction(v) for v in p) for p in points))
+    pts = tuple(dict.fromkeys(tuple(parse_rational(v, "point") for v in p) for p in points))
+    if not pts:
+        raise ValueError("a point set needs at least one point")
     return LabeledPointSet(len(pts[0]), pts, label)
 
 

@@ -113,8 +113,8 @@ class NetworkSpec:
 
 
 def unit(weights: Sequence[Sequence], biases: Sequence | None = None) -> MaxoutUnitSpec:
-    w = tuple(tuple(Fraction(v) for v in row) for row in weights)
-    b = None if biases is None else tuple(Fraction(v) for v in biases)
+    w = tuple(tuple(parse_rational(v, "weight") for v in row) for row in weights)
+    b = None if biases is None else tuple(parse_rational(v, "bias") for v in biases)
     return MaxoutUnitSpec(w, b)
 
 
@@ -257,7 +257,7 @@ def evaluate_layer(l: LayerSpec, x: Sequence[Fraction]) -> Vec:
 def evaluate(net: NetworkSpec, x: Sequence[Fraction]) -> Vec:
     if len(x) != net.input_dim:
         raise ValueError("input dimension mismatch")
-    y = tuple(Fraction(v) for v in x)
+    y = tuple(parse_rational(v, "input") for v in x)
     for l in net.layers:
         y = evaluate_layer(l, y)
     return y
@@ -587,8 +587,8 @@ def restrict_layer(l: LayerSpec, offset: Sequence[Fraction], basis: Sequence[Seq
     A linear offset of zero keeps a no-bias layer central; any other offset
     produces a with-bias layer.
     """
-    offset = tuple(Fraction(v) for v in offset)
-    basis = [tuple(Fraction(v) for v in col) for col in basis]
+    offset = tuple(parse_rational(v, "offset") for v in offset)
+    basis = [tuple(parse_rational(v, "basis") for v in col) for col in basis]
     if len(offset) != l.input_dim or any(len(col) != l.input_dim for col in basis):
         raise ValueError("restriction dimension mismatch")
     new_dim = len(basis)

@@ -10,7 +10,10 @@ from fractions import Fraction
 
 
 def parse_rational(value, path: str = "value") -> Fraction:
-    """Accept a JSON int or a 'p/q' / 'p' string; reject everything else."""
+    """Accept a Fraction as it is, an int, or a 'p/q' / 'p' string; reject
+    everything else, floats and booleans included."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise ValueError(f"{path}: expected rational, got boolean")
     if isinstance(value, int):

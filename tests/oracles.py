@@ -9,9 +9,10 @@ rank_reference and nullspace_basis_reference are the eliminations that
 linalg's integer kernel replaced, kept the same way; det_reference is the
 determinant that the Vandermonde product of network._shift_denominators
 replaced.
-affine_dimension_reference (one single-margin LP per tight row) and
-recession_profile_reference (the row-activity LP) are the geometry that the
-implicit-equality LP replaced.  build_poset_reference is the breadth-first
+affine_dimension_reference (one single-margin LP per tight row) is the
+geometry that the implicit-equality LP replaced, and
+recession_profile_reference (the row-activity LP) the one that the far
+system's margin LP replaced.  build_poset_reference is the breadth-first
 poset walk that closure extension replaced.  mobius_reference is the
 all-pairs Mobius table that Poset.face_counts' one inversion pass replaced,
 and face_counts_reference evaluates the face-count formula on it.

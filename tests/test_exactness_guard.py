@@ -5,8 +5,9 @@ raise typed errors instead; the package computes with int and Fraction
 only, so no float literal appears in its source; exact elimination lives
 in linalg alone, and no other module uses its private names; solve_lp
 runs both phases and both entering rules in one pivot loop; geometry
-solves its LPs in three places only, and a
-system's common-margin LP only through the system's cache; minkowski solves
+solves its LPs in three places only, a system's common-margin LP only
+through the system's cache, and the implicit-equality LP for
+affine_dimension alone; minkowski solves
 its LPs in the drop LP alone, the only LP that enters by the largest
 coefficient rather than by Bland's rule; arrangement builds argmax rows in
 one helper; the line counter composes features through restrict_layer
@@ -128,6 +129,31 @@ def test_geometry_has_two_lp_formulations_plus_containment():
     # of contains are the only places geometry may use solve_lp.
     users = _solve_lp_users("geometry.py")
     assert users and users <= {"_max_common_margin", "_implicit_equalities", "contains"}, users
+
+
+def test_implicit_equality_lp_has_one_job():
+    # affine_dimension at margin 0 is the implicit-equality LP's one caller;
+    # recession_profile answers through a system's margin LP, so neither
+    # that LP nor a solve_lp of its own may appear in it.
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers |= {
+            f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}"
+            for stmt in tree.body
+            if getattr(stmt, "name", None) != "_implicit_equalities"
+            for n in ast.walk(stmt)
+            if (isinstance(n, ast.Name) and n.id == "_implicit_equalities")
+            or (isinstance(n, ast.Attribute) and n.attr == "_implicit_equalities")
+        }
+    assert callers == {"geometry.py:affine_dimension"}, callers
+    path = next(p for p in SOURCES if p.name == "geometry.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    rec = next(s for s in tree.body if getattr(s, "name", None) == "recession_profile")
+    names = {n.id for n in ast.walk(rec) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(rec) if isinstance(n, ast.Attribute)}
+    found = names & {"solve_lp", "_implicit_equalities"}
+    assert found == set(), f"recession_profile refers to {sorted(found)}"
 
 
 def test_minkowski_has_one_lp_formulation():

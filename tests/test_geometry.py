@@ -193,8 +193,8 @@ class TestRecessionProfile:
         assert lp_call_count() == start
 
     def test_solved_system_skips_the_emptiness_lp(self):
-        # Margin LP plus the implicit-equality LP of the cone, then the cone
-        # LP alone: the margin LP of a solved system is not solved again.
+        # Margin LP plus the far system's LP, then the far system's LP
+        # alone: the margin LP of a solved system is not solved again.
         square = fresh(SQUARE)
         start = lp_call_count()
         assert recession_profile(square) == recession_profile(square)
@@ -260,6 +260,21 @@ class TestContains:
     def test_unbounded_violation(self):
         halfline = sys1(ineqs=[((1,), 0)])
         assert not contains(unit_interval(), halfline)
+
+    def test_point_is_decided_with_no_lp(self):
+        # A nonempty inner whose equalities have rank d is its witness w, so
+        # satisfies decides.  outer is solved first: its emptiness LP runs
+        # only when w fails it.
+        outer = fresh(SQUARE)
+        assert feasible(outer) is not None
+        inside = ConstraintSystem.build(
+            2, [((1, 0), Fraction(1, 2)), ((1, 1), 1)], [((0, 1), 0)]
+        )
+        outside = ConstraintSystem.build(2, [((1, 0), 2), ((0, 1), 0)])
+        start = lp_call_count()
+        assert contains(outer, inside)
+        assert not contains(outer, outside)
+        assert lp_call_count() == start
 
     def test_mutual_containment_is_set_equality(self):
         a = sys1(ineqs=[((1,), 0), ((-1,), -1)])
@@ -373,11 +388,16 @@ def test_solved_system_answers_as_a_fresh_one(sys):
     solved = fresh(sys)
     expected = answers(solved)
     assert answers(fresh(sys)) == expected
-    # Every answer of a solved system reads its cached margin LP.
-    refuse = mock.patch.object(
-        geometry, "_max_common_margin", side_effect=AssertionError("margin LP solved again")
-    )
-    with refuse:
+    # Every answer of a solved system reads its cached margin LP.  The far
+    # system of recession_profile is another system, and solves its own.
+    real = geometry._max_common_margin
+
+    def refuse_own_rows(d, eqs, ineqs):
+        if (eqs, ineqs) == (solved.equalities, solved.inequalities):
+            raise AssertionError("margin LP solved again")
+        return real(d, eqs, ineqs)
+
+    with mock.patch.object(geometry, "_max_common_margin", side_effect=refuse_own_rows):
         assert answers(solved) == expected
     # A system decided by rank solves no margin LP.  Any other system
     # solves one, and an LP refused by the budget caches nothing: the
@@ -506,10 +526,70 @@ def test_line_and_point_recession_matches_the_cone_lp(sys):
     assert prof == RecessionProfile(lineality, len(implicit) == len(cone))
 
 
-def test_no_candidates_solve_no_lp():
+@st.composite
+def cones(draw):
+    """Cones {x : E x = 0, C x >= 0} in Q^1..Q^4 with Fraction entries, up
+    to 2 equalities and 5 inequalities, each maybe with its opposite row.
+
+    Coordinates no row touches give nonzero lineality.  The rows are bent
+    to an anchor direction a, zero on those coordinates: every equality
+    and some inequalities get c . a = 0, other inequalities c . a = 1/2 or
+    2, so a cone whose inequalities all have a positive slope and no
+    opposite row has positive margin at a.  An opposite row pair forces its
+    row tight on the whole cone, so the margin is 0.
+    """
+    d = draw(st.integers(1, 4))
+    free = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    a = [Fraction(0) if j in free else draw(FRAC) for j in range(d)]
+
+    def normal(slope):
+        c = [Fraction(0) if j in free else draw(FRAC) for j in range(d)]
+        if slope is not None and any(a):
+            step = (slope - dot(c, a)) / dot(a, a)
+            c = [u + step * v for u, v in zip(c, a)]
+        return tuple(c), Fraction(0)
+
+    eqs = [normal(Fraction(0)) for _ in range(draw(st.integers(0, 2)))]
+    ineqs = []
+    for _ in range(draw(st.integers(0, 5))):
+        c, r = normal(draw(st.sampled_from([None, Fraction(0), Fraction(1, 2), Fraction(2)])))
+        ineqs.append((c, r))
+        if draw(st.integers(0, 3)) == 0:
+            ineqs.append((tuple(-v for v in c), r))
+    return ConstraintSystem(d, tuple(eqs), tuple(draw(st.permutations(ineqs))))
+
+
+QUADRANT = ConstraintSystem.build(2, inequalities=[((1, 0), 0), ((0, 1), 0)])
+# x >= 0 and x <= 0 in Q^3: the plane x = 0, all inequalities tight.
+PINCHED = ConstraintSystem.build(3, inequalities=[((1, 0, 0), 0), ((-1, 0, 0), 0)])
+# A pointed cone in Q^3 with one implicit equality among slack rows.
+WEDGE = ConstraintSystem.build(
+    3, inequalities=[((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 1, 1), 0), ((0, -1, -1), 0)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones())
+@example(QUADRANT)
+@example(PINCHED)
+@example(WEDGE)
+@example(ConstraintSystem.build(3, [((1, 1, 0), 0)], [((1, 0, 0), 0), ((-1, 0, 0), 0)]))
+@example(ConstraintSystem.build(4))
+def test_cone_recession_matches_both_references(sys):
+    # A cone is its own recession cone.  The far system answers in one LP
+    # when the equalities have rank below d - 1 and there is an inequality,
+    # and in none otherwise; both the row-activity reference and the
+    # implicit-equality LP it replaced agree with it.
+    d, k = sys.ambient_dim, len(sys.inequalities)
+    cone = fresh(sys)
+    assert feasible(cone) is not None
     start = lp_call_count()
-    assert geometry._implicit_equalities(1, [], [((Fraction(1),), Fraction(0))], []) == []
-    assert lp_call_count() == start
+    prof = recession_profile(cone)
+    assert lp_call_count() - start == (1 if k and cone.equality_rank < d - 1 else 0)
+    assert prof == recession_profile_reference(fresh(sys))
+    implicit = geometry._implicit_equalities(d, sys.equalities, sys.inequalities, range(k))
+    lineality = d - rank_reference([c for c, _ in sys.equalities + sys.inequalities])
+    assert prof == RecessionProfile(lineality, len(implicit) == k)
 
 
 def test_implicit_equality_slack_outside_0_1_is_an_internal_error(monkeypatch):
