@@ -121,7 +121,7 @@ def _nonempty_subsets(k: int) -> list[tuple[int, ...]]:
 
 def _node(sig, sys, w):
     """A walk node, or a leaf that keeps only what counting needs."""
-    return sig, sys
+    return sig, sys, w
 
 
 def _cell(sig, sys, w) -> Cell:
@@ -132,62 +132,88 @@ def _cell(sig, sys, w) -> Cell:
     return Cell(tuple(frozenset(c + 1 for c in t) for t in sig), affine_dimension(sys), bounded, w)
 
 
+def _region_bounded(sig, sys, w) -> bool:
+    """A region leaf as whether the region is bounded.  A region is
+    full-dimensional, so only its recession profile is read, at w; it costs
+    no margin LP, and no LP at all for a cone."""
+    prof = recession_profile(sys, w)
+    return prof.lineality_dim == 0 and prof.pointed_part_bounded
+
+
 def _expand(args) -> tuple[list, int, int]:
     """One frontier batch: keep the strictly feasible children.
 
-    A child is a (signature, system) pair.  Keeps the strictly feasible
-    ones, in order, as leaf(signature, system, strictly-feasible point).
-    Returns them and the numbers of LPs solved and of their pivots, so a
-    pool worker's LPs can be charged to the caller.
+    A child is a (signature, system, point) triple, whose point is a
+    strictly feasible point known without an LP, or None.  Keeps the
+    strictly feasible ones, in order, as leaf(signature, system, point),
+    with the margin LP's point where none was known.  Returns them and the
+    numbers of LPs solved and of their pivots, so a pool worker's LPs can
+    be charged to the caller.
     """
     children, leaf = args
     start, pivots = lp_call_count(), lp_pivot_count()
     out = []
-    for sig, sys in children:
-        w = strictly_feasible(sys)
+    for sig, sys, w in children:
+        if w is None:
+            w = strictly_feasible(sys)
         if w is not None:
             out.append(leaf(sig, sys, w))
     return out, lp_call_count() - start, lp_pivot_count() - pivots
 
 
-def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1) -> list:
-    """leaf(signature, system, witness) of each nonempty cell over the
-    signatures choices[0] x choices[1] x ..., in lexicographic order.
+def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1, carry_leaves: bool = True) -> list:
+    """leaf(signature, system, point) of each nonempty cell over the
+    signatures choices[0] x choices[1] x ..., in lexicographic order, with
+    a point strictly feasible on the cell's system.
 
     Level i builds unit i's choice systems once, extends every nonempty
     node by them and drops the empty children; an empty prefix cell has
     only empty extensions, so whole subtrees are pruned.  Only the last
     level applies leaf, so what a cell costs beyond its margin LP is the
-    caller's choice.  A child's system is its parent's intersected with its
-    choice's, so a rank-1 choice, which has no rows, hands the child its
-    parent's system and solved margin LP.  Every other child is a new
-    system, and it costs one margin LP unless its rank decides it
-    (ConstraintSystem.rank_decided), so a level with more such children
-    than the current linprog.lp_budget has LPs left raises
-    BudgetExceededError before it solves any.  The children are built, and
-    their equalities reduced, before that check; they are then split into
-    batches, each sent with leaf, that run inline, or across a pool of jobs
-    processes created once per call.  Pool LPs and their pivots are charged
-    to this process's counters after every batch, which checks the LPs
-    against the budget, so the leaves, the LP and pivot counts of a
-    finished walk and whether the budget is exceeded do not depend on jobs.
+    caller's choice.
+
+    A node keeps a strictly feasible point: the origin at the root, else its
+    margin LP's point or its parent's.  The child whose choice is unit i's
+    argmax set at its parent's point, the carried child, holds that point
+    strictly (its ties hold there, and each left-out feature is below the
+    max), so it is nonempty and is handed the point with no LP.  A rank-1
+    unit's one child is always carried.  With carry_leaves False the last
+    level carries no child, so every leaf point is its margin LP's own.
+    Every other child costs one margin LP unless it is already solved or
+    its rank decides it (ConstraintSystem.margin_costs_lp): a child's
+    system is its parent's intersected with its choice's, and a rank-1
+    choice, which has no rows, hands the child its parent's system itself.
+    A level with more such children than the current linprog.lp_budget has
+    LPs left raises BudgetExceededError before it solves any.
+
+    The children are built, their equalities reduced and the carried ones
+    picked before that check; they are then split into batches, each sent
+    with leaf, that run inline, or across a pool of jobs processes created
+    once per call.  Pool LPs and their pivots are charged to this process's
+    counters after every batch, which checks the LPs against the budget, so
+    the leaves, the LP and pivot counts of a finished walk and whether the
+    budget is exceeded do not depend on jobs.
     """
     n = layer.input_dim
+    origin = (Fraction(0),) * n
     if not choices:  # no units: the whole space is the one cell
-        return [leaf((), ConstraintSystem(n), (Fraction(0),) * n)]
+        return [leaf((), ConstraintSystem(n), origin)]
     pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
-    nodes = [((), ConstraintSystem(n))]
+    nodes = [((), ConstraintSystem(n), origin)]
     try:
         for i, (u, unit_choices) in enumerate(zip(layer.units, choices)):
+            last = i == len(choices) - 1
             level = [(c, _choice_system(n, u, c)) for c in unit_choices]
             children, needs = [], 0
-            for prefix, parent in nodes:
+            for prefix, parent, w in nodes:
+                held = u.argmax(w) if carry_leaves or not last else None
                 for c, rows in level:
                     sys = parent.intersection(rows)
-                    needs += sys is not parent and not sys.rank_decided
-                    children.append((prefix + (c,), sys))
+                    point = w if c == held else None
+                    needs += point is None and sys.margin_costs_lp
+                    children.append((prefix + (c,), sys, point))
             require_lp_headroom(needs)
-            f = leaf if i == len(choices) - 1 else _node
+            f = leaf if last else _node
             size = max(1, len(children) if pool is None else len(children) // (4 * jobs))
             batches = [(children[k : k + size], f) for k in range(0, len(children), size)]
             nodes = []
@@ -208,14 +234,20 @@ def enumerate_cells(layer: LayerSpec) -> list[Cell]:
     A unit's choices are the nonempty subsets of its features (the argmax
     set).  The walk is the pruned signature frontier: an empty prefix cuts
     its subtree, so the LPs track the nonempty cells, not all prod(2^k - 1)
-    signatures, and each leaf is made a Cell by _cell.  A level is refused
-    before it starts when the LP budget has fewer LPs left than it has
-    children whose system needs an LP; a rank-1 unit's children add no
-    rows, and a child whose equalities are inconsistent or fix a point is
-    decided by rank, so neither solves anything.  Cells come out in
-    lexicographic signature order.
+    signatures, and each leaf is made a Cell by _cell.  Above the last
+    level, the child whose choice is the unit's argmax set at its parent's
+    point is carried with that point and costs no LP, and so does a child
+    whose equalities are inconsistent or fix a point, decided by rank.
+    Every other child costs one margin LP, unless a rank-1 unit hands it
+    its parent's solved system.  A leaf's witness is its own margin LP's
+    point, so at the last level the carried child solves its LP too.  A
+    level is refused before it starts when the LP budget has fewer LPs left
+    than it has children that cost one.  Cells come out in lexicographic
+    signature order.
     """
-    return _frontier(layer, [_nonempty_subsets(u.rank) for u in layer.units], _cell)
+    return _frontier(
+        layer, [_nonempty_subsets(u.rank) for u in layer.units], _cell, carry_leaves=False
+    )
 
 
 def _dedupe_units(layer: LayerSpec) -> LayerSpec:
@@ -231,7 +263,9 @@ def _dedupe_units(layer: LayerSpec) -> LayerSpec:
 def _regions(layer: LayerSpec, leaf=_node, jobs: int = 1) -> list:
     """The regions as leaves of the pruned frontier over one singleton choice
     per feature, after duplicate features are collapsed so strict dominance
-    is meaningful.  A signature holds every unit's strict argmax."""
+    is meaningful.  A signature holds every unit's strict argmax.  Every
+    level, the last included, carries the pattern of a unit's single argmax
+    at its parent's point, so such a region costs no margin LP."""
     layer = _dedupe_units(layer)
     return _frontier(layer, [[(a,) for a in range(u.rank)] for u in layer.units], leaf, jobs)
 
@@ -241,16 +275,21 @@ def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
 
     Regions are the full-dimensional cells, i.e. the strict single-argmax
     patterns with a nonempty interior, walked by _regions with the same
-    pruned frontier as enumerate_cells, each made a Cell by _cell.  A level
-    is refused before it starts when the LP budget has fewer LPs left than
-    it has patterns whose system needs an LP, so a budget equal to the
-    walk's LPs completes.  With jobs > 1 each level's batches, _cell included, run in a
-    process pool; the workers' LPs count in lp_call_count() and against
-    linprog.lp_budget, and the counts, the LPs solved and whether the
-    budget is exceeded are the same for every jobs.
+    pruned frontier as enumerate_cells.  At every level, the last included,
+    the pattern that takes the unit's argmax at its parent's point, when
+    that argmax is a single feature, is carried with the point and costs
+    no LP; every other pattern that adds rows and is not decided by rank
+    costs one margin LP.  Each region then costs only its recession
+    profile (_region_bounded), which is none for a cone.  A level is
+    refused before it starts when the LP budget has fewer LPs left than it
+    has patterns that cost an LP, so a budget equal to the walk's LPs
+    completes.  With jobs > 1 each level's batches, the leaves included,
+    run in a process pool; the workers' LPs count in lp_call_count() and
+    against linprog.lp_budget, and the counts, the LPs solved and whether
+    the budget is exceeded are the same for every jobs.
     """
-    cells = _regions(layer, _cell, jobs)
-    return RegionCount(len(cells), sum(c.bounded for c in cells))
+    bounded = _regions(layer, _region_bounded, jobs)
+    return RegionCount(len(bounded), sum(bounded))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +508,7 @@ def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, i
         raise ValueError(f"units {missing} contribute no atoms; drop them before applying the identity")
     if not assume_simple and not is_simple(build_atoms(layer)).simple:
         raise ValueError("arrangement is not simple")
-    sigs = [sig for sig, _ in _regions(layer)]
+    sigs = [sig for sig, _, _ in _regions(layer)]
     return len(sigs), alternating_subsum(
         m, n, lambda S: len({tuple(sig[i] for i in S) for sig in sigs})
     )

@@ -18,8 +18,8 @@ has more signatures needing an LP than LPs are left: those that add rows to
 their prefix's system and whose equalities neither contradict each other
 nor fix a point.
 The budget covers the whole command, so a long `verify identities` run can
-need it raised: with --seed 7 a trial solves about 144 LPs over all suites
-(4,314 over 30 trials), so more than about 6,900 trials need a larger
+need it raised: with --seed 7 a trial solves about 124 LPs over all suites
+(3,721 over 30 trials), so more than about 8,000 trials need a larger
 TROPIC_BUDGET_LP.
 
 Integer arguments are usage errors (exit 2, naming the flag or variable)

@@ -18,7 +18,11 @@ of contains.  Each question has one formulation:
 
 A system solves its common-margin LP at most once: the result is cached on
 the system, so feasible, strictly_feasible, affine_dimension and the
-emptiness check of recession_profile share it.
+emptiness check of recession_profile share it.  recession_profile may be
+handed a point of the system instead, which satisfies checks in place of
+that LP.  A cone (every right-hand side 0) with a point strict on every
+inequality, handed over or the margin LP's at positive margin, is its own
+unbounded recession cone, so its profile needs no LP.
 
 Some systems need no LP at all, because one exact elimination of the
 equality rows [A | b] (linalg.solve_affine, cached on the system) already
@@ -127,6 +131,12 @@ class ConstraintSystem:
         sol = self._solution
         no_rows = not (self.equalities or self.inequalities)
         return not sol.consistent or sol.rank == self.ambient_dim or no_rows
+
+    @property
+    def margin_costs_lp(self) -> bool:
+        """Whether reading the common-margin LP solves one: it is not yet
+        solved, and the system is not rank_decided."""
+        return "_margin" not in self.__dict__ and not self.rank_decided
 
     @cached_property
     def _margin(self) -> LPResult:
@@ -246,7 +256,7 @@ def _implicit_equalities(d, eqs, ineqs, cand):
     return [i for i, v in zip(cand, t) if v == 0]
 
 
-def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
+def recession_profile(sys: ConstraintSystem, point: Vec | None = None) -> RecessionProfile:
     """Lineality dimension and boundedness of the pointed part.
 
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
@@ -262,12 +272,25 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     and none when the equalities have rank d or d - 1.  A point's cone is
     {0}.  For a line, with v spanning the null space of the equalities, the
     cone is the line itself when every c . v is 0, a ray when the nonzero
-    c . v share one sign, and {0} otherwise.  An empty system raises
-    EmptyPolyhedronError; the emptiness check is the system's common-margin
-    LP, which solves nothing once the system is solved.
+    c . v share one sign, and {0} otherwise.
+
+    A cone (every right-hand side 0) is its own recession cone, so a point
+    of it strict on every inequality is a v with every c_i . v > 0: such a
+    cone with an inequality is unbounded with no LP.  The point is the
+    given one, or the margin LP's at positive margin.
+
+    The system must be nonempty.  With no point, the emptiness check is the
+    system's common-margin LP, which solves nothing once the system is
+    solved, and an empty system raises EmptyPolyhedronError.  A given point
+    is checked with satisfies instead, and the margin LP is not read; a
+    point outside the system raises ValueError.
     """
-    if feasible(sys) is None:
-        raise EmptyPolyhedronError("recession profile of an empty polyhedron")
+    if point is None:
+        point = feasible(sys)
+        if point is None:
+            raise EmptyPolyhedronError("recession profile of an empty polyhedron")
+    elif len(point) != sys.ambient_dim or not sys.satisfies(point):
+        raise ValueError("recession profile point is not in the polyhedron")
     d = sys.ambient_dim
     sol = sys._solution
     if sol.rank == d:
@@ -282,6 +305,9 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     normals = [c for c, _ in sys.inequalities]
     if not normals:
         return RecessionProfile(lineality_dim, True)
+    cone = all(r == 0 for _, r in sys.equalities + sys.inequalities)
+    if cone and all(linalg.dot(c, point) > 0 for c in normals):
+        return RecessionProfile(lineality_dim, False)
     rows = [(c, 0) for c in normals] + [(tuple(map(sum, zip(*normals))), 1)]  # s . v >= 1
     far = ConstraintSystem.build(d, [(c, 0) for c, _ in sys.equalities], rows)
     return RecessionProfile(lineality_dim, feasible(far) is None)

@@ -66,6 +66,12 @@ class MaxoutUnitSpec:
             return [(w, Fraction(0)) for w in self.weights]
         return list(zip(self.weights, self.biases))
 
+    def argmax(self, x: Sequence[Fraction]) -> tuple[int, ...]:
+        """The 0-based features of largest value at x, in order."""
+        values = [dot(w, x) + b for w, b in self.features()]
+        top = max(values)
+        return tuple(a for a, v in enumerate(values) if v == top)
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -267,12 +273,7 @@ def activation_pattern(l: LayerSpec, x: Sequence[Fraction]) -> tuple[frozenset[i
     """Per unit, the full 1-based set of features attaining the max at x."""
     if len(x) != l.input_dim:
         raise ValueError("input dimension mismatch")
-    out = []
-    for u in l.units:
-        vals = [dot(w, x) + b for w, b in u.features()]
-        top = max(vals)
-        out.append(frozenset(i + 1 for i, v in enumerate(vals) if v == top))
-    return tuple(out)
+    return tuple(frozenset(a + 1 for a in u.argmax(x)) for u in l.units)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,15 @@ from tropic.arrangement import (
     subsum_identity_noncentral,
 )
 from tropic.bounds import binom, shallow_formula
-from tropic.linalg import nullspace_basis
+from tropic.linalg import dot, nullspace_basis
 from tropic.linprog import BudgetExceededError, lp_budget, lp_call_count, lp_pivot_count
 from tropic.minkowski import dual_region_count
 from tropic.network import (
     NO_BIAS,
     WITH_BIAS,
     LayerSpec,
+    MaxoutUnitSpec,
+    activation_pattern,
     construct_shallow_optimal,
     construct_shallow_optimal_nobias,
     layer,
@@ -102,6 +104,28 @@ def small_integer_layer(rng, bias, max_rank=3, max_product=None):
     return layer(units, n)
 
 
+# Fixed layers for the differential tests against the unpruned cell oracle.
+# Every feature of the no-bias layer ties at the origin, the root's point.
+ORACLE_LAYERS = [
+    lambda: construct_shallow_optimal(2, (3, 3, 2), seed=3),
+    lambda: construct_shallow_optimal_nobias(2, (3, 3), seed=2),
+    lambda: layer([R1, EX_UNIT1, EX_UNIT2]),
+    lambda: layer([EX_UNIT1, R1, EX_UNIT2]),
+    lambda: layer([EX_UNIT1, EX_UNIT2, R1]),
+    lambda: layer([R1, unit([[0, 1]], [-1])]),
+    lambda: layer([unit([[1, 0], [0, 0], [1, 0]], [0, 0, 0]), EX_UNIT2]),
+    # The first candidate sample_generic(2, (3, 3, 2), WITH_BIAS, seed=5,
+    # magnitude=1) draws: not simple, and unit 1 repeats a feature.
+    lambda: layer([
+        unit([[1, 0], [1, 0], [1, 1]], [1, 1, -1]),
+        unit([[0, -1], [1, -1], [-1, -1]], [0, 0, -1]),
+        unit([[0, 1], [-1, 1]], [-1, -1]),
+    ]),
+]
+ORACLE_LAYER_IDS = ["bias", "no-bias", "rank-1-unit", "rank-1-middle", "rank-1-last", "two-rank-1",
+                    "duplicate-features", "non-simple-draw"]
+
+
 def refuse_leaf_lps(monkeypatch):
     # A walk that keeps only signatures builds no atom, certifies nothing
     # and solves no recession or dimension LP; any call fails the test.
@@ -148,8 +172,6 @@ class TestEnumerateCells:
         assert by_dim == {2: 8, 1: 12, 0: 5}
 
     def test_witness_realizes_signature(self):
-        from tropic.network import activation_pattern
-
         l = example_layer()
         for c in enumerate_cells(l):
             assert activation_pattern(l, c.witness) == c.signature
@@ -173,10 +195,14 @@ class TestEnumerateCells:
         # Each unit has 7 cells, so the levels try 7 and 49 signatures.  A
         # signature whose ties fix a point or contradict each other is
         # decided by rank, with no LP: unit 1's triple tie on the first
-        # level, and 22 of the 49 on the second, so the levels solve 6 and
-        # 27 LPs.  A budget of 32 leaves 26 for the second level, which is
-        # refused before it solves any; 33 lets it start.
-        for limit, solved in ((10, 6), (32, 6), (33, 33)):
+        # level, and 22 of the 49 on the second.  On the first level the
+        # cell of unit 1's argmax at the origin, feature 3 alone, is
+        # carried with the origin and solves no LP either; the second level
+        # is the last, whose leaves emit their own LP witnesses, so it
+        # carries none.  So the levels solve 5 and 27 LPs.  A budget of 31
+        # leaves 26 for the second level, which is refused before it
+        # solves any; 32 lets it start.
+        for limit, solved in ((10, 5), (31, 5), (32, 32)):
             start = lp_call_count()
             with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(limit):
                 enumerate_cells(example_layer())
@@ -184,20 +210,21 @@ class TestEnumerateCells:
 
     def test_signature_cap_bounds_the_widest_level(self):
         # The levels try 7, 35 and 175 of the 343 signatures.  Those not
-        # decided by rank cost one LP each, 6, 24 and 90, and each of the 19
-        # regions costs one recession LP: 139 in all.  The 30 edge cells
-        # are lines and the 12 point cells are points, so their recession
-        # profiles need no LP.  With 119, the last level finds 89 LPs left
-        # and solves none.
+        # decided by rank and not carried with their parent's point cost
+        # one LP each, 5, 19 and 90 (the last level carries none), and each
+        # of the 19 regions costs one recession LP: 133 in all.  The 30
+        # edge cells are lines and the 12 point cells are points, so their
+        # recession profiles need no LP.  With 113, the last level finds 89
+        # LPs left and solves none.
         l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
         start = lp_call_count()
-        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(119):
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(113):
             enumerate_cells(l)
-        assert lp_call_count() - start == 30
+        assert lp_call_count() - start == 24
         start = lp_call_count()
-        with lp_budget(139):
+        with lp_budget(133):
             cells = enumerate_cells(l)
-        assert lp_call_count() - start == 139
+        assert lp_call_count() - start == 133
         assert len(cells) == 61
         assert Counter(c.dim for c in cells) == {2: 19, 1: 30, 0: 12}
 
@@ -205,28 +232,7 @@ class TestEnumerateCells:
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(3):
             enumerate_cells(example_layer())
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: construct_shallow_optimal(2, (3, 3, 2), seed=3),
-            lambda: construct_shallow_optimal_nobias(2, (3, 3), seed=2),
-            lambda: layer([R1, EX_UNIT1, EX_UNIT2]),
-            lambda: layer([EX_UNIT1, R1, EX_UNIT2]),
-            lambda: layer([EX_UNIT1, EX_UNIT2, R1]),
-            lambda: layer([R1, unit([[0, 1]], [-1])]),
-            lambda: layer([unit([[1, 0], [0, 0], [1, 0]], [0, 0, 0]), EX_UNIT2]),
-            # The first candidate sample_generic(2, (3, 3, 2), WITH_BIAS,
-            # seed=5, magnitude=1) draws: not simple, and unit 1 repeats a
-            # feature.
-            lambda: layer([
-                unit([[1, 0], [1, 0], [1, 1]], [1, 1, -1]),
-                unit([[0, -1], [1, -1], [-1, -1]], [0, 0, -1]),
-                unit([[0, 1], [-1, 1]], [-1, -1]),
-            ]),
-        ],
-        ids=["bias", "no-bias", "rank-1-unit", "rank-1-middle", "rank-1-last", "two-rank-1",
-             "duplicate-features", "non-simple-draw"],
-    )
+    @pytest.mark.parametrize("make", ORACLE_LAYERS, ids=ORACLE_LAYER_IDS)
     def test_matches_unpruned_oracle(self, make):
         l = make()
         cells = enumerate_cells(l)
@@ -237,18 +243,21 @@ class TestEnumerateCells:
 
 
 class TestRankOneUnits:
-    # A rank-1 unit's one choice adds no rows, so its children keep their
-    # parent's system and solved margin LP; a leading one keeps the whole
-    # space's, which has no rows and so needs no LP, and two rank-1 units
-    # solve none.  A level's headroom counts only the children that add
-    # rows and are not decided by rank, so a budget equal to the walk's
-    # need completes, and one below it, -1 for two rank-1 units, raises.
+    # A rank-1 unit's one choice adds no rows, and it is the unit's argmax
+    # everywhere, so its child is carried with its parent's system and
+    # point and solves no LP; two rank-1 units solve none.  At the last
+    # level of enumerate_cells nothing is carried, and a trailing rank-1
+    # unit's child solves its parent's margin LP there when the parent was
+    # carried.  A level's headroom counts only the children whose margin
+    # LP is unsolved, not decided by rank and not carried, so a budget
+    # equal to the walk's need completes, and one below it, -1 for two
+    # rank-1 units, raises.
     @pytest.mark.parametrize(
         "units, pattern_lps, cell_lps",
         [
-            ([R1, EX_UNIT1, EX_UNIT2], 20, 41),
-            ([EX_UNIT1, R1, EX_UNIT2], 20, 41),
-            ([EX_UNIT1, EX_UNIT2, R1], 20, 41),
+            ([R1, EX_UNIT1, EX_UNIT2], 17, 40),
+            ([EX_UNIT1, R1, EX_UNIT2], 17, 40),
+            ([EX_UNIT1, EX_UNIT2, R1], 17, 40),
             ([R1, unit([[0, 1]], [-1])], 0, 0),
         ],
         ids=["first", "middle", "last", "two"],
@@ -269,6 +278,53 @@ class TestRankOneUnits:
                 results.append(walk())
             assert lp_call_count() - start == need
         assert results[0] == results[1]
+
+
+class TestCarriedChildren:
+    def test_carried_walk_matches_the_unpruned_oracle(self, monkeypatch):
+        # The region walk hands the child that takes a unit's single argmax
+        # at its parent's point that point, with no LP.  On every layer:
+        # the counts are the unpruned oracle's full-dimensional cells, in
+        # number and in bounded number, for jobs 1 and 2 alike, LPs and
+        # pivots included; the walk's signatures are those cells'
+        # signatures on the layer with duplicate features collapsed; and
+        # every leaf's point realizes its signature, strictly.  The floors
+        # show that parents' points with ties, where no child is carried,
+        # and rank-1 units, whose child always is, are exercised.
+        real = MaxoutUnitSpec.argmax
+        seen = Counter()
+
+        def argmax(u, x):
+            held = real(u, x)
+            seen["tie at a parent's point"] += len(held) > 1
+            seen["carried"] += len(held) == 1
+            seen["rank-1 unit"] += u.rank == 1
+            return held
+
+        monkeypatch.setattr(MaxoutUnitSpec, "argmax", argmax)
+        points = []
+        for make, name in zip(ORACLE_LAYERS, ORACLE_LAYER_IDS):
+            l = make()
+            n = l.input_dim
+            full = [c for c in enumerate_cells_unpruned(l) if c.dim == n]
+            costs = []
+            for jobs in (1, 2):
+                start, pivot_start = lp_call_count(), lp_pivot_count()
+                rc = count_regions_bruteforce(l, jobs=jobs)
+                costs.append((rc, lp_call_count() - start, lp_pivot_count() - pivot_start))
+            assert costs[0] == costs[1], name
+            assert costs[0][0] == RegionCount(len(full), sum(c.bounded for c in full)), name
+            deduped = arrangement._dedupe_units(l)
+            leaves = _regions(l)
+            sigs = [tuple(frozenset(a + 1 for a in c) for c in sig) for sig, _, _ in leaves]
+            assert sigs == [c.signature for c in enumerate_cells_unpruned(deduped) if c.dim == n], name
+            for (_, sys, w), names in zip(leaves, sigs):
+                assert sys.satisfies(w) and all(dot(c, w) > r for c, r in sys.inequalities), name
+                points.append((deduped, w, names))
+        assert seen["tie at a parent's point"] >= 15 and seen["carried"] >= 100, seen
+        assert seen["rank-1 unit"] >= 30, seen
+        monkeypatch.undo()
+        assert all(activation_pattern(l, w) == names for l, w, names in points)
 
 
 class TestCountRegionsBruteforce:
@@ -305,18 +361,26 @@ class TestCountRegionsBruteforce:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lp_budget_holds_for_any_jobs(self, jobs):
-        # The walk solves 58 LPs, whether inline or in a pool: its levels
-        # try 3, 9 and 27 patterns and the 19 regions cost one recession LP
-        # each.  With 38, the last level finds 26 LPs left and is refused
-        # before any worker starts it.
+        # The walk solves 45 LPs, whether inline or in a pool: its levels
+        # try 3, 9 and 27 patterns, one per parent is carried with its
+        # parent's point, so they solve 2, 6 and 18 margin LPs, and the 19
+        # regions cost one recession LP each.  With 25, the last level
+        # finds 17 LPs left and is refused before any worker starts it.
+        # With 26 the 18 it needs are left, as its 9 carried patterns are
+        # not counted, so it starts and the regions' recession LPs exceed
+        # the budget.
         l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
-        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(57):
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(44):
             count_regions_bruteforce(l, jobs=jobs)
         start = lp_call_count()
-        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(38):
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(25):
             count_regions_bruteforce(l, jobs=jobs)
-        assert lp_call_count() - start == 12
-        with lp_budget(58):
+        assert lp_call_count() - start == 8
+        start = lp_call_count()
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(26):
+            count_regions_bruteforce(l, jobs=jobs)
+        assert lp_call_count() - start >= 26
+        with lp_budget(45):
             assert count_regions_bruteforce(l, jobs=jobs).regions == 19
 
 
@@ -376,11 +440,13 @@ class TestPoset:
         # rank 3, so its margin, the atoms through it and its Euler
         # characteristic need no LP.  The lines' Euler characteristics are
         # read off their directions, and the ambient space's margin is
-        # decided as a system with no rows, also with no LP.
+        # decided as a system with no rows, also with no LP.  Every element
+        # is a cone, so one with an inequality and a positive margin is
+        # unbounded, and its Euler characteristic needs no LP.
         arr = build_atoms(construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1))
         start = lp_call_count()
         p = build_poset(arr)
-        assert lp_call_count() - start == 147
+        assert lp_call_count() - start == 138
         assert len(p.elements) == 29
 
     def test_matches_breadth_first_reference(self):
@@ -602,7 +668,8 @@ class TestSubsumIdentities:
 
     def test_assumed_simple_identity_solves_only_the_walk(self, monkeypatch):
         # The walk's margin LPs, one per strict argmax pattern that adds
-        # rows, and no atom, simplicity or recession LP.
+        # rows and is not carried with its parent's point, and no atom,
+        # simplicity or recession LP.
         l = construct_shallow_optimal(2, (3, 3, 2), seed=1)
         start = lp_call_count()
         _regions(l)
@@ -611,7 +678,7 @@ class TestSubsumIdentities:
         start = lp_call_count()
         chk = subsum_identity_noncentral(l, assume_simple=True)
         assert (chk.lhs, chk.rhs) == (14, 14)
-        assert lp_call_count() - start == walk == 30
+        assert lp_call_count() - start == walk == 17
 
     def test_atom_units_are_the_units_with_two_strict_argmaxes(self):
         # The units build_atoms finds an atom for are exactly the units
@@ -626,7 +693,7 @@ class TestSubsumIdentities:
         for k in range(200):
             l = small_integer_layer(rng, k % 2 == 0)
             atom_units = {a.unit for a in build_atoms(l).atoms}
-            sigs = [sig for sig, _ in _regions(l)]
+            sigs = [sig for sig, _, _ in _regions(l)]
             assert atom_units == {i + 1 for i in range(l.width) if len({s[i] for s in sigs}) > 1}
             missing = [i + 1 for i in range(l.width) if i + 1 not in atom_units]
             if missing:
@@ -666,7 +733,7 @@ class TestBoundedRegionGap:
 
     def test_solves_only_the_two_walks(self, monkeypatch):
         # The margin LPs of the layer's walk and of its slice's walk, and no
-        # recession LP.
+        # recession LP; a carried leaf costs no LP at all.
         l = sample_generic(2, (2, 2, 2), NO_BIAS, seed=5)
         start = lp_call_count()
         res = bounded_region_gap(l, (1, 1))
@@ -675,7 +742,7 @@ class TestBoundedRegionGap:
         sliced = restrict_layer(l, (Fraction(1, 2),) * 2, nullspace_basis([w], 2))
         start = lp_call_count()
         assert (len(_regions(l)), len(_regions(sliced))) == (res.r_total, res.r_slice) == (6, 4)
-        assert lp_call_count() - start == need == 26
+        assert lp_call_count() - start == need == 14
         refuse_leaf_lps(monkeypatch)
         assert bounded_region_gap(l, (1, 1)) == res
 

@@ -205,6 +205,32 @@ class TestRecessionProfile:
         assert recession_profile(square).pointed_part_bounded
         assert lp_call_count() - start == 1
 
+    def test_given_point_replaces_the_emptiness_lp(self):
+        # A point of the system shows it nonempty, so only the far system's
+        # LP is solved; the answer is the one without a point.
+        square = fresh(SQUARE)
+        start = lp_call_count()
+        assert recession_profile(square, (Fraction(1), Fraction(0))) == RecessionProfile(0, True)
+        assert lp_call_count() - start == 1
+        assert "_margin" not in square.__dict__
+        # A cone with a point strict on every inequality needs no LP; at a
+        # point tight on one, the far system answers.
+        quadrant = ConstraintSystem.build(2, inequalities=[((1, 0), 0), ((0, 1), 0)])
+        start = lp_call_count()
+        assert recession_profile(quadrant, (Fraction(1), Fraction(2))) == RecessionProfile(0, False)
+        assert lp_call_count() == start
+        assert recession_profile(quadrant, (Fraction(0), Fraction(2))) == RecessionProfile(0, False)
+        assert lp_call_count() - start == 1
+
+    def test_point_outside_the_system_raises(self):
+        start = lp_call_count()
+        for point in ((Fraction(2), Fraction(0)), (Fraction(0),), (Fraction(0),) * 3):
+            with pytest.raises(ValueError, match="not in the polyhedron"):
+                recession_profile(fresh(SQUARE), point)
+        with pytest.raises(ValueError, match="not in the polyhedron"):
+            recession_profile(fresh(LINE), (Fraction(0), Fraction(1)))
+        assert lp_call_count() == start
+
     def test_point_solves_no_cone_lp(self):
         # Equalities of rank d make the system a point, whose cone is {0}:
         # once its margin LP is solved, the profile solves no LP, whatever
@@ -576,16 +602,22 @@ WEDGE = ConstraintSystem.build(
 @example(ConstraintSystem.build(3, [((1, 1, 0), 0)], [((1, 0, 0), 0), ((-1, 0, 0), 0)]))
 @example(ConstraintSystem.build(4))
 def test_cone_recession_matches_both_references(sys):
-    # A cone is its own recession cone.  The far system answers in one LP
+    # A cone is its own recession cone.  At positive margin the margin LP's
+    # point is strict on every inequality, so a cone with an inequality is
+    # unbounded with no LP.  At margin 0 the far system answers in one LP
     # when the equalities have rank below d - 1 and there is an inequality,
-    # and in none otherwise; both the row-activity reference and the
-    # implicit-equality LP it replaced agree with it.
+    # and in none otherwise.  Both the row-activity reference and the
+    # implicit-equality LP the far system replaced agree with it.
     d, k = sys.ambient_dim, len(sys.inequalities)
     cone = fresh(sys)
     assert feasible(cone) is not None
+    general = k and cone.equality_rank < d - 1
     start = lp_call_count()
     prof = recession_profile(cone)
-    assert lp_call_count() - start == (1 if k and cone.equality_rank < d - 1 else 0)
+    assert lp_call_count() - start == (1 if general and cone._margin.value == 0 else 0)
+    if general and cone._margin.value > 0:
+        assert not prof.pointed_part_bounded
+    assert recession_profile(fresh(sys), feasible(cone)) == prof
     assert prof == recession_profile_reference(fresh(sys))
     implicit = geometry._implicit_equalities(d, sys.equalities, sys.inequalities, range(k))
     lineality = d - rank_reference([c for c, _ in sys.equalities + sys.inequalities])

@@ -145,13 +145,13 @@ def test_largest_coefficient_rule_switches_to_bland_on_beale(monkeypatch):
 # classify_vertices' drop LPs enter by the largest coefficient, the others
 # by Bland's rule.  The poset count includes the atoms it is built from.
 @pytest.mark.parametrize("make, run, lps, pivots", [
-    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 58, 353),
+    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 45, 256),
     (
         lambda: minkowski.minkowski_sum(minkowski.lift_layer(construct_shallow_optimal(3, (2,) * 5, seed=1))),
         minkowski.classify_vertices, 32, 215,
     ),
-    (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 95, 505),
-    (lambda: construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1), lambda l: build_poset(build_atoms(l)), 156, 858),
+    (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 89, 470),
+    (lambda: construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1), lambda l: build_poset(build_atoms(l)), 147, 819),
 ], ids=["count_regions_bruteforce", "classify_vertices", "enumerate_cells", "build_poset"])
 def test_lp_and_pivot_counts_of_fixed_stages(make, run, lps, pivots):
     x = make()
