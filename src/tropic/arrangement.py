@@ -126,16 +126,15 @@ def _node(sig, sys, w):
 
 def _cell(sig, sys, w) -> Cell:
     """A leaf as a Cell with witness w; the dimension reads the solved margin
-    LP, so only the recession profile may cost an LP."""
-    prof = recession_profile(sys)
-    bounded = prof.lineality_dim == 0 and prof.pointed_part_bounded
+    LP, so only the recession profile (_region_bounded) may cost an LP."""
+    bounded = _region_bounded(sig, sys, w)
     return Cell(tuple(frozenset(c + 1 for c in t) for t in sig), affine_dimension(sys), bounded, w)
 
 
 def _region_bounded(sig, sys, w) -> bool:
-    """A region leaf as whether the region is bounded.  A region is
-    full-dimensional, so only its recession profile is read, at w; it costs
-    no margin LP, and no LP at all for a cone."""
+    """A leaf as whether its cell is bounded: its recession profile, read
+    at its strict point w, so it costs no margin LP, and no LP at all for a
+    cone."""
     prof = recession_profile(sys, w)
     return prof.lineality_dim == 0 and prof.pointed_part_bounded
 

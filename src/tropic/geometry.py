@@ -2,19 +2,18 @@
 
 A ConstraintSystem is a finite list of affine equalities and inequalities
 (coeffs . x >= rhs) over Q^d.  Everything in arrangement (cells, posets,
-simplicity) reduces to two LP formulations here, plus the violation LPs
-of contains.  Each question has one formulation:
+simplicity) reduces to three LP formulations here, one per question:
 
-- emptiness and recession: the common-margin LP (maximize one slack t <= 1
-  shared by all inequalities), infeasible exactly when the system is
-  empty.  Its point serves feasible, strictly_feasible and
-  affine_dimension, and recession_profile asks it of one derived system,
-  the far system, whose emptiness is boundedness;
+- emptiness, strict feasibility and dimension at positive margin: the
+  common-margin LP (maximize one slack t <= 1 shared by all
+  inequalities), infeasible exactly when the system is empty.  Its point
+  serves feasible, strictly_feasible and affine_dimension;
 - dimension at margin 0: the implicit-equality LP of Freund, Roundy & Todd
   (1985, MIT Sloan WP 1674-85), which finds in one LP the inequalities
   tight on the whole set;
-- containment: the violation LPs of contains, one per row of the outer
-  system.
+- containment and recession: the bound LP (_at_most), the maximum of a
+  linear form on a nonempty system against a bound: one per outer row in
+  contains, one on the recession cone in recession_profile.
 
 A system solves its common-margin LP at most once: the result is cached on
 the system, so feasible, strictly_feasible, affine_dimension and the
@@ -46,7 +45,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .linprog import EQ, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError, LPResult, solve_lp
+from .linprog import EQ, GE, INFEASIBLE, OPTIMAL, InternalError, LPResult, solve_lp
 from .rational import parse_rational
 
 Vec = tuple[Fraction, ...]
@@ -256,23 +255,30 @@ def _implicit_equalities(d, eqs, ineqs, cand):
     return [i for i, v in zip(cand, t) if v == 0]
 
 
+def _at_most(d, rows, c, r) -> bool:
+    """Whether c . x <= r on the nonempty system of solve_lp rows: one LP,
+    max c . x, unbounded when c . x is; an infeasible LP is a bug."""
+    res = solve_lp(d, c, rows)
+    if res.status == INFEASIBLE:
+        raise InternalError("bound LP of a nonempty system is infeasible")
+    return res.status == OPTIMAL and res.value <= r
+
+
 def recession_profile(sys: ConstraintSystem, point: Vec | None = None) -> RecessionProfile:
     """Lineality dimension and boundedness of the pointed part.
 
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
     (dim of its lineality space, whether the cone equals that space), and it
     does exactly when every inequality c_i is tight on the whole cone.
-    With s the sum of the c_i, that is an emptiness question: the cone
-    equals its lineality space exactly when the far system
-    {eq . v = 0, c_i . v >= 0, s . v >= 1} is empty.  A v of the cone has
-    s . v > 0 exactly when some c_i . v > 0, and the cone is closed under
-    positive scaling, so some v of it reaches s . v >= 1 exactly when some
-    inequality is not tight on it.  The far system's own margin LP answers:
-    one LP, none without inequalities (the cone is then a linear space),
-    and none when the equalities have rank d or d - 1.  A point's cone is
-    {0}.  For a line, with v spanning the null space of the equalities, the
-    cone is the line itself when every c . v is 0, a ray when the nonzero
-    c . v share one sign, and {0} otherwise.
+    With s the sum of the c_i, a v of the cone has s . v > 0 exactly when
+    some c_i . v > 0, so the cone equals its lineality space exactly when
+    s . v <= 0 on it: one bound LP, max s . v over the cone, which is 0
+    when bounded and unbounded otherwise (the cone holds 0 and is closed
+    under positive scaling).  There is no LP without inequalities (the cone
+    is then a linear space), nor when the equalities have rank d or d - 1.
+    A point's cone is {0}.  For a line, with v spanning the null
+    space of the equalities, the cone is the line itself when every c . v
+    is 0, a ray when the nonzero c . v share one sign, and {0} otherwise.
 
     A cone (every right-hand side 0) is its own recession cone, so a point
     of it strict on every inequality is a v with every c_i . v > 0: such a
@@ -308,9 +314,8 @@ def recession_profile(sys: ConstraintSystem, point: Vec | None = None) -> Recess
     cone = all(r == 0 for _, r in sys.equalities + sys.inequalities)
     if cone and all(linalg.dot(c, point) > 0 for c in normals):
         return RecessionProfile(lineality_dim, False)
-    rows = [(c, 0) for c in normals] + [(tuple(map(sum, zip(*normals))), 1)]  # s . v >= 1
-    far = ConstraintSystem.build(d, [(c, 0) for c, _ in sys.equalities], rows)
-    return RecessionProfile(lineality_dim, feasible(far) is None)
+    rows = [(c, EQ, 0) for c, _ in sys.equalities] + [(c, GE, 0) for c in normals]
+    return RecessionProfile(lineality_dim, _at_most(d, rows, [sum(v) for v in zip(*normals)], 0))
 
 
 def euler_characteristic(sys: ConstraintSystem) -> int:
@@ -328,12 +333,13 @@ def euler_characteristic(sys: ConstraintSystem) -> int:
 
 
 def contains(outer: ConstraintSystem, inner: ConstraintSystem) -> bool:
-    """True iff every point of inner satisfies outer; exact, via violation LPs.
+    """True iff every point of inner satisfies outer; exact, via bound LPs.
 
-    A witness of inner that satisfies outer also shows outer nonempty, so
-    outer's emptiness LP runs only when the witness fails it.  An inner
-    whose equalities have rank d is its witness, so it needs no violation
-    LP.
+    Each outer row c . x >= r is the bound -c . x <= -r, tried in order
+    until one fails.  A witness of inner that satisfies outer also shows
+    outer nonempty, so outer's emptiness LP runs only when the witness
+    fails it.  An inner whose equalities have rank d is its witness, so it
+    needs no bound LP.
     """
     if outer.ambient_dim != inner.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -350,8 +356,4 @@ def contains(outer: ConstraintSystem, inner: ConstraintSystem) -> bool:
     rows = list(outer.inequalities)
     for c, r in outer.equalities:  # c . x = r as c . x >= r and -c . x >= -r
         rows += [(c, r), (tuple(-v for v in c), -r)]
-    for c, r in rows:
-        res = solve_lp(d, c, cons, maximize=False)
-        if res.status == UNBOUNDED or res.value < r:
-            return False
-    return True
+    return all(_at_most(d, cons, tuple(-v for v in c), -r) for c, r in rows)

@@ -1,5 +1,8 @@
 """Exact rational linear programming via the simplex method.
 
+Every LP maximizes: a caller that wants a minimum maximizes the negated
+objective and negates the optimum.
+
 All arithmetic is exact and integer.  Each constraint row is built straight
 from the numerators and denominators of its int or Fraction inputs: the row
 is multiplied by the lcm of its denominators (its slack entry becomes
@@ -126,11 +129,10 @@ def solve_lp(
     objective: Sequence,
     constraints: Iterable[tuple[Sequence, str, object]],
     nonneg: Sequence[bool] | None = None,
-    maximize: bool = True,
     *,
     entering: str = BLAND,
 ) -> LPResult:
-    """Maximize (or minimize) objective . x subject to linear constraints.
+    """Maximize objective . x subject to linear constraints.
 
     constraints are triples (coeffs, op, rhs) with op '=' or '>=' (meaning
     coeffs . x >= rhs).  Variables are free unless nonneg marks them.
@@ -149,8 +151,6 @@ def solve_lp(
     zcoef, zscale = integer_row(objective)
     if len(zcoef) != num_vars:
         raise ValueError("objective length != num_vars")
-    if not maximize:
-        zcoef = [-c for c in zcoef]
     if nonneg is None:
         nonneg = [False] * num_vars
 
@@ -286,6 +286,4 @@ def solve_lp(
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, x)
     value = Fraction(sum(c * v for c, v in zip(zcoef, xnum)), zscale * den)
-    if not maximize:
-        value = -value
     return LPResult(OPTIMAL, value, x)

@@ -88,22 +88,21 @@ def minkowski_sum(sets: Sequence[LabeledPointSet]) -> LabeledPointSet:
 
 def _drop_to_hull(p: Vec, others: Sequence[Vec]) -> Fraction | None:
     """The least lam >= 0 with p + lam * e_last in conv(others), or None when
-    there is none: minimize lam over mu, lam >= 0 subject to
-    sum mu_i q_i - lam * e_last = p and sum mu_i = 1.  Only the status and
-    the value are read, so the LP may take the largest-coefficient rule."""
+    there is none: maximize -lam over mu, lam >= 0 subject to
+    sum mu_i q_i - lam * e_last = p and sum mu_i = 1, and negate the
+    optimum.  Only the status and the value are read, so the LP may take
+    the largest-coefficient rule."""
     if not others:
         return None
     k, last = len(others), len(p) - 1
     cons = [([q[c] for q in others] + [-int(c == last)], EQ, p[c]) for c in range(len(p))]
     cons.append(([1] * k + [0], EQ, 1))
-    res = solve_lp(
-        k + 1, [0] * k + [1], cons, nonneg=[True] * (k + 1), maximize=False, entering=DANTZIG
-    )
+    res = solve_lp(k + 1, [0] * k + [-1], cons, nonneg=[True] * (k + 1), entering=DANTZIG)
     if res.status == INFEASIBLE:
         return None
     if res.status != OPTIMAL:
         raise InternalError(f"drop LP with lam >= 0 returned {res.status}")
-    return res.value
+    return -res.value
 
 
 def classify_vertices(ps: LabeledPointSet) -> VertexClassification:

@@ -11,8 +11,10 @@ determinant that the Vandermonde product of network._shift_denominators
 replaced.
 affine_dimension_reference (one single-margin LP per tight row) is the
 geometry that the implicit-equality LP replaced, and
-recession_profile_reference (the row-activity LP) the one that the far
-system's margin LP replaced.  build_poset_reference is the breadth-first
+recession_profile_reference (the row-activity LP) the one that
+recession_profile's bound LP replaced.  contains_reference decides each
+outer row by a minimum of the Fraction solver, where contains maximizes
+the negated row.  build_poset_reference is the breadth-first
 poset walk that closure extension replaced.  mobius_reference is the
 all-pairs Mobius table that Poset.face_counts' one inversion pass replaced,
 and face_counts_reference evaluates the face-count formula on it.
@@ -388,6 +390,24 @@ def recession_profile_reference(sys: ConstraintSystem) -> RecessionProfile:
     obj = [0] * d + [1] * n_in
     res = _optimal(solve_lp(nv, obj, cons, nonneg=[False] * d + [True] * n_in))
     return RecessionProfile(lineality_dim, res.value == 0)
+
+
+def contains_reference(outer: ConstraintSystem, inner: ConstraintSystem) -> bool:
+    """Containment of a nonempty inner in outer, row by row with the Fraction
+    solver: each outer row c . x >= r, an equality as its two inequalities,
+    holds when min c . x over inner is at least r."""
+    d = inner.ambient_dim
+    cons = [(c, EQ, r) for c, r in inner.equalities]
+    cons += [(c, GE, r) for c, r in inner.inequalities]
+    rows = list(outer.inequalities) + list(outer.equalities)
+    rows += [(tuple(-v for v in c), -r) for c, r in outer.equalities]
+    for c, r in rows:
+        res = solve_lp_reference(d, c, cons, maximize=False)
+        if res.status == INFEASIBLE:
+            raise EmptyPolyhedronError("containment of an empty inner system")
+        if res.status == UNBOUNDED or res.value < r:
+            return False
+    return True
 
 
 def _as_fraction(v) -> Fraction:

@@ -124,17 +124,36 @@ def _solve_lp_users(name):
     }
 
 
-def test_geometry_has_two_lp_formulations_plus_containment():
-    # The common-margin LP, the implicit-equality LP and the violation LPs
-    # of contains are the only places geometry may use solve_lp.
+def _names_in_body(name, func):
+    # The names and attributes that the body of function func of module
+    # name refers to; its signature is left out.
+    path = next(p for p in SOURCES if p.name == name)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fn = next(s for s in tree.body if getattr(s, "name", None) == func)
+    nodes = [n for stmt in fn.body for n in ast.walk(stmt)]
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {
+        n.attr for n in nodes if isinstance(n, ast.Attribute)
+    }
+
+
+def test_geometry_has_three_lp_formulations():
+    # The common-margin LP, the implicit-equality LP and the bound LP are
+    # the only places geometry may use solve_lp.  contains and
+    # recession_profile both ask the bound LP, and recession_profile
+    # derives no system of its own to ask another LP of.
     users = _solve_lp_users("geometry.py")
-    assert users and users <= {"_max_common_margin", "_implicit_equalities", "contains"}, users
+    assert users == {"_max_common_margin", "_implicit_equalities", "_at_most"}, users
+    for func in ("contains", "recession_profile"):
+        assert "_at_most" in _names_in_body("geometry.py", func), func
+    found = _names_in_body("geometry.py", "recession_profile")
+    found &= {"ConstraintSystem", "intersection"}
+    assert found == set(), f"recession_profile builds a system through {sorted(found)}"
 
 
 def test_implicit_equality_lp_has_one_job():
     # affine_dimension at margin 0 is the implicit-equality LP's one caller;
-    # recession_profile answers through a system's margin LP, so neither
-    # that LP nor a solve_lp of its own may appear in it.
+    # recession_profile answers through the bound LP, so neither that LP
+    # nor a solve_lp of its own may appear in it.
     callers = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -147,12 +166,8 @@ def test_implicit_equality_lp_has_one_job():
             or (isinstance(n, ast.Attribute) and n.attr == "_implicit_equalities")
         }
     assert callers == {"geometry.py:affine_dimension"}, callers
-    path = next(p for p in SOURCES if p.name == "geometry.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-    rec = next(s for s in tree.body if getattr(s, "name", None) == "recession_profile")
-    names = {n.id for n in ast.walk(rec) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(rec) if isinstance(n, ast.Attribute)}
-    found = names & {"solve_lp", "_implicit_equalities"}
+    found = _names_in_body("geometry.py", "recession_profile")
+    found &= {"solve_lp", "_implicit_equalities"}
     assert found == set(), f"recession_profile refers to {sorted(found)}"
 
 
@@ -164,8 +179,9 @@ def test_minkowski_has_one_lp_formulation():
 
 def test_only_the_drop_lp_chooses_its_entering_rule():
     # Every other LP keeps Bland's rule, whose witness is a fixed function
-    # of the input: the margin LP's point is emitted and reused, and
-    # contains and the implicit-equality LP gain nothing from the fast rule.
+    # of the input: the margin LP's point is emitted and reused, and the
+    # bound and implicit-equality LPs keep it until the fast rule is
+    # measured on them.
     callers = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropic import geometry
@@ -20,6 +20,8 @@ from tropic.geometry import (
 )
 from tropic.linalg import dot
 from tropic.linprog import (
+    GE,
+    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     BudgetExceededError,
@@ -31,6 +33,7 @@ from tropic.linprog import (
 
 from oracles import (
     affine_dimension_reference,
+    contains_reference,
     euler_characteristic_by_decomposition,
     nullspace_basis_reference,
     rank_reference,
@@ -193,8 +196,8 @@ class TestRecessionProfile:
         assert lp_call_count() == start
 
     def test_solved_system_skips_the_emptiness_lp(self):
-        # Margin LP plus the far system's LP, then the far system's LP
-        # alone: the margin LP of a solved system is not solved again.
+        # Margin LP plus the bound LP on the recession cone, then the bound
+        # LP alone: the margin LP of a solved system is not solved again.
         square = fresh(SQUARE)
         start = lp_call_count()
         assert recession_profile(square) == recession_profile(square)
@@ -206,15 +209,15 @@ class TestRecessionProfile:
         assert lp_call_count() - start == 1
 
     def test_given_point_replaces_the_emptiness_lp(self):
-        # A point of the system shows it nonempty, so only the far system's
-        # LP is solved; the answer is the one without a point.
+        # A point of the system shows it nonempty, so only the bound LP on
+        # the recession cone is solved; the answer is the one without a point.
         square = fresh(SQUARE)
         start = lp_call_count()
         assert recession_profile(square, (Fraction(1), Fraction(0))) == RecessionProfile(0, True)
         assert lp_call_count() - start == 1
         assert "_margin" not in square.__dict__
         # A cone with a point strict on every inequality needs no LP; at a
-        # point tight on one, the far system answers.
+        # point tight on one, the bound LP answers.
         quadrant = ConstraintSystem.build(2, inequalities=[((1, 0), 0), ((0, 1), 0)])
         start = lp_call_count()
         assert recession_profile(quadrant, (Fraction(1), Fraction(2))) == RecessionProfile(0, False)
@@ -342,9 +345,10 @@ COEF = st.integers(-3, 3)
 
 
 @st.composite
-def systems(draw):
-    """Systems in Q^1..Q^4 with up to 2 equalities and 6 inequalities, all
-    satisfied by one anchor point until a contradiction is added.
+def systems(draw, dim=None):
+    """Systems in Q^1..Q^4, or in Q^dim, with up to 2 equalities and 6
+    inequalities, all satisfied by one anchor point until a contradiction
+    is added.
 
     Coordinates no row touches give nonzero lineality.  Each inequality may
     get its opposite row shifted by 0 (an implicit-equality pair, a
@@ -352,7 +356,7 @@ def systems(draw):
     one shifted by -1 (an empty set), and the first equality a
     contradictory copy.
     """
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4)) if dim is None else dim
     free = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
     anchor = [draw(COEF) for _ in range(d)]
 
@@ -410,20 +414,15 @@ def answers(s):
 
 @settings(max_examples=200, deadline=None)
 @given(systems())
+@example(SQUARE)
 def test_solved_system_answers_as_a_fresh_one(sys):
     solved = fresh(sys)
     expected = answers(solved)
     assert answers(fresh(sys)) == expected
-    # Every answer of a solved system reads its cached margin LP.  The far
-    # system of recession_profile is another system, and solves its own.
-    real = geometry._max_common_margin
-
-    def refuse_own_rows(d, eqs, ineqs):
-        if (eqs, ineqs) == (solved.equalities, solved.inequalities):
-            raise AssertionError("margin LP solved again")
-        return real(d, eqs, ineqs)
-
-    with mock.patch.object(geometry, "_max_common_margin", side_effect=refuse_own_rows):
+    # Every answer of a solved system reads its cached margin LP, and none
+    # solves the margin LP of another system.
+    refuse = AssertionError("margin LP solved again")
+    with mock.patch.object(geometry, "_max_common_margin", side_effect=refuse):
         assert answers(solved) == expected
     # A system decided by rank solves no margin LP.  Any other system
     # solves one, and an LP refused by the budget caches nothing: the
@@ -441,6 +440,30 @@ def test_solved_system_answers_as_a_fresh_one(sys):
     start = lp_call_count()
     assert feasible(refused) == expected[0]
     assert lp_call_count() - start == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_contains_matches_the_fraction_reference(data):
+    # Pairs of nonempty systems in one dimension, and outer with its own
+    # intersection with inner, which it contains.  Once inner is solved,
+    # contains solves at most one bound LP per outer row, an equality
+    # counting as two rows, and outer's emptiness LP.
+    inner = data.draw(systems())
+    outer = data.draw(systems(inner.ambient_dim))
+    assume(feasible(fresh(inner)) is not None and feasible(fresh(outer)) is not None)
+    both = outer.intersection(inner)
+    pairs = [(outer, inner)]
+    if feasible(fresh(both)) is not None:
+        assert contains_reference(outer, both)
+        pairs.append((outer, both))
+    rows = len(outer.inequalities) + 2 * len(outer.equalities)
+    for o, i in pairs:
+        o, i = fresh(o), fresh(i)
+        assert feasible(i) is not None
+        start = lp_call_count()
+        assert contains(o, i) == contains_reference(o, i)
+        assert lp_call_count() - start <= rows + 1
 
 
 FRAC = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -604,10 +627,10 @@ WEDGE = ConstraintSystem.build(
 def test_cone_recession_matches_both_references(sys):
     # A cone is its own recession cone.  At positive margin the margin LP's
     # point is strict on every inequality, so a cone with an inequality is
-    # unbounded with no LP.  At margin 0 the far system answers in one LP
+    # unbounded with no LP.  At margin 0 the bound LP answers in one LP
     # when the equalities have rank below d - 1 and there is an inequality,
     # and in none otherwise.  Both the row-activity reference and the
-    # implicit-equality LP the far system replaced agree with it.
+    # implicit-equality LP on the cone agree with it.
     d, k = sys.ambient_dim, len(sys.inequalities)
     cone = fresh(sys)
     assert feasible(cone) is not None
@@ -634,7 +657,11 @@ def test_implicit_equality_slack_outside_0_1_is_an_internal_error(monkeypatch):
 
 def test_unsolved_bounded_lp_is_an_internal_error(monkeypatch):
     # The margin LP is feasible and capped, so a non-optimal status is a bug;
-    # it must raise a typed error that survives python -O.
+    # it must raise a typed error that survives python -O.  The bound LP is
+    # asked only of nonempty systems, so an infeasible one is a bug too.
     monkeypatch.setattr(geometry, "solve_lp", lambda *a, **k: LPResult(UNBOUNDED, None, None))
     with pytest.raises(InternalError, match="unbounded"):
         geometry._max_common_margin(1, [], [((Fraction(1),), Fraction(0))])
+    monkeypatch.setattr(geometry, "solve_lp", lambda *a, **k: LPResult(INFEASIBLE, None, None))
+    with pytest.raises(InternalError, match="infeasible"):
+        geometry._at_most(1, [((Fraction(1),), GE, Fraction(0))], (Fraction(1),), Fraction(0))

@@ -17,6 +17,7 @@ from tropic.linprog import (
     UNBOUNDED,
     BudgetExceededError,
     InternalError,
+    LPResult,
     charge_lp_calls,
     lp_budget,
     lp_call_count,
@@ -57,9 +58,11 @@ def test_unbounded_reports_feasible_point():
 
 
 def test_minimize():
-    res = solve_lp(1, [1], [((1,), GE, -3), ((-1,), GE, -5)], maximize=False)
+    # min x is -max -x, at the same witness.
+    res = solve_lp(1, [-1], [((1,), GE, -3), ((-1,), GE, -5)])
     assert res.status == OPTIMAL
-    assert res.value == -3
+    assert -res.value == -3
+    assert res.x == (-3,)
 
 
 def test_nonneg_vars():
@@ -145,12 +148,12 @@ def test_largest_coefficient_rule_switches_to_bland_on_beale(monkeypatch):
 # classify_vertices' drop LPs enter by the largest coefficient, the others
 # by Bland's rule.  The poset count includes the atoms it is built from.
 @pytest.mark.parametrize("make, run, lps, pivots", [
-    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 45, 256),
+    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 45, 220),
     (
         lambda: minkowski.minkowski_sum(minkowski.lift_layer(construct_shallow_optimal(3, (2,) * 5, seed=1))),
         minkowski.classify_vertices, 32, 215,
     ),
-    (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 89, 470),
+    (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 89, 439),
     (lambda: construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1), lambda l: build_poset(build_atoms(l)), 147, 819),
 ], ids=["count_regions_bruteforce", "classify_vertices", "enumerate_cells", "build_poset"])
 def test_lp_and_pivot_counts_of_fixed_stages(make, run, lps, pivots):
@@ -168,8 +171,8 @@ def test_charged_pivots_are_counted():
 
 def test_determinism_bitwise():
     cons = [((3, -2), GE, -7), ((-1, 4), GE, -5), ((1, 1), GE, -1)]
-    a = solve_lp(2, [2, 5], cons, maximize=False)
-    b = solve_lp(2, [2, 5], cons, maximize=False)
+    a = solve_lp(2, [-2, -5], cons)
+    b = solve_lp(2, [-2, -5], cons)
     assert a == b
 
 
@@ -227,12 +230,18 @@ def _lps(draw):
     return d, obj, cons, nonneg, draw(st.booleans())
 
 
+def _solve_for_reference(d, obj, cons, nonneg, maximize, **kw):
+    """solve_lp as solve_lp_reference reports it: a minimum is the negated
+    maximum of the negated objective, at the same witness."""
+    res = solve_lp(d, obj if maximize else [-c for c in obj], cons, nonneg, **kw)
+    return res if maximize or res.value is None else LPResult(res.status, -res.value, res.x)
+
+
 @settings(max_examples=500, deadline=None)
 @given(_lps())
 def test_matches_fraction_reference(lp):
-    d, obj, cons, nonneg, maximize = lp
-    expected = solve_lp_reference(d, obj, cons, nonneg, maximize)
-    assert solve_lp(d, obj, cons, nonneg, maximize) == expected
+    expected = solve_lp_reference(*lp)
+    assert _solve_for_reference(*lp) == expected
 
 
 def _satisfies(x, cons, nonneg):
@@ -249,8 +258,8 @@ def test_largest_coefficient_rule_matches_fraction_reference(lp):
     # The rule may reach another optimal vertex, so the witness is checked
     # for feasibility and value rather than compared.
     d, obj, cons, nonneg, maximize = lp
-    expected = solve_lp_reference(d, obj, cons, nonneg, maximize)
-    res = solve_lp(d, obj, cons, nonneg, maximize, entering=DANTZIG)
+    expected = solve_lp_reference(*lp)
+    res = _solve_for_reference(*lp, entering=DANTZIG)
     assert (res.status, res.value) == (expected.status, expected.value)
     if res.status != INFEASIBLE:
         assert _satisfies(res.x, cons, nonneg)
