@@ -10,10 +10,19 @@ is multiplied by the lcm of its denominators (its slack entry becomes
 is read off.  The tableau then shares a single positive denominator (the
 determinant of the current basis) and every pivot is the fraction-free
 update of Bareiss (1968) in linalg.pivot.  The update is exact, so a basic
-column is den in its own row and 0 in every other row, the cost rows
+column is den in its own row and 0 in every other row, the cost row
 included: its reduced cost is exactly 0.  No set of basic columns is kept
 beside the basis list, as a positive reduced cost already names a nonbasic
 column, and the witness is read off the basis list.
+
+The tableau carries only what the simplex reads.  No artificial ever
+enters, so an artificial is a basis label with no column.  Phase 1 carries
+its own cost row z1, the sum of the artificial rows, and drops it at its
+end.  Phase 2's cost row z2 is built once, at the basis phase 1 leaves, as
+den c minus each basic column's cost times its row: a scaled reduced-cost
+row is fixed by being 0 on the basic columns (Chvatal 1983), so this is the
+row that pivoting den c along from the start would have given.  An
+infeasible LP never builds it.
 
 Both phases run one pivot loop with two entering rules.  Bland's rule
 (BLAND, the default) enters the lowest column with a positive reduced
@@ -156,7 +165,7 @@ def solve_lp(
 
     # Column layout: per variable one column (nonneg) or a split pair
     # (free x = pos - neg), each the (variable, sign) pair it carries, then
-    # one slack per '>=' row, then artificials.
+    # one slack per '>=' row, then the rhs slot.
     cols = [(j, sign) for j in range(num_vars) for sign in ((1,) if nonneg[j] else (1, -1))]
     n_struct = len(cols)
 
@@ -181,40 +190,35 @@ def solve_lp(
         rows.append((irow, s, ib))
 
     # A row keeps its own slack as the initial basic column when that entry
-    # is +1, else it gets a fresh artificial column.
+    # is +1, else it gets an artificial.  No artificial ever enters, so no
+    # line reads an artificial's column: an artificial is only a basis
+    # label (>= n_before_art), and the rhs slot follows the slacks.
     m = len(rows)
     n_slack = sum(s != 0 for _, s, _ in rows)
     n_before_art = n_struct + n_slack
-    ncols = n_before_art + sum(s != 1 for _, s, _ in rows)
+    rhs_i = n_before_art  # index of the rhs slot in every row
     T: list[list[int]] = []
     basis: list[int] = []
-    art_rows: list[list[int]] = []
+    # Phase 1 maximizes minus the sum of the artificials; its cost row is
+    # the sum of the artificial rows, with that sum (times den) in the rhs
+    # slot.
+    z1 = [0] * (rhs_i + 1)
     slack, art = n_struct, n_before_art
     for irow, s, ib in rows:
-        row = irow + [0] * (ncols - n_struct) + [ib]
+        row = irow + [0] * n_slack + [ib]
         if s:
             row[slack] = s
             slack += 1
         if s == 1:
             basis.append(slack - 1)
         else:
-            row[art] = 1
             basis.append(art)
             art += 1
-            art_rows.append(row)
+            z1 = [a + b for a, b in zip(z1, row)]
         T.append(row)
 
-    # Cost rows ride along through every pivot (same integer update), with
-    # the running objective value in the rhs slot.
-    z1 = [sum(col) for col in zip(*art_rows)] if art_rows else [0] * (ncols + 1)
-    for c in range(n_before_art, ncols):
-        z1[c] = 0
-
-    z2 = [zcoef[j] * sign for j, sign in cols] + [0] * (ncols + 1 - n_struct)
-
     den = 1
-    rhs_i = ncols  # index of the rhs slot in every row
-    all_rows = T + [z1, z2]  # rows are updated in place, so this stays valid
+    all_rows = T + [z1]  # rows are updated in place, so this stays valid
 
     def pivot(r: int, s: int) -> None:
         nonlocal den
@@ -261,6 +265,17 @@ def solve_lp(
         raise InternalError("phase 1 unbounded, but the artificial sum is >= 0")
     if z1[rhs_i] != 0:
         return LPResult(INFEASIBLE, None, None)
+
+    # Phase 2's cost row, built once at the basis phase 1 left: den c minus
+    # each basic column's cost times its row is 0 on every basic column, so
+    # it is the row that pivoting c along from the start would have given.
+    # z1 is not read again, so z2 takes its place in the pivoted rows.
+    cost = [zcoef[j] * sign for j, sign in cols]
+    z2 = [den * v for v in cost] + [0] * (n_slack + 1)
+    for i, b in enumerate(basis):
+        if b < n_struct and cost[b]:
+            z2 = [a - cost[b] * v for a, v in zip(z2, T[i])]
+    all_rows[-1] = z2
 
     # Drive basic artificials out (or leave them on redundant zero rows);
     # a basic column is 0 in every other row, so a nonzero entry is nonbasic.

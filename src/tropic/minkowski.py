@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bounds import IdentityCheck, alternating_subsum
+from .linalg import integer_row
 from .linprog import DANTZIG, EQ, INFEASIBLE, OPTIMAL, InternalError, solve_lp
 from .network import WITH_BIAS, LayerSpec, NetworkParseError, homogenize, json_rational, load_json
 from .rational import format_rational, parse_rational
@@ -86,16 +87,26 @@ def minkowski_sum(sets: Sequence[LabeledPointSet]) -> LabeledPointSet:
     return point_set(acc, label=label)
 
 
-def _drop_to_hull(p: Vec, others: Sequence[Vec]) -> Fraction | None:
+def _integer_points(points: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
+    """The points with each coordinate times the lcm of that coordinate's
+    denominators over all of them, and the last coordinate's lcm."""
+    cols, scales = zip(*(integer_row(col) for col in zip(*points)))
+    return list(zip(*cols)), scales[-1]
+
+
+def _drop_to_hull(p: tuple[int, ...], others: Sequence[tuple[int, ...]], scale: int) -> Fraction | None:
     """The least lam >= 0 with p + lam * e_last in conv(others), or None when
     there is none: maximize -lam over mu, lam >= 0 subject to
     sum mu_i q_i - lam * e_last = p and sum mu_i = 1, and negate the
-    optimum.  Only the status and the value are read, so the LP may take
-    the largest-coefficient rule."""
+    optimum.  p and others are the integer points of one _integer_points
+    call over all of them, and scale, lam's coefficient, is that call's
+    last-coordinate lcm, so each row is the integer row that solve_lp would
+    make of the rational one.  Only the status and the value are read, so
+    the LP may take the largest-coefficient rule."""
     if not others:
         return None
     k, last = len(others), len(p) - 1
-    cons = [([q[c] for q in others] + [-int(c == last)], EQ, p[c]) for c in range(len(p))]
+    cons = [([q[c] for q in others] + [-scale if c == last else 0], EQ, p[c]) for c in range(len(p))]
     cons.append(([1] * k + [0], EQ, 1))
     res = solve_lp(k + 1, [0] * k + [-1], cons, nonneg=[True] * (k + 1), entering=DANTZIG)
     if res.status == INFEASIBLE:
@@ -115,12 +126,20 @@ def classify_vertices(ps: LabeledPointSet) -> VertexClassification:
     is_v, is_u, is_l = [], [], []
     # A point proven interior can be dropped from every later drop LP: the
     # hull of the remaining points is unchanged, and a direction that singles
-    # out a vertex keeps the dropped points strictly behind it.
+    # out a vertex keeps the dropped points strictly behind it.  Each drop LP
+    # runs on the alive points, its own point included, so they are
+    # integerized once, one scale per coordinate, and again only after one
+    # of them leaves.
     alive = list(range(len(ps.points)))
-    for i, p in enumerate(ps.points):
-        drop = _drop_to_hull(p, [ps.points[j] for j in alive if j != i])
+    ints = None
+    for i in range(len(ps.points)):
+        if ints is None:
+            ints, scale = _integer_points([ps.points[j] for j in alive])
+        k = alive.index(i)
+        drop = _drop_to_hull(ints[k], ints[:k] + ints[k + 1:], scale)
         if drop == 0:
-            alive.remove(i)
+            del alive[k]
+            ints = None
         is_v.append(drop != 0)
         is_u.append(drop is None)
         is_l.append(bool(drop))

@@ -4,7 +4,8 @@ These deliberately avoid the library's simplex/closed-form code paths:
 LP optima come from exact vertex enumeration over constraint subsets, and
 Euler characteristics come from the definitional alternating sum over a
 face decomposition.  solve_lp_reference is the slow path that the
-integer-native solve_lp replaced, kept so the two can be compared LP by LP;
+integer-native solve_lp replaced, kept so the two can be compared LP by LP,
+pivot counts included;
 rank_reference and nullspace_basis_reference are the eliminations that
 linalg's integer kernel replaced, kept the same way; det_reference is the
 determinant that the Vandermonde product of network._shift_denominators
@@ -425,6 +426,15 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+_reference_pivots = 0
+
+
+def reference_pivot_count() -> int:
+    """Total tableau pivots of solve_lp_reference, drive-out pivots
+    included; the differential test compares it with lp_pivot_count()."""
+    return _reference_pivots
+
+
 def solve_lp_reference(
     num_vars: int,
     objective: Sequence,
@@ -435,7 +445,10 @@ def solve_lp_reference(
     """The Fraction-scaled simplex that linprog.solve_lp replaced, kept as
     the reference for the differential test: rows are built as Fractions,
     scaled to integers entry by entry, and every pivot divides entry by entry.
-    Same signature, pivots and LPResult as solve_lp; it counts no LP call.
+    Same signature and LPResult as solve_lp; it counts no LP call.  It keeps
+    the artificial columns and carries both cost rows through every pivot,
+    where solve_lp has neither, and its pivots, counted by
+    reference_pivot_count(), are tested to be solve_lp's under Bland's rule.
     """
     obj = [_as_fraction(c) for c in objective]
     if len(obj) != num_vars:
@@ -548,6 +561,8 @@ def solve_lp_reference(
 
     def pivot(r: int, s: int) -> None:
         nonlocal den
+        global _reference_pivots
+        _reference_pivots += 1
         piv = T[r][s]
         if piv <= 0:
             raise InternalError(f"pivot element {piv} is not positive")

@@ -26,7 +26,7 @@ from tropic.linprog import (
 )
 from tropic.network import construct_shallow_optimal, construct_shallow_optimal_nobias
 
-from oracles import solve_boxed_lp_by_enumeration, solve_lp_reference
+from oracles import reference_pivot_count, solve_boxed_lp_by_enumeration, solve_lp_reference
 
 
 def test_simple_bounded_max():
@@ -240,8 +240,58 @@ def _solve_for_reference(d, obj, cons, nonneg, maximize, **kw):
 @settings(max_examples=500, deadline=None)
 @given(_lps())
 def test_matches_fraction_reference(lp):
+    # The reference keeps its artificial columns and carries both cost rows
+    # through every pivot; solve_lp takes the same pivots, drive-out pivots
+    # included, with neither.
+    ref_start = reference_pivot_count()
     expected = solve_lp_reference(*lp)
+    start = lp_pivot_count()
     assert _solve_for_reference(*lp) == expected
+    assert lp_pivot_count() - start == reference_pivot_count() - ref_start
+
+
+# LPs that mix EQ rows, GE rows whose lcm scale is above 1 (slack entry
+# -scale, so an artificial) and zero-rhs rows.  "mixed" pivots in both
+# phases, "drive-out" drives a basic artificial out between them, and
+# "redundant" leaves one on a redundant zero row.
+SHAPE_LPS = {
+    "mixed": (3, [1, -1, 2], [
+        ([1, 1, 1], EQ, 4),
+        ([Fraction(1, 2), -1, 0], GE, Fraction(-1, 3)),
+        ([0, 1, -1], GE, 0),
+        ([-1, 0, 0], GE, -3),
+        ([Fraction(2, 3), 1, 0], GE, 0),
+    ], [True, False, True]),
+    "drive-out": (3, [-1, 2, 1], [([0, 2, 1], GE, 2), ([1, 2, 2], EQ, 2)], [True] * 3),
+    "redundant": (2, [1, 1], [([1, 1], EQ, 2), ([2, 2], EQ, 4), ([Fraction(-1, 2), 0], GE, Fraction(-3, 2))], None),
+    "beale": BEALE,
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_LPS)
+def test_tableau_has_no_artificial_column_and_one_cost_row(monkeypatch, name):
+    # Each pivot sees the m constraint rows and one cost row, each with a
+    # column per structural variable and per slack and the rhs slot: no
+    # artificial column, and the two phases' cost rows never ride together.
+    num_vars, _, cons, nonneg = lp = SHAPE_LPS[name]
+    shapes = []
+    real_pivot = linalg.pivot
+
+    def recording_pivot(rows, prow, s, den):
+        shapes.append(([len(r) for r in rows], id(rows[-1])))
+        return real_pivot(rows, prow, s, den)
+
+    monkeypatch.setattr(linalg, "pivot", recording_pivot)
+    res = solve_lp(*lp)
+    monkeypatch.undo()
+    assert res == solve_lp_reference(*lp, True)
+    n_struct = sum(1 if nonneg and nonneg[j] else 2 for j in range(num_vars))
+    n_slack = sum(op == GE for _, op, _ in cons)
+    assert shapes
+    for lens, _ in shapes:
+        assert lens == [n_struct + n_slack + 1] * (len(cons) + 1)
+    cost_rows = set(row for _, row in shapes)
+    assert len(cost_rows) == (1 if name == "redundant" else 2)
 
 
 def _satisfies(x, cons, nonneg):

@@ -6,8 +6,10 @@ import pytest
 from tropic.arrangement import count_regions_bruteforce
 from tropic.bounds import binom
 from tropic import minkowski
+from tropic.linalg import integer_row
 from tropic.linprog import (
     DANTZIG,
+    EQ,
     GE,
     OPTIMAL,
     UNBOUNDED,
@@ -252,6 +254,61 @@ def test_unbounded_drop_lp_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(minkowski, "solve_lp", lambda *a, **k: LPResult(UNBOUNDED, None, None))
     with pytest.raises(InternalError, match="unbounded"):
         classify_vertices(TRIANGLE)
+
+
+def mixed_denominator_sets(rng):
+    """Point sets in Q^2 and Q^3 with denominators 1 to 5 in every
+    coordinate, and one point inserted before the last that is a convex
+    combination of three others with weights 1/7, 2/7 and 4/7: it is no
+    vertex, so it leaves alive after its own drop LP, usually taking the
+    only denominator 7 with it."""
+    for _ in range(40):
+        d = rng.choice([2, 3])
+        pts = [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(d))
+            for _ in range(rng.randint(4, 8))
+        ]
+        a, b, c = rng.sample(pts, 3)
+        inner = tuple((x + 2 * y + 4 * z) / 7 for x, y, z in zip(a, b, c))
+        pts.insert(rng.randrange(len(pts)), inner)
+        yield point_set(pts)
+
+
+def test_drop_lp_rows_are_solve_lps_own_rows(monkeypatch):
+    # classify_vertices scales the alive points once per alive set; each
+    # row it hands solve_lp must be the integer row that solve_lp makes of
+    # the rational drop-LP row, with lam's coefficient -e_last, so the
+    # tableau and every pivot are those of the rational LP.
+    lps = []
+
+    def recording_solve_lp(num_vars, objective, constraints, *args, **kwargs):
+        lps.append(list(constraints))
+        return solve_lp(num_vars, objective, lps[-1], *args, **kwargs)
+
+    lam_coefficients = []
+    for ps in mixed_denominator_sets(random.Random(25)):
+        expected = classify_vertices_reference(ps)
+        lps.clear()
+        monkeypatch.setattr(minkowski, "solve_lp", recording_solve_lp)
+        cls = classify_vertices(ps)
+        monkeypatch.undo()
+        assert cls == expected
+        last, alive, seen = ps.dim - 1, list(range(len(ps.points))), set()
+        for i, p in enumerate(ps.points):
+            others = [ps.points[j] for j in alive if j != i]
+            cons = lps.pop(0)
+            for c, (coeffs, op, rhs) in enumerate(cons[:-1]):
+                assert op == EQ
+                assert [*coeffs, rhs] == integer_row([*(q[c] for q in others), -int(c == last), p[c]])[0]
+            assert cons[-1] == ([1] * len(others) + [0], EQ, 1)
+            seen.add(cons[last][0][-1])
+            if not cls.is_vertex[i]:
+                alive.remove(i)
+        assert not lps
+        lam_coefficients.append(len(seen))
+    # In most sets the inner point's denominator 7 leaves with it, so lam's
+    # coefficient changes within one classification.
+    assert sum(n > 1 for n in lam_coefficients) >= 30
 
 
 class TestDuality:
