@@ -132,10 +132,10 @@ def _cell(sig, sys, w) -> Cell:
 
 
 def _region_bounded(sig, sys, w) -> bool:
-    """A leaf as whether its cell is bounded: its recession profile, read
-    at its strict point w, so it costs no margin LP, and no LP at all for a
-    cone."""
-    prof = recession_profile(sys, w)
+    """A leaf as whether its cell is bounded: its recession profile.  The
+    walk's point w is strict on the leaf's system, so the profile reads no
+    margin LP, and solves no LP at all for a cone."""
+    prof = recession_profile(sys, strict=True)
     return prof.lineality_dim == 0 and prof.pointed_part_bounded
 
 
@@ -359,10 +359,12 @@ def build_poset(arr: Arrangement) -> Poset:
       outside the key, so it is another key, pushed by its own parent.
     - Points need no LP.  When the candidate's equalities alone have rank
       n, its margin is decided by rank (ConstraintSystem.rank_decided), and
-      the candidate is its point w, so contains decides with satisfies
-      alone.  A point's dimension and Euler characteristic are read off
-      the rank as well.  So is a line's Euler characteristic.  The root,
-      Q^n, has no rows, and its margin is decided with no LP too.
+      the candidate is its point w, so contains decides by testing w
+      alone.  contains tests w first for every candidate, so an atom that
+      misses w costs no LP: its margin was solved by build_atoms.  A
+      point's dimension and Euler characteristic are read off the rank as
+      well.  So is a line's Euler characteristic.  The root, Q^n, has no
+      rows, and its margin is decided with no LP too.
 
     Each element keeps the system that found it, so its dimension and Euler
     characteristic solve no second emptiness LP, and the elements found
@@ -383,9 +385,7 @@ def build_poset(arr: Arrangement) -> Poset:
                 continue
             support = set(key) | {i}
             for j, other in enumerate(arr.atoms):
-                if j in support or not other.system.satisfies(w):
-                    continue
-                if contains(other.system, cand):
+                if j not in support and contains(other.system, cand):
                     if j < i:
                         break  # cl(key + {i}) is pushed by its own parent
                     support.add(j)

@@ -17,11 +17,11 @@ simplicity) reduces to three LP formulations here, one per question:
 
 A system solves its common-margin LP at most once: the result is cached on
 the system, so feasible, strictly_feasible, affine_dimension and the
-emptiness check of recession_profile share it.  recession_profile may be
-handed a point of the system instead, which satisfies checks in place of
-that LP.  A cone (every right-hand side 0) with a point strict on every
-inequality, handed over or the margin LP's at positive margin, is its own
-unbounded recession cone, so its profile needs no LP.
+emptiness check of recession_profile share it.  A caller that knows the
+system has a point strict on every inequality says so (strict=True), and
+recession_profile then reads no margin LP.  A cone (every right-hand side
+0) with such a point is its own unbounded recession cone, so its profile
+needs no LP.
 
 Some systems need no LP at all, because one exact elimination of the
 equality rows [A | b] (linalg.solve_affine, cached on the system) already
@@ -264,7 +264,7 @@ def _at_most(d, rows, c, r) -> bool:
     return res.status == OPTIMAL and res.value <= r
 
 
-def recession_profile(sys: ConstraintSystem, point: Vec | None = None) -> RecessionProfile:
+def recession_profile(sys: ConstraintSystem, *, strict: bool = False) -> RecessionProfile:
     """Lineality dimension and boundedness of the pointed part.
 
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
@@ -282,21 +282,20 @@ def recession_profile(sys: ConstraintSystem, point: Vec | None = None) -> Recess
 
     A cone (every right-hand side 0) is its own recession cone, so a point
     of it strict on every inequality is a v with every c_i . v > 0: such a
-    cone with an inequality is unbounded with no LP.  The point is the
-    given one, or the margin LP's at positive margin.
+    cone with an inequality is unbounded with no LP.
 
-    The system must be nonempty.  With no point, the emptiness check is the
-    system's common-margin LP, which solves nothing once the system is
-    solved, and an empty system raises EmptyPolyhedronError.  A given point
-    is checked with satisfies instead, and the margin LP is not read; a
-    point outside the system raises ValueError.
+    The system must be nonempty.  strict=True vouches that it has a point
+    strict on every inequality, and the margin LP is not read.  Otherwise
+    that LP, solved at most once per system, raises EmptyPolyhedronError
+    on an empty system and shows strictness by a positive margin.  strict
+    is keyword-only: a positional value, say a point, raises TypeError
+    instead of counting as true.
     """
-    if point is None:
-        point = feasible(sys)
-        if point is None:
+    if not strict:
+        res = sys._margin
+        if res.status == INFEASIBLE:
             raise EmptyPolyhedronError("recession profile of an empty polyhedron")
-    elif len(point) != sys.ambient_dim or not sys.satisfies(point):
-        raise ValueError("recession profile point is not in the polyhedron")
+        strict = res.value > 0
     d = sys.ambient_dim
     sol = sys._solution
     if sol.rank == d:
@@ -312,7 +311,7 @@ def recession_profile(sys: ConstraintSystem, point: Vec | None = None) -> Recess
     if not normals:
         return RecessionProfile(lineality_dim, True)
     cone = all(r == 0 for _, r in sys.equalities + sys.inequalities)
-    if cone and all(linalg.dot(c, point) > 0 for c in normals):
+    if cone and strict:
         return RecessionProfile(lineality_dim, False)
     rows = [(c, EQ, 0) for c, _ in sys.equalities] + [(c, GE, 0) for c in normals]
     return RecessionProfile(lineality_dim, _at_most(d, rows, [sum(v) for v in zip(*normals)], 0))

@@ -364,18 +364,15 @@ def construct_shallow_optimal_nobias(n: int, ranks: Sequence[int], seed: int) ->
     return homogenize(construct_shallow_optimal(n - 1, ranks, seed))
 
 
-def _convex_ladder(kinks: list[Fraction], jump: Fraction, init_slope: Fraction, rank: int):
+def _convex_ladder(kinks: list[Fraction], jump: Fraction, init_slope: Fraction):
     """Features (slope, intercept) of the convex piecewise-linear function of
     one variable with the given kinks (all with the same slope jump), initial
-    slope, and value 0 at the origin; padded with repeats up to rank."""
+    slope, and value 0 at the origin: one feature per kink, plus one."""
     slopes = [init_slope]
     intercepts = [Fraction(0)]
     for c in kinks:
         slopes.append(slopes[-1] + jump)
         intercepts.append(intercepts[-1] - jump * c)
-    while len(slopes) < rank:
-        slopes.append(slopes[-1])
-        intercepts.append(intercepts[-1])
     return list(zip(slopes, intercepts))
 
 
@@ -420,7 +417,7 @@ def construct_deep_lower(n0: int, widths: Sequence[int], rank: int, seed: int) -
                 else:
                     kinks = [breakpoints[2 * (a * (k - 1) + s)] for s in range(k - 1)]
                     init = Fraction(0)
-                feats = _convex_ladder(kinks, jump, init, k)
+                feats = _convex_ladder(kinks, jump, init)
                 weights = tuple(tuple(s * c for c in fold_rows[i]) for s, _ in feats)
                 biases = tuple(g for _, g in feats)
                 units.append(MaxoutUnitSpec(weights, biases))
@@ -440,7 +437,7 @@ def construct_deep_lower(n0: int, widths: Sequence[int], rank: int, seed: int) -
         total = sum(wvec, Fraction(0))
         folded = [sum(wvec[d] * fold_rows[d][c] for d in range(n)) for c in range(len(fold_rows[0]))]
         betas = [total * Fraction(i + 1 + r * n_last, nb + 1) for r in range(k - 1)]
-        feats = _convex_ladder(betas, Fraction(1), Fraction(0), k)
+        feats = _convex_ladder(betas, Fraction(1), Fraction(0))
         weights = tuple(tuple((s + 1) * c for c in folded) for s, _ in feats)
         units.append(MaxoutUnitSpec(weights, tuple(g for _, g in feats)))
     layers.append(LayerSpec(len(fold_rows[0]), tuple(units), WITH_BIAS))

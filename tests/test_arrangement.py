@@ -23,6 +23,7 @@ from tropic.arrangement import (
     subsum_identity_noncentral,
 )
 from tropic.bounds import binom, shallow_formula
+from tropic.geometry import recession_profile
 from tropic.linalg import dot, nullspace_basis
 from tropic.linprog import BudgetExceededError, lp_budget, lp_call_count, lp_pivot_count
 from tropic.minkowski import dual_region_count
@@ -47,6 +48,7 @@ from oracles import (
     face_counts_reference,
     is_simple_reference,
     mobius_reference,
+    recession_profile_reference,
     subsum_sides_reference,
 )
 
@@ -326,6 +328,36 @@ class TestCarriedChildren:
         monkeypatch.undo()
         assert all(activation_pattern(l, w) == names for l, w, names in points)
 
+    @pytest.mark.parametrize("make", ORACLE_LAYERS, ids=ORACLE_LAYER_IDS)
+    def test_every_leaf_point_is_strict(self, make, monkeypatch):
+        # _region_bounded tells recession_profile that a leaf's system is
+        # strict, and checks no point.  So the point each walk hands a leaf,
+        # region walk and cell walk alike, is strict on every inequality of
+        # its system, and the profile told so is the reference's.  Every
+        # leaf of a no-bias layer is a cone, whose profile solves no LP.
+        l = make()
+        cell_leaves, real = [], arrangement._cell
+
+        def record(sig, sys, w):
+            cell_leaves.append((sig, sys, w))
+            return real(sig, sys, w)
+
+        monkeypatch.setattr(arrangement, "_cell", record)
+        assert len(enumerate_cells(l)) == len(cell_leaves)
+        monkeypatch.undo()
+        leaves = _regions(l) + cell_leaves
+        cones = 0
+        for _, sys, w in leaves:
+            assert sys.satisfies(w) and all(dot(c, w) > r for c, r in sys.inequalities)
+            start = lp_call_count()
+            prof = recession_profile(sys, strict=True)
+            if all(r == 0 for _, r in sys.equalities + sys.inequalities):
+                cones += 1
+                assert lp_call_count() == start
+            assert prof == recession_profile_reference(sys)
+        if l.bias_mode == NO_BIAS:
+            assert cones == len(leaves)
+
 
 class TestCountRegionsBruteforce:
     def test_example(self):
@@ -417,8 +449,8 @@ class TestPoset:
 
     def test_shared_tie_line_lp_cost(self):
         # Units 1 and 2 tie on the same line x = 0.  Every atom's margin-LP
-        # point is the origin, so the satisfies prefilter passes and
-        # build_poset calls contains 5 times, for 7 LPs: twice to find that
+        # point is the origin, so contains' witness test passes on each,
+        # and build_poset's 5 contains calls solve 7 LPs: twice to find that
         # the line atoms 0 and 1 contain each other (2 LPs each), so that
         # the extension by atom 1 is dropped at atom 0, and three times to
         # find that x = 0 and y = 0 do not (1 LP each).  With the 3 atom

@@ -440,3 +440,60 @@ def test_verify_failure_exits_5(capsys, monkeypatch):
 def test_missing_file_is_usage_error(capsys):
     code, _, _ = run(capsys, "regions", "count", "--network", "/nonexistent.json")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("poset", "dump"), "poset dump needs a single-layer network"),
+    (("poset", "cells"), "cell dump needs a single-layer network"),
+    (("minkowski", "lift-sum"), "lift-sum needs a single-layer network"),
+], ids=["poset-dump", "poset-cells", "lift-sum"])
+def test_single_layer_commands_refuse_a_deep_network(tmp_path, capsys, argv, message):
+    net = tmp_path / "deep.json"
+    code, _, _ = run(capsys, "construct", "deep-lower", "--inputs", "2", "--widths", "2,2",
+                     "--rank", "2", "--seed", "1", "-o", str(net))
+    assert code == EXIT_OK
+    code, out, err = run(capsys, *argv, "--network", str(net))
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert message in err
+
+
+def test_construct_shallow_max_without_bias(tmp_path, capsys):
+    # The no-bias construction attains the central bound, 6 on (2; 3,3),
+    # with every region unbounded.
+    net = tmp_path / "net.json"
+    code, _, _ = run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3",
+                     "--seed", "1", "--no-bias", "-o", str(net))
+    assert code == EXIT_OK
+    assert json.loads(net.read_text())["layers"][0]["bias_mode"] == "no_bias"
+    _, out, _ = run(capsys, "bounds", "shallow", "--inputs", "2", "--ranks", "3,3", "--no-bias")
+    assert results_of(out)["regions_max"] == 6
+    code, out, _ = run(capsys, "regions", "count", "--network", str(net), "--method", "all")
+    assert code == EXIT_OK
+    r = results_of(out)
+    assert r["pattern"] == {"regions": 6, "bounded_regions": 0} and r["consistent"] is True
+
+
+def test_deep_bounds_report_a_lower_bound_they_cannot_attain(capsys):
+    # No replication dimension is admissible on (2; 3,3), so the report
+    # carries the reason in place of a lower bound, and still succeeds.
+    code, out, _ = run(capsys, "bounds", "deep", "--inputs", "2", "--widths", "3,3", "--rank", "2")
+    assert code == EXIT_OK
+    r = results_of(out)
+    assert "lower" not in r and "no admissible replication dimension" in r["lower_error"]
+    assert r["upper"] == 49
+
+
+def test_library_refusal_is_a_precondition_failure(capsys):
+    # main turns the ValueError a constructor raises into exit 4 and its
+    # message.
+    code, out, err = run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "1,2",
+                         "--seed", "1")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert "ranks must all be >= 2" in err
+
+
+def test_non_integer_ranks_are_a_usage_error(capsys):
+    code, out, err = run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "a,b",
+                         "--seed", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "bad integer list: 'a,b'" in err

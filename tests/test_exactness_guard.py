@@ -7,7 +7,8 @@ in linalg alone, and no other module uses its private names; solve_lp
 runs both phases and both entering rules in one pivot loop; geometry
 solves its LPs in three places only, a system's common-margin LP only
 through the system's cache, and the implicit-equality LP for
-affine_dimension alone; minkowski solves
+affine_dimension alone; a point is checked against a system in contains
+alone, and recession_profile takes strictness by keyword; minkowski solves
 its LPs in the drop LP alone, the only LP that enters by the largest
 coefficient rather than by Bland's rule; arrangement builds argmax rows in
 one helper; the line counter composes features through restrict_layer
@@ -148,6 +149,31 @@ def test_geometry_has_three_lp_formulations():
     found = _names_in_body("geometry.py", "recession_profile")
     found &= {"ConstraintSystem", "intersection"}
     assert found == set(), f"recession_profile builds a system through {sorted(found)}"
+
+
+def test_points_are_checked_only_by_contains():
+    # A walk leaf's point is strict on its system by construction, and a
+    # poset candidate's point is tested by contains itself; a satisfies
+    # call anywhere else would check a point a second time.
+    calls = sorted(
+        f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}"
+        for path in SOURCES
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "satisfies"
+    )
+    assert calls == ["geometry.py:contains"], calls
+
+
+def test_recession_profile_takes_strict_by_keyword():
+    # A second positional parameter would read a point passed in its place
+    # as a true flag, and skip the emptiness check for any system.
+    path = next(p for p in SOURCES if p.name == "geometry.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fn = next(s for s in tree.body if getattr(s, "name", None) == "recession_profile")
+    assert [a.arg for a in fn.args.posonlyargs + fn.args.args] == ["sys"]
+    assert fn.args.vararg is None
+    assert [a.arg for a in fn.args.kwonlyargs] == ["strict"]
 
 
 def test_implicit_equality_lp_has_one_job():

@@ -208,31 +208,23 @@ class TestRecessionProfile:
         assert recession_profile(square).pointed_part_bounded
         assert lp_call_count() - start == 1
 
-    def test_given_point_replaces_the_emptiness_lp(self):
-        # A point of the system shows it nonempty, so only the bound LP on
-        # the recession cone is solved; the answer is the one without a point.
+    def test_strict_skips_the_emptiness_lp(self):
+        # strict=True vouches for a point strict on every inequality, so the
+        # margin LP is not read: only the bound LP on the recession cone is
+        # solved, and the answer is the one without strict.  A cone with an
+        # inequality and a strict point is unbounded with no LP at all.
         square = fresh(SQUARE)
         start = lp_call_count()
-        assert recession_profile(square, (Fraction(1), Fraction(0))) == RecessionProfile(0, True)
+        assert recession_profile(square, strict=True) == RecessionProfile(0, True)
         assert lp_call_count() - start == 1
         assert "_margin" not in square.__dict__
-        # A cone with a point strict on every inequality needs no LP; at a
-        # point tight on one, the bound LP answers.
-        quadrant = ConstraintSystem.build(2, inequalities=[((1, 0), 0), ((0, 1), 0)])
+        assert recession_profile(square) == RecessionProfile(0, True)
+        quadrant = fresh(QUADRANT)
         start = lp_call_count()
-        assert recession_profile(quadrant, (Fraction(1), Fraction(2))) == RecessionProfile(0, False)
+        assert recession_profile(quadrant, strict=True) == RecessionProfile(0, False)
         assert lp_call_count() == start
-        assert recession_profile(quadrant, (Fraction(0), Fraction(2))) == RecessionProfile(0, False)
-        assert lp_call_count() - start == 1
-
-    def test_point_outside_the_system_raises(self):
-        start = lp_call_count()
-        for point in ((Fraction(2), Fraction(0)), (Fraction(0),), (Fraction(0),) * 3):
-            with pytest.raises(ValueError, match="not in the polyhedron"):
-                recession_profile(fresh(SQUARE), point)
-        with pytest.raises(ValueError, match="not in the polyhedron"):
-            recession_profile(fresh(LINE), (Fraction(0), Fraction(1)))
-        assert lp_call_count() == start
+        assert "_margin" not in quadrant.__dict__
+        assert recession_profile(quadrant) == RecessionProfile(0, False)
 
     def test_point_solves_no_cone_lp(self):
         # Equalities of rank d make the system a point, whose cone is {0}:
@@ -309,6 +301,14 @@ class TestContains:
         a = sys1(ineqs=[((1,), 0), ((-1,), -1)])
         b = sys1(ineqs=[((2,), 0), ((-3,), -3)])  # same interval, scaled rows
         assert contains(a, b) and contains(b, a)
+
+    def test_empty_side_raises(self):
+        # Containment is asked of nonempty systems only.  An empty inner has
+        # no witness; an empty outer fails inner's witness, and then its own
+        # emptiness LP shows it empty.
+        for outer, inner in ((unit_interval(), fresh(EMPTY)), (fresh(EMPTY), unit_interval())):
+            with pytest.raises(EmptyPolyhedronError, match="both systems nonempty"):
+                contains(outer, inner)
 
 
 def random_feasible_system(rng, d):
@@ -629,8 +629,9 @@ def test_cone_recession_matches_both_references(sys):
     # point is strict on every inequality, so a cone with an inequality is
     # unbounded with no LP.  At margin 0 the bound LP answers in one LP
     # when the equalities have rank below d - 1 and there is an inequality,
-    # and in none otherwise.  Both the row-activity reference and the
-    # implicit-equality LP on the cone agree with it.
+    # and in none otherwise.  Told the margin's sign as strict, it answers
+    # the same.  Both the row-activity reference and the implicit-equality
+    # LP on the cone agree with it.
     d, k = sys.ambient_dim, len(sys.inequalities)
     cone = fresh(sys)
     assert feasible(cone) is not None
@@ -640,7 +641,7 @@ def test_cone_recession_matches_both_references(sys):
     assert lp_call_count() - start == (1 if general and cone._margin.value == 0 else 0)
     if general and cone._margin.value > 0:
         assert not prof.pointed_part_bounded
-    assert recession_profile(fresh(sys), feasible(cone)) == prof
+    assert recession_profile(fresh(sys), strict=cone._margin.value > 0) == prof
     assert prof == recession_profile_reference(fresh(sys))
     implicit = geometry._implicit_equalities(d, sys.equalities, sys.inequalities, range(k))
     lineality = d - rank_reference([c for c, _ in sys.equalities + sys.inequalities])
