@@ -9,14 +9,18 @@ timings live in their own field.
 
 Exit codes: 0 success, 2 usage, 3 budget exceeded, 4 precondition or
 certificate failure, 5 identity violation (counterexample in the report).
+Commands raise every refusal; main alone prints it and picks the exit code.
 
 Every command runs under one LP-call budget: --lp-budget where the command
 has that flag, else the environment variable TROPIC_BUDGET_LP, else 10^6.
 It is the only work limit.  Exit 3 means the command would solve more LPs
 than that budget allows; a region or cell walk stops before a level that
-has more signatures needing an LP than LPs are left: those that add rows to
-their prefix's system and whose equalities neither contradict each other
-nor fix a point.
+has more children needing an LP than LPs are left.  A child needs one
+unless it is carried (its choice is its unit's argmax set at its parent's
+point) or its system's margin LP is solved or decided by the rank of its
+equalities (ConstraintSystem.margin_costs_lp).  `poset cells` carries no
+child at its last level, so a trailing rank-1 unit's child, whose system
+is its parent's, needs one when that parent was carried.
 The budget covers the whole command, so a long `verify identities` run can
 need it raised: with --seed 7 a trial solves about 124 LPs over all suites
 (3,721 over 30 trials), so more than about 8,000 trials need a larger
@@ -115,6 +119,14 @@ def _load_network(path: str):
         return parse_network(fh.read())
 
 
+def _load_layer(path: str, what: str):
+    """The one layer of a network file; a deeper network is refused."""
+    net = _load_network(path)
+    if len(net.layers) != 1:
+        raise ValueError(f"{what} needs a single-layer network")
+    return net.layers[0]
+
+
 def _write_out(args, text: str):
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -167,33 +179,28 @@ def cmd_regions(args) -> int:
 
     if len(net.layers) > 1:
         if args.require_simple or args.method != "pattern" or net.input_dim != 1:
-            print("multi-layer networks support only --method pattern with one input, "
-                  "and no --require-simple", file=sys.stderr)
-            return EXIT_PRECONDITION
+            raise ValueError("multi-layer networks support only --method pattern with one input, "
+                             "and no --require-simple")
         results["pattern"] = {"regions": count_regions_line(net)}
-        _emit(args, results, certificates)
-        return EXIT_OK
-
-    layer = net.layers[0]
-    if args.require_simple or "poset" in methods or "dual" in methods:
-        atoms = build_atoms(layer)
-        cert = is_simple(atoms)
-        certificates["simple"] = cert.simple
-        if args.require_simple and not cert.simple:
-            print(f"arrangement is not simple: atoms {cert.violation}", file=sys.stderr)
-            return EXIT_PRECONDITION
-
-    for method in methods:
-        if method == "pattern":
-            rc = count_regions_bruteforce(layer, jobs=args.jobs)
-            results["pattern"] = {"regions": rc.regions, "bounded_regions": rc.bounded_regions}
-        elif method == "poset":
-            results["poset"] = {"regions": count_regions_poset(atoms)}
-        else:
-            results["dual"] = {"regions": minkowski.dual_region_count(layer)}
-    if args.method == "all":
-        counts = {results[m]["regions"] for m in results}
-        results["consistent"] = len(counts) == 1
+    else:
+        layer = net.layers[0]
+        if args.require_simple or "poset" in methods or "dual" in methods:
+            atoms = build_atoms(layer)
+            cert = is_simple(atoms)
+            certificates["simple"] = cert.simple
+            if args.require_simple and not cert.simple:
+                raise ValueError(f"arrangement is not simple: atoms {cert.violation}")
+        for method in methods:
+            if method == "pattern":
+                rc = count_regions_bruteforce(layer, jobs=args.jobs)
+                results["pattern"] = {"regions": rc.regions, "bounded_regions": rc.bounded_regions}
+            elif method == "poset":
+                results["poset"] = {"regions": count_regions_poset(atoms)}
+            else:
+                results["dual"] = {"regions": minkowski.dual_region_count(layer)}
+        if args.method == "all":
+            counts = {results[m]["regions"] for m in results}
+            results["consistent"] = len(counts) == 1
     _emit(args, results, certificates)
     return EXIT_OK
 
@@ -219,11 +226,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    net = _load_network(args.network)
-    if len(net.layers) != 1:
-        print("poset dump needs a single-layer network", file=sys.stderr)
-        return EXIT_PRECONDITION
-    arr = build_atoms(net.layers[0])
+    arr = build_atoms(_load_layer(args.network, "poset dump"))
     poset = build_poset(arr)
     elements = []
     for e in poset.elements:
@@ -259,11 +262,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_cells(args) -> int:
-    net = _load_network(args.network)
-    if len(net.layers) != 1:
-        print("cell dump needs a single-layer network", file=sys.stderr)
-        return EXIT_PRECONDITION
-    cells = enumerate_cells(net.layers[0])
+    cells = enumerate_cells(_load_layer(args.network, "cell dump"))
     doc = {
         "cells": [
             {
@@ -286,11 +285,8 @@ def cmd_minkowski(args) -> int:
         cls = minkowski.classify_vertices(ps)
         _emit(args, minkowski.classification_json(cls))
         return EXIT_OK
-    net = _load_network(args.network)
-    if len(net.layers) != 1:
-        print("lift-sum needs a single-layer network", file=sys.stderr)
-        return EXIT_PRECONDITION
-    total = minkowski.minkowski_sum(minkowski.lift_layer(net.layers[0]))
+    layer = _load_layer(args.network, "lift-sum")
+    total = minkowski.minkowski_sum(minkowski.lift_layer(layer))
     _write_out(args, minkowski.serialize_point_set(total))
     return EXIT_OK
 

@@ -83,10 +83,13 @@ def lp_pivot_count() -> int:
     return _lp_pivots
 
 
-def _lp_budget_exceeded() -> BudgetExceededError:
-    return BudgetExceededError(
-        "LP call budget exceeded; raise --lp-budget (env TROPIC_BUDGET_LP)"
-    )
+def require_lp_headroom(count: int) -> None:
+    """Raise BudgetExceededError unless count more LPs fit under the current
+    limit; solves and charges nothing.  The one budget test."""
+    if _lp_limit is not None and _lp_calls + count > _lp_limit:
+        raise BudgetExceededError(
+            "LP call budget exceeded; raise --lp-budget (env TROPIC_BUDGET_LP)"
+        )
 
 
 def charge_lp_calls(count: int, pivots: int = 0) -> None:
@@ -96,15 +99,7 @@ def charge_lp_calls(count: int, pivots: int = 0) -> None:
     global _lp_calls, _lp_pivots
     _lp_calls += count
     _lp_pivots += pivots
-    if _lp_limit is not None and _lp_calls > _lp_limit:
-        raise _lp_budget_exceeded()
-
-
-def require_lp_headroom(count: int) -> None:
-    """Raise BudgetExceededError unless count more LPs fit under the current
-    limit; solves and charges nothing."""
-    if _lp_limit is not None and _lp_calls + count > _lp_limit:
-        raise _lp_budget_exceeded()
+    require_lp_headroom(0)
 
 
 @contextmanager
@@ -153,8 +148,7 @@ def solve_lp(
     if entering not in (BLAND, DANTZIG):
         raise ValueError(f"unknown entering rule {entering!r}")
     global _lp_calls
-    if _lp_limit is not None and _lp_calls >= _lp_limit:
-        raise _lp_budget_exceeded()
+    require_lp_headroom(1)
     _lp_calls += 1
 
     zcoef, zscale = integer_row(objective)
@@ -162,6 +156,8 @@ def solve_lp(
         raise ValueError("objective length != num_vars")
     if nonneg is None:
         nonneg = [False] * num_vars
+    elif len(nonneg) != num_vars:
+        raise ValueError("nonneg length != num_vars")
 
     # Column layout: per variable one column (nonneg) or a split pair
     # (free x = pos - neg), each the (variable, sign) pair it carries, then

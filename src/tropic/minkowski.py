@@ -186,7 +186,8 @@ def weibel_upper_identity(sets: Sequence[LabeledPointSet]):
 
 
 def parse_point_set(text: str) -> LabeledPointSet:
-    """Point-set files: { "dim": d, "points": [["p/q", ...], ...], "label": str }."""
+    """Point-set files: { "dim": d, "points": [["p/q", ...], ...], "label": str },
+    where no point may repeat."""
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise NetworkParseError("$: expected an object")
@@ -196,15 +197,18 @@ def parse_point_set(text: str) -> LabeledPointSet:
     pts_doc = doc.get("points")
     if not isinstance(pts_doc, list) or not pts_doc:
         raise NetworkParseError("$.points: expected a nonempty array")
-    pts = []
+    first: dict[Vec, int] = {}  # each point and the index it first appears at
     for i, row in enumerate(pts_doc):
         if not isinstance(row, list) or len(row) != dim:
             raise NetworkParseError(f"$.points[{i}]: expected an array of length {dim}")
-        pts.append(tuple(json_rational(v, f"$.points[{i}][{j}]") for j, v in enumerate(row)))
+        p = tuple(json_rational(v, f"$.points[{i}][{j}]") for j, v in enumerate(row))
+        if p in first:
+            raise NetworkParseError(f"$.points[{i}]: repeats $.points[{first[p]}]")
+        first[p] = i
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise NetworkParseError("$.label: expected a string")
-    return point_set(pts, label)
+    return LabeledPointSet(dim, tuple(first), label)
 
 
 def serialize_point_set(ps: LabeledPointSet) -> str:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import isqrt, prod
 from typing import Sequence
 
 from . import linalg
@@ -280,24 +280,14 @@ def activation_pattern(l: LayerSpec, x: Sequence[Fraction]) -> tuple[frozenset[i
 # Bound-attaining constructions
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _primes_above(bound: int, count: int) -> list[int]:
+    """The count smallest primes above max(bound, 2), by trial division."""
     out = []
-    p = max(bound, 2) + 1
+    p = max(bound, 2)
     while len(out) < count:
-        if _is_prime(p):
-            out.append(p)
         p += 1
+        if all(p % i for i in range(2, isqrt(p) + 1)):
+            out.append(p)
     return out
 
 

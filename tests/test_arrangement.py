@@ -857,3 +857,22 @@ class TestInvariants:
             assert count_regions_bruteforce(restricted).regions == shallow_formula(2, ranks)
             return
         pytest.fail("no certified generic subspace found")
+
+
+CENTRAL_PAIR = layer([unit([[1, 0], [0, 1]]), unit([[1, 1], [0, 0]])])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: subsum_identity_noncentral(CENTRAL_PAIR),
+     "non-central identity needs a with-bias layer"),
+    (lambda: subsum_identity_central(layer([EX_UNIT1])), "central identity needs a no-bias layer"),
+    (lambda: bounded_region_gap(layer([EX_UNIT1]), (1, 0)),
+     "gap theorem needs a central (no-bias) layer"),
+    (lambda: bounded_region_gap(CENTRAL_PAIR, (0, 0)), "hyperplane normal must be nonzero"),
+    (lambda: bounded_region_gap(CENTRAL_PAIR, (1, 0, 0)),
+     "hyperplane normal dimension mismatch"),
+], ids=["noncentral-mode", "central-mode", "gap-mode", "gap-zero-normal", "gap-normal-length"])
+def test_library_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -218,3 +218,13 @@ def test_elementary_symmetric_matches_subsets():
     es = elementary_symmetric(vals, 6)
     for j in range(7):
         assert es[j] == sum(prod(S) for S in combinations(vals, j))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: deep_lower(2, [2, 2], 1), "rank must be >= 2"),
+    (lambda: identity_reformulation(3, 1, [2, 1, 2]), "need m ranks, all >= 2"),
+], ids=["deep-lower-rank", "reformulation-rank"])
+def test_library_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -384,7 +384,13 @@ def test_minkowski_classify(tmp_path, capsys):
     (json.dumps({"dim": 2, "points": [["abc", 0], [1, 1]]}),
      "$.points[0][0]: not a valid rational string: 'abc'"),
     ('{"dim": 2, "points": [[0, 0], [1', "invalid JSON"),
-], ids=["bad-rational", "truncated"])
+    ("[[0, 0]]", "$: expected an object"),
+    (json.dumps({"dim": 0, "points": [[]]}), "$.dim: expected a positive integer"),
+    (json.dumps({"dim": 2, "points": []}), "$.points: expected a nonempty array"),
+    (json.dumps({"dim": 2, "points": [[0, 0], [1, 1, 1]]}),
+     "$.points[1]: expected an array of length 2"),
+    (json.dumps({"dim": 2, "points": [[0, 0]], "label": 7}), "$.label: expected a string"),
+], ids=["bad-rational", "truncated", "root", "dim", "points", "point-length", "label"])
 def test_bad_point_file_is_usage_error(tmp_path, capsys, text, message):
     # The same faults as in a network file, and the same exit code.
     f = tmp_path / "pts.json"
@@ -392,6 +398,49 @@ def test_bad_point_file_is_usage_error(tmp_path, capsys, text, message):
     code, _, err = run(capsys, "minkowski", "classify", "--points", str(f))
     assert code == EXIT_USAGE
     assert message in err
+
+
+def test_repeated_point_is_usage_error(tmp_path, capsys):
+    # A repeat is refused, not dropped, so the classification keeps one
+    # entry per input point; "2/4" and "1/2" are the same rational.
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"dim": 2, "points": [[0, 0], ["1/2", 1], [2, 0], ["2/4", 1]]}))
+    code, out, err = run(capsys, "minkowski", "classify", "--points", str(f))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "$.points[3]: repeats $.points[1]\n"
+
+
+def _network_doc(**layer_fields):
+    # A one-layer network file of one rank-2 unit in Q^2, with the given
+    # fields of its layer replaced.
+    unit = {"weights": [[1, 0], [0, 1]], "biases": [0, 0]}
+    return {"input_dim": 2, "layers": [{"bias_mode": "bias", "units": [unit], **layer_fields}]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1], "$: expected an object"),
+    ({**_network_doc(), "input_dim": 0}, "$.input_dim: expected a positive integer"),
+    ({**_network_doc(), "layers": []}, "$.layers: expected a nonempty array"),
+    ({**_network_doc(), "layers": ["dense"]}, "$.layers[0]: expected an object"),
+    (_network_doc(bias_mode="relu"), "$.layers[0].bias_mode: expected 'bias' or 'no_bias'"),
+    (_network_doc(units=[]), "$.layers[0].units: expected a nonempty array"),
+    (_network_doc(units=[[1, 0]]), "$.layers[0].units[0]: expected an object"),
+    (_network_doc(units=[{"weights": [[1, 0], [0, 1]], "biases": [0]}]),
+     "$.layers[0].units[0].biases: expected an array of length 2"),
+], ids=["root", "input_dim", "layers", "layer", "bias_mode", "units", "unit", "biases"])
+def test_bad_network_file_is_usage_error(tmp_path, capsys, doc, message):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "regions", "count", "--network", str(net))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == message + "\n"
+
+
+def test_ranks_below_one_are_a_usage_error(capsys):
+    code, out, err = run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "0,2",
+                         "--seed", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "ranks/widths must be positive integers" in err
 
 
 def test_minkowski_lift_sum(tmp_path, capsys):
@@ -435,6 +484,27 @@ def test_verify_failure_exits_5(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "identities", "--trials", "1", "--seed", "0")
     assert code == EXIT_IDENTITY
     assert json.loads(out)["results"]["all_passed"] is False
+
+
+def test_identity_failure_reports_its_counterexample(capsys, monkeypatch):
+    # A real failing trial, through _suite: trial 0 of the lemmas suite is
+    # the inclusion-exclusion lemma, which must collapse to 1; trial 1, the
+    # reformulation, still passes.
+    from tropic import verify as vmod
+
+    monkeypatch.setattr(vmod, "identity_inclusion_exclusion", lambda m, n, r: 2)
+    code, out, _ = run(capsys, "verify", "identities", "--suite", "lemmas", "--trials", "2",
+                       "--seed", "0")
+    assert code == EXIT_IDENTITY
+    r = results_of(out)
+    assert r["all_passed"] is False
+    assert r["suites"] == [{
+        "suite": "lemmas",
+        "trials": 2,
+        "passed": 1,
+        "failures": [{"trial": 0, "lemma": "inclusion_exclusion", "m": 7, "n": 6, "r": 3,
+                      "value": 2}],
+    }]
 
 
 def test_missing_file_is_usage_error(capsys):

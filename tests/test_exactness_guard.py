@@ -14,8 +14,10 @@ coefficient rather than by Bland's rule; arrangement builds argmax rows in
 one helper; the line counter composes features through restrict_layer
 alone; the subsum identities walk the regions once and build atoms only
 when simplicity is not assumed; the region walk only traverses; the flat
-certificate of sampled layers solves no LP; and every integer
-command-line argument is range-checked.
+certificate of sampled layers solves no LP; every integer command-line
+argument is range-checked; and each refusal is raised in one place and
+reported by main alone: the LP budget is tested by require_lp_headroom,
+and no command handler prints a refusal or picks its exit code.
 """
 
 import ast
@@ -403,3 +405,33 @@ def test_cli_integer_arguments_are_range_checked():
         if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int"
     ]
     assert lines == [], f"cli.py: type=int at lines {lines}; use _at_least or _ranks"
+
+
+def test_each_refusal_is_raised_once_and_reported_by_main():
+    # One budget test builds BudgetExceededError, so its message and its
+    # test change in one place; and a command raises a refusal for main to
+    # print and map to an exit code, rather than doing both itself.
+    sites = [
+        f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}"
+        for path in SOURCES
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Call)
+        and ((isinstance(n.func, ast.Name) and n.func.id == "BudgetExceededError")
+             or (isinstance(n.func, ast.Attribute) and n.func.attr == "BudgetExceededError"))
+    ]
+    assert sites == ["linprog.py:require_lp_headroom"], sites
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    handlers = [
+        s for s in ast.parse(cli.read_text()).body
+        if isinstance(s, ast.FunctionDef) and s.name.startswith("cmd_")
+    ]
+    assert len(handlers) >= 7
+    found = [
+        f"{fn.name}:{n.lineno}"
+        for fn in handlers
+        for n in ast.walk(fn)
+        if (isinstance(n, ast.Name) and n.id == "EXIT_PRECONDITION")
+        or (isinstance(n, ast.Attribute) and n.attr == "stderr")
+    ]
+    assert found == [], f"cli.py: command handlers report refusals at {found}"

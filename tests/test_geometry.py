@@ -666,3 +666,14 @@ def test_unsolved_bounded_lp_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(geometry, "solve_lp", lambda *a, **k: LPResult(INFEASIBLE, None, None))
     with pytest.raises(InternalError, match="infeasible"):
         geometry._at_most(1, [((Fraction(1),), GE, Fraction(0))], (Fraction(1),), Fraction(0))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ConstraintSystem(-1), "ambient_dim must be non-negative"),
+    (lambda: ConstraintSystem(1).intersection(ConstraintSystem(2)), "ambient dimension mismatch"),
+    (lambda: contains(ConstraintSystem(1), ConstraintSystem(2)), "ambient dimension mismatch"),
+], ids=["negative-dim", "intersection", "contains"])
+def test_library_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message

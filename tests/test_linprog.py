@@ -406,3 +406,17 @@ def test_charge_past_the_limit_raises():
         charge_lp_calls(5)
         with pytest.raises(BudgetExceededError):
             charge_lp_calls(1)
+
+
+@pytest.mark.parametrize("objective,constraints,nonneg,message", [
+    ([1, 1, 1], [], None, "objective length != num_vars"),
+    ([1, 1], [], [True], "nonneg length != num_vars"),
+    ([1, 1], [], [True, True, False, True], "nonneg length != num_vars"),
+    ([1, 1], [([1], GE, 0)], None, "constraint length != num_vars"),
+    ([1, 1], [([1, 0], "<=", 0)], None, "unknown constraint op '<='"),
+], ids=["objective-length", "short-nonneg", "long-nonneg", "constraint-length", "unknown-op"])
+def test_malformed_lps_are_refused(objective, constraints, nonneg, message):
+    # A nonneg list of the wrong length is refused, neither indexed past nor ignored.
+    with pytest.raises(ValueError) as info:
+        solve_lp(2, objective, constraints, nonneg=nonneg)
+    assert str(info.value) == message

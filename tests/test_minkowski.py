@@ -21,6 +21,7 @@ from tropic.linprog import (
     solve_lp,
 )
 from tropic.minkowski import (
+    LabeledPointSet,
     classify_vertices,
     dual_region_count,
     lift_layer,
@@ -417,3 +418,16 @@ def test_classify_lp_budget_is_checked_per_point():
     assert lp_call_count() - start == 3
     with pytest.raises(BudgetExceededError), lp_budget(2):
         classify_vertices(TRIANGLE)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LabeledPointSet(0, ()), "ambient dimension must be >= 1"),
+    (lambda: LabeledPointSet(1, ((1,), (1,))), "points must be pairwise distinct"),
+    (lambda: LabeledPointSet(2, ((1,),)), "point length != ambient dimension"),
+    (lambda: minkowski_sum([]), "need at least one point set"),
+    (lambda: weibel_upper_identity([]), "need at least one summand"),
+], ids=["dim", "repeat", "point-length", "empty-sum", "empty-identity"])
+def test_library_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -13,6 +13,8 @@ from tropic.bounds import deep_lower
 from tropic.network import (
     NO_BIAS,
     WITH_BIAS,
+    LayerSpec,
+    MaxoutUnitSpec,
     NetworkParseError,
     NetworkSpec,
     _flats_transverse,
@@ -31,6 +33,7 @@ from tropic.network import (
     homogenize,
     layer,
     parse_network,
+    restrict_layer,
     restrict_network_to_line,
     sample_generic,
     serialize_network,
@@ -454,3 +457,24 @@ class TestCountRegionsLine:
     def test_matches_reference_on_deep_constructions(self, widths, rank):
         net = construct_deep_lower(1, widths, rank, seed=0)
         assert count_regions_line(net) == count_regions_line_reference(net)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LayerSpec(1, (unit([[1]], [0]),), "relu"), "unknown bias mode 'relu'"),
+    (lambda: LayerSpec(1, (MaxoutUnitSpec((), None),), NO_BIAS), "unit rank must be >= 1"),
+    (lambda: LayerSpec(1, (unit([[1, 0]]),), NO_BIAS), "weight length != layer input_dim"),
+    (lambda: LayerSpec(1, (unit([[1]]),), WITH_BIAS),
+     "unit bias presence inconsistent with layer bias mode"),
+    (lambda: LayerSpec(1, (MaxoutUnitSpec(((1,), (0,)), (0,)),), WITH_BIAS),
+     "biases length != rank"),
+    (lambda: NetworkSpec(1, ()), "a network needs at least one layer"),
+    (lambda: NetworkSpec(2, (layer([RELU]),)), "layer 0 input_dim 1 != 2"),
+    (lambda: restrict_layer(layer([RELU]), (0, 0), [(1, 0)]), "restriction dimension mismatch"),
+    (lambda: sample_generic(0, (2, 2), WITH_BIAS, seed=0), "n must be >= 1"),
+    (lambda: construct_shallow_optimal(0, (2, 2), seed=0), "n must be >= 1"),
+], ids=["bias-mode", "rank-0", "weight-length", "bias-presence", "bias-length",
+        "no-layers", "layer-input-dim", "restrict", "sample-n", "construct-n"])
+def test_library_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -65,3 +65,9 @@ def test_exact_numbers_are_accepted_alike():
 def test_empty_point_set_is_a_value_error():
     with pytest.raises(ValueError, match="at least one point"):
         point_set([])
+
+
+def test_a_list_is_not_a_rational():
+    with pytest.raises(ValueError) as info:
+        parse_rational([1, 2], "$.x")
+    assert type(info.value) is ValueError and str(info.value) == "$.x: expected rational, got list"
