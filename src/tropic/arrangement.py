@@ -13,9 +13,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -26,7 +27,6 @@ from .geometry import (
     contains,
     euler_characteristic,
     feasible,
-    recession_profile,
     strictly_feasible,
 )
 from .linprog import charge_lp_calls, lp_call_count, lp_pivot_count, require_lp_headroom
@@ -124,19 +124,82 @@ def _node(sig, sys, w):
     return sig, sys, w
 
 
-def _cell(sig, sys, w) -> Cell:
-    """A leaf as a Cell with witness w; the dimension reads the solved margin
-    LP, so only the recession profile (_region_bounded) may cost an LP."""
-    bounded = _region_bounded(sig, sys, w)
+def _fan_rays(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
+    """The recession directions of the layer's cells, as argmax bitmasks:
+    for each ray r, bit a of entry i is set when feature a of unit i has
+    the largest gradient product with r.  The closed cell with argmax sets
+    T is unbounded exactly when some entry covers T unit by unit
+    (_region_bounded).
+
+    The cell's recession cone is C_T = {v : T_i is inside argmax_i(v) for
+    every unit i}, a cone of the normal fan of the Newton polytope
+    sum conv(W_i), the common refinement of the units' fans (Gritzmann &
+    Sturmfels 1993; Ziegler 1995, ch. 7), so it is the union of the fan's
+    closed cones whose argmax sets contain T.  If the tie normals
+    w_a - w_b do not span Q^n, a nonzero v orthogonal to all of them ties
+    every unit's features, and every cell is unbounded: the one entry
+    returned has every bit set.  Otherwise the fan is pointed, a nonzero
+    C_T holds one of its rays, and a ray r is exactly a nonzero v whose
+    ties (the normals w_a - w_b with a, b both in argmax_i(v)) have rank
+    n - 1.  Such ties hold n - 1 independent normals, so every ray is +-v
+    for v spanning the null space of n - 1 of them; lines are deduped by
+    their primitive integer vector, and each sign is kept when its ties
+    have rank n - 1.  Q^0 has no rays, and its one cell is a bounded point.
+
+    A positive scale changes no argmax set, so each unit's gradients are
+    scaled to integers, and everything is exact integer rank and dot
+    products: no LP.
+    """
+    n = layer.input_dim
+    if n == 0:
+        return ()
+    grads = []
+    for u in layer.units:
+        ints, _ = linalg.integer_row([x for w in u.weights for x in w])
+        grads.append([ints[k : k + n] for k in range(0, len(ints), n)])
+    normals = {
+        linalg.primitive([x - y for x, y in zip(a, b)]) for g in grads for a, b in combinations(g, 2)
+    }
+    normals.discard((0,) * n)
+    if linalg.rank(list(normals)) < n:
+        return (tuple((1 << u.rank) - 1 for u in layer.units),)
+
+    def masks(v):
+        out, ties = [], []
+        for g in grads:
+            values = [sum(map(mul, w, v)) for w in g]
+            top = max(values)
+            tied = [a for a, x in enumerate(values) if x == top]
+            out.append(sum(1 << a for a in tied))
+            ties += [[x - y for x, y in zip(g[a], g[tied[0]])] for a in tied[1:]]
+        return tuple(out), len(ties) >= n - 1 and linalg.rank(ties) == n - 1
+
+    lines, rays = set(), {}
+    for basis in combinations(sorted(normals), n - 1):
+        v = linalg.kernel_line(basis, n)
+        if v is None or v in lines:
+            continue
+        lines.add(v)
+        for r in (v, tuple(-x for x in v)):
+            mask, is_ray = masks(r)
+            if is_ray:
+                rays[mask] = None
+    return tuple(rays)
+
+
+def _region_bounded(rays, sig, sys, w) -> bool:
+    """A leaf as whether its closed cell is bounded, with no LP: no ray of
+    _fan_rays has every sig[i] among its argmax bits for unit i."""
+    need = [sum(1 << a for a in c) for c in sig]
+    return not any(all(m & r == m for m, r in zip(need, ray)) for ray in rays)
+
+
+def _cell(rays, sig, sys, w) -> Cell:
+    """A leaf as a Cell with witness w; the dimension reads the solved
+    margin LP at its positive margin, and _region_bounded reads the fan's
+    rays, so a leaf costs no LP beyond its margin LP."""
+    bounded = _region_bounded(rays, sig, sys, w)
     return Cell(tuple(frozenset(c + 1 for c in t) for t in sig), affine_dimension(sys), bounded, w)
-
-
-def _region_bounded(sig, sys, w) -> bool:
-    """A leaf as whether its cell is bounded: its recession profile.  The
-    walk's point w is strict on the leaf's system, so the profile reads no
-    margin LP, and solves no LP at all for a cone."""
-    prof = recession_profile(sys, strict=True)
-    return prof.lineality_dim == 0 and prof.pointed_part_bounded
 
 
 def _expand(args) -> tuple[list, int, int]:
@@ -240,13 +303,14 @@ def enumerate_cells(layer: LayerSpec) -> list[Cell]:
     Every other child costs one margin LP, unless a rank-1 unit hands it
     its parent's solved system.  A leaf's witness is its own margin LP's
     point, so at the last level the carried child solves its LP too.  A
+    leaf costs no LP beyond its margin LP: its dimension reads that LP, and
+    its boundedness the rays of the layer's fan, built once (_fan_rays).  A
     level is refused before it starts when the LP budget has fewer LPs left
     than it has children that cost one.  Cells come out in lexicographic
     signature order.
     """
-    return _frontier(
-        layer, [_nonempty_subsets(u.rank) for u in layer.units], _cell, carry_leaves=False
-    )
+    choices = [_nonempty_subsets(u.rank) for u in layer.units]
+    return _frontier(layer, choices, partial(_cell, _fan_rays(layer)), carry_leaves=False)
 
 
 def _dedupe_units(layer: LayerSpec) -> LayerSpec:
@@ -259,13 +323,16 @@ def _dedupe_units(layer: LayerSpec) -> LayerSpec:
     return LayerSpec(layer.input_dim, tuple(units), layer.bias_mode)
 
 
-def _regions(layer: LayerSpec, leaf=_node, jobs: int = 1) -> list:
+def _regions(layer: LayerSpec, jobs: int = 1, bounded: bool = False) -> list:
     """The regions as leaves of the pruned frontier over one singleton choice
     per feature, after duplicate features are collapsed so strict dominance
     is meaningful.  A signature holds every unit's strict argmax.  Every
     level, the last included, carries the pattern of a unit's single argmax
-    at its parent's point, so such a region costs no margin LP."""
+    at its parent's point, so such a region costs no margin LP.  A leaf is
+    its (signature, system, point), or with bounded whether its region is
+    bounded, read off the rays of the deduped layer's fan."""
     layer = _dedupe_units(layer)
+    leaf = partial(_region_bounded, _fan_rays(layer)) if bounded else _node
     return _frontier(layer, [[(a,) for a in range(u.rank)] for u in layer.units], leaf, jobs)
 
 
@@ -278,16 +345,17 @@ def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
     the pattern that takes the unit's argmax at its parent's point, when
     that argmax is a single feature, is carried with the point and costs
     no LP; every other pattern that adds rows and is not decided by rank
-    costs one margin LP.  Each region then costs only its recession
-    profile (_region_bounded), which is none for a cone.  A level is
-    refused before it starts when the LP budget has fewer LPs left than it
-    has patterns that cost an LP, so a budget equal to the walk's LPs
-    completes.  With jobs > 1 each level's batches, the leaves included,
-    run in a process pool; the workers' LPs count in lp_call_count() and
-    against linprog.lp_budget, and the counts, the LPs solved and whether
-    the budget is exceeded are the same for every jobs.
+    costs one margin LP.  A region costs no recession LP: whether it is
+    bounded is read off the rays of the deduped layer's fan, built once per
+    call (_fan_rays).  A level is refused before it starts when the LP
+    budget has fewer LPs left than it has patterns that cost an LP, so a
+    budget equal to the walk's LPs completes.  With jobs > 1 each level's
+    batches, the leaves included, run in a process pool, the rays handed to
+    them in a picklable partial; the workers' LPs count in lp_call_count()
+    and against linprog.lp_budget, and the counts, the LPs solved and
+    whether the budget is exceeded are the same for every jobs.
     """
-    bounded = _regions(layer, _region_bounded, jobs)
+    bounded = _regions(layer, jobs, bounded=True)
     return RegionCount(len(bounded), sum(bounded))
 
 

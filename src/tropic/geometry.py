@@ -13,15 +13,15 @@ simplicity) reduces to three LP formulations here, one per question:
   tight on the whole set;
 - containment and recession: the bound LP (_at_most), the maximum of a
   linear form on a nonempty system against a bound: one per outer row in
-  contains, one on the recession cone in recession_profile.
+  contains, one on the recession cone in recession_profile, which serves
+  euler_characteristic.  (The walks in arrangement read a cell's
+  boundedness off the layer's gradient fan and ask no recession LP.)
 
 A system solves its common-margin LP at most once: the result is cached on
 the system, so feasible, strictly_feasible, affine_dimension and the
-emptiness check of recession_profile share it.  A caller that knows the
-system has a point strict on every inequality says so (strict=True), and
-recession_profile then reads no margin LP.  A cone (every right-hand side
-0) with such a point is its own unbounded recession cone, so its profile
-needs no LP.
+emptiness check of recession_profile share it.  A cone (every right-hand
+side 0) at positive margin has a point strict on every inequality, so it is
+its own unbounded recession cone, and its profile needs no bound LP.
 
 Some systems need no LP at all, because one exact elimination of the
 equality rows [A | b] (linalg.solve_affine, cached on the system) already
@@ -264,7 +264,7 @@ def _at_most(d, rows, c, r) -> bool:
     return res.status == OPTIMAL and res.value <= r
 
 
-def recession_profile(sys: ConstraintSystem, *, strict: bool = False) -> RecessionProfile:
+def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     """Lineality dimension and boundedness of the pointed part.
 
     The recession cone is {v : eq . v = 0, ineq . v >= 0}; the profile is
@@ -282,20 +282,15 @@ def recession_profile(sys: ConstraintSystem, *, strict: bool = False) -> Recessi
 
     A cone (every right-hand side 0) is its own recession cone, so a point
     of it strict on every inequality is a v with every c_i . v > 0: such a
-    cone with an inequality is unbounded with no LP.
+    cone with an inequality is unbounded with no bound LP.
 
-    The system must be nonempty.  strict=True vouches that it has a point
-    strict on every inequality, and the margin LP is not read.  Otherwise
-    that LP, solved at most once per system, raises EmptyPolyhedronError
-    on an empty system and shows strictness by a positive margin.  strict
-    is keyword-only: a positional value, say a point, raises TypeError
-    instead of counting as true.
+    The system must be nonempty.  Its margin LP, solved at most once per
+    system, raises EmptyPolyhedronError on an empty system and shows
+    strictness by a positive margin.
     """
-    if not strict:
-        res = sys._margin
-        if res.status == INFEASIBLE:
-            raise EmptyPolyhedronError("recession profile of an empty polyhedron")
-        strict = res.value > 0
+    res = sys._margin
+    if res.status == INFEASIBLE:
+        raise EmptyPolyhedronError("recession profile of an empty polyhedron")
     d = sys.ambient_dim
     sol = sys._solution
     if sol.rank == d:
@@ -311,7 +306,7 @@ def recession_profile(sys: ConstraintSystem, *, strict: bool = False) -> Recessi
     if not normals:
         return RecessionProfile(lineality_dim, True)
     cone = all(r == 0 for _, r in sys.equalities + sys.inequalities)
-    if cone and strict:
+    if cone and res.value > 0:
         return RecessionProfile(lineality_dim, False)
     rows = [(c, EQ, 0) for c, _ in sys.equalities] + [(c, GE, 0) for c in normals]
     return RecessionProfile(lineality_dim, _at_most(d, rows, [sum(v) for v in zip(*normals)], 0))

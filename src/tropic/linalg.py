@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals, on one integer elimination kernel.
 
 Every elimination in tropic (linprog's simplex tableau, rank,
-nullspace_basis and solve_affine) runs on integer rows from integer_row:
-int or Fraction values times the lcm of their denominators, not
-gcd-reduced.  pivot is one fraction-free
-Gauss-Jordan step of Bareiss (1968): each other row becomes
+nullspace_basis, kernel_line and solve_affine) runs on integer rows from
+integer_row: int or Fraction values times the lcm of their denominators,
+not gcd-reduced.  pivot is one fraction-free Gauss-Jordan step of
+Bareiss (1968): each other row becomes
 (row * piv - row[s] * prow) / den, den the previous pivot, and divide_row
 checks that the division is exact.  The last pivot is the shared
 denominator of the whole matrix.
@@ -24,7 +24,13 @@ class InternalError(RuntimeError):
 
 def integer_row(values: Sequence) -> tuple[list[int], int]:
     """(ints, scale) with ints = values * scale, scale the lcm of the
-    denominators of the int or Fraction values; not gcd-reduced."""
+    denominators of the int or Fraction values; not gcd-reduced.  Values
+    that are all exactly int (a bool is not) are copied with scale 1."""
+    for v in values:
+        if type(v) is not int:
+            break
+    else:
+        return list(values), 1
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise TypeError(f"exact arithmetic requires int or Fraction, got {type(v).__name__}")
@@ -128,6 +134,32 @@ def solve_affine(rows: Sequence[tuple[Sequence, object]], dim: int) -> AffineSol
         point = tuple(Fraction(row[dim], den) for row in mat[:dim])
     direction = _kernel(mat, pivots, den, dim)[0] if rank == dim - 1 else None
     return AffineSolution(rank, consistent, point, direction)
+
+
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector v divided by the gcd of its entries and signed so
+    that its first nonzero entry is positive: one name for every nonzero
+    multiple of v.  The zero vector is returned as it is."""
+    g = gcd(*v)
+    if next((x for x in v if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in v) if g else tuple(v)
+
+
+def kernel_line(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...] | None:
+    """The primitive integer vector spanning {v in Q^dim : row . v = 0 for
+    all rows} when that null space is a line, else None.  On the reduced
+    rows mat / den, the free column fc gets den and pivot column pivots[i]
+    gets -mat[i][fc], an integer multiple of _kernel's vector."""
+    mat, pivots, den = _reduce([integer_row(r)[0] for r in rows])
+    if len(pivots) != dim - 1:
+        return None
+    fc = next(c for c in range(dim) if c not in pivots)
+    v = [0] * dim
+    v[fc] = den
+    for i, pc in enumerate(pivots):
+        v[pc] = -mat[i][fc]
+    return primitive(v)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

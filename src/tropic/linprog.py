@@ -148,8 +148,6 @@ def solve_lp(
     if entering not in (BLAND, DANTZIG):
         raise ValueError(f"unknown entering rule {entering!r}")
     global _lp_calls
-    require_lp_headroom(1)
-    _lp_calls += 1
 
     zcoef, zscale = integer_row(objective)
     if len(zcoef) != num_vars:
@@ -184,6 +182,10 @@ def solve_lp(
             ib = -ib
             s = -s
         rows.append((irow, s, ib))
+
+    # A malformed LP is refused above, before it is counted or charged.
+    require_lp_headroom(1)
+    _lp_calls += 1
 
     # A row keeps its own slack as the initial basic column when that entry
     # is +1, else it gets an artificial.  No artificial ever enters, so no

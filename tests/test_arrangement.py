@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropic import arrangement
 from tropic.arrangement import (
@@ -23,7 +25,6 @@ from tropic.arrangement import (
     subsum_identity_noncentral,
 )
 from tropic.bounds import binom, shallow_formula
-from tropic.geometry import recession_profile
 from tropic.linalg import dot, nullspace_basis
 from tropic.linprog import BudgetExceededError, lp_budget, lp_call_count, lp_pivot_count
 from tropic.minkowski import dual_region_count
@@ -129,13 +130,19 @@ ORACLE_LAYER_IDS = ["bias", "no-bias", "rank-1-unit", "rank-1-middle", "rank-1-l
 
 
 def refuse_leaf_lps(monkeypatch):
-    # A walk that keeps only signatures builds no atom, certifies nothing
-    # and solves no recession or dimension LP; any call fails the test.
+    # A walk that keeps only signatures builds no atom, certifies nothing,
+    # builds no fan rays and solves no dimension LP; any call fails the
+    # test.
     def refuse(*args):
         raise AssertionError("a signature-only walk solved a leaf or atom LP")
 
-    for name in ("build_atoms", "is_simple", "recession_profile", "affine_dimension"):
+    for name in ("build_atoms", "is_simple", "_fan_rays", "affine_dimension"):
         monkeypatch.setattr(arrangement, name, refuse)
+
+
+def _bounded_by_reference(sys):
+    prof = recession_profile_reference(sys)
+    return prof.lineality_dim == 0 and prof.pointed_part_bounded
 
 
 class TestBuildAtoms:
@@ -201,32 +208,36 @@ class TestEnumerateCells:
         # cell of unit 1's argmax at the origin, feature 3 alone, is
         # carried with the origin and solves no LP either; the second level
         # is the last, whose leaves emit their own LP witnesses, so it
-        # carries none.  So the levels solve 5 and 27 LPs.  A budget of 31
-        # leaves 26 for the second level, which is refused before it
-        # solves any; 32 lets it start.
-        for limit, solved in ((10, 5), (31, 5), (32, 32)):
+        # carries none.  So the levels solve 5 and 27 LPs, and the leaves
+        # read their boundedness off the fan's rays with no LP: the walk
+        # needs 32.  A budget of 31 leaves 26 for the second level, which
+        # is refused before it solves any; 32 completes.
+        for limit in (10, 31):
             start = lp_call_count()
             with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(limit):
                 enumerate_cells(example_layer())
-            assert lp_call_count() - start == solved
+            assert lp_call_count() - start == 5
+        start = lp_call_count()
+        with lp_budget(32):
+            enumerate_cells(example_layer())
+        assert lp_call_count() - start == 32
 
     def test_signature_cap_bounds_the_widest_level(self):
         # The levels try 7, 35 and 175 of the 343 signatures.  Those not
         # decided by rank and not carried with their parent's point cost
-        # one LP each, 5, 19 and 90 (the last level carries none), and each
-        # of the 19 regions costs one recession LP: 133 in all.  The 30
-        # edge cells are lines and the 12 point cells are points, so their
-        # recession profiles need no LP.  With 113, the last level finds 89
-        # LPs left and solves none.
+        # one LP each, 5, 19 and 90 (the last level carries none): 114 in
+        # all, as every cell reads its boundedness off the fan's rays with
+        # no LP.  With 113, the last level finds 89 LPs left and solves
+        # none.
         l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
         start = lp_call_count()
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(113):
             enumerate_cells(l)
         assert lp_call_count() - start == 24
         start = lp_call_count()
-        with lp_budget(133):
+        with lp_budget(114):
             cells = enumerate_cells(l)
-        assert lp_call_count() - start == 133
+        assert lp_call_count() - start == 114
         assert len(cells) == 61
         assert Counter(c.dim for c in cells) == {2: 19, 1: 30, 0: 12}
 
@@ -250,16 +261,17 @@ class TestRankOneUnits:
     # point and solves no LP; two rank-1 units solve none.  At the last
     # level of enumerate_cells nothing is carried, and a trailing rank-1
     # unit's child solves its parent's margin LP there when the parent was
-    # carried.  A level's headroom counts only the children whose margin
-    # LP is unsolved, not decided by rank and not carried, so a budget
-    # equal to the walk's need completes, and one below it, -1 for two
-    # rank-1 units, raises.
+    # carried.  A leaf reads its boundedness off the fan's rays with no
+    # LP, so a walk's need is its margin LPs alone.  A level's headroom
+    # counts only the children whose margin LP is unsolved, not decided by
+    # rank and not carried, so a budget equal to the walk's need
+    # completes, and one below it, -1 for two rank-1 units, raises.
     @pytest.mark.parametrize(
         "units, pattern_lps, cell_lps",
         [
-            ([R1, EX_UNIT1, EX_UNIT2], 17, 40),
-            ([EX_UNIT1, R1, EX_UNIT2], 17, 40),
-            ([EX_UNIT1, EX_UNIT2, R1], 17, 40),
+            ([R1, EX_UNIT1, EX_UNIT2], 9, 32),
+            ([EX_UNIT1, R1, EX_UNIT2], 9, 32),
+            ([EX_UNIT1, EX_UNIT2, R1], 9, 32),
             ([R1, unit([[0, 1]], [-1])], 0, 0),
         ],
         ids=["first", "middle", "last", "two"],
@@ -330,33 +342,79 @@ class TestCarriedChildren:
 
     @pytest.mark.parametrize("make", ORACLE_LAYERS, ids=ORACLE_LAYER_IDS)
     def test_every_leaf_point_is_strict(self, make, monkeypatch):
-        # _region_bounded tells recession_profile that a leaf's system is
-        # strict, and checks no point.  So the point each walk hands a leaf,
-        # region walk and cell walk alike, is strict on every inequality of
-        # its system, and the profile told so is the reference's.  Every
-        # leaf of a no-bias layer is a cone, whose profile solves no LP.
+        # Every leaf of the cell walk and of the region walk asks
+        # _region_bounded, which records it.  Its point is strict on every
+        # inequality of its system, so _cell's dimension reads a positive
+        # margin and solves no implicit-equality LP; and the boundedness
+        # read off the fan's rays is the reference profile's.
         l = make()
-        cell_leaves, real = [], arrangement._cell
+        leaves, real = [], arrangement._region_bounded
 
-        def record(sig, sys, w):
-            cell_leaves.append((sig, sys, w))
-            return real(sig, sys, w)
+        def record(rays, sig, sys, w):
+            bounded = real(rays, sig, sys, w)
+            leaves.append((sys, w, bounded))
+            return bounded
 
-        monkeypatch.setattr(arrangement, "_cell", record)
-        assert len(enumerate_cells(l)) == len(cell_leaves)
+        monkeypatch.setattr(arrangement, "_region_bounded", record)
+        walked = len(enumerate_cells(l)) + count_regions_bruteforce(l).regions
         monkeypatch.undo()
-        leaves = _regions(l) + cell_leaves
-        cones = 0
-        for _, sys, w in leaves:
+        assert len(leaves) == walked
+        for sys, w, bounded in leaves:
             assert sys.satisfies(w) and all(dot(c, w) > r for c, r in sys.inequalities)
-            start = lp_call_count()
-            prof = recession_profile(sys, strict=True)
-            if all(r == 0 for _, r in sys.equalities + sys.inequalities):
-                cones += 1
-                assert lp_call_count() == start
-            assert prof == recession_profile_reference(sys)
-        if l.bias_mode == NO_BIAS:
-            assert cones == len(leaves)
+            assert bounded == _bounded_by_reference(sys)
+
+
+@st.composite
+def fan_layers(draw):
+    # Entries in [-2, 2], n = 0..3, 1 to 4 units of rank 1 to 3, with at
+    # most 49 signatures on a level of the cell walk.  A flat layer has
+    # every gradient 0 on the last coordinate, so its tie normals do not
+    # span Q^n; a unit may repeat a gradient, under another bias or as the
+    # same feature, which the region walk collapses.
+    n = draw(st.integers(0, 3))
+    flat = n > 0 and draw(st.integers(0, 3)) == 0
+    bias = draw(st.booleans())
+    entry = st.integers(-2, 2)
+    units, cells = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        rank = draw(st.integers(1, max(k for k in (1, 2, 3) if cells * (2**k - 1) <= 49)))
+        cells *= 2**rank - 1
+        w = [[draw(entry) for _ in range(n)] for _ in range(rank)]
+        b = [draw(entry) for _ in range(rank)]
+        if flat:
+            for row in w:
+                row[-1] = 0
+        if rank > 1 and draw(st.booleans()):
+            j, k = draw(st.permutations(range(rank)))[:2]
+            w[k] = list(w[j])
+            if draw(st.booleans()):
+                b[k] = b[j]
+        units.append(unit(w, b if bias else None))
+    return layer(units, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(fan_layers())
+@example(layer([unit([[1, 0], [0, 0]], [0, 0]), unit([[2, 0], [0, 0]], [1, 0])]))  # lineality
+@example(layer([unit([[1, 1], [1, 1], [0, 0]], [0, 2, 0]), unit([[0, 1], [-1, -1]], [1, 0])]))  # duplicate
+@example(layer([unit([[1, 0]], [0]), unit([[0, 1], [1, 1], [0, 0]], [0, 0, 1])]))  # rank 1
+@example(layer([unit([[0, 2], [0, 2], [1, 1], [0, 0]], [0, 0, 1, 2]), EX_UNIT2]))  # repeated feature
+@example(layer([unit([[], []], [0, 1]), unit([[]], [0])], 0))  # Q^0
+@example(construct_shallow_optimal_nobias(2, (3, 3), seed=2))
+def test_fan_rays_decide_boundedness(l):
+    # Every region's and every cell's bounded, read off the fan's rays with
+    # no LP, is the reference recession profile's on the leaf's system.
+    # The cell walk's leaves come in enumerate_cells' order from the same
+    # frontier with the plain leaf; the region walk's likewise.
+    leaves = _regions(l)
+    assert _regions(l, bounded=True) == [_bounded_by_reference(sys) for _, sys, _ in leaves]
+    choices = [arrangement._nonempty_subsets(u.rank) for u in l.units]
+    leaves = arrangement._frontier(l, choices, arrangement._node, carry_leaves=False)
+    cells = enumerate_cells(l)
+    assert [c.signature for c in cells] == [
+        tuple(frozenset(a + 1 for a in c) for c in sig) for sig, _, _ in leaves
+    ]
+    assert [c.bounded for c in cells] == [_bounded_by_reference(sys) for _, sys, _ in leaves]
 
 
 class TestCountRegionsBruteforce:
@@ -393,27 +451,22 @@ class TestCountRegionsBruteforce:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lp_budget_holds_for_any_jobs(self, jobs):
-        # The walk solves 45 LPs, whether inline or in a pool: its levels
+        # The walk solves 26 LPs, whether inline or in a pool: its levels
         # try 3, 9 and 27 patterns, one per parent is carried with its
         # parent's point, so they solve 2, 6 and 18 margin LPs, and the 19
-        # regions cost one recession LP each.  With 25, the last level
-        # finds 17 LPs left and is refused before any worker starts it.
-        # With 26 the 18 it needs are left, as its 9 carried patterns are
-        # not counted, so it starts and the regions' recession LPs exceed
-        # the budget.
+        # regions read their boundedness off the fan's rays with no LP.
+        # With 25, the last level finds 17 LPs left and is refused before
+        # any worker starts it.  With 26 the 18 it needs are left, as its 9
+        # carried patterns are not counted, and the walk completes.
         l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
-        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(44):
-            count_regions_bruteforce(l, jobs=jobs)
         start = lp_call_count()
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(25):
             count_regions_bruteforce(l, jobs=jobs)
         assert lp_call_count() - start == 8
         start = lp_call_count()
-        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(26):
-            count_regions_bruteforce(l, jobs=jobs)
-        assert lp_call_count() - start >= 26
-        with lp_budget(45):
-            assert count_regions_bruteforce(l, jobs=jobs).regions == 19
+        with lp_budget(26):
+            assert count_regions_bruteforce(l, jobs=jobs) == RegionCount(19, 7)
+        assert lp_call_count() - start == 26
 
 
 class TestPoset:

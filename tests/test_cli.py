@@ -99,7 +99,9 @@ def test_construct_then_count_all_methods(tmp_path, capsys):
 def test_regions_count_lp_cost(tmp_path, capsys):
     # One build_atoms serves is_simple and the poset; the dual count is the
     # upper-vertex count alone.  Per stage: atoms 9, is_simple 0, pattern
-    # 45, poset 0, dual 27 LPs: one drop LP per point of the lifted sum.
+    # 26, poset 0, dual 27 LPs: one drop LP per point of the lifted sum.
+    # The pattern walk's 26 are margin LPs: its regions read their
+    # boundedness off the fan's rays.
     # In Q^2 two atoms of this generic layer meet in a point and three have
     # inconsistent ties, so is_simple and the poset's point elements are
     # decided by rank, and the ambient space, with no rows, needs no LP.
@@ -109,10 +111,10 @@ def test_regions_count_lp_cost(tmp_path, capsys):
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
         "--seed", "1", "-o", str(net))
     expected = {
-        "pattern": (45, {"pattern": {"regions": 19, "bounded_regions": 7}}),
+        "pattern": (26, {"pattern": {"regions": 19, "bounded_regions": 7}}),
         "poset": (9, {"poset": {"regions": 19}}),
         "dual": (36, {"dual": {"regions": 19}}),
-        "all": (81, {
+        "all": (62, {
             "pattern": {"regions": 19, "bounded_regions": 7},
             "poset": {"regions": 19},
             "dual": {"regions": 19},

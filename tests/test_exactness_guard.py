@@ -8,7 +8,8 @@ runs both phases and both entering rules in one pivot loop; geometry
 solves its LPs in three places only, a system's common-margin LP only
 through the system's cache, and the implicit-equality LP for
 affine_dimension alone; a point is checked against a system in contains
-alone, and recession_profile takes strictness by keyword; minkowski solves
+alone, and recession_profile takes the system alone; the walks decide
+boundedness with no LP; minkowski solves
 its LPs in the drop LP alone, the only LP that enters by the largest
 coefficient rather than by Bland's rule; arrangement builds argmax rows in
 one helper; the line counter composes features through restrict_layer
@@ -167,15 +168,25 @@ def test_points_are_checked_only_by_contains():
     assert calls == ["geometry.py:contains"], calls
 
 
-def test_recession_profile_takes_strict_by_keyword():
-    # A second positional parameter would read a point passed in its place
-    # as a true flag, and skip the emptiness check for any system.
+def test_recession_profile_takes_the_system_alone():
+    # Strictness is read off the system's own margin LP; a second
+    # parameter would let a caller vouch for it and skip the emptiness
+    # check.
     path = next(p for p in SOURCES if p.name == "geometry.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     fn = next(s for s in tree.body if getattr(s, "name", None) == "recession_profile")
-    assert [a.arg for a in fn.args.posonlyargs + fn.args.args] == ["sys"]
-    assert fn.args.vararg is None
-    assert [a.arg for a in fn.args.kwonlyargs] == ["strict"]
+    args = fn.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["sys"]
+    assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None)
+
+
+def test_walk_leaves_decide_boundedness_with_no_lp():
+    # A region's or a cell's boundedness is read off the rays of the
+    # layer's gradient fan; an LP in a leaf function or in the ray builder
+    # would solve per leaf what the gradients already decide.
+    for func in ("_region_bounded", "_cell", "_fan_rays"):
+        found = _names_in_body("arrangement.py", func) & {"solve_lp", "recession_profile", "_at_most"}
+        assert found == set(), f"{func} refers to {sorted(found)}"
 
 
 def test_implicit_equality_lp_has_one_job():

@@ -208,23 +208,21 @@ class TestRecessionProfile:
         assert recession_profile(square).pointed_part_bounded
         assert lp_call_count() - start == 1
 
-    def test_strict_skips_the_emptiness_lp(self):
-        # strict=True vouches for a point strict on every inequality, so the
-        # margin LP is not read: only the bound LP on the recession cone is
-        # solved, and the answer is the one without strict.  A cone with an
-        # inequality and a strict point is unbounded with no LP at all.
-        square = fresh(SQUARE)
-        start = lp_call_count()
-        assert recession_profile(square, strict=True) == RecessionProfile(0, True)
-        assert lp_call_count() - start == 1
-        assert "_margin" not in square.__dict__
-        assert recession_profile(square) == RecessionProfile(0, True)
+    def test_cone_at_positive_margin_skips_the_bound_lp(self):
+        # The margin LP shows a point strict on every inequality.  A cone
+        # with an inequality and such a point is unbounded, so once that LP
+        # is solved its profile solves none; a system that is not a cone
+        # still asks the bound LP on its recession cone.
         quadrant = fresh(QUADRANT)
+        assert strictly_feasible(quadrant) is not None
         start = lp_call_count()
-        assert recession_profile(quadrant, strict=True) == RecessionProfile(0, False)
-        assert lp_call_count() == start
-        assert "_margin" not in quadrant.__dict__
         assert recession_profile(quadrant) == RecessionProfile(0, False)
+        assert lp_call_count() == start
+        square = fresh(SQUARE)
+        assert strictly_feasible(square) is not None
+        start = lp_call_count()
+        assert recession_profile(square) == RecessionProfile(0, True)
+        assert lp_call_count() - start == 1
 
     def test_point_solves_no_cone_lp(self):
         # Equalities of rank d make the system a point, whose cone is {0}:
@@ -629,19 +627,22 @@ def test_cone_recession_matches_both_references(sys):
     # point is strict on every inequality, so a cone with an inequality is
     # unbounded with no LP.  At margin 0 the bound LP answers in one LP
     # when the equalities have rank below d - 1 and there is an inequality,
-    # and in none otherwise.  Told the margin's sign as strict, it answers
-    # the same.  Both the row-activity reference and the implicit-equality
-    # LP on the cone agree with it.
+    # and in none otherwise.  Asked again, it reads the cached margin LP and
+    # solves only that bound LP again.  Both the row-activity reference and
+    # the implicit-equality LP on the cone agree with it.
     d, k = sys.ambient_dim, len(sys.inequalities)
     cone = fresh(sys)
     assert feasible(cone) is not None
     general = k and cone.equality_rank < d - 1
     start = lp_call_count()
     prof = recession_profile(cone)
-    assert lp_call_count() - start == (1 if general and cone._margin.value == 0 else 0)
+    bound_lps = 1 if general and cone._margin.value == 0 else 0
+    assert lp_call_count() - start == bound_lps
     if general and cone._margin.value > 0:
         assert not prof.pointed_part_bounded
-    assert recession_profile(fresh(sys), strict=cone._margin.value > 0) == prof
+    start = lp_call_count()
+    assert recession_profile(cone) == prof
+    assert lp_call_count() - start == bound_lps
     assert prof == recession_profile_reference(fresh(sys))
     implicit = geometry._implicit_equalities(d, sys.equalities, sys.inequalities, range(k))
     lineality = d - rank_reference([c for c, _ in sys.equalities + sys.inequalities])

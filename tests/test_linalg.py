@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropic.linalg import dot, integer_row, nullspace_basis, rank, solve_affine
+from tropic.linalg import dot, integer_row, kernel_line, nullspace_basis, primitive, rank, solve_affine
 
 from oracles import nullspace_basis_reference, rank_reference
 
@@ -98,4 +98,51 @@ def test_integer_row_scales_by_the_lcm_without_gcd_reduction():
     assert integer_row([]) == ([], 1)
     with pytest.raises(TypeError):
         integer_row([1, "1"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=6))
+def test_integer_row_of_ints_is_the_general_path(values):
+    # Values that are all int take the fast path: a copy with scale 1,
+    # the result the general path gives the same values as Fractions.
+    ints, scale = integer_row(values)
+    assert (ints, scale) == integer_row([F(v) for v in values]) == (values, 1)
+    assert ints is not values
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_integer_row_refuses_a_bool_or_float_among_ints(bad):
+    with pytest.raises(TypeError):
+        integer_row([1, bad, 2])
+    with pytest.raises(TypeError):
+        integer_row([bad])
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+@example([[F(0), F(0)]])
+@example([[F(2), F(-4), F(6)], [F(1), F(1), F(0)]])
+def test_kernel_line_is_the_primitive_null_space_line(rows):
+    # When the null space is a line, kernel_line is its one primitive
+    # integer vector with a positive leading entry, a multiple of the
+    # reference basis vector; otherwise it is None.
+    dim = len(rows[0]) if rows else 2
+    ints = [[int(v * integer_row(r)[1]) for v in r] for r in rows]
+    basis = nullspace_basis_reference(rows, dim)
+    v = kernel_line(ints, dim)
+    if len(basis) != 1:
+        assert v is None
+        return
+    (b,) = basis
+    assert all(isinstance(x, int) for x in v) and primitive(v) == v
+    assert next(x for x in v if x) > 0
+    k = next(i for i, x in enumerate(b) if x)
+    assert all(x * b[k] == y * v[k] for x, y in zip(v, b))
+
+
+def test_primitive_names_a_line_by_one_vector():
+    assert primitive([4, -6, 0]) == (2, -3, 0) == primitive([-2, 3, 0])
+    assert primitive([0, -3]) == (0, 1)
+    assert primitive([0, 0]) == (0, 0)
+    assert primitive([]) == ()
 

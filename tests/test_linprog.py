@@ -147,13 +147,15 @@ def test_largest_coefficient_rule_switches_to_bland_on_beale(monkeypatch):
 # change to the pivot path that alters a single choice moves a count.
 # classify_vertices' drop LPs enter by the largest coefficient, the others
 # by Bland's rule.  The poset count includes the atoms it is built from.
+# The two walks solve margin LPs alone: their leaves read boundedness off
+# the fan's rays.
 @pytest.mark.parametrize("make, run, lps, pivots", [
-    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 45, 220),
+    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 26, 186),
     (
         lambda: minkowski.minkowski_sum(minkowski.lift_layer(construct_shallow_optimal(3, (2,) * 5, seed=1))),
         minkowski.classify_vertices, 32, 215,
     ),
-    (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 89, 439),
+    (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 75, 413),
     (lambda: construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1), lambda l: build_poset(build_atoms(l)), 147, 819),
 ], ids=["count_regions_bruteforce", "classify_vertices", "enumerate_cells", "build_poset"])
 def test_lp_and_pivot_counts_of_fixed_stages(make, run, lps, pivots):
@@ -416,7 +418,16 @@ def test_charge_past_the_limit_raises():
     ([1, 1], [([1, 0], "<=", 0)], None, "unknown constraint op '<='"),
 ], ids=["objective-length", "short-nonneg", "long-nonneg", "constraint-length", "unknown-op"])
 def test_malformed_lps_are_refused(objective, constraints, nonneg, message):
-    # A nonneg list of the wrong length is refused, neither indexed past nor ignored.
+    # A nonneg list of the wrong length is refused, neither indexed past nor
+    # ignored.  A refused LP is not counted, so it spends none of a budget:
+    # inside lp_budget(1) the next valid LP is still solved.
+    start = lp_call_count()
     with pytest.raises(ValueError) as info:
         solve_lp(2, objective, constraints, nonneg=nonneg)
     assert str(info.value) == message
+    assert lp_call_count() == start
+    with lp_budget(1):
+        with pytest.raises(ValueError):
+            solve_lp(2, objective, constraints, nonneg=nonneg)
+        assert _one_lp().status == OPTIMAL
+    assert lp_call_count() - start == 1
