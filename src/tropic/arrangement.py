@@ -10,10 +10,11 @@ set is convex).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import mul
@@ -119,11 +120,6 @@ def _nonempty_subsets(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _node(sig, sys, w):
-    """A walk node, or a leaf that keeps only what counting needs."""
-    return sig, sys, w
-
-
 def _fan_rays(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
     """The recession directions of the layer's cells, as argmax bitmasks:
     for each ray r, bit a of entry i is set when feature a of unit i has
@@ -187,52 +183,35 @@ def _fan_rays(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rays)
 
 
-def _region_bounded(rays, sig, sys, w) -> bool:
-    """A leaf as whether its closed cell is bounded, with no LP: no ray of
-    _fan_rays has every sig[i] among its argmax bits for unit i."""
+def _region_bounded(rays, sig) -> bool:
+    """Whether the closed cell with argmax sets sig is bounded, with no LP:
+    no ray of _fan_rays has every sig[i] among its argmax bits for unit i."""
     need = [sum(1 << a for a in c) for c in sig]
     return not any(all(m & r == m for m, r in zip(need, ray)) for ray in rays)
 
 
-def _cell(rays, sig, sys, w) -> Cell:
-    """A leaf as a Cell with witness w; the dimension reads the solved
-    margin LP at its positive margin, and _region_bounded reads the fan's
-    rays, so a leaf costs no LP beyond its margin LP."""
-    bounded = _region_bounded(rays, sig, sys, w)
-    return Cell(tuple(frozenset(c + 1 for c in t) for t in sig), affine_dimension(sys), bounded, w)
-
-
-def _expand(args) -> tuple[list, int, int]:
-    """One frontier batch: keep the strictly feasible children.
-
-    A child is a (signature, system, point) triple, whose point is a
-    strictly feasible point known without an LP, or None.  Keeps the
-    strictly feasible ones, in order, as leaf(signature, system, point),
-    with the margin LP's point where none was known.  Returns them and the
-    numbers of LPs solved and of their pivots, so a pool worker's LPs can
-    be charged to the caller.
-    """
-    children, leaf = args
+def _expand(children) -> tuple[list, int, int]:
+    """One frontier batch: the strictly feasible children, in order, each
+    with the margin LP's point where it carried none, and the numbers of
+    LPs solved and of their pivots."""
     start, pivots = lp_call_count(), lp_pivot_count()
     out = []
     for sig, sys, w in children:
         if w is None:
             w = strictly_feasible(sys)
         if w is not None:
-            out.append(leaf(sig, sys, w))
+            out.append((sig, sys, w))
     return out, lp_call_count() - start, lp_pivot_count() - pivots
 
 
-def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1, carry_leaves: bool = True) -> list:
-    """leaf(signature, system, point) of each nonempty cell over the
-    signatures choices[0] x choices[1] x ..., in lexicographic order, with
-    a point strictly feasible on the cell's system.
+def _frontier(layer: LayerSpec, choices, jobs: int = 1, carry_leaves: bool = True) -> list:
+    """(signature, system, point) of each nonempty cell over the signatures
+    choices[0] x choices[1] x ..., in lexicographic order, with a point
+    strictly feasible on the cell's system.
 
     Level i builds unit i's choice systems once, extends every nonempty
     node by them and drops the empty children; an empty prefix cell has
-    only empty extensions, so whole subtrees are pruned.  Only the last
-    level applies leaf, so what a cell costs beyond its margin LP is the
-    caller's choice.
+    only empty extensions, so whole subtrees are pruned.
 
     A node keeps a strictly feasible point: the origin at the root, else its
     margin LP's point or its parent's.  The child whose choice is unit i's
@@ -249,17 +228,19 @@ def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1, carry_leaves: bool
     LPs left raises BudgetExceededError before it solves any.
 
     The children are built, their equalities reduced and the carried ones
-    picked before that check; they are then split into batches, each sent
-    with leaf, that run inline, or across a pool of jobs processes created
-    once per call.  Pool LPs and their pivots are charged to this process's
-    counters after every batch, which checks the LPs against the budget, so
-    the leaves, the LP and pivot counts of a finished walk and whether the
-    budget is exceeded do not depend on jobs.
+    picked before that check; they are then split into batches that run
+    inline, or across a pool created once per call with min(jobs, usable
+    CPUs) worker processes.  Pool LPs and their pivots are charged to this
+    process's counters after every batch, which checks the LPs against the
+    budget, so the nodes, the LP and pivot counts of a finished walk and
+    whether the budget is exceeded do not depend on jobs.
     """
     n = layer.input_dim
     origin = (Fraction(0),) * n
     if not choices:  # no units: the whole space is the one cell
-        return [leaf((), ConstraintSystem(n), origin)]
+        return [((), ConstraintSystem(n), origin)]
+    if jobs > 1:  # a fork pool starts all its workers on its first batch
+        jobs = min(jobs, len(os.sched_getaffinity(0)))
     pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
     nodes = [((), ConstraintSystem(n), origin)]
     try:
@@ -275,9 +256,8 @@ def _frontier(layer: LayerSpec, choices, leaf, jobs: int = 1, carry_leaves: bool
                     needs += point is None and sys.margin_costs_lp
                     children.append((prefix + (c,), sys, point))
             require_lp_headroom(needs)
-            f = leaf if last else _node
             size = max(1, len(children) if pool is None else len(children) // (4 * jobs))
-            batches = [(children[k : k + size], f) for k in range(0, len(children), size)]
+            batches = [children[k : k + size] for k in range(0, len(children), size)]
             nodes = []
             for out, lps, pivots in (map if pool is None else pool.map)(_expand, batches):
                 if pool is not None:
@@ -294,23 +274,20 @@ def enumerate_cells(layer: LayerSpec) -> list[Cell]:
     boundedness of the closure, and a rational witness.
 
     A unit's choices are the nonempty subsets of its features (the argmax
-    set).  The walk is the pruned signature frontier: an empty prefix cuts
-    its subtree, so the LPs track the nonempty cells, not all prod(2^k - 1)
-    signatures, and each leaf is made a Cell by _cell.  Above the last
-    level, the child whose choice is the unit's argmax set at its parent's
-    point is carried with that point and costs no LP, and so does a child
-    whose equalities are inconsistent or fix a point, decided by rank.
-    Every other child costs one margin LP, unless a rank-1 unit hands it
-    its parent's solved system.  A leaf's witness is its own margin LP's
-    point, so at the last level the carried child solves its LP too.  A
-    leaf costs no LP beyond its margin LP: its dimension reads that LP, and
-    its boundedness the rays of the layer's fan, built once (_fan_rays).  A
-    level is refused before it starts when the LP budget has fewer LPs left
-    than it has children that cost one.  Cells come out in lexicographic
+    set), walked by _frontier, so the LPs track the nonempty cells, not all
+    prod(2^k - 1) signatures.  It carries no leaf, so a cell's witness is
+    its own margin LP's point.  A cell costs no LP beyond its margin LP:
+    its dimension reads that LP, and its boundedness the rays of the
+    layer's fan, built once (_fan_rays).  Cells come out in lexicographic
     signature order.
     """
     choices = [_nonempty_subsets(u.rank) for u in layer.units]
-    return _frontier(layer, choices, partial(_cell, _fan_rays(layer)), carry_leaves=False)
+    rays = _fan_rays(layer)
+    cells = []
+    for sig, sys, w in _frontier(layer, choices, carry_leaves=False):
+        names = tuple(frozenset(a + 1 for a in c) for c in sig)
+        cells.append(Cell(names, affine_dimension(sys), _region_bounded(rays, sig), w))
+    return cells
 
 
 def _dedupe_units(layer: LayerSpec) -> LayerSpec:
@@ -323,39 +300,27 @@ def _dedupe_units(layer: LayerSpec) -> LayerSpec:
     return LayerSpec(layer.input_dim, tuple(units), layer.bias_mode)
 
 
-def _regions(layer: LayerSpec, jobs: int = 1, bounded: bool = False) -> list:
-    """The regions as leaves of the pruned frontier over one singleton choice
-    per feature, after duplicate features are collapsed so strict dominance
-    is meaningful.  A signature holds every unit's strict argmax.  Every
-    level, the last included, carries the pattern of a unit's single argmax
-    at its parent's point, so such a region costs no margin LP.  A leaf is
-    its (signature, system, point), or with bounded whether its region is
-    bounded, read off the rays of the deduped layer's fan."""
+def _regions(layer: LayerSpec, jobs: int = 1) -> list:
+    """The regions as _frontier's nodes over one singleton choice per
+    feature, after duplicate features are collapsed so strict dominance is
+    meaningful: a signature holds every unit's strict argmax, indexed by
+    _dedupe_units' features."""
     layer = _dedupe_units(layer)
-    leaf = partial(_region_bounded, _fan_rays(layer)) if bounded else _node
-    return _frontier(layer, [[(a,) for a in range(u.rank)] for u in layer.units], leaf, jobs)
+    return _frontier(layer, [[(a,) for a in range(u.rank)] for u in layer.units], jobs)
 
 
 def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
     """Region and bounded-region counts by strict-argmax enumeration.
 
     Regions are the full-dimensional cells, i.e. the strict single-argmax
-    patterns with a nonempty interior, walked by _regions with the same
-    pruned frontier as enumerate_cells.  At every level, the last included,
-    the pattern that takes the unit's argmax at its parent's point, when
-    that argmax is a single feature, is carried with the point and costs
-    no LP; every other pattern that adds rows and is not decided by rank
-    costs one margin LP.  A region costs no recession LP: whether it is
+    patterns with a nonempty interior, walked by _regions.  A region costs
+    no LP beyond its margin LP, and none when it is carried: whether it is
     bounded is read off the rays of the deduped layer's fan, built once per
-    call (_fan_rays).  A level is refused before it starts when the LP
-    budget has fewer LPs left than it has patterns that cost an LP, so a
-    budget equal to the walk's LPs completes.  With jobs > 1 each level's
-    batches, the leaves included, run in a process pool, the rays handed to
-    them in a picklable partial; the workers' LPs count in lp_call_count()
-    and against linprog.lp_budget, and the counts, the LPs solved and
-    whether the budget is exceeded are the same for every jobs.
+    call (_fan_rays).  The counts, the LPs solved and whether the budget is
+    exceeded are the same for every jobs.
     """
-    bounded = _regions(layer, jobs, bounded=True)
+    rays = _fan_rays(_dedupe_units(layer))
+    bounded = [_region_bounded(rays, sig) for sig, _, _ in _regions(layer, jobs)]
     return RegionCount(len(bounded), sum(bounded))
 
 

@@ -7,8 +7,10 @@ own document: a network, a poset, a cell list or a point set.  Results are
 byte-deterministic for fixed arguments, seed, and input files; wall-clock
 timings live in their own field.
 
-Exit codes: 0 success, 2 usage, 3 budget exceeded, 4 precondition or
-certificate failure, 5 identity violation (counterexample in the report).
+Exit codes: 0 success, 2 usage (a bad argument, a malformed input, or a
+file that cannot be opened, read as UTF-8 or written), 3 budget exceeded,
+4 precondition or certificate failure, 5 identity violation
+(counterexample in the report).
 Commands raise every refusal; main alone prints it and picks the exit code.
 
 Every command runs under one LP-call budget: --lp-budget where the command
@@ -91,10 +93,10 @@ def _emit(args, results, certificates=None):
 
 def _ranks(text: str) -> list[int]:
     try:
-        out = [int(v) for v in text.split(",") if v]
+        out = [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list: {text!r}")
-    if not out or any(v < 1 for v in out):
+    if any(v < 1 for v in out):
         raise argparse.ArgumentTypeError("ranks/widths must be positive integers")
     return out
 
@@ -114,9 +116,18 @@ def _at_least(low: int):
     return parse
 
 
+def _read(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 is refused naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            exc.reason += f" in {path}"
+            raise
+
+
 def _load_network(path: str):
-    with open(path) as fh:
-        return parse_network(fh.read())
+    return parse_network(_read(path))
 
 
 def _load_layer(path: str, what: str):
@@ -280,8 +291,7 @@ def cmd_cells(args) -> int:
 
 def cmd_minkowski(args) -> int:
     if args.kind == "classify":
-        with open(args.points) as fh:
-            ps = minkowski.parse_point_set(fh.read())
+        ps = minkowski.parse_point_set(_read(args.points))
         cls = minkowski.classify_vertices(ps)
         _emit(args, minkowski.classification_json(cls))
         return EXIT_OK
@@ -336,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--method", choices=["pattern", "poset", "dual", "all"], default="pattern")
     rc.add_argument("--require-simple", action="store_true")
     rc.add_argument("--jobs", type=_at_least(1), default=1,
-                    help="worker processes for the pattern count (default 1: no pool); "
-                         "results, LP counts and --lp-budget are the same for any value")
+                    help="worker processes for the pattern count (default 1: no pool), "
+                         "at most the number of usable CPUs; results, LP counts and "
+                         "--lp-budget are the same for any value")
     add_budget_flags(rc)
     rc.set_defaults(func=cmd_regions)
 
@@ -419,7 +430,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
-    except (NetworkParseError, FileNotFoundError) as exc:
+    except (NetworkParseError, OSError, UnicodeDecodeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -341,27 +341,27 @@ class TestCarriedChildren:
         assert all(activation_pattern(l, w) == names for l, w, names in points)
 
     @pytest.mark.parametrize("make", ORACLE_LAYERS, ids=ORACLE_LAYER_IDS)
-    def test_every_leaf_point_is_strict(self, make, monkeypatch):
-        # Every leaf of the cell walk and of the region walk asks
-        # _region_bounded, which records it.  Its point is strict on every
-        # inequality of its system, so _cell's dimension reads a positive
-        # margin and solves no implicit-equality LP; and the boundedness
-        # read off the fan's rays is the reference profile's.
+    def test_every_leaf_point_is_strict(self, make):
+        # Every last-level node of the cell walk and of the region walk has
+        # a point strict on every inequality of its system, so a cell's
+        # dimension reads a positive margin and solves no implicit-equality
+        # LP; and the boundedness enumerate_cells and
+        # count_regions_bruteforce read off the fan's rays, node by node, is
+        # the reference profile's.
         l = make()
-        leaves, real = [], arrangement._region_bounded
-
-        def record(rays, sig, sys, w):
-            bounded = real(rays, sig, sys, w)
-            leaves.append((sys, w, bounded))
-            return bounded
-
-        monkeypatch.setattr(arrangement, "_region_bounded", record)
-        walked = len(enumerate_cells(l)) + count_regions_bruteforce(l).regions
-        monkeypatch.undo()
-        assert len(leaves) == walked
-        for sys, w, bounded in leaves:
+        choices = [arrangement._nonempty_subsets(u.rank) for u in l.units]
+        cell_leaves = arrangement._frontier(l, choices, carry_leaves=False)
+        region_leaves = _regions(l)
+        for _, sys, w in cell_leaves + region_leaves:
             assert sys.satisfies(w) and all(dot(c, w) > r for c, r in sys.inequalities)
-            assert bounded == _bounded_by_reference(sys)
+        cells = enumerate_cells(l)
+        assert [(c.bounded, c.witness) for c in cells] == [
+            (_bounded_by_reference(sys), w) for _, sys, w in cell_leaves
+        ]
+        rays = arrangement._fan_rays(arrangement._dedupe_units(l))
+        bounded = [_bounded_by_reference(sys) for _, sys, _ in region_leaves]
+        assert [arrangement._region_bounded(rays, sig) for sig, _, _ in region_leaves] == bounded
+        assert count_regions_bruteforce(l) == RegionCount(len(bounded), sum(bounded))
 
 
 @st.composite
@@ -403,13 +403,16 @@ def fan_layers(draw):
 @example(construct_shallow_optimal_nobias(2, (3, 3), seed=2))
 def test_fan_rays_decide_boundedness(l):
     # Every region's and every cell's bounded, read off the fan's rays with
-    # no LP, is the reference recession profile's on the leaf's system.
-    # The cell walk's leaves come in enumerate_cells' order from the same
-    # frontier with the plain leaf; the region walk's likewise.
+    # no LP, is the reference recession profile's on the node's system.
+    # The cell walk's nodes come in enumerate_cells' order; the region
+    # walk's are read with the rays of the layer its signatures index.
     leaves = _regions(l)
-    assert _regions(l, bounded=True) == [_bounded_by_reference(sys) for _, sys, _ in leaves]
+    rays = arrangement._fan_rays(arrangement._dedupe_units(l))
+    bounded = [_bounded_by_reference(sys) for _, sys, _ in leaves]
+    assert [arrangement._region_bounded(rays, sig) for sig, _, _ in leaves] == bounded
+    assert count_regions_bruteforce(l) == RegionCount(len(bounded), sum(bounded))
     choices = [arrangement._nonempty_subsets(u.rank) for u in l.units]
-    leaves = arrangement._frontier(l, choices, arrangement._node, carry_leaves=False)
+    leaves = arrangement._frontier(l, choices, carry_leaves=False)
     cells = enumerate_cells(l)
     assert [c.signature for c in cells] == [
         tuple(frozenset(a + 1 for a in c) for c in sig) for sig, _, _ in leaves
@@ -448,6 +451,34 @@ class TestCountRegionsBruteforce:
         assert counts[0] == counts[1]
         assert lps[0] == lps[1] > 0  # worker LPs are charged to this process
         assert pivots[0] == pivots[1] > 0  # and so are their pivots
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
+        # A pool starts all its workers on its first batch, so the walk asks
+        # for at most one per usable CPU.  The fake pool records its size and
+        # maps inline, so no process starts; the counts do not depend on
+        # jobs.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, batches):
+                return map(fn, batches)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        l = construct_shallow_optimal(2, (3, 2), seed=2)
+        expected = count_regions_bruteforce(l)
+        monkeypatch.setattr(arrangement, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(arrangement.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for jobs in (2, 3, 4, 10**6):
+            assert count_regions_bruteforce(l, jobs=jobs) == expected
+        assert sizes == [2, 3, 3, 3]
+        monkeypatch.setattr(arrangement.os, "sched_getaffinity", lambda pid: {0})
+        assert count_regions_bruteforce(l, jobs=10**6) == expected
+        assert sizes == [2, 3, 3, 3]  # one usable CPU: no pool
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lp_budget_holds_for_any_jobs(self, jobs):

@@ -445,6 +445,18 @@ def test_ranks_below_one_are_a_usage_error(capsys):
     assert "ranks/widths must be positive integers" in err
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("--ranks", "1,,2"), ("--ranks", "2,"), ("--widths", "1,,2"), ("--widths", "2,"),
+], ids=["ranks-inner", "ranks-trailing", "widths-inner", "widths-trailing"])
+def test_empty_rank_entries_are_a_usage_error(capsys, flag, text):
+    # An empty entry is refused, not dropped: "1,,2" is not "1,2".
+    command = ("shallow", "--ranks") if flag == "--ranks" else ("deep", "--widths")
+    code, out, err = run(capsys, "bounds", *command, text, "--inputs", "3",
+                         *(("--rank", "2") if flag == "--widths" else ()))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"bad integer list: {text!r}" in err and flag in err
+
+
 def test_minkowski_lift_sum(tmp_path, capsys):
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
@@ -512,6 +524,36 @@ def test_identity_failure_reports_its_counterexample(capsys, monkeypatch):
 def test_missing_file_is_usage_error(capsys):
     code, _, _ = run(capsys, "regions", "count", "--network", "/nonexistent.json")
     assert code == EXIT_USAGE
+
+
+def _unreadable(tmp_path, kind):
+    # A directory can be opened by no user, root included, where a
+    # permission bit would not stop root; a file starting with a UTF-16
+    # byte-order mark is not UTF-8.
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "file.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("argv", [
+    ("regions", "count", "--network"),
+    ("minkowski", "classify", "--points"),
+], ids=["network", "points"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, argv, kind):
+    path = _unreadable(tmp_path, kind)
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert path in err and "Traceback" not in err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
+                         "--seed", "1", "-o", str(tmp_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert str(tmp_path) in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -14,11 +14,12 @@ its LPs in the drop LP alone, the only LP that enters by the largest
 coefficient rather than by Bland's rule; arrangement builds argmax rows in
 one helper; the line counter composes features through restrict_layer
 alone; the subsum identities walk the regions once and build atoms only
-when simplicity is not assumed; the region walk only traverses; the flat
-certificate of sampled layers solves no LP; every integer command-line
-argument is range-checked; and each refusal is raised in one place and
-reported by main alone: the LP budget is tested by require_lp_headroom,
-and no command handler prints a refusal or picks its exit code.
+when simplicity is not assumed; the region walk only traverses and takes
+no leaf function; the flat certificate of sampled layers solves no LP;
+every integer command-line argument is range-checked; and each refusal is
+raised in one place and reported by main alone: the LP budget is tested by
+require_lp_headroom, and no command handler prints a refusal or picks its
+exit code.
 """
 
 import ast
@@ -182,9 +183,10 @@ def test_recession_profile_takes_the_system_alone():
 
 def test_walk_leaves_decide_boundedness_with_no_lp():
     # A region's or a cell's boundedness is read off the rays of the
-    # layer's gradient fan; an LP in a leaf function or in the ray builder
-    # would solve per leaf what the gradients already decide.
-    for func in ("_region_bounded", "_cell", "_fan_rays"):
+    # layer's gradient fan; an LP where the walk's nodes are read, or in
+    # the ray builder, would solve per leaf what the gradients already
+    # decide.
+    for func in ("_region_bounded", "enumerate_cells", "count_regions_bruteforce", "_fan_rays"):
         found = _names_in_body("arrangement.py", func) & {"solve_lp", "recession_profile", "_at_most"}
         assert found == set(), f"{func} refers to {sorted(found)}"
 
@@ -305,14 +307,27 @@ def _arrangement_function(name):
 
 
 def test_region_walk_only_traverses():
-    # What a leaf becomes is up to the caller's leaf function; a Cell, a
-    # recession LP or a dimension in the walk itself would charge every
-    # caller for what only cell reports need.
+    # What a leaf becomes is read off the walk's nodes by its caller; a
+    # Cell, a recession LP or a dimension in the walk itself would charge
+    # every caller for what only cell reports need.
     expand = _arrangement_function("_expand")
     names = {n.id for n in ast.walk(expand) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(expand) if isinstance(n, ast.Attribute)}
     found = names & {"Cell", "recession_profile", "affine_dimension"}
     assert found == set(), f"_expand refers to {sorted(found)}"
+
+
+def test_frontier_takes_no_leaf_function():
+    # The walk returns its nodes, and each caller reads what it needs off
+    # them in its own process; a callable parameter would let per-leaf work
+    # hide inside the walk, or in its pool workers.
+    frontier = _arrangement_function("_frontier").args
+    names = [a.arg for a in frontier.posonlyargs + frontier.args]
+    assert names == ["layer", "choices", "jobs", "carry_leaves"], names
+    expand = _arrangement_function("_expand").args
+    assert len(expand.posonlyargs + expand.args) == 1
+    for args in (frontier, expand):
+        assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None)
 
 
 def test_subsum_sides_builds_atoms_only_without_assumed_simplicity():
