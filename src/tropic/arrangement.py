@@ -230,17 +230,20 @@ def _frontier(layer: LayerSpec, choices, jobs: int = 1, carry_leaves: bool = Tru
     The children are built, their equalities reduced and the carried ones
     picked before that check; they are then split into batches that run
     inline, or across a pool created once per call with min(jobs, usable
-    CPUs) worker processes.  Pool LPs and their pivots are charged to this
-    process's counters after every batch, which checks the LPs against the
-    budget, so the nodes, the LP and pivot counts of a finished walk and
-    whether the budget is exceeded do not depend on jobs.
+    CPUs) worker processes, all CPUs where the host cannot tell which are
+    usable.  Pool LPs and their pivots are charged to this process's
+    counters after every batch, which checks the LPs against the budget, so
+    the nodes, the LP and pivot counts of a finished walk and whether the
+    budget is exceeded do not depend on jobs.
     """
     n = layer.input_dim
     origin = (Fraction(0),) * n
     if not choices:  # no units: the whole space is the one cell
         return [((), ConstraintSystem(n), origin)]
     if jobs > 1:  # a fork pool starts all its workers on its first batch
-        jobs = min(jobs, len(os.sched_getaffinity(0)))
+        # Only hosts whose C library can set affinity report the usable CPUs.
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        jobs = min(jobs, usable)
     pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
     nodes = [((), ConstraintSystem(n), origin)]
     try:

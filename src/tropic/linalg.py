@@ -90,24 +90,27 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_reduce([integer_row(r)[0] for r in rows])[1])
 
 
-def _kernel(mat: list[list[int]], pivots: list[int], den: int, dim: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the null space of the first dim columns of a _reduce result:
-    one vector per free column below dim, with a 1 there."""
+def _kernel(mat: list[list[int]], pivots: list[int], den: int, dim: int) -> list[list[int]]:
+    """Integer basis of the null space of the first dim columns of a
+    _reduce result: one vector per free column fc below dim, with den at fc
+    and -mat[i][fc] at pivot column pivots[i], den times the vector of the
+    reduced rows mat / den with a 1 at fc."""
     basis = []
     for fc in (c for c in range(dim) if c not in pivots):
-        v = [Fraction(0)] * dim
-        v[fc] = Fraction(1)
+        v = [0] * dim
+        v[fc] = den
         for i, pc in enumerate(pivots):
             if pc < dim:
-                v[pc] = Fraction(-mat[i][fc], den)
-        basis.append(tuple(v))
+                v[pc] = -mat[i][fc]
+        basis.append(v)
     return basis
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
     """Basis of {v : row . v = 0 for all rows}, as vectors in Q^dim: one per
     free column of the reduced row echelon form, with a 1 there."""
-    return _kernel(*_reduce([integer_row(r)[0] for r in rows]), dim)
+    mat, pivots, den = _reduce([integer_row(r)[0] for r in rows])
+    return [tuple(Fraction(x, den) for x in v) for v in _kernel(mat, pivots, den, dim)]
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,9 @@ def solve_affine(rows: Sequence[tuple[Sequence, object]], dim: int) -> AffineSol
     point = None
     if consistent and rank == dim:
         point = tuple(Fraction(row[dim], den) for row in mat[:dim])
-    direction = _kernel(mat, pivots, den, dim)[0] if rank == dim - 1 else None
+    direction = None
+    if rank == dim - 1:
+        direction = tuple(Fraction(x, den) for x in _kernel(mat, pivots, den, dim)[0])
     return AffineSolution(rank, consistent, point, direction)
 
 
@@ -148,18 +153,9 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 def kernel_line(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...] | None:
     """The primitive integer vector spanning {v in Q^dim : row . v = 0 for
-    all rows} when that null space is a line, else None.  On the reduced
-    rows mat / den, the free column fc gets den and pivot column pivots[i]
-    gets -mat[i][fc], an integer multiple of _kernel's vector."""
-    mat, pivots, den = _reduce([integer_row(r)[0] for r in rows])
-    if len(pivots) != dim - 1:
-        return None
-    fc = next(c for c in range(dim) if c not in pivots)
-    v = [0] * dim
-    v[fc] = den
-    for i, pc in enumerate(pivots):
-        v[pc] = -mat[i][fc]
-    return primitive(v)
+    all rows} when that null space is a line, else None."""
+    basis = _kernel(*_reduce([integer_row(r)[0] for r in rows]), dim)
+    return primitive(basis[0]) if len(basis) == 1 else None
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -110,7 +110,10 @@ def lp_budget(limit: int):
     blocks keep the tighter limit, and the previous limit comes back when
     the block exits, normally or by an exception.  A forked pool worker
     inherits the limit and can only undercount the caller's total, so a
-    worker that raises has found a real excess.
+    worker that raises has found a real excess.  A spawned worker inherits
+    no limit; the caller's charge after every batch (charge_lp_calls) and
+    its headroom check before every walk level (require_lp_headroom) still
+    hold the budget.
     """
     global _lp_limit
     saved = _lp_limit

@@ -316,7 +316,8 @@ def construct_shallow_optimal(n: int, ranks: Sequence[int], seed: int) -> LayerS
     """A with-bias layer whose region count attains the shallow maximum.
 
     Each unit's indecision set is k_i - 1 parallel hyperplanes: features
-    r * <w_i, x> - r(r-1)/2 - r*d_i for r = 0..k_i-1, with moment-curve
+    r * <w_i, x> - r(r-1)/2 - r*d_i for r = 0..k_i-1, the ladder along w_i
+    with kinks r + d_i for r = 0..k_i-2 (_ladder_unit), with moment-curve
     normals w_i = (1, t_i, ..., t_i^(n-1)) for distinct positive integers t_i
     (any n of them are linearly independent) and shifts d_i = 1/p_i for large
     primes p_i (no n+1 hyperplanes of distinct units meet).
@@ -332,14 +333,8 @@ def construct_shallow_optimal(n: int, ranks: Sequence[int], seed: int) -> LayerS
     primes = _shift_denominators(n, ts)
     units = []
     for i, k in enumerate(ranks):
-        w = _moment_vector(ts[i], n)
         delta = Fraction(1, primes[i])
-        weights = []
-        biases = []
-        for r in range(k):
-            weights.append(tuple(r * c for c in w))
-            biases.append(Fraction(-r * (r - 1), 2) - r * delta)
-        units.append(MaxoutUnitSpec(tuple(weights), tuple(biases)))
+        units.append(_ladder_unit(_moment_vector(ts[i], n), [r + delta for r in range(k - 1)], 1, 0))
     return LayerSpec(n, tuple(units), WITH_BIAS)
 
 
@@ -354,16 +349,19 @@ def construct_shallow_optimal_nobias(n: int, ranks: Sequence[int], seed: int) ->
     return homogenize(construct_shallow_optimal(n - 1, ranks, seed))
 
 
-def _convex_ladder(kinks: list[Fraction], jump: Fraction, init_slope: Fraction):
-    """Features (slope, intercept) of the convex piecewise-linear function of
-    one variable with the given kinks (all with the same slope jump), initial
-    slope, and value 0 at the origin: one feature per kink, plus one."""
-    slopes = [init_slope]
-    intercepts = [Fraction(0)]
+def _ladder_unit(
+    v: Sequence[Fraction], kinks: Sequence[Fraction], jump: int | Fraction, init_slope: int | Fraction
+) -> MaxoutUnitSpec:
+    """The unit whose features are s * v for the slopes s of the convex
+    piecewise-linear function of <v, x> with the given kinks (all with the
+    same slope jump), initial slope, and value 0 at the origin: one feature
+    per kink, plus one.  The intercepts depend on the kinks and the jump
+    alone."""
+    slopes = [init_slope + r * jump for r in range(len(kinks) + 1)]
+    biases = [Fraction(0)]
     for c in kinks:
-        slopes.append(slopes[-1] + jump)
-        intercepts.append(intercepts[-1] - jump * c)
-    return list(zip(slopes, intercepts))
+        biases.append(biases[-1] - jump * c)
+    return MaxoutUnitSpec(tuple(tuple(s * a for a in v) for s in slopes), tuple(biases))
 
 
 def construct_deep_lower(n0: int, widths: Sequence[int], rank: int, seed: int) -> NetworkSpec:
@@ -407,10 +405,7 @@ def construct_deep_lower(n0: int, widths: Sequence[int], rank: int, seed: int) -
                 else:
                     kinks = [breakpoints[2 * (a * (k - 1) + s)] for s in range(k - 1)]
                     init = Fraction(0)
-                feats = _convex_ladder(kinks, jump, init)
-                weights = tuple(tuple(s * c for c in fold_rows[i]) for s, _ in feats)
-                biases = tuple(g for _, g in feats)
-                units.append(MaxoutUnitSpec(weights, biases))
+                units.append(_ladder_unit(fold_rows[i], kinks, jump, init))
                 new_fold[i][len(units) - 1] = Fraction(1 if j % 2 == 0 else -1)
         layers.append(LayerSpec(len(fold_rows[0]), tuple(units), WITH_BIAS))
         fold_rows = [tuple(row) for row in new_fold]
@@ -427,9 +422,7 @@ def construct_deep_lower(n0: int, widths: Sequence[int], rank: int, seed: int) -
         total = sum(wvec, Fraction(0))
         folded = [sum(wvec[d] * fold_rows[d][c] for d in range(n)) for c in range(len(fold_rows[0]))]
         betas = [total * Fraction(i + 1 + r * n_last, nb + 1) for r in range(k - 1)]
-        feats = _convex_ladder(betas, Fraction(1), Fraction(0))
-        weights = tuple(tuple((s + 1) * c for c in folded) for s, _ in feats)
-        units.append(MaxoutUnitSpec(weights, tuple(g for _, g in feats)))
+        units.append(_ladder_unit(folded, betas, 1, 1))
     layers.append(LayerSpec(len(fold_rows[0]), tuple(units), WITH_BIAS))
     return NetworkSpec(n0, tuple(layers))
 

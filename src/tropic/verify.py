@@ -21,7 +21,7 @@ from .arrangement import (
     subsum_identity_noncentral,
 )
 from .bounds import identity_inclusion_exclusion, identity_reformulation
-from .linalg import rank
+from .linalg import integer_row, primitive
 from .minkowski import (
     LabeledPointSet,
     point_set,
@@ -73,19 +73,15 @@ def sample_weibel_family(n: int, m: int, max_points: int, seed: int) -> list[Lab
 
 
 def _weibel_certificate(sets: list[LabeledPointSet], n: int) -> bool:
-    diffs_per_set = []
+    dirs_per_set = []
     for s in sets:
-        diffs = [
-            tuple(a - b for a, b in zip(p, q)) for p, q in combinations(s.points, 2)
-        ]
+        diffs = [[a - b for a, b in zip(p, q)] for p, q in combinations(s.points, 2)]
         if any(all(v == 0 for v in d[:n]) for d in diffs):
             return False  # vertical difference: upper counts become degenerate
-        diffs_per_set.append(diffs)
-    for (i, di), (j, dj) in combinations(enumerate(diffs_per_set), 2):
-        for a in di:
-            for b in dj:
-                if rank([a, b]) < 2:
-                    return False  # parallel cross-unit directions
+        # Parallel difference vectors share one primitive integer direction.
+        dirs_per_set.append({primitive(integer_row(d)[0]) for d in diffs})
+    if any(not a.isdisjoint(b) for a, b in combinations(dirs_per_set, 2)):
+        return False  # parallel cross-unit directions
     units = [
         MaxoutUnitSpec(tuple(p[:n] for p in s.points), tuple(p[n] for p in s.points))
         for s in sets

@@ -479,6 +479,11 @@ class TestCountRegionsBruteforce:
         monkeypatch.setattr(arrangement.os, "sched_getaffinity", lambda pid: {0})
         assert count_regions_bruteforce(l, jobs=10**6) == expected
         assert sizes == [2, 3, 3, 3]  # one usable CPU: no pool
+        # A host whose os has no sched_getaffinity caps the pool at its CPUs.
+        monkeypatch.delattr(arrangement.os, "sched_getaffinity")
+        monkeypatch.setattr(arrangement.os, "cpu_count", lambda: 3)
+        assert count_regions_bruteforce(l, jobs=10**6) == expected
+        assert sizes == [2, 3, 3, 3, 3]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lp_budget_holds_for_any_jobs(self, jobs):

@@ -1,23 +1,25 @@
 """Static guards for the exactness invariants of the tropic package.
 
 An `assert` statement disappears under `python -O`, so internal invariants
-raise typed errors instead; the package computes with int and Fraction
-only, so no float literal appears in its source; exact elimination lives
-in linalg alone, and no other module uses its private names; solve_lp
-runs both phases and both entering rules in one pivot loop; geometry
-solves its LPs in three places only, a system's common-margin LP only
-through the system's cache, and the implicit-equality LP for
-affine_dimension alone; a point is checked against a system in contains
-alone, and recession_profile takes the system alone; the walks decide
-boundedness with no LP; minkowski solves
-its LPs in the drop LP alone, the only LP that enters by the largest
-coefficient rather than by Bland's rule; arrangement builds argmax rows in
-one helper; the line counter composes features through restrict_layer
-alone; the subsum identities walk the regions once and build atoms only
-when simplicity is not assumed; the region walk only traverses and takes
-no leaf function; the flat certificate of sampled layers solves no LP;
-every integer command-line argument is range-checked; and each refusal is
-raised in one place and reported by main alone: the LP budget is tested by
+raise typed errors instead; the package computes with int and Fraction only,
+so no float literal appears in its source; exact elimination lives in linalg
+alone, no other module uses its private names, and _kernel alone writes its
+null-space vectors; solve_lp runs both phases and both entering rules in one
+pivot loop; geometry solves its LPs in three places only, a system's
+common-margin LP only through the system's cache, and the implicit-equality
+LP for affine_dimension alone; a point is checked against a system in
+contains alone, and recession_profile takes the system alone; the walks
+decide boundedness with no LP; minkowski solves its LPs in the drop LP
+alone, the only LP that enters by the largest coefficient rather than by
+Bland's rule; arrangement builds argmax rows in one helper; the line counter
+composes features through restrict_layer alone; the subsum identities walk
+the regions once and build atoms only when simplicity is not assumed; the
+region walk only traverses and takes no leaf function; the flat certificate
+of sampled layers solves no LP; both constructions build every unit as a
+ladder through _ladder_unit; the Weibel certificate finds parallel
+difference vectors by their primitive directions, with no rank; every
+integer command-line argument is range-checked; and each refusal is raised
+in one place and reported by main alone: the LP budget is tested by
 require_lp_headroom, and no command handler prints a refusal or picks its
 exit code.
 """
@@ -139,6 +141,34 @@ def _names_in_body(name, func):
     return {n.id for n in nodes if isinstance(n, ast.Name)} | {
         n.attr for n in nodes if isinstance(n, ast.Attribute)
     }
+
+
+def test_kernel_vectors_have_one_builder():
+    # _kernel writes the null-space vectors of a reduction once, as
+    # integers; a back-substitution in a caller would be a second copy to
+    # keep in step with it.
+    for func in ("kernel_line", "nullspace_basis", "solve_affine"):
+        assert "_kernel" in _names_in_body("linalg.py", func), func
+
+
+def test_constructions_build_units_as_ladders():
+    # Every unit of both constructions is a convex ladder along one
+    # direction, built by _ladder_unit; a MaxoutUnitSpec call in either
+    # would write a ladder's features by hand a second time.
+    path = next(p for p in SOURCES if p.name == "network.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for func in ("construct_shallow_optimal", "construct_deep_lower"):
+        fn = next(s for s in tree.body if getattr(s, "name", None) == func)
+        called = {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "_ladder_unit" in called and "MaxoutUnitSpec" not in called, (func, sorted(called))
+
+
+def test_weibel_certificate_compares_primitive_directions():
+    # Two difference vectors are parallel exactly when their primitive
+    # integer directions are equal, so one set of directions per summand
+    # decides it; a rank per pair of vectors would decide it again.
+    names = _names_in_body("verify.py", "_weibel_certificate")
+    assert "primitive" in names and "rank" not in names, sorted(names & {"primitive", "rank"})
 
 
 def test_geometry_has_three_lp_formulations():

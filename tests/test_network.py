@@ -271,6 +271,37 @@ class TestConstructions:
         assert cases == 78
 
 
+def test_constructions_are_pinned():
+    # The sha256 of every construction over a fixed grid, one network a
+    # line: shallow-max with and without bias, and deep-lower on every
+    # architecture of the grid that deep_lower admits.
+    digest = hashlib.sha256()
+
+    def pin(net):
+        digest.update(serialize_network(net).encode() + b"\n")
+
+    shallow = [(2,), (5,), (2, 2), (3, 2), (3, 3, 3), (4, 2, 3), (2, 2, 2, 2)]
+    for n in range(1, 5):
+        for ranks in shallow:
+            for seed in range(4):
+                pin(single_layer_network(construct_shallow_optimal(n, ranks, seed)))
+                if n >= 2:
+                    pin(single_layer_network(construct_shallow_optimal_nobias(n, ranks, seed)))
+    cases = 0
+    for n0 in range(1, 4):
+        for widths in [(2, 1), (2, 3), (4, 2), (6, 1), (3, 2), (2, 2, 1), (4, 4, 2), (6, 3, 3)]:
+            for k in range(2, 5):
+                try:
+                    deep_lower(n0, widths, k)
+                except ValueError:
+                    continue
+                for seed in range(3):
+                    pin(construct_deep_lower(n0, widths, k, seed))
+                cases += 1
+    assert cases == 54
+    assert digest.hexdigest() == "defe02056896af61987e391e22d40bcf288c61f2ae9c46850d2ee8059d2422a6"
+
+
 class TestSampleGeneric:
     def test_determinism(self):
         a = sample_generic(2, (2, 2), WITH_BIAS, seed=11)
