@@ -5,9 +5,11 @@ nullspace_basis, kernel_line and solve_affine) runs on integer rows from
 integer_row: int or Fraction values times the lcm of their denominators,
 not gcd-reduced.  pivot is one fraction-free Gauss-Jordan step of
 Bareiss (1968): each other row becomes
-(row * piv - row[s] * prow) / den, den the previous pivot, and divide_row
-checks that the division is exact.  The last pivot is the shared
-denominator of the whole matrix.
+(row * piv - row[s] * prow) / den, den the previous pivot, in one pass
+of floor divisions per row.  One equation of row sums checks that every
+division was exact: Python's floor remainders all have the sign of den or
+are 0, so they sum to 0 only when each of them is 0.  The last pivot is
+the shared denominator of the whole matrix.
 """
 
 from __future__ import annotations
@@ -39,29 +41,39 @@ def integer_row(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (scale // d) for v, d in zip(values, dens)], scale
 
 
-def divide_row(vals: list[int], d: int) -> list[int]:
-    """vals // d entry by entry; d must divide every entry exactly."""
-    if gcd(*vals) % d:
-        raise InternalError("integer pivot lost exactness")
-    return [v // d for v in vals]
-
-
 def pivot(rows: list[list[int]], prow: list[int], s: int, den: int) -> int:
     """One Bareiss Gauss-Jordan step on column s, in place on every row of
     rows except prow; den is the previous pivot (1 before the first).
-    Returns the new shared denominator prow[s], which must be nonzero."""
+    Returns the new shared denominator prow[s], which must be nonzero.
+
+    Each row with f = row[s] nonzero becomes q = (row * piv - f * prow) // den
+    in one pass, and a row with f = 0 becomes row * piv // den, or stays as
+    it is when piv == den.  Every division is checked exact, as a whole row
+    at once, by den * sum(q) == piv * sum(row) - f * sum(prow): the two
+    sides differ by the sum of the row's floor remainders, which all have
+    the sign of den or are 0, so the sum is 0 only when every remainder is.
+    That holds for a negative den too.  den == 1 divides nothing."""
     piv = prow[s]
+    psum = sum(prow)
     for row in rows:
         if row is prow:
             continue
         f = row[s]
+        if den == 1:
+            if f:
+                row[:] = [a * piv - f * b for a, b in zip(row, prow)]
+            elif piv != 1:
+                row[:] = [a * piv for a in row]
+            continue
         if f:
-            vals = [a * piv - f * b for a, b in zip(row, prow)]
+            q = [(a * piv - f * b) // den for a, b in zip(row, prow)]
         elif piv != den:
-            vals = [a * piv for a in row]
+            q = [a * piv // den for a in row]
         else:
             continue
-        row[:] = vals if den == 1 else divide_row(vals, den)
+        if den * sum(q) != piv * sum(row) - f * psum:
+            raise InternalError("integer pivot lost exactness")
+        row[:] = q
     return piv
 
 

@@ -16,7 +16,8 @@ recession_profile_reference (the row-activity LP) the one that
 recession_profile's bound LP replaced.  contains_reference decides each
 outer row by a minimum of the Fraction solver, where contains maximizes
 the negated row.  build_poset_reference is the breadth-first
-poset walk that closure extension replaced.  mobius_reference is the
+poset walk that closure extension replaced, and poset_from_cells reads
+the same poset off the cells with no LP of its own.  mobius_reference is the
 all-pairs Mobius table that Poset.face_counts' one inversion pass replaced,
 and face_counts_reference evaluates the face-count formula on it.
 has_lower_witness decides classify_vertices' strict-lower class by an LP of
@@ -225,6 +226,29 @@ def build_poset_reference(arr: Arrangement) -> Poset:
         out.append(PosetElement(idx, dim, euler_characteristic(elements[key]), key, support))
     leq = tuple(tuple(x.atom_support <= y.atom_support for y in out) for x in out)
     return Poset(arr, tuple(out), leq)
+
+
+def poset_from_cells(arr: Arrangement, cells: Sequence[Cell]) -> dict[frozenset[int], tuple[int, int]]:
+    """{key: (dim, psi)} of the intersection poset, read off the cells of
+    enumerate_cells with no LP of its own.  A cell c lies in atom (u, a, b)
+    exactly when a and b are both in its argmax set for unit u; call that
+    atom set A(c).  The keys are the empty set and every intersection of
+    one or more A(c); an element's cells are those whose A(c) holds its
+    key, its dim is the largest of theirs, and its psi is the sum of
+    (-1)^dim c over them, since a relatively open d-cell is homeomorphic
+    to R^d."""
+    atom_sets = [
+        frozenset(ai for ai, atom in enumerate(arr.atoms) if set(atom.pair) <= c.signature[atom.unit - 1])
+        for c in cells
+    ]
+    keys = {frozenset()}
+    for a in set(atom_sets):
+        keys |= {a} | {a & k for k in keys}
+    out = {}
+    for key in keys:
+        dims = [c.dim for c, a in zip(cells, atom_sets) if key <= a]
+        out[key] = (max(dims), sum((-1) ** d for d in dims))
+    return out
 
 
 def mobius_reference(poset: Poset) -> tuple[tuple[int, ...], ...]:

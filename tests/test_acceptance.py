@@ -52,6 +52,7 @@ from oracles import (
     face_counts_reference,
     mobius_reference,
     partial_sum_trivial_bound,
+    poset_from_cells,
     sub_layer,
 )
 
@@ -148,6 +149,7 @@ def test_criterion_1_worked_example():
     ok = (
         regions_poset == regions_bf == 8
         and faces1_poset == faces1_bf == 12
+        and poset_from_cells(arr, cells) == {e.atom_support: (e.dim, e.psi) for e in poset.elements}
         and elapsed < 5.0
     )
     report(1, ok, f"worked example: regions 8/8, 1-faces 12/12 in {elapsed:.2f}s")

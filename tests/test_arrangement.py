@@ -49,6 +49,7 @@ from oracles import (
     face_counts_reference,
     is_simple_reference,
     mobius_reference,
+    poset_from_cells,
     recession_profile_reference,
     subsum_sides_reference,
 )
@@ -873,7 +874,8 @@ class TestInvariants:
         # Integer layers drawn with no genericity check, some of them not
         # simple, with duplicated features and both bias modes: the three
         # region counters agree, the poset face counts are the cell
-        # dimension histogram, and the cells satisfy the Euler relation.
+        # dimension histogram, the poset's (key, dim, psi) are those read
+        # off the cells, and the cells satisfy the Euler relation.
         rng = random.Random(2104)
         for i in range(100):
             l = small_integer_layer(rng, bias=i % 2 == 0, max_rank=4, max_product=48)
@@ -887,6 +889,7 @@ class TestInvariants:
             for c in cells:
                 hist[c.dim] += 1
             assert p.face_counts == tuple(hist)
+            assert poset_from_cells(arr, cells) == {e.atom_support: (e.dim, e.psi) for e in p.elements}
             assert sum((-1) ** c.dim for c in cells) == (-1) ** n
             assert sum(c.bounded for c in cells if c.dim == n) == rc.bounded_regions
             if is_simple(arr).simple:

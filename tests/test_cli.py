@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -380,6 +381,30 @@ def test_minkowski_classify(tmp_path, capsys):
     assert code == EXIT_OK
     r = results_of(out)
     assert r["vertices"] == 6 and r["upper_vertices"] == 5
+
+
+def test_emitted_witnesses_are_pinned(tmp_path, capsys):
+    # The sha256 of the exact witnesses that two commands print: every cell
+    # of shallow-max (2; 3,3,2), and the classification of the lifted sum
+    # of shallow-max (3; 2,2,2,2,2), whose drop LPs carry the multi-digit
+    # Bareiss entries of 5 x 5 minors in Q^4.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,2",
+        "--seed", "1", "-o", str(net))
+    code, out, _ = run(capsys, "poset", "cells", "--network", str(net))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4155d368b84c599ec064a8cdf237fd64a1bd501e194bfc1c4fc364f69f5ffe6c")
+    run(capsys, "construct", "shallow-max", "--inputs", "3", "--ranks", "2,2,2,2,2",
+        "--seed", "1", "-o", str(net))
+    pts = tmp_path / "pts.json"
+    code, out, _ = run(capsys, "minkowski", "lift-sum", "--network", str(net))
+    pts.write_text(out)
+    code, out, _ = run(capsys, "minkowski", "classify", "--points", str(pts))
+    assert code == EXIT_OK
+    results = json.dumps(results_of(out), sort_keys=True)
+    assert hashlib.sha256(results.encode()).hexdigest() == (
+        "220c73580c40761828388d1c96b4b07420f9dfc462a28ce7ba8f88e05172c17b")
 
 
 @pytest.mark.parametrize("text,message", [

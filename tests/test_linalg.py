@@ -1,13 +1,24 @@
 """Differential tests of linalg's integer elimination kernel against the
 Fraction eliminations it replaced (tests/oracles.py)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropic.linalg import dot, integer_row, kernel_line, nullspace_basis, primitive, rank, solve_affine
+from tropic import linalg
+from tropic.linalg import (
+    InternalError,
+    dot,
+    integer_row,
+    kernel_line,
+    nullspace_basis,
+    primitive,
+    rank,
+    solve_affine,
+)
 
 from oracles import nullspace_basis_reference, rank_reference
 
@@ -146,3 +157,52 @@ def test_primitive_names_a_line_by_one_vector():
     assert primitive([0, 0]) == (0, 0)
     assert primitive([]) == ()
 
+
+def _gauss_jordan_step(ref, r, s):
+    """The Fraction Gauss-Jordan step that pivot makes on rows / den: row r
+    divided by its entry in column s, then subtracted from every other row
+    to clear column s."""
+    ref[r] = [x / ref[r][s] for x in ref[r]]
+    for i, row in enumerate(ref):
+        if i != r and row[s]:
+            ref[i] = [a - row[s] * b for a, b in zip(row, ref[r])]
+
+
+def test_pivot_sequences_match_fraction_gauss_jordan():
+    # Integer matrices with entries up to 2^40, so that the Bareiss entries
+    # are multi-digit ints as in the drop LPs.  Each step pivots on a
+    # nonzero entry of a random row and column, as the simplex does, a row
+    # pivoted before included; after it rows / den is the Fraction
+    # reference, and pivot returns the new den.
+    rng = random.Random(2104)
+    signs = set()
+    for _ in range(150):
+        nrows, ncols = rng.randint(2, 6), rng.randint(2, 8)
+        big = 2 ** rng.choice([3, 20, 40])
+        rows = [[rng.choice([0, rng.randint(-big, big)]) for _ in range(ncols)] for _ in range(nrows)]
+        ref = [[F(x) for x in row] for row in rows]
+        den = 1
+        for _ in range(8):
+            choices = [(r, s) for r in range(nrows) for s in range(ncols) if rows[r][s]]
+            if not choices:
+                break
+            r, s = rng.choice(choices)
+            signs.add(rows[r][s] > 0)
+            den = linalg.pivot(rows, rows[r], s, den)
+            assert den == rows[r][s]
+            _gauss_jordan_step(ref, r, s)
+            assert [[F(x, den) for x in row] for row in rows] == ref
+    assert signs == {True, False}
+
+
+@pytest.mark.parametrize("den", [3, -3], ids=["den>0", "den<0"])
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [1, 1, 2]],
+    [[1, 0, 0], [0, 1, 2]],
+], ids=["update", "rescale"])
+def test_pivot_refuses_an_inexact_division(rows, den):
+    # The second row becomes [0, 1, 2], by the update (f = 1) or by the
+    # rescale (f = 0, piv != den), and den does not divide it, although it
+    # divides its sum 3: each floor remainder is counted, not their total.
+    with pytest.raises(InternalError, match="lost exactness"):
+        linalg.pivot(rows, rows[0], 0, den)

@@ -16,7 +16,6 @@ from tropic.linprog import (
     OPTIMAL,
     UNBOUNDED,
     BudgetExceededError,
-    InternalError,
     LPResult,
     charge_lp_calls,
     lp_budget,
@@ -208,6 +207,33 @@ def test_random_boxed_lps_match_enumeration_oracle(seed):
             assert v == r if op == EQ else v >= r
 
 
+def test_drop_lps_with_large_coefficients_match_fraction_reference():
+    # Drop LPs built as minkowski._drop_to_hull builds them, on the lifted
+    # sum of shallow-max (3; 2,2,2,2,2): 32 points in Q^4 whose last
+    # coordinates have denominators near 10^6, so the tableau's Bareiss
+    # entries run to several bytes, far past the small draws of _lps.
+    # Under Bland's rule the witness and the pivots are the reference's.
+    layer = construct_shallow_optimal(3, (2, 2, 2, 2, 2), 1)
+    points = minkowski.minkowski_sum(minkowski.lift_layer(layer)).points
+    ints, scale = minkowski._integer_points(points)
+    rng = random.Random(2104)
+    statuses = set()
+    for i in rng.sample(range(len(ints)), 20):
+        p, others = ints[i], ints[:i] + ints[i + 1:]
+        k, last = len(others), len(p) - 1
+        cons = [([q[c] for q in others] + [-scale if c == last else 0], EQ, p[c]) for c in range(len(p))]
+        cons.append(([1] * k + [0], EQ, 1))
+        lp = (k + 1, [0] * k + [-1], cons, [True] * (k + 1))
+        ref_start = reference_pivot_count()
+        expected = solve_lp_reference(*lp)
+        start = lp_pivot_count()
+        assert solve_lp(*lp) == expected
+        assert lp_pivot_count() - start == reference_pivot_count() - ref_start
+        statuses.add(expected.status)
+    assert max(abs(v) for q in ints for v in q) > 2**40
+    assert statuses == {OPTIMAL, INFEASIBLE}
+
+
 # Small ints and Fractions with denominators up to 6; rhs is 0 often, so rows
 # with denominators and a zero rhs (slack entry -scale, no sign flip) occur.
 # A row times a common factor would change the tableau if rows were
@@ -355,12 +381,6 @@ def test_non_exact_inputs_raise_type_error(bad):
         solve_lp(1, [1], [((1,), GE, bad)])
     with pytest.raises(TypeError):
         solve_lp(1, [bad], [((1,), GE, 0)])
-
-
-def test_row_division_is_exact_or_an_internal_error():
-    assert linalg.divide_row([6, -9, 0], 3) == [2, -3, 0]
-    with pytest.raises(InternalError, match="lost exactness"):
-        linalg.divide_row([6, -8, 0], 3)
 
 
 def _one_lp():
