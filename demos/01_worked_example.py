@@ -11,9 +11,7 @@ from collections import Counter
 from tropic.arrangement import (
     build_atoms,
     build_poset,
-    count_faces_poset,
     count_regions_bruteforce,
-    count_regions_poset,
     enumerate_cells,
 )
 from tropic.minkowski import dual_region_count
@@ -41,9 +39,9 @@ print("\nintersection poset (dim, psi, mobius):")
 for e in poset.elements:
     print(f"  dim {e.dim}  psi {e.psi:+d}  mu {poset.mobius_from_bottom[e.id]:+d}")
 
-print(f"\nregions via poset formula:   {count_regions_poset(arr, poset)}")
+print(f"\nregions via poset formula:   {poset.face_counts[2]}")
 print(f"regions via cell enumeration: {by_dim[2]}")
-print(f"1-faces via poset formula:    {count_faces_poset(arr, 1, poset)}")
+print(f"1-faces via poset formula:    {poset.face_counts[1]}")
 print(f"1-faces via cell enumeration: {by_dim[1]}")
 
 print(f"\nMinkowski duality: {count_regions_bruteforce(l).regions} regions = "

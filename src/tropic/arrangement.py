@@ -365,7 +365,8 @@ class Poset:
         inversion g is the one solution of psi(x) = sum over y >= x of g(y),
         so one pass down from the top solves for it with no mu(x, y).  The
         ambient space is the only n-dimensional element, so f_n counts the
-        regions."""
+        regions.  This is the one reader of the poset's s-faces and regions:
+        count_regions_poset, the CLI and the tests all index it."""
         f = [0] * (self.arrangement.ambient_dim + 1)
         g = [0] * len(self.elements)
         for x in reversed(range(len(self.elements))):
@@ -445,23 +446,10 @@ def build_poset(arr: Arrangement) -> Poset:
     return Poset(arr, tuple(out), leq)
 
 
-def count_regions_poset(arr: Arrangement, poset: Poset | None = None) -> int:
+def count_regions_poset(arr: Arrangement) -> int:
     """Region count (-1)^n sum over y of mu(0, y) psi(y): the n-faces of
-    Poset.face_counts."""
-    if poset is None:
-        poset = build_poset(arr)
-    return poset.face_counts[arr.ambient_dim]
-
-
-def count_faces_poset(arr: Arrangement, s: int, poset: Poset | None = None) -> int:
-    """Number of s-dimensional faces, 0 <= s < ambient dim:
-    (-1)^s sum over dim x = s of sum over y >= x of mu(x, y) psi(y), read
-    from Poset.face_counts."""
-    if not 0 <= s < arr.ambient_dim:
-        raise ValueError(f"face dimension {s} out of range [0, {arr.ambient_dim})")
-    if poset is None:
-        poset = build_poset(arr)
-    return poset.face_counts[s]
+    Poset.face_counts, on a poset built for this call."""
+    return build_poset(arr).face_counts[arr.ambient_dim]
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,18 @@ its own unbounded recession cone, and its profile needs no bound LP.
 
 Some systems need no LP at all, because one exact elimination of the
 equality rows [A | b] (linalg.solve_affine, cached on the system) already
-knows the answer.  If rank [A | b] > rank A the system is empty.  If
-rank A = d the equalities fix one point x, so t is the margin LP's only
-freedom: the LP is infeasible when the least inequality slack at x is
-negative, and otherwise its unique optimum is x with t = min(1, that
-slack), the LP's own result, witness included.  Such a point has
-dimension 0 and recession cone {0}.  A system with no rows at all is
-Q^d, and its LP takes one pivot, t in for the slack of its cap t <= 1:
-the optimum is t = 1 at the origin.  If rank A = d - 1 the equalities
-leave a line, and its direction v decides the recession profile by the
-signs of the c . v.
+knows the answer.  It writes the solutions as x0 + span(kernel), x0 the
+solution with free coordinates 0.  If rank [A | b] > rank A the system is
+empty.  If the kernel is empty (rank A = d) the equalities fix the one
+point x0, so t is the margin LP's only freedom: the LP is infeasible when
+the least inequality slack at x0 is negative, and otherwise its unique
+optimum is x0 with t = min(1, that slack), the LP's own result, witness
+included.  Such a point has dimension 0 and recession cone {0}.  A system
+with no rows at all is Q^d, whose x0 is the origin, and its LP takes one
+pivot, t in for the slack of its cap t <= 1: the optimum is t = 1 at x0,
+which the point's reading gives too.  If the kernel has one vector v (rank A = d - 1) the
+equalities leave a line, and v decides the recession profile by the signs
+of the c . v, which do not depend on the scale of v.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class ConstraintSystem:
     @cached_property
     def _solution(self) -> linalg.AffineSolution:
         """The equalities reduced once: their rank, whether they are
-        consistent, and the point they fix or the line they leave."""
+        consistent, and their solutions as point + span(kernel)."""
         return linalg.solve_affine(self.equalities, self.ambient_dim)
 
     @property
@@ -149,7 +151,7 @@ class ConstraintSystem:
         sol = self._solution
         if not sol.consistent:
             return LPResult(INFEASIBLE, None, None)
-        x = sol.point if sol.rank == self.ambient_dim else (Fraction(0),) * self.ambient_dim
+        x = sol.point
         t = min([Fraction(1)] + [linalg.dot(c, x) - r for c, r in self.inequalities])
         return LPResult(INFEASIBLE, None, None) if t < 0 else LPResult(OPTIMAL, t, x + (t,))
 
@@ -276,8 +278,8 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     when bounded and unbounded otherwise (the cone holds 0 and is closed
     under positive scaling).  There is no LP without inequalities (the cone
     is then a linear space), nor when the equalities have rank d or d - 1.
-    A point's cone is {0}.  For a line, with v spanning the null
-    space of the equalities, the cone is the line itself when every c . v
+    A point's cone is {0}.  For a line, with v the one kernel vector of
+    the equalities, the cone is the line itself when every c . v
     is 0, a ray when the nonzero c . v share one sign, and {0} otherwise.
 
     A cone (every right-hand side 0) is its own recession cone, so a point
@@ -296,7 +298,7 @@ def recession_profile(sys: ConstraintSystem) -> RecessionProfile:
     if sol.rank == d:
         return RecessionProfile(0, True)
     if sol.rank == d - 1:  # the cone is {s v : s (c . v) >= 0 for every inequality c}
-        slopes = [linalg.dot(c, sol.direction) for c, _ in sys.inequalities]
+        slopes = [linalg.dot(c, sol.kernel[0]) for c, _ in sys.inequalities]
         if not any(slopes):
             return RecessionProfile(1, True)
         one_sign = all(p >= 0 for p in slopes) or all(p <= 0 for p in slopes)

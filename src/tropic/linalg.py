@@ -127,30 +127,29 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[
 
 @dataclass(frozen=True)
 class AffineSolution:
-    """What one reduction of [A | b] says about {x in Q^dim : A x = b}."""
+    """What one reduction of [A | b] says about {x in Q^dim : A x = b}: when
+    consistent, the solutions are exactly point + span(kernel).  A point is
+    the kernel size 0 (rank dim), a line the kernel size 1 (rank dim - 1)."""
 
     rank: int                                   # rank of A
     consistent: bool                            # rank [A | b] == rank A
-    point: tuple[Fraction, ...] | None          # the one solution, when consistent with rank dim
-    direction: tuple[Fraction, ...] | None      # spans the null space of A, when rank is dim - 1
+    point: tuple[Fraction, ...] | None          # the solution with free coordinates 0, when consistent
+    kernel: list[list[int]]                     # integer basis of the null space of A (_kernel)
 
 
 def solve_affine(rows: Sequence[tuple[Sequence, object]], dim: int) -> AffineSolution:
-    """The rank, consistency and unique solution of the equations
-    coeffs . x = rhs, given as (coeffs, rhs) pairs in Q^dim, by one
-    reduction of [A | b].  The columns are eliminated left to right, so the
-    pivots below dim are A's, and a pivot in the last column is a row
-    0 = nonzero."""
+    """The equations coeffs . x = rhs, given as (coeffs, rhs) pairs in
+    Q^dim, in reduced form by one reduction of [A | b]: their rank, their
+    consistency, and x = point + span(kernel).  The columns are eliminated
+    left to right, so the pivots below dim are A's, and a pivot in the last
+    column is a row 0 = nonzero.  point is mat[i][dim] / den at pivot
+    column pivots[i] and 0 at every free column."""
     mat, pivots, den = _reduce([integer_row([*c, r])[0] for c, r in rows])
     consistent = not pivots or pivots[-1] < dim
     rank = len(pivots) if consistent else len(pivots) - 1
-    point = None
-    if consistent and rank == dim:
-        point = tuple(Fraction(row[dim], den) for row in mat[:dim])
-    direction = None
-    if rank == dim - 1:
-        direction = tuple(Fraction(x, den) for x in _kernel(mat, pivots, den, dim)[0])
-    return AffineSolution(rank, consistent, point, direction)
+    at = {pc: row[dim] for row, pc in zip(mat, pivots)}
+    point = tuple(Fraction(at.get(c, 0), den) for c in range(dim)) if consistent else None
+    return AffineSolution(rank, consistent, point, _kernel(mat, pivots, den, dim))
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:

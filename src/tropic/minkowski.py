@@ -146,10 +146,6 @@ def classify_vertices(ps: LabeledPointSet) -> VertexClassification:
     return VertexClassification(ps.points, tuple(is_v), tuple(is_u), tuple(is_l))
 
 
-def vertex_count(ps: LabeledPointSet) -> int:
-    return classify_vertices(ps).vertex_count
-
-
 def upper_vertex_count(ps: LabeledPointSet) -> int:
     return classify_vertices(ps).upper_count
 

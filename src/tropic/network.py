@@ -448,10 +448,11 @@ def sample_generic(
     is not {0}.  Projectivized simplicity then gives dim C = n+1-j >= 1 (so
     n+1 such atoms never meet), and the slice, which meets t > 0, has
     dimension n-j.  A draw whose checked central layer has transverse tie
-    flats (_flats_transverse) is accepted with no LP; any other draw is
-    decided by build_atoms and is_simple.  Resamples until the certificate
-    passes; raises after SAMPLE_ATTEMPTS draws with a hint to increase the
-    magnitude.
+    flats (flats_transverse) is accepted with no LP; any other draw is
+    decided by build_atoms and is_simple (_generic_by_lp).  Both take the
+    draw as it is and projectivize a with-bias one themselves.  Resamples
+    until the certificate passes; raises after SAMPLE_ATTEMPTS draws with a
+    hint to increase the magnitude.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -470,29 +471,29 @@ def sample_generic(
             )
             units.append(MaxoutUnitSpec(weights, biases))
         cand = LayerSpec(n, tuple(units), bias_mode)
-        central = _projectivize(cand) if bias_mode == WITH_BIAS else cand
-        if _flats_transverse(central) or _generic_by_lp(cand, central):
+        if flats_transverse(cand) or _generic_by_lp(cand):
             return cand
     raise ValueError(
         f"no simple layer found in {SAMPLE_ATTEMPTS} samples; try a larger magnitude (B > {magnitude})"
     )
 
 
-def _generic_by_lp(l: LayerSpec, central: LayerSpec) -> bool:
+def _generic_by_lp(l: LayerSpec) -> bool:
     """sample_generic's certificate by LPs: every rank->=2 unit of l has an
     atom, which its gradients decide with no LP (MaxoutUnitSpec.has_atom),
-    and central, l or its projectivization, is simple."""
+    and l's central layer (_projectivize) is simple."""
     from .arrangement import build_atoms, is_simple
 
     if any(u.rank >= 2 and not u.has_atom for u in l.units):
         return False
-    return is_simple(build_atoms(central)).simple
+    return is_simple(build_atoms(_projectivize(l))).simple
 
 
-def _flats_transverse(l: LayerSpec) -> bool:
-    """Whether the tie flats of a central layer's units are transverse, by
-    linalg.rank alone: if so, the layer's arrangement is simple and every
-    unit of rank >= 2 has an atom.
+def flats_transverse(l: LayerSpec) -> bool:
+    """Whether the tie flats of the units of l's central layer, which
+    _projectivize builds here from a with-bias l, are transverse, by
+    linalg.rank alone: if so, the central layer's arrangement is simple and
+    every unit of rank >= 2 of it, and so of l, has an atom.
 
     In Q^N, a unit's flat for a subset S of 2 to min(k, N+1) of its k
     features is the rows f_s0 - f_c, c in S minus its first feature s0: the
@@ -514,21 +515,22 @@ def _flats_transverse(l: LayerSpec) -> bool:
     sum(|T_i| - 2) = N - j; and j >= N, as R >= j, leaves C = {0}.
 
     Atoms.  Two features of a unit with one gradient give a pair flat of
-    rank 0 in a no-bias layer.  In a projectivized layer (_projectivize),
+    rank 0 in a no-bias layer.  In a projectivized layer,
     features (w, b) and (w, b') give the pair flat (0, b - b'), which
     stacks with the flat (0, 1) of the unit at infinity to rank 1 < 2.  So
     each unit of the no-bias layer, or of the with-bias layer that was
     projectivized, has features of distinct gradients, and so an atom
     (MaxoutUnitSpec.has_atom).
     """
-    n = l.input_dim
+    central = _projectivize(l)
+    n = central.input_dim
     flats = [
         [
             [tuple(a - b for a, b in zip(u.weights[s[0]], u.weights[c])) for c in s[1:]]
             for size in range(2, min(u.rank, n + 1) + 1)
             for s in combinations(range(u.rank), size)
         ]
-        for u in l.units
+        for u in central.units
     ]
 
     def transverse(start: int, rows: list) -> bool:
@@ -545,8 +547,11 @@ def _flats_transverse(l: LayerSpec) -> bool:
 
 
 def _projectivize(l: LayerSpec) -> LayerSpec:
-    """Homogenization of a with-bias layer plus a unit tying on the
-    hyperplane at infinity, as a no-bias layer in Q^(n+1)."""
+    """The central layer of sample_generic's certificate: a no-bias layer
+    as it is, and a with-bias layer's homogenization plus a unit tying on
+    the hyperplane at infinity, as a no-bias layer in Q^(n+1)."""
+    if l.bias_mode != WITH_BIAS:
+        return l
     h = homogenize(l)
     infinity = MaxoutUnitSpec(
         (

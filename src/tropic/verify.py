@@ -33,8 +33,7 @@ from .network import (
     WITH_BIAS,
     LayerSpec,
     MaxoutUnitSpec,
-    _flats_transverse,
-    _projectivize,
+    flats_transverse,
     sample_generic,
     serialize_network,
     single_layer_network,
@@ -87,9 +86,11 @@ def _weibel_certificate(sets: list[LabeledPointSet], n: int) -> bool:
         for s in sets
     ]
     layer = LayerSpec(n, tuple(units), WITH_BIAS)
-    # Transverse projectivized flats imply projectivized simplicity, and so
-    # affine simplicity (network.sample_generic); only other layers need LPs.
-    return _flats_transverse(_projectivize(layer)) or is_simple(build_atoms(layer)).simple
+    # flats_transverse projectivizes the layer itself.  Transverse
+    # projectivized flats imply projectivized simplicity, and so affine
+    # simplicity (network.sample_generic), so the families accepted are
+    # those the affine is_simple accepts; only other layers need its LPs.
+    return flats_transverse(layer) or is_simple(build_atoms(layer)).simple
 
 
 def _suite(

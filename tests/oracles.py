@@ -66,7 +66,7 @@ from tropic.geometry import (
     strictly_feasible,
 )
 from tropic.linalg import dot
-from tropic.minkowski import LabeledPointSet, VertexClassification, minkowski_sum, vertex_count
+from tropic.minkowski import LabeledPointSet, VertexClassification, classify_vertices, minkowski_sum
 from tropic.network import LayerSpec, NetworkSpec
 from tropic.linprog import (
     EQ,
@@ -343,11 +343,11 @@ class PartialSumBound:
 def partial_sum_trivial_bound(sets: Sequence[LabeledPointSet], n: int):
     """actual vs trivial vertex counts, f_0(sum over S) vs prod f_0(P_i),
     for every nonempty S with |S| <= n."""
-    singles = [vertex_count(s) for s in sets]
+    singles = [classify_vertices(s).vertex_count for s in sets]
     out = {}
     for j in range(1, n + 1):
         for S in combinations(range(len(sets)), j):
-            actual = vertex_count(minkowski_sum([sets[i] for i in S]))
+            actual = classify_vertices(minkowski_sum([sets[i] for i in S])).vertex_count
             trivial = 1
             for i in S:
                 trivial *= singles[i]

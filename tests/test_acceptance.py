@@ -16,9 +16,7 @@ from tropic.arrangement import (
     bounded_region_gap,
     build_atoms,
     build_poset,
-    count_faces_poset,
     count_regions_bruteforce,
-    count_regions_poset,
     enumerate_cells,
     is_simple,
     subsum_identity_central,
@@ -140,8 +138,8 @@ def test_criterion_1_worked_example():
     l = worked_example_layer()
     arr = build_atoms(l)
     poset = build_poset(arr)
-    regions_poset = count_regions_poset(arr, poset)
-    faces1_poset = count_faces_poset(arr, 1, poset)
+    regions_poset = poset.face_counts[2]
+    faces1_poset = poset.face_counts[1]
     cells = enumerate_cells(l)
     regions_bf = sum(1 for c in cells if c.dim == 2)
     faces1_bf = sum(1 for c in cells if c.dim == 1)

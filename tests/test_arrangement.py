@@ -16,7 +16,6 @@ from tropic.arrangement import (
     bounded_region_gap,
     build_atoms,
     build_poset,
-    count_faces_poset,
     count_regions_bruteforce,
     count_regions_poset,
     enumerate_cells,
@@ -552,7 +551,7 @@ class TestPoset:
         p = build_poset(arr)
         assert lp_call_count() - start == 10
         assert len(p.elements) == 4
-        assert count_regions_poset(arr, p) == count_regions_bruteforce(l).regions == 4
+        assert p.face_counts[2] == count_regions_bruteforce(l).regions == 4
 
     def test_central_point_lp_cost(self):
         # Every pair of atoms of distinct units meets in a line through the
@@ -585,10 +584,7 @@ class TestPoset:
             assert p.elements == q.elements  # keys, dim, psi and support
             assert p.leq == q.leq
             assert p.mobius_from_bottom == q.mobius_from_bottom
-            n = l.input_dim
-            assert [count_faces_poset(arr, s, p) for s in range(n)] == [
-                count_faces_poset(ref_arr, s, q) for s in range(n)
-            ]
+            assert p.face_counts == q.face_counts
             mu = mobius_reference(p)
             assert p.mobius_from_bottom == mu[0]
             assert p.face_counts == face_counts_reference(p, mu)
@@ -629,16 +625,11 @@ class TestPosetCounting:
     def test_example_faces(self):
         arr = build_atoms(example_layer())
         p = build_poset(arr)
-        assert count_faces_poset(arr, 1, p) == 12
-        assert count_faces_poset(arr, 0, p) == 5
+        assert p.face_counts[1] == 12
+        assert p.face_counts[0] == 5
 
     def test_three_lines_vertices(self):
-        assert count_faces_poset(build_atoms(three_generic_lines()), 0) == 3
-
-    def test_face_dim_out_of_range(self):
-        arr = build_atoms(example_layer())
-        with pytest.raises(ValueError):
-            count_faces_poset(arr, 2)
+        assert build_poset(build_atoms(three_generic_lines())).face_counts[0] == 3
 
     def test_lp_budget_reaches_the_poset_build(self):
         # The example's poset solves no LP: the ambient space has no rows,
@@ -883,7 +874,7 @@ class TestInvariants:
             arr = build_atoms(l)
             p = build_poset(arr)
             rc = count_regions_bruteforce(l)
-            assert count_regions_poset(arr, p) == rc.regions == dual_region_count(l)
+            assert p.face_counts[n] == rc.regions == dual_region_count(l)
             cells = enumerate_cells(l)
             hist = [0] * (n + 1)
             for c in cells:

@@ -2,9 +2,10 @@
 
 An `assert` statement disappears under `python -O`, so internal invariants
 raise typed errors instead; the package computes with int and Fraction only,
-so no float literal appears in its source; exact elimination lives in linalg
-alone, no other module uses its private names, and _kernel alone writes its
-null-space vectors; solve_lp runs both phases and both entering rules in one
+so no float literal appears in its source; no module imports or reads
+another module's private names; exact elimination lives in linalg alone, no
+other module uses its private names, and _kernel alone writes its null-space
+vectors; solve_lp runs both phases and both entering rules in one
 pivot loop; geometry solves its LPs in three places only, a system's
 common-margin LP only through the system's cache, and the implicit-equality
 LP for affine_dimension alone; a point is checked against a system in
@@ -93,6 +94,44 @@ def test_no_module_uses_a_private_linalg_name():
             if isinstance(n, ast.ImportFrom) and n.module and n.module.endswith("linalg"):
                 found += [f"{path.name}:{n.lineno} {a.name}" for a in n.names if a.name in private]
     assert found == [], f"private linalg names used outside linalg: {found}"
+
+
+def _module_private_names(path):
+    # The _-prefixed names a module defines at its top level.
+    names = set()
+    for s in ast.parse(path.read_text()).body:
+        if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(s.name)
+        elif isinstance(s, (ast.Assign, ast.AnnAssign)):
+            targets = s.targets if isinstance(s, ast.Assign) else [s.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_no_module_uses_another_modules_private_name():
+    # A module's _-prefixed names are its own to change; a caller that
+    # needs one needs a public name that says what it answers.  Both
+    # `from .m import _name` and `m._name` after `from . import m` count,
+    # at any depth.
+    private = {p.stem: _module_private_names(p) for p in SOURCES}
+    assert "_reduce" in private["linalg"] and "_projectivize" in private["network"]
+    found = []
+    for path in SOURCES:
+        nodes = _nodes(path)
+        aliases = {
+            a.asname or a.name: a.name
+            for n in nodes
+            if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module is None
+            for a in n.names
+        }
+        for n in nodes:
+            if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module in private and n.module != path.stem:
+                found += [f"{path.name}:{n.lineno} {n.module}.{a.name}" for a in n.names if a.name in private[n.module]]
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in aliases:
+                module = aliases[n.value.id]
+                if module != path.stem and n.attr in private.get(module, ()):
+                    found.append(f"{path.name}:{n.lineno} {module}.{n.attr}")
+    assert found == [], f"private names used outside their module: {found}"
 
 
 def test_solve_lp_has_one_pivot_loop():
@@ -403,12 +442,12 @@ def test_subsum_sides_builds_atoms_only_without_assumed_simplicity():
 
 
 def test_flat_certificate_uses_rank_alone():
-    # The certificate sample_generic tries first answers with linalg.rank
-    # alone; an LP, a geometry question or an atom inside it would spend
-    # what it exists to save.
+    # The certificate sample_generic and the Weibel certificate try first
+    # answers with linalg.rank alone; an LP, a geometry question or an atom
+    # inside it would spend what it exists to save.
     path = next(p for p in SOURCES if p.name == "network.py")
     tree = ast.parse(path.read_text(), filename=str(path))
-    cert = next(s for s in tree.body if getattr(s, "name", None) == "_flats_transverse")
+    cert = next(s for s in tree.body if getattr(s, "name", None) == "flats_transverse")
     geometry = next(p for p in SOURCES if p.name == "geometry.py")
     banned = {"solve_lp", "build_atoms", "is_simple", "geometry"} | {
         s.name for s in ast.parse(geometry.read_text()).body if isinstance(s, (ast.FunctionDef, ast.ClassDef))
@@ -421,7 +460,7 @@ def test_flat_certificate_uses_rank_alone():
     names = {n.id for n in nodes if isinstance(n, ast.Name)}
     names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     found = names & banned
-    assert found == set(), f"_flats_transverse refers to {sorted(found)}"
+    assert found == set(), f"flats_transverse refers to {sorted(found)}"
 
 
 def test_margin_lp_is_solved_only_by_the_system_cache():

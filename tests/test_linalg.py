@@ -93,14 +93,22 @@ def test_solve_affine_matches_reference(rows, dim):
     sol = solve_affine(eqs, dim)
     assert sol.rank == rank_reference(a)
     assert sol.consistent == (rank_reference([[*c, r] for c, r in eqs]) == sol.rank)
-    if sol.consistent and sol.rank == dim:
-        assert len(sol.point) == dim and all(dot(c, sol.point) == r for c, r in eqs)
+    if sol.consistent:
+        # The solution with free coordinates 0: a column of A is free when
+        # it adds no rank to the columns before it.
+        free = [j for j in range(dim) if rank_reference([c[: j + 1] for c in a]) == rank_reference([c[:j] for c in a])]
+        assert len(sol.point) == dim and all(sol.point[j] == 0 for j in free)
+        assert all(dot(c, sol.point) == r for c, r in eqs)
     else:
         assert sol.point is None
-    if sol.rank == dim - 1:
-        assert [sol.direction] == nullspace_basis_reference(a, dim)
-    else:
-        assert sol.direction is None
+    # Each kernel vector is a nonzero multiple of the reference's, inconsistent
+    # systems included: the kernel is A's alone.
+    ref = nullspace_basis_reference(a, dim)
+    assert len(sol.kernel) == len(ref)
+    for v, w in zip(sol.kernel, ref):
+        k = next(j for j, x in enumerate(w) if x)
+        scale = Fraction(v[k]) / w[k]
+        assert scale != 0 and all(x == scale * y for x, y in zip(v, w)), (v, w)
 
 
 def test_integer_row_scales_by_the_lcm_without_gcd_reduction():

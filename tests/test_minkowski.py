@@ -5,7 +5,7 @@ import pytest
 
 from tropic.arrangement import count_regions_bruteforce
 from tropic.bounds import binom
-from tropic import minkowski
+from tropic import minkowski, verify
 from tropic.linalg import integer_row
 from tropic.linprog import (
     DANTZIG,
@@ -30,7 +30,6 @@ from tropic.minkowski import (
     point_set,
     serialize_point_set,
     upper_vertex_count,
-    vertex_count,
     weibel_upper_identity,
 )
 from tropic.network import (
@@ -333,14 +332,14 @@ class TestDuality:
             l = sample_generic(2, (3, 2), NO_BIAS, seed=seed)
             regions = count_regions_bruteforce(l).regions
             total = minkowski_sum(lift_layer(l))
-            assert regions == vertex_count(total)
+            assert regions == classify_vertices(total).vertex_count
 
     def test_nobias_counts_all_vertices(self):
         # Without bias the dual count is the vertex count of the whole sum,
         # not its upper vertices.
         l = sample_generic(2, (2, 2), NO_BIAS, seed=0)
         total = minkowski_sum(lift_layer(l))
-        assert count_regions_bruteforce(l).regions == dual_region_count(l) == vertex_count(total)
+        assert count_regions_bruteforce(l).regions == dual_region_count(l) == classify_vertices(total).vertex_count
         assert dual_region_count(l) != upper_vertex_count(total)
 
 
@@ -354,6 +353,11 @@ class TestWeibelIdentity:
         sets = sample_weibel_family(2, 4, 3, seed=21)
         chk = weibel_upper_identity(sets)
         assert chk.lhs == chk.rhs
+
+    def test_sampler_refuses_after_its_attempts(self, monkeypatch):
+        monkeypatch.setattr(verify, "WEIBEL_ATTEMPTS", 0)
+        with pytest.raises(ValueError, match="no certified family in 0 attempts"):
+            sample_weibel_family(1, 3, 2, seed=12)
 
     def test_too_few_summands(self):
         with pytest.raises(ValueError, match="m >= n\\+1"):

@@ -17,7 +17,6 @@ from tropic.network import (
     MaxoutUnitSpec,
     NetworkParseError,
     NetworkSpec,
-    _flats_transverse,
     _generic_by_lp,
     _primes_above,
     _projectivize,
@@ -30,6 +29,7 @@ from tropic.network import (
     evaluate,
     evaluate_layer,
     evaluate_unit,
+    flats_transverse,
     homogenize,
     layer,
     parse_network,
@@ -150,6 +150,9 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(single_layer_network(example_layer()), (Fraction(1),))
+        for x in [(Fraction(1),), (Fraction(1),) * 3]:
+            with pytest.raises(ValueError, match="input dimension mismatch"):
+                evaluate_layer(example_layer(), x)
 
     def test_homogenized_layer_restricts_to_the_layer_at_last_coordinate_one(self):
         h = homogenize(example_layer())
@@ -171,6 +174,11 @@ class TestActivationPattern:
         # 2y = x+y+1 = 2 has the unique solution (0, 1).
         pat = activation_pattern(example_layer(), (Fraction(0), Fraction(1)))
         assert pat[0] == frozenset({1, 2, 3})
+
+    def test_refuses_an_input_of_the_wrong_length(self):
+        for x in [(Fraction(1),), (Fraction(1),) * 3]:
+            with pytest.raises(ValueError, match="input dimension mismatch"):
+                activation_pattern(example_layer(), x)
 
     def test_consistency_with_evaluate(self):
         rng = random.Random(3)
@@ -382,9 +390,9 @@ class TestSampleGeneric:
         # The LP path is the oracle; the floors show that both paths, and
         # the rank-1 and repeated-feature units, are exercised.
         certified = lp_only = rank_one = repeated = 0
-        for l, central in self._draws(2104, 1000):
-            by_lp = _generic_by_lp(l, central)
-            if _flats_transverse(central):
+        for l, _ in self._draws(2104, 1000):
+            by_lp = _generic_by_lp(l)
+            if flats_transverse(l):
                 assert by_lp, serialize_network(single_layer_network(l))
                 certified += 1
             else:
@@ -396,8 +404,8 @@ class TestSampleGeneric:
 
     def test_transverse_flats_give_every_unit_an_affine_atom(self):
         certified = 0
-        for l, central in self._draws(8135, 300):
-            if _flats_transverse(central):
+        for l, _ in self._draws(8135, 300):
+            if flats_transverse(l):
                 certified += 1
                 atom_units = {a.unit for a in build_atoms(l).atoms}
                 need = {i + 1 for i, u in enumerate(l.units) if u.rank >= 2}
