@@ -7,6 +7,13 @@ own document: a network, a poset, a cell list or a point set.  Results are
 byte-deterministic for fixed arguments, seed, and input files; wall-clock
 timings live in their own field.
 
+-o writes the document as UTF-8.  A regular file is written in place and
+then cut to the document's length; any other path (a pipe, /dev/null) is
+written as a stream.  It is never truncated to zero first, because on ext4
+closing a file that was truncated to zero starts its writeback, and the
+next truncation waits for it, which stalls a command that rewrites its own
+earlier output whenever the disk is slow.
+
 Exit codes: 0 success, 2 usage (a bad argument, a malformed input, or a
 file that cannot be opened, read as UTF-8 or written), 3 budget exceeded,
 4 precondition or certificate failure, 5 identity violation
@@ -40,6 +47,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import time
 
@@ -139,11 +147,15 @@ def _load_layer(path: str, what: str):
 
 
 def _write_out(args, text: str):
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    """Print a document, or write it to -o in place (see the module docstring)."""
+    if not getattr(args, "output", None):
         print(text)
+        return
+    fd = os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _command_lp_budget(args, parser: argparse.ArgumentParser) -> int:

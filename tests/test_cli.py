@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 
@@ -579,6 +581,79 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
                          "--seed", "1", "-o", str(tmp_path))
     assert (code, out) == (EXIT_USAGE, "")
     assert str(tmp_path) in err
+
+
+NETWORK = object()  # stands for the path of the network an -o command reads
+
+OUTPUT_COMMANDS = {
+    "construct": ("construct", "shallow-max", "--inputs", "2", "--ranks", "3,3", "--seed", "1"),
+    "sample-layer": ("sample", "layer", "--inputs", "2", "--ranks", "2,2", "--seed", "11"),
+    "poset-dump": ("poset", "dump", "--network", NETWORK),
+    "poset-cells": ("poset", "cells", "--network", NETWORK),
+    "lift-sum": ("minkowski", "lift-sum", "--network", NETWORK),
+}
+
+
+def _output_command(tmp_path, capsys, name):
+    """The argv of an -o command, without -o, and the bytes it prints.
+
+    A command that reads a network reads shallow-max (2; 3,3), written
+    from stdout so that no -o write is under test in it."""
+    net = tmp_path / "net.json"
+    _, doc, _ = run(capsys, *OUTPUT_COMMANDS["construct"])
+    net.write_text(doc)
+    argv = [str(net) if a is NETWORK else a for a in OUTPUT_COMMANDS[name]]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    return argv, out.encode()
+
+
+@pytest.mark.parametrize("name", OUTPUT_COMMANDS)
+def test_output_over_a_longer_file_leaves_the_printed_bytes(tmp_path, capsys, name):
+    # -o writes in place and cuts the file to length: no tail of the old,
+    # longer file is left.
+    argv, printed = _output_command(tmp_path, capsys, name)
+    target = tmp_path / "out.json"
+    target.write_bytes(b"#" * (len(printed) + 4096))
+    assert run(capsys, *argv, "-o", str(target)) == (EXIT_OK, "", "")
+    assert target.read_bytes() == printed
+
+
+@pytest.mark.parametrize("name", OUTPUT_COMMANDS)
+def test_output_to_devnull(tmp_path, capsys, name):
+    # /dev/null seeks but cannot be truncated.
+    argv, _ = _output_command(tmp_path, capsys, name)
+    assert run(capsys, *argv, "-o", os.devnull) == (EXIT_OK, "", "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("name", OUTPUT_COMMANDS)
+def test_output_to_a_pipe_delivers_the_document(tmp_path, capsys, name):
+    # A pipe can be neither seeked nor truncated; each document here is
+    # smaller than a pipe's buffer.
+    argv, printed = _output_command(tmp_path, capsys, name)
+    r, w = os.pipe()
+    try:
+        result = run(capsys, *argv, "-o", f"/dev/fd/{w}")
+    finally:
+        os.close(w)
+    with os.fdopen(r, "rb") as fh:
+        delivered = fh.read()
+    assert result == (EXIT_OK, "", "")
+    assert delivered == printed
+
+
+@pytest.mark.parametrize("name", OUTPUT_COMMANDS)
+def test_output_creates_a_file_with_the_umask_mode(tmp_path, capsys, name):
+    argv, printed = _output_command(tmp_path, capsys, name)
+    target = tmp_path / "new.json"
+    umask = os.umask(0o002)
+    try:
+        code, _, _ = run(capsys, *argv, "-o", str(target))
+    finally:
+        os.umask(umask)
+    assert code == EXIT_OK and target.read_bytes() == printed
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~0o002
 
 
 @pytest.mark.parametrize("argv, message", [

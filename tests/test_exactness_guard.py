@@ -22,7 +22,8 @@ difference vectors by their primitive directions, with no rank; every
 integer command-line argument is range-checked; and each refusal is raised
 in one place and reported by main alone: the LP budget is tested by
 require_lp_headroom, and no command handler prints a refusal or picks its
-exit code.
+exit code; and cli._write_out alone opens a file for writing, never
+truncating it to zero first.
 """
 
 import ast
@@ -530,3 +531,38 @@ def test_each_refusal_is_raised_once_and_reported_by_main():
         or (isinstance(n, ast.Attribute) and n.attr == "stderr")
     ]
     assert found == [], f"cli.py: command handlers report refusals at {found}"
+
+
+def _opens_for_writing(n):
+    # open with a w, a, x or + mode, or a mode that is not a string
+    # literal; os.open; and Path.write_text or write_bytes.
+    if not isinstance(n, ast.Call):
+        return False
+    f = n.func
+    if isinstance(f, ast.Attribute):
+        return f.attr in ("write_text", "write_bytes") or (
+            f.attr == "open" and isinstance(f.value, ast.Name) and f.value.id == "os")
+    if isinstance(f, ast.Name) and f.id == "open":
+        mode = n.args[1] if len(n.args) > 1 else next(
+            (k.value for k in n.keywords if k.arg == "mode"), None)
+        if mode is None:
+            return False
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+"))
+    return False
+
+
+def test_only_write_out_opens_a_file_for_writing():
+    # Every document goes to -o through _write_out, which writes a regular
+    # file in place: a file truncated to zero on close starts its
+    # writeback on ext4, and the next truncation waits for it.
+    sites = {
+        f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}"
+        for path in SOURCES
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        for n in ast.walk(stmt)
+        if _opens_for_writing(n)
+    }
+    assert sites == {"cli.py:_write_out"}, sites
+    names = _names_in_body("cli.py", "_write_out")
+    assert "O_CREAT" in names and "O_TRUNC" not in names
