@@ -143,16 +143,13 @@ def _fan_rays(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
     have rank n - 1.  Q^0 has no rays, and its one cell is a bounded point.
 
     A positive scale changes no argmax set, so each unit's gradients are
-    scaled to integers, and everything is exact integer rank and dot
-    products: no LP.
+    scaled to integers (MaxoutUnitSpec.integer_gradients), and everything
+    is exact integer rank and dot products: no LP.
     """
     n = layer.input_dim
     if n == 0:
         return ()
-    grads = []
-    for u in layer.units:
-        ints, _ = linalg.integer_row([x for w in u.weights for x in w])
-        grads.append([ints[k : k + n] for k in range(0, len(ints), n)])
+    grads = [u.integer_gradients() for u in layer.units]
     normals = {
         linalg.primitive([x - y for x, y in zip(a, b)]) for g in grads for a, b in combinations(g, 2)
     }

@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals, on one integer elimination kernel.
 
 Every elimination in tropic (linprog's simplex tableau, rank,
-nullspace_basis, kernel_line and solve_affine) runs on integer rows from
-integer_row: int or Fraction values times the lcm of their denominators,
-not gcd-reduced.  pivot is one fraction-free Gauss-Jordan step of
-Bareiss (1968): each other row becomes
+nullspace_basis, kernel_line, solve_affine and extend_reduction) runs on
+integer rows from integer_row: int or Fraction values times the lcm of
+their denominators, not gcd-reduced.  extend_reduction stacks more
+integer rows below a reduction already made, as network.flats_transverse
+does for each tuple of flats; _reduce, behind rank, nullspace_basis,
+kernel_line and solve_affine, is its case from no rows.  Both end in
+_eliminate, the one column loop.  pivot is one fraction-free
+Gauss-Jordan step of Bareiss (1968): each other row becomes
 (row * piv - row[s] * prow) / den, den the previous pivot, in one pass
 of floor divisions per row.  One equation of row sums checks that every
 division was exact: Python's floor remainders all have the sign of den or
@@ -77,13 +81,40 @@ def pivot(rows: list[list[int]], prow: list[int], s: int, den: int) -> int:
     return piv
 
 
-def _reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """(mat, pivot columns, den) of the nonzero integer rows: row i of mat
-    has den in column pivots[i] and 0 in the other pivot columns, so
-    mat / den is the reduced row echelon form."""
-    mat = [r for r in rows if any(r)]
-    pivots: list[int] = []
-    den = 1
+def extend_reduction(
+    red: tuple[list[list[int]], list[int], int], rows: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], list[int], int]:
+    """The reduction (mat, pivots, den) of the rows that red reduces with
+    the integer rows rows stacked below them; red and rows are left as they
+    are.  Row i of mat has den in column pivots[i] and 0 in the other pivot
+    columns: mat / den is the stack's reduced row echelon form, its rows in
+    the order their pivots were found, and the stack's rank is len(pivots).
+
+    A new row r first becomes den * r - sum(r[pc] * mat[i]) over red's
+    pivot columns pc = pivots[i]: den times r with red's rows cleared out
+    of it, which is the row red's Bareiss steps would have made of it, 0 in
+    every pivot column.  Rows that are then 0 are dropped, and _eliminate's
+    column loop goes on from red's pivots; a new pivot updates red's rows
+    too."""
+    old, pivots, den = red
+    mat = [row[:] for row in old]
+    for r in rows:
+        q = list(r) if den == 1 else [den * a for a in r]
+        for row, pc in zip(old, pivots):
+            f = r[pc]
+            if f:
+                q = [a - f * b for a, b in zip(q, row)]
+        if any(q):
+            mat.append(q)
+    return _eliminate(mat, list(pivots), den)
+
+
+def _eliminate(mat: list[list[int]], pivots: list[int], den: int) -> tuple[list[list[int]], list[int], int]:
+    """The one column loop of every reduction, in place: the first
+    len(pivots) rows of mat are reduced, with den in their pivot columns,
+    and the other rows are 0 in those columns.  Each later column with a
+    nonzero entry in a row not yet pivoted gets the first such row as its
+    pivot row; the rows left over are then 0 and are cut off."""
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
         if r == len(mat):
@@ -94,7 +125,16 @@ def _reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
         mat[r], mat[i] = mat[i], mat[r]
         den = pivot(mat, mat[r], c, den)
         pivots.append(c)
+    del mat[len(pivots) :]
     return mat, pivots, den
+
+
+def _reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """extend_reduction of the integer rows from no rows, where a row's
+    transform is the row itself: the nonzero rows go to _eliminate as they
+    are, and are reduced in place.  Its pivots are in column order, so row
+    i of mat / den is row i of the reduced row echelon form."""
+    return _eliminate([r for r in rows if any(r)], [], 1)
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -60,6 +60,14 @@ class MaxoutUnitSpec:
         """
         return len(set(self.weights)) >= 2
 
+    def integer_gradients(self) -> list[list[int]]:
+        """The weight vectors times one positive integer, the lcm of their
+        denominators: the same argmax sets, ranks and tie flats, in
+        integers."""
+        n = len(self.weights[0])
+        ints, _ = linalg.integer_row([x for w in self.weights for x in w])
+        return [ints[a * n : (a + 1) * n] for a in range(self.rank)]
+
     def features(self) -> list[tuple[Vec, Fraction]]:
         """(weight vector, bias) per preactivation feature; bias 0 when absent."""
         if self.biases is None:
@@ -492,8 +500,8 @@ def _generic_by_lp(l: LayerSpec) -> bool:
 def flats_transverse(l: LayerSpec) -> bool:
     """Whether the tie flats of the units of l's central layer, which
     _projectivize builds here from a with-bias l, are transverse, by
-    linalg.rank alone: if so, the central layer's arrangement is simple and
-    every unit of rank >= 2 of it, and so of l, has an atom.
+    integer ranks alone: if so, the central layer's arrangement is simple
+    and every unit of rank >= 2 of it, and so of l, has an atom.
 
     In Q^N, a unit's flat for a subset S of 2 to min(k, N+1) of its k
     features is the rows f_s0 - f_c, c in S minus its first feature s0: the
@@ -502,6 +510,13 @@ def flats_transverse(l: LayerSpec) -> bool:
     tuple of flats from distinct units, single flats included, has stacked
     rank min(rows, N); a tuple of N rows or more has rank N, and so has
     every extension of it, which is not walked.
+
+    A positive scale changes no rank, so each unit's gradients are scaled
+    to integers once (MaxoutUnitSpec.integer_gradients), and every flat is
+    built once as integer difference rows.  The walk carries each tuple's
+    reduction and extends it by one flat for each longer tuple
+    (linalg.extend_reduction), whose rank is its number of pivots: no
+    stack is reduced from scratch.
 
     Simplicity.  Take closed atoms of j distinct units and x != 0 in their
     intersection C, with T_i the argmax set of unit i at x.  Each T_i holds
@@ -526,24 +541,27 @@ def flats_transverse(l: LayerSpec) -> bool:
     n = central.input_dim
     flats = [
         [
-            [tuple(a - b for a, b in zip(u.weights[s[0]], u.weights[c])) for c in s[1:]]
-            for size in range(2, min(u.rank, n + 1) + 1)
-            for s in combinations(range(u.rank), size)
+            [[x - y for x, y in zip(g[s[0]], g[c])] for c in s[1:]]
+            for size in range(2, min(len(g), n + 1) + 1)
+            for s in combinations(range(len(g)), size)
         ]
-        for u in central.units
+        for g in (u.integer_gradients() for u in central.units)
     ]
 
-    def transverse(start: int, rows: list) -> bool:
+    def transverse(start: int, red: tuple) -> bool:
+        # red reduces a tuple that passed with fewer than N rows, so with
+        # full rank: its rows are its pivots.
         for i in range(start, len(flats)):
             for flat in flats[i]:
-                stacked = rows + flat
-                if linalg.rank(stacked) < min(len(stacked), n):
+                stacked = linalg.extend_reduction(red, flat)
+                rows = len(red[1]) + len(flat)
+                if len(stacked[1]) < min(rows, n):
                     return False
-                if len(stacked) < n and not transverse(i + 1, stacked):
+                if rows < n and not transverse(i + 1, stacked):
                     return False
         return True
 
-    return transverse(0, [])
+    return transverse(0, ([], [], 1))
 
 
 def _projectivize(l: LayerSpec) -> LayerSpec:

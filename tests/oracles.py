@@ -35,6 +35,9 @@ sub-arrangement off one region walk replaced: it walks each sub-layer
 atoms (_require_units_with_atoms).  is_simple_reference is the simplicity
 check that the pruned depth-first search replaced: it checks every atom
 tuple.
+flats_transverse_reference is the flat certificate that integer flats and
+prefix reductions replaced: it stacks each tuple's Fraction rows and asks
+linalg.rank for the rank of the whole stack again.
 """
 
 from __future__ import annotations
@@ -65,9 +68,10 @@ from tropic.geometry import (
     feasible,
     strictly_feasible,
 )
+from tropic import linalg
 from tropic.linalg import dot
 from tropic.minkowski import LabeledPointSet, VertexClassification, classify_vertices, minkowski_sum
-from tropic.network import LayerSpec, NetworkSpec
+from tropic.network import LayerSpec, NetworkSpec, _projectivize
 from tropic.linprog import (
     EQ,
     GE,
@@ -733,6 +737,33 @@ def nullspace_basis_reference(rows: Sequence[Sequence[Fraction]], dim: int) -> l
             v[pc] = -mat[i][fc]
         basis.append(tuple(v))
     return basis
+
+
+def flats_transverse_reference(l: LayerSpec) -> bool:
+    """network.flats_transverse by the Fraction rows of every flat, each
+    tuple's stack ranked from scratch by linalg.rank."""
+    central = _projectivize(l)
+    n = central.input_dim
+    flats = [
+        [
+            [tuple(a - b for a, b in zip(u.weights[s[0]], u.weights[c])) for c in s[1:]]
+            for size in range(2, min(u.rank, n + 1) + 1)
+            for s in combinations(range(u.rank), size)
+        ]
+        for u in central.units
+    ]
+
+    def transverse(start: int, rows: list) -> bool:
+        for i in range(start, len(flats)):
+            for flat in flats[i]:
+                stacked = rows + flat
+                if linalg.rank(stacked) < min(len(stacked), n):
+                    return False
+                if len(stacked) < n and not transverse(i + 1, stacked):
+                    return False
+        return True
+
+    return transverse(0, [])
 
 
 def det_reference(rows: list[list[int]]) -> int:

@@ -444,8 +444,11 @@ def test_subsum_sides_builds_atoms_only_without_assumed_simplicity():
 
 def test_flat_certificate_uses_rank_alone():
     # The certificate sample_generic and the Weibel certificate try first
-    # answers with linalg.rank alone; an LP, a geometry question or an atom
-    # inside it would spend what it exists to save.
+    # answers with ranks from linalg.extend_reduction alone; an LP, a
+    # geometry question or an atom inside it would spend what it exists to
+    # save.  Its walk extends each prefix's reduction by integer flats built
+    # once, so the recursion neither integerizes rows again nor ranks a
+    # whole stack from scratch.
     path = next(p for p in SOURCES if p.name == "network.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     cert = next(s for s in tree.body if getattr(s, "name", None) == "flats_transverse")
@@ -455,13 +458,24 @@ def test_flat_certificate_uses_rank_alone():
     }
     nodes = list(ast.walk(cert))
     assert any(
-        isinstance(n, ast.Attribute) and n.attr == "rank" and isinstance(n.value, ast.Name) and n.value.id == "linalg"
+        isinstance(n, ast.Attribute)
+        and n.attr == "extend_reduction"
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "linalg"
         for n in nodes
     )
     names = {n.id for n in nodes if isinstance(n, ast.Name)}
     names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     found = names & banned
     assert found == set(), f"flats_transverse refers to {sorted(found)}"
+    walk = next(n for n in nodes if isinstance(n, ast.FunctionDef) and n.name == "transverse")
+    called = {
+        n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+        for n in ast.walk(walk)
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))
+    }
+    assert "extend_reduction" in called, called
+    assert called & {"integer_row", "rank"} == set(), f"transverse calls {sorted(called & {'integer_row', 'rank'})}"
 
 
 def test_margin_lp_is_solved_only_by_the_system_cache():

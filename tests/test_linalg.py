@@ -12,6 +12,7 @@ from tropic import linalg
 from tropic.linalg import (
     InternalError,
     dot,
+    extend_reduction,
     integer_row,
     kernel_line,
     nullspace_basis,
@@ -214,3 +215,64 @@ def test_pivot_refuses_an_inexact_division(rows, den):
     # divides its sum 3: each floor remainder is counted, not their total.
     with pytest.raises(InternalError, match="lost exactness"):
         linalg.pivot(rows, rows[0], 0, den)
+
+
+def _draw_rows(rng, nrows, ncols):
+    """Integer rows in which a row may be zero, a scaled copy of an earlier
+    row, or a random row with entries up to 9 and up to 2^40, zeros
+    common."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.choice(["random", "random", "random", "zero", "copy"])
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "copy" and rows:
+            rows.append([rng.choice([-3, -1, 2]) * x for x in rng.choice(rows)])
+        else:
+            big = rng.choice([9, 9, 2**40])
+            rows.append([rng.choice([0, rng.randint(-big, big)]) for _ in range(ncols)])
+    return rows
+
+
+def test_extend_reduction_matches_one_reduction_of_the_stack():
+    # Seeded draws: up to 9 rows in up to 6 columns, cut into blocks, each
+    # extending the reduction of the blocks before it.  After each block,
+    # the rank is the Fraction oracle's, the pivot columns are those that
+    # add rank to the columns before them, and mat / den, rows in pivot
+    # column order, is _reduce's reduced row echelon form of the stack,
+    # which the row space determines.  Neither the extended reduction nor
+    # the block is changed.  The floors show zero and repeated rows, blocks
+    # that complete rank dim and pivots of both signs.
+    rng = random.Random(2104)
+    zero = repeated = completes = 0
+    signs = set()
+    for _ in range(400):
+        ncols = rng.randint(1, 6)
+        rows = _draw_rows(rng, rng.randint(1, 9), ncols)
+        zero += sum(not any(r) for r in rows)
+        nonzero = [primitive(r) for r in rows if any(r)]
+        repeated += len(nonzero) - len(set(nonzero))
+        cuts = sorted(rng.sample(range(1, len(rows)), rng.randint(0, len(rows) - 1)))
+        red = ([], [], 1)
+        for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+            block = [r[:] for r in rows[lo:hi]]
+            before = ([r[:] for r in red[0]], red[1][:], red[2])
+            mat, pivots, den = extend_reduction(red, block)
+            assert red == before and block == rows[lo:hi]
+            stack = [[F(x) for x in r] for r in rows[:hi]]
+            assert len(pivots) == rank_reference(stack)
+            assert sorted(pivots) == [
+                c for c in range(ncols) if rank_reference([r[: c + 1] for r in stack]) > rank_reference([r[:c] for r in stack])
+            ]
+            ref_mat, ref_pivots, ref_den = linalg._reduce([r[:] for r in rows[:hi]])
+            assert ref_pivots == sorted(pivots)
+            order = sorted(range(len(pivots)), key=pivots.__getitem__)
+            assert [[F(x, den) for x in mat[i]] for i in order] == [[F(x, ref_den) for x in r] for r in ref_mat]
+            for row, pc in zip(mat, pivots):
+                assert all(row[c] == (den if c == pc else 0) for c in pivots)
+            if len(pivots) > len(red[1]):
+                signs.add(den > 0)
+                completes += len(pivots) == ncols
+            red = (mat, pivots, den)
+    assert zero >= 500 and repeated >= 150 and completes >= 120, (zero, repeated, completes)
+    assert signs == {True, False}

@@ -41,7 +41,7 @@ from tropic.network import (
     unit,
 )
 
-from oracles import count_regions_line_reference, det_reference
+from oracles import count_regions_line_reference, det_reference, flats_transverse_reference
 
 RELU = unit([[1], [0]], [0, 0])  # max{x, 0}
 
@@ -401,6 +401,36 @@ class TestSampleGeneric:
             repeated += sum(len(set(u.features())) < u.rank for u in l.units)
         assert certified >= 600 and lp_only >= 60, (certified, lp_only)
         assert rank_one >= 600 and repeated >= 100, (rank_one, repeated)
+
+    def test_flat_certificate_matches_the_fraction_rank_walk(self):
+        # flats_transverse_reference ranks each tuple's Fraction stack from
+        # scratch; the certificate extends its prefix's integer reduction.
+        # They agree on the small draws and on draws in Q^4 of units of rank
+        # up to 4, whose flats stack up to four rows; the floors show both
+        # outcomes on each.
+        outcomes = [0, 0]
+        for l, _ in self._draws(2104, 1000):
+            got = flats_transverse(l)
+            assert got == flats_transverse_reference(l), serialize_network(single_layer_network(l))
+            outcomes[got] += 1
+        assert outcomes[True] >= 600 and outcomes[False] >= 200, outcomes
+        rng = random.Random(4)
+        outcomes = [0, 0]
+        for _ in range(200):
+            mag = rng.choice((1, 2, 3, 12))
+            bias = rng.random() < 0.5
+            units = []
+            for _ in range(rng.randint(2, 3)):
+                k = rng.randint(1, 4)
+                units.append(unit(
+                    [[rng.randint(-mag, mag) for _ in range(4)] for _ in range(k)],
+                    [rng.randint(-mag, mag) for _ in range(k)] if bias else None,
+                ))
+            l = layer(units, 4)
+            got = flats_transverse(l)
+            assert got == flats_transverse_reference(l), serialize_network(single_layer_network(l))
+            outcomes[got] += 1
+        assert outcomes[True] >= 120 and outcomes[False] >= 20, outcomes
 
     def test_transverse_flats_give_every_unit_an_affine_atom(self):
         certified = 0
