@@ -5,13 +5,13 @@ An arrangement's atoms are the nonempty codimension-1 indecision boundaries
 between pairs of preactivation features of one unit.  Cells are relatively
 open argmax-signature pieces; full-dimensional cells are exactly the regions
 (components of the complement carry a constant signature, and each signature
-set is convex).
+set is convex).  The regions are read off the layer's homogenized normal fan
+with integer ranks alone (_regions); the cells, whose witnesses are
+reported, are walked by margin LPs (_frontier).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,8 +30,8 @@ from .geometry import (
     feasible,
     strictly_feasible,
 )
-from .linprog import charge_lp_calls, lp_call_count, lp_pivot_count, require_lp_headroom
-from .network import NO_BIAS, WITH_BIAS, LayerSpec, MaxoutUnitSpec, restrict_layer
+from .linprog import require_lp_headroom
+from .network import NO_BIAS, WITH_BIAS, LayerSpec, MaxoutUnitSpec, projectivize, restrict_layer
 from .rational import parse_rational
 
 
@@ -120,27 +120,27 @@ def _nonempty_subsets(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _fan_rays(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
-    """The recession directions of the layer's cells, as argmax bitmasks:
-    for each ray r, bit a of entry i is set when feature a of unit i has
-    the largest gradient product with r.  The closed cell with argmax sets
-    T is unbounded exactly when some entry covers T unit by unit
-    (_region_bounded).
+def _fan_rays(layer: LayerSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
+    """The rays of the normal fan of the layer's Newton polytope
+    sum conv(W_i), each as (r, masks): r its primitive integer vector, and
+    bit a of masks[i] set when feature a of unit i has the largest gradient
+    product with r.  None when the fan is not pointed.
 
-    The cell's recession cone is C_T = {v : T_i is inside argmax_i(v) for
-    every unit i}, a cone of the normal fan of the Newton polytope
-    sum conv(W_i), the common refinement of the units' fans (Gritzmann &
-    Sturmfels 1993; Ziegler 1995, ch. 7), so it is the union of the fan's
-    closed cones whose argmax sets contain T.  If the tie normals
-    w_a - w_b do not span Q^n, a nonzero v orthogonal to all of them ties
-    every unit's features, and every cell is unbounded: the one entry
-    returned has every bit set.  Otherwise the fan is pointed, a nonzero
-    C_T holds one of its rays, and a ray r is exactly a nonzero v whose
-    ties (the normals w_a - w_b with a, b both in argmax_i(v)) have rank
-    n - 1.  Such ties hold n - 1 independent normals, so every ray is +-v
-    for v spanning the null space of n - 1 of them; lines are deduped by
-    their primitive integer vector, and each sign is kept when its ties
-    have rank n - 1.  Q^0 has no rays, and its one cell is a bounded point.
+    The fan is the common refinement of the units' fans (Gritzmann &
+    Sturmfels 1993; Ziegler 1995, ch. 7): its closed cones are the sets
+    where every unit's argmax set holds a given set, so a closed cone
+    C_T = {v : T_i is inside argmax_i(v) for every unit i} is convex and a
+    union of the fan's cones.  If the tie normals w_a - w_b do not span
+    Q^n, a nonzero v orthogonal to all of them ties every unit's features:
+    every C_T holds a line, and None is returned.  Otherwise the fan is
+    pointed, each C_T is the conic hull of the rays it holds, and a ray r
+    is exactly a nonzero v whose ties (the normals w_a - w_b with a, b both
+    in argmax_i(v)) have rank n - 1.  Such ties hold n - 1 independent
+    normals, so every ray is +-v for v spanning the null space of n - 1 of
+    them; lines are deduped by their primitive integer vector, and each
+    sign is kept when its ties have rank n - 1.  Distinct rays lie in
+    distinct relatively open cones, so their masks differ.  Q^0 has no
+    rays.
 
     A positive scale changes no argmax set, so each unit's gradients are
     scaled to integers (MaxoutUnitSpec.integer_gradients), and everything
@@ -155,7 +155,7 @@ def _fan_rays(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
     }
     normals.discard((0,) * n)
     if linalg.rank(list(normals)) < n:
-        return (tuple((1 << u.rank) - 1 for u in layer.units),)
+        return None
 
     def masks(v):
         out, ties = [], []
@@ -167,7 +167,7 @@ def _fan_rays(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
             ties += [[x - y for x, y in zip(g[a], g[tied[0]])] for a in tied[1:]]
         return tuple(out), len(ties) >= n - 1 and linalg.rank(ties) == n - 1
 
-    lines, rays = set(), {}
+    lines, rays = set(), []
     for basis in combinations(sorted(normals), n - 1):
         v = linalg.kernel_line(basis, n)
         if v is None or v in lines:
@@ -176,34 +176,24 @@ def _fan_rays(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
         for r in (v, tuple(-x for x in v)):
             mask, is_ray = masks(r)
             if is_ray:
-                rays[mask] = None
+                rays.append((r, mask))
     return tuple(rays)
 
 
 def _region_bounded(rays, sig) -> bool:
     """Whether the closed cell with argmax sets sig is bounded, with no LP:
-    no ray of _fan_rays has every sig[i] among its argmax bits for unit i."""
+    the layer's fan (_fan_rays) is pointed and no ray of it has every
+    sig[i] among its argmax bits for unit i."""
+    if rays is None:
+        return False
     need = [sum(1 << a for a in c) for c in sig]
-    return not any(all(m & r == m for m, r in zip(need, ray)) for ray in rays)
+    return not any(all(m & r == m for m, r in zip(need, masks)) for _, masks in rays)
 
 
-def _expand(children) -> tuple[list, int, int]:
-    """One frontier batch: the strictly feasible children, in order, each
-    with the margin LP's point where it carried none, and the numbers of
-    LPs solved and of their pivots."""
-    start, pivots = lp_call_count(), lp_pivot_count()
-    out = []
-    for sig, sys, w in children:
-        if w is None:
-            w = strictly_feasible(sys)
-        if w is not None:
-            out.append((sig, sys, w))
-    return out, lp_call_count() - start, lp_pivot_count() - pivots
-
-
-def _frontier(layer: LayerSpec, choices, jobs: int = 1, carry_leaves: bool = True) -> list:
-    """(signature, system, point) of each nonempty cell over the signatures
-    choices[0] x choices[1] x ..., in lexicographic order, with a point
+def _frontier(layer: LayerSpec) -> list:
+    """(signature, system, point) of each nonempty cell, over the
+    signatures whose entry for each unit is a nonempty subset of its
+    features (its argmax set), in lexicographic order, with a point
     strictly feasible on the cell's system.
 
     Level i builds unit i's choice systems once, extends every nonempty
@@ -211,61 +201,39 @@ def _frontier(layer: LayerSpec, choices, jobs: int = 1, carry_leaves: bool = Tru
     only empty extensions, so whole subtrees are pruned.
 
     A node keeps a strictly feasible point: the origin at the root, else its
-    margin LP's point or its parent's.  The child whose choice is unit i's
-    argmax set at its parent's point, the carried child, holds that point
-    strictly (its ties hold there, and each left-out feature is below the
-    max), so it is nonempty and is handed the point with no LP.  A rank-1
-    unit's one child is always carried.  With carry_leaves False the last
-    level carries no child, so every leaf point is its margin LP's own.
-    Every other child costs one margin LP unless it is already solved or
-    its rank decides it (ConstraintSystem.margin_costs_lp): a child's
-    system is its parent's intersected with its choice's, and a rank-1
-    choice, which has no rows, hands the child its parent's system itself.
-    A level with more such children than the current linprog.lp_budget has
-    LPs left raises BudgetExceededError before it solves any.
-
-    The children are built, their equalities reduced and the carried ones
-    picked before that check; they are then split into batches that run
-    inline, or across a pool created once per call with min(jobs, usable
-    CPUs) worker processes, all CPUs where the host cannot tell which are
-    usable.  Pool LPs and their pivots are charged to this process's
-    counters after every batch, which checks the LPs against the budget, so
-    the nodes, the LP and pivot counts of a finished walk and whether the
-    budget is exceeded do not depend on jobs.
+    margin LP's point or its parent's.  Above the last level, the child
+    whose choice is unit i's argmax set at its parent's point, the carried
+    child, holds that point strictly (its ties hold there, and each
+    left-out feature is below the max), so it is nonempty and is handed the
+    point with no LP.  The last level carries no child, so every leaf point
+    is its margin LP's own.  Every other child costs one margin LP unless
+    it is already solved or its rank decides it
+    (ConstraintSystem.margin_costs_lp): a child's system is its parent's
+    intersected with its choice's, and a rank-1 choice, which has no rows,
+    hands the child its parent's system itself.  A level with more such
+    children than the current linprog.lp_budget has LPs left raises
+    BudgetExceededError before it solves any.
     """
     n = layer.input_dim
-    origin = (Fraction(0),) * n
-    if not choices:  # no units: the whole space is the one cell
-        return [((), ConstraintSystem(n), origin)]
-    if jobs > 1:  # a fork pool starts all its workers on its first batch
-        # Only hosts whose C library can set affinity report the usable CPUs.
-        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        jobs = min(jobs, usable)
-    pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
-    nodes = [((), ConstraintSystem(n), origin)]
-    try:
-        for i, (u, unit_choices) in enumerate(zip(layer.units, choices)):
-            last = i == len(choices) - 1
-            level = [(c, _choice_system(n, u, c)) for c in unit_choices]
-            children, needs = [], 0
-            for prefix, parent, w in nodes:
-                held = u.argmax(w) if carry_leaves or not last else None
-                for c, rows in level:
-                    sys = parent.intersection(rows)
-                    point = w if c == held else None
-                    needs += point is None and sys.margin_costs_lp
-                    children.append((prefix + (c,), sys, point))
-            require_lp_headroom(needs)
-            size = max(1, len(children) if pool is None else len(children) // (4 * jobs))
-            batches = [children[k : k + size] for k in range(0, len(children), size)]
-            nodes = []
-            for out, lps, pivots in (map if pool is None else pool.map)(_expand, batches):
-                if pool is not None:
-                    charge_lp_calls(lps, pivots)
-                nodes.extend(out)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    nodes = [((), ConstraintSystem(n), (Fraction(0),) * n)]
+    for i, u in enumerate(layer.units):
+        last = i == len(layer.units) - 1
+        level = [(c, _choice_system(n, u, c)) for c in _nonempty_subsets(u.rank)]
+        children, needs = [], 0
+        for prefix, parent, w in nodes:
+            held = None if last else u.argmax(w)
+            for c, rows in level:
+                sys = parent.intersection(rows)
+                point = w if c == held else None
+                needs += point is None and sys.margin_costs_lp
+                children.append((prefix + (c,), sys, point))
+        require_lp_headroom(needs)
+        nodes = []
+        for sig, sys, w in children:
+            if w is None:
+                w = strictly_feasible(sys)
+            if w is not None:
+                nodes.append((sig, sys, w))
     return nodes
 
 
@@ -275,16 +243,14 @@ def enumerate_cells(layer: LayerSpec) -> list[Cell]:
 
     A unit's choices are the nonempty subsets of its features (the argmax
     set), walked by _frontier, so the LPs track the nonempty cells, not all
-    prod(2^k - 1) signatures.  It carries no leaf, so a cell's witness is
-    its own margin LP's point.  A cell costs no LP beyond its margin LP:
-    its dimension reads that LP, and its boundedness the rays of the
-    layer's fan, built once (_fan_rays).  Cells come out in lexicographic
-    signature order.
+    prod(2^k - 1) signatures.  A cell's witness is its own margin LP's
+    point, and it costs no LP beyond that LP: its dimension reads that LP,
+    and its boundedness the rays of the layer's fan, built once
+    (_fan_rays).  Cells come out in lexicographic signature order.
     """
-    choices = [_nonempty_subsets(u.rank) for u in layer.units]
     rays = _fan_rays(layer)
     cells = []
-    for sig, sys, w in _frontier(layer, choices, carry_leaves=False):
+    for sig, sys, w in _frontier(layer):
         names = tuple(frozenset(a + 1 for a in c) for c in sig)
         cells.append(Cell(names, affine_dimension(sys), _region_bounded(rays, sig), w))
     return cells
@@ -300,27 +266,86 @@ def _dedupe_units(layer: LayerSpec) -> LayerSpec:
     return LayerSpec(layer.input_dim, tuple(units), layer.bias_mode)
 
 
-def _regions(layer: LayerSpec, jobs: int = 1) -> list:
-    """The regions as _frontier's nodes over one singleton choice per
-    feature, after duplicate features are collapsed so strict dominance is
-    meaningful: a signature holds every unit's strict argmax, indexed by
-    _dedupe_units' features."""
-    layer = _dedupe_units(layer)
-    return _frontier(layer, [[(a,) for a in range(u.rank)] for u in layer.units], jobs)
+def _regions(layer: LayerSpec) -> list[tuple[tuple[int, ...], bool]]:
+    """(signature, bounded) of every region, in lexicographic signature
+    order, read off the homogenized fan with integer ranks alone: no LP.  A
+    signature holds every unit's strict argmax, indexed by _dedupe_units'
+    features, so that strict dominance is meaningful.
 
+    The deduped layer's central layer (projectivize) lives in Q^N: a
+    with-bias layer's homogenization, where feature (w, b) is linear on
+    (x, t), plus a unit at infinity with the features t and 0, and a
+    no-bias layer as it is.  For a signature T, the closed cone C_T of the
+    points where each T_i is in unit i's argmax, and t in the argmax at
+    infinity (t >= 0), is a union of cones of the central layer's fan.
+    When that fan is pointed, C_T is the conic hull of the rays it holds
+    (_fan_rays).  No two features of a unit are equal, so every inequality
+    of C_T is a nonzero form, and the interior of C_T is the open region
+    of T (at t > 0, sliced at t = 1).  So the region is nonempty exactly
+    when the rays in C_T have rank N.  Its closure is the slice of C_T at
+    t = 1, whose recession cone is C_T at t = 0: the region is bounded
+    exactly when no ray in C_T has t = 0.  A no-bias layer's regions are
+    cones, each bounded only in Q^0, where there are no rays.
 
-def count_regions_bruteforce(layer: LayerSpec, jobs: int = 1) -> RegionCount:
-    """Region and bounded-region counts by strict-argmax enumeration.
+    The signatures are walked unit by unit, in feature order, each prefix
+    carrying the bitset of the rays in its C_T, from the rays with t >= 0
+    (all rays when there is no bias).  A prefix whose rays have rank below
+    N has no region below it and is pruned, and ranks are memoized per
+    bitset.
 
-    Regions are the full-dimensional cells, i.e. the strict single-argmax
-    patterns with a nonempty interior, walked by _regions.  A region costs
-    no LP beyond its margin LP, and none when it is carried: whether it is
-    bounded is read off the rays of the deduped layer's fan, built once per
-    call (_fan_rays).  The counts, the LPs solved and whether the budget is
-    exceeded are the same for every jobs.
+    The fan is pointed exactly when the gradient differences span Q^n.
+    Otherwise the features depend on x only through its component in their
+    span S, every region holds a line, and the regions are those of the
+    layer restricted to S (restrict_layer at offset 0), which spans its
+    space and keeps every feature distinct: they are counted there, none
+    bounded.
     """
-    rays = _fan_rays(_dedupe_units(layer))
-    bounded = [_region_bounded(rays, sig) for sig, _, _ in _regions(layer, jobs)]
+    layer = _dedupe_units(layer)
+    central = projectivize(layer)
+    rays = _fan_rays(central)
+    if rays is None:
+        n = layer.input_dim
+        diffs = [[x - y for x, y in zip(w, u.weights[0])] for u in layer.units for w in u.weights[1:]]
+        span = linalg.nullspace_basis(linalg.nullspace_basis(diffs, n), n)
+        restricted = restrict_layer(layer, (Fraction(0),) * n, span)
+        return [(sig, False) for sig, _ in _regions(restricted)]
+    dim = central.input_dim
+    vectors = [r for r, _ in rays]
+    with_bias = layer.bias_mode == WITH_BIAS
+    at_infinity = sum(1 << j for j, r in enumerate(vectors) if not with_bias or r[-1] == 0)
+    root = sum(1 << j for j, (_, m) in enumerate(rays) if not with_bias or m[-1] & 1)
+    holds = [
+        [sum(1 << j for j, (_, m) in enumerate(rays) if m[i] >> a & 1) for a in range(u.rank)]
+        for i, u in enumerate(layer.units)
+    ]
+    ranks: dict[int, int] = {}
+
+    def spans(bits: int) -> bool:
+        if bits.bit_count() < dim:
+            return False
+        if bits not in ranks:
+            ranks[bits] = linalg.rank([r for j, r in enumerate(vectors) if bits >> j & 1])
+        return ranks[bits] == dim
+
+    out = []
+
+    def walk(sig: tuple[int, ...], bits: int) -> None:
+        if len(sig) == len(holds):
+            out.append((sig, not bits & at_infinity))
+            return
+        for a, held in enumerate(holds[len(sig)]):
+            child = bits & held
+            if spans(child):
+                walk(sig + (a,), child)
+
+    walk((), root)
+    return out
+
+
+def count_regions_bruteforce(layer: LayerSpec) -> RegionCount:
+    """Region and bounded-region counts by strict-argmax enumeration: the
+    leaves of the fan walk _regions, with integer ranks alone and no LP."""
+    bounded = [b for _, b in _regions(layer)]
     return RegionCount(len(bounded), sum(bounded))
 
 
@@ -502,23 +527,24 @@ def is_simple(arr: Arrangement) -> SimplicityCertificate:
 
 def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, int]:
     """Region count and alternating sum over the <=n-unit sub-arrangements
-    of a subsum identity in Q^n, all read off the signatures of one region
-    walk: r(A_S) is the number of distinct restrictions to S of them (the
-    unitless S keeps the one empty restriction, the one region).
+    of a subsum identity in Q^n, all read off the signatures of one fan
+    walk (_regions): r(A_S) is the number of distinct restrictions to S of
+    them (the unitless S keeps the one empty restriction, the one region).
 
-    The sub-arrangements cost no LP beyond the walk's, and the count is
-    exact.  The argmax over S is constant on a region of A, so that region
-    lies in the region of A_S its restriction names.  Every region of A_S
-    is open and A's regions are dense, so it meets one of them and thus
-    contains it: every region of A_S is named.  Distinct restrictions are
-    distinct strict argmax patterns over S, so they name distinct regions
-    of A_S.  _dedupe_units works unit by unit, so A and A_S index their
-    features alike.
+    The walk solves no LP, the sub-arrangements cost nothing beyond it, and
+    the count is exact.  The argmax over S is constant on a region of A, so
+    that region lies in the region of A_S its restriction names.  Every
+    region of A_S is open and A's regions are dense, so it meets one of
+    them and thus contains it: every region of A_S is named.  Distinct
+    restrictions are distinct strict argmax patterns over S, so they name
+    distinct regions of A_S.  _dedupe_units works unit by unit, so A and
+    A_S index their features alike.
 
     Whether a unit has an atom is read off its gradients
-    (MaxoutUnitSpec.has_atom), so that check solves no LP.  It and the
-    simplicity check, which alone builds atoms, come before the walk, so a
-    refused layer solves none of the walk's LPs.
+    (MaxoutUnitSpec.has_atom), so that check solves no LP.  The simplicity
+    check alone builds atoms and solves LPs, and only when simplicity is
+    not assumed; it and the atom check come before the walk, so a refused
+    layer builds no fan.
     """
     m = layer.width
     if m < n + 1:
@@ -528,7 +554,7 @@ def _subsum_sides(layer: LayerSpec, n: int, assume_simple: bool) -> tuple[int, i
         raise ValueError(f"units {missing} contribute no atoms; drop them before applying the identity")
     if not assume_simple and not is_simple(build_atoms(layer)).simple:
         raise ValueError("arrangement is not simple")
-    sigs = [sig for sig, _, _ in _regions(layer)]
+    sigs = [sig for sig, _ in _regions(layer)]
     return len(sigs), alternating_subsum(
         m, n, lambda S: len({tuple(sig[i] for i in S) for sig in sigs})
     )
@@ -557,7 +583,8 @@ def bounded_region_gap(layer: LayerSpec, g_normal: Sequence) -> GapResult:
     hyperplane {<x, w> = 1}, with the binomial floor of the gap theorem.
 
     Every hyperplane that misses the origin is {<x, w> = 1} for a scaled
-    normal w.  Both counts are the leaves of a walk, with no recession LP.
+    normal w.  Both counts are the leaves of a fan walk (_regions), of the
+    layer and of its restriction to the hyperplane, with no LP.
     """
     if layer.bias_mode != NO_BIAS:
         raise ValueError("gap theorem needs a central (no-bias) layer")

@@ -23,22 +23,24 @@ Commands raise every refusal; main alone prints it and picks the exit code.
 Every command runs under one LP-call budget: --lp-budget where the command
 has that flag, else the environment variable TROPIC_BUDGET_LP, else 10^6.
 It is the only work limit.  Exit 3 means the command would solve more LPs
-than that budget allows; a region or cell walk stops before a level that
-has more children needing an LP than LPs are left.  A child needs one
-unless it is carried (its choice is its unit's argmax set at its parent's
-point) or its system's margin LP is solved or decided by the rank of its
-equalities (ConstraintSystem.margin_costs_lp).  `poset cells` carries no
-child at its last level, so a trailing rank-1 unit's child, whose system
-is its parent's, needs one when that parent was carried.
+than that budget allows.  The pattern region count (`regions count
+--method pattern`) reads the regions off the layer's fan and solves no LP.
+The cell walk of `poset cells` stops before a level that has more children
+needing an LP than LPs are left.  A child needs one unless it is carried
+(its choice is its unit's argmax set at its parent's point) or its
+system's margin LP is solved or decided by the rank of its equalities
+(ConstraintSystem.margin_costs_lp).  The walk carries no child at its last
+level, so a trailing rank-1 unit's child, whose system is its parent's,
+needs one when that parent was carried.
 The budget covers the whole command, so a long `verify identities` run can
-need it raised: with --seed 7 a trial solves about 124 LPs over all suites
-(3,721 over 30 trials), so more than about 8,000 trials need a larger
+need it raised: with --seed 7 a trial solves about 94 LPs over all suites
+(2,832 over 30 trials), so more than about 10,500 trials need a larger
 TROPIC_BUDGET_LP.
 
 Integer arguments are usage errors (exit 2, naming the flag or variable)
 unless they are integers in range: --lp-budget, TROPIC_BUDGET_LP and --seed
-must be >= 0; --jobs, --magnitude, --inputs, --units, --rank and --trials
->= 1; and every entry of --ranks and --widths >= 1.
+must be >= 0; --magnitude, --inputs, --units, --rank and --trials >= 1;
+and every entry of --ranks and --widths >= 1.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def cmd_regions(args) -> int:
                 raise ValueError(f"arrangement is not simple: atoms {cert.violation}")
         for method in methods:
             if method == "pattern":
-                rc = count_regions_bruteforce(layer, jobs=args.jobs)
+                rc = count_regions_bruteforce(layer)
                 results["pattern"] = {"regions": rc.regions, "bounded_regions": rc.bounded_regions}
             elif method == "poset":
                 results["poset"] = {"regions": count_regions_poset(atoms)}
@@ -355,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = r.add_subparsers(dest="kind", required=True)
     rc = rsub.add_parser("count")
     rc.add_argument("--network", required=True)
-    rc.add_argument("--method", choices=["pattern", "poset", "dual", "all"], default="pattern")
+    rc.add_argument("--method", choices=["pattern", "poset", "dual", "all"], default="pattern",
+                    help="pattern: the strict argmax patterns, read off the layer's fan with "
+                         "no LP, with the bounded ones; poset: the intersection poset's "
+                         "Zaslavsky sum; dual: the upper vertices of the Minkowski sum; "
+                         "all: the three, and whether they agree (default pattern)")
     rc.add_argument("--require-simple", action="store_true")
-    rc.add_argument("--jobs", type=_at_least(1), default=1,
-                    help="worker processes for the pattern count (default 1: no pool), "
-                         "at most the number of usable CPUs; results, LP counts and "
-                         "--lp-budget are the same for any value")
     add_budget_flags(rc)
     rc.set_defaults(func=cmd_regions)
 

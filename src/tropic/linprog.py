@@ -63,43 +63,32 @@ _lp_limit: int | None = None  # lp_call_count() may not pass this; None: no limi
 
 class BudgetExceededError(RuntimeError):
     """Raised when LPs would pass the limit of the innermost lp_budget
-    block: the next solve_lp, a worker's charged LPs, or a walk level that
-    needs more LPs than are left.
+    block: the next solve_lp, or a cell walk level that needs more LPs
+    than are left.
 
     The message names the knob to raise (--lp-budget / TROPIC_BUDGET_LP).
     """
 
 
 def lp_call_count() -> int:
-    """Total solve_lp invocations in this process, plus those charged from
-    worker processes; used for budget accounting."""
+    """Total solve_lp invocations in this process; used for budget
+    accounting."""
     return _lp_calls
 
 
 def lp_pivot_count() -> int:
-    """Total simplex tableau pivots of solve_lp in this process, plus those
-    charged from worker processes; like LP calls, a count that does not
-    depend on the host."""
+    """Total simplex tableau pivots of solve_lp in this process; like LP
+    calls, a count that does not depend on the host."""
     return _lp_pivots
 
 
 def require_lp_headroom(count: int) -> None:
     """Raise BudgetExceededError unless count more LPs fit under the current
-    limit; solves and charges nothing.  The one budget test."""
+    limit; solves nothing.  The one budget test."""
     if _lp_limit is not None and _lp_calls + count > _lp_limit:
         raise BudgetExceededError(
             "LP call budget exceeded; raise --lp-budget (env TROPIC_BUDGET_LP)"
         )
-
-
-def charge_lp_calls(count: int, pivots: int = 0) -> None:
-    """Count LPs, and their pivots, that a worker process solved on this
-    process's behalf, and raise BudgetExceededError if the LPs pass the
-    current limit."""
-    global _lp_calls, _lp_pivots
-    _lp_calls += count
-    _lp_pivots += pivots
-    require_lp_headroom(0)
 
 
 @contextmanager
@@ -108,12 +97,7 @@ def lp_budget(limit: int):
 
     solve_lp refuses, uncounted, the LP that would pass the limit.  Nested
     blocks keep the tighter limit, and the previous limit comes back when
-    the block exits, normally or by an exception.  A forked pool worker
-    inherits the limit and can only undercount the caller's total, so a
-    worker that raises has found a real excess.  A spawned worker inherits
-    no limit; the caller's charge after every batch (charge_lp_calls) and
-    its headroom check before every walk level (require_lp_headroom) still
-    hold the budget.
+    the block exits, normally or by an exception.
     """
     global _lp_limit
     saved = _lp_limit
@@ -186,7 +170,7 @@ def solve_lp(
             s = -s
         rows.append((irow, s, ib))
 
-    # A malformed LP is refused above, before it is counted or charged.
+    # A malformed LP is refused above, before it is counted.
     require_lp_headroom(1)
     _lp_calls += 1
 

@@ -489,17 +489,17 @@ def sample_generic(
 def _generic_by_lp(l: LayerSpec) -> bool:
     """sample_generic's certificate by LPs: every rank->=2 unit of l has an
     atom, which its gradients decide with no LP (MaxoutUnitSpec.has_atom),
-    and l's central layer (_projectivize) is simple."""
+    and l's central layer (projectivize) is simple."""
     from .arrangement import build_atoms, is_simple
 
     if any(u.rank >= 2 and not u.has_atom for u in l.units):
         return False
-    return is_simple(build_atoms(_projectivize(l))).simple
+    return is_simple(build_atoms(projectivize(l))).simple
 
 
 def flats_transverse(l: LayerSpec) -> bool:
     """Whether the tie flats of the units of l's central layer, which
-    _projectivize builds here from a with-bias l, are transverse, by
+    projectivize builds here from a with-bias l, are transverse, by
     integer ranks alone: if so, the central layer's arrangement is simple
     and every unit of rank >= 2 of it, and so of l, has an atom.
 
@@ -537,7 +537,7 @@ def flats_transverse(l: LayerSpec) -> bool:
     projectivized, has features of distinct gradients, and so an atom
     (MaxoutUnitSpec.has_atom).
     """
-    central = _projectivize(l)
+    central = projectivize(l)
     n = central.input_dim
     flats = [
         [
@@ -564,10 +564,12 @@ def flats_transverse(l: LayerSpec) -> bool:
     return transverse(0, ([], [], 1))
 
 
-def _projectivize(l: LayerSpec) -> LayerSpec:
-    """The central layer of sample_generic's certificate: a no-bias layer
-    as it is, and a with-bias layer's homogenization plus a unit tying on
-    the hyperplane at infinity, as a no-bias layer in Q^(n+1)."""
+def projectivize(l: LayerSpec) -> LayerSpec:
+    """The central layer of l: a no-bias layer as it is, and a with-bias
+    layer's homogenization plus a unit at infinity, with the features t
+    and 0 (in that order), tying on the hyperplane at infinity, as a
+    no-bias layer in Q^(n+1).  sample_generic's certificate and the
+    region count's fan walk read it."""
     if l.bias_mode != WITH_BIAS:
         return l
     h = homogenize(l)

@@ -29,12 +29,16 @@ Minkowski sum with the product bound, which only the tests check.
 count_regions_line_reference is the line counter that the one pass over
 pieces replaced: it collects tie points depth by depth, re-composing every
 earlier layer from the input at each candidate interval.
+region_walk_reference is the region walk by margin LPs that the fan walk
+(arrangement._regions) replaced, carried children included, and
+count_regions_reference reads its counts, boundedness off the gradient
+fan's rays.
 subsum_sides_reference is the subsum identity evaluation that reading every
 sub-arrangement off one region walk replaced: it walks each sub-layer
-(sub_layer) again, and checks that every unit has an atom by building the
-atoms (_require_units_with_atoms).  is_simple_reference is the simplicity
-check that the pruned depth-first search replaced: it checks every atom
-tuple.
+(sub_layer) again with region_walk_reference, and checks that every unit
+has an atom by building the atoms (_require_units_with_atoms).
+is_simple_reference is the simplicity check that the pruned depth-first
+search replaced: it checks every atom tuple.
 flats_transverse_reference is the flat certificate that integer flats and
 prefix reductions replaced: it stacks each tuple's Fraction rows and asks
 linalg.rank for the rank of the whole stack again.
@@ -53,9 +57,13 @@ from tropic.arrangement import (
     Cell,
     Poset,
     PosetElement,
+    RegionCount,
     SimplicityCertificate,
+    _choice_system,
+    _dedupe_units,
+    _fan_rays,
+    _region_bounded,
     build_atoms,
-    count_regions_bruteforce,
 )
 from tropic.bounds import alternating_subsum
 from tropic.geometry import (
@@ -71,7 +79,7 @@ from tropic.geometry import (
 from tropic import linalg
 from tropic.linalg import dot
 from tropic.minkowski import LabeledPointSet, VertexClassification, classify_vertices, minkowski_sum
-from tropic.network import LayerSpec, NetworkSpec, _projectivize
+from tropic.network import LayerSpec, NetworkSpec, projectivize
 from tropic.linprog import (
     EQ,
     GE,
@@ -80,6 +88,7 @@ from tropic.linprog import (
     UNBOUNDED,
     InternalError,
     LPResult,
+    require_lp_headroom,
     solve_lp,
 )
 
@@ -742,7 +751,7 @@ def nullspace_basis_reference(rows: Sequence[Sequence[Fraction]], dim: int) -> l
 def flats_transverse_reference(l: LayerSpec) -> bool:
     """network.flats_transverse by the Fraction rows of every flat, each
     tuple's stack ranked from scratch by linalg.rank."""
-    central = _projectivize(l)
+    central = projectivize(l)
     n = central.input_dim
     flats = [
         [
@@ -850,6 +859,50 @@ def count_regions_line_reference(net: NetworkSpec) -> int:
     return regions
 
 
+def region_walk_reference(layer: LayerSpec) -> list:
+    """(signature, system, point) of every region, by margin LPs, in
+    lexicographic signature order: the walk over one strict argmax per
+    unit, indexed by _dedupe_units' features, that the fan walk replaced.
+
+    Level i extends every nonempty node by each feature of unit i and keeps
+    the strictly feasible children.  The child whose feature is its unit's
+    single argmax at its parent's point, the carried child, is handed that
+    point with no LP, at every level; every other child costs one margin LP
+    unless it is already solved or decided by rank.  A level with more such
+    children than the current lp_budget has LPs left raises
+    BudgetExceededError before it solves any."""
+    layer = _dedupe_units(layer)
+    n = layer.input_dim
+    nodes = [((), ConstraintSystem(n), (Fraction(0),) * n)]
+    for u in layer.units:
+        level = [(a, _choice_system(n, u, (a,))) for a in range(u.rank)]
+        children, needs = [], 0
+        for prefix, parent, w in nodes:
+            held = u.argmax(w)
+            for a, rows in level:
+                sys = parent.intersection(rows)
+                point = w if (a,) == held else None
+                needs += point is None and sys.margin_costs_lp
+                children.append((prefix + (a,), sys, point))
+        require_lp_headroom(needs)
+        nodes = []
+        for sig, sys, w in children:
+            if w is None:
+                w = strictly_feasible(sys)
+            if w is not None:
+                nodes.append((sig, sys, w))
+    return nodes
+
+
+def count_regions_reference(layer: LayerSpec) -> RegionCount:
+    """Region and bounded-region counts of region_walk_reference: a region
+    is bounded when no ray of the deduped layer's gradient fan has its
+    signature among its argmax bits (arrangement._region_bounded)."""
+    rays = _fan_rays(_dedupe_units(layer))
+    bounded = [_region_bounded(rays, [(a,) for a in sig]) for sig, _, _ in region_walk_reference(layer)]
+    return RegionCount(len(bounded), sum(bounded))
+
+
 def sub_layer(layer: LayerSpec, subset: Iterable[int]) -> LayerSpec:
     """Layer keeping only the (1-based) units in subset."""
     keep = sorted(subset)
@@ -877,9 +930,9 @@ def subsum_sides_reference(layer: LayerSpec, n: int, assume_simple: bool) -> tup
     _require_units_with_atoms(layer, arr)
     if not assume_simple and not is_simple_reference(arr).simple:
         raise ValueError("arrangement is not simple")
-    regions = count_regions_bruteforce(layer).regions
+    regions = len(region_walk_reference(layer))
     return regions, alternating_subsum(
-        m, n, lambda S: count_regions_bruteforce(sub_layer(layer, (i + 1 for i in S))).regions
+        m, n, lambda S: len(region_walk_reference(sub_layer(layer, (i + 1 for i in S))))
     )
 
 

@@ -223,6 +223,14 @@ def test_criterion_5_duality(grid3, grid4):
                   f"{'; bad: ' + str(bad[:3]) if bad else ''}")
 
 
+# Criterion 6's subsum identity grids: trial t samples cell t mod 5, with
+# the seed base plus t.
+NONCENTRAL_CELLS = [(1, (2, 2)), (1, (3, 2)), (2, (2, 2, 2)), (2, (3, 3, 3)), (2, (3, 2, 2, 2))]
+NONCENTRAL_SEED = 31000
+CENTRAL_CELLS = [(2, (2, 2)), (2, (3, 2)), (2, (3, 3)), (3, (2, 2, 2)), (3, (3, 2, 2))]
+CENTRAL_SEED = 32000
+
+
 def test_criterion_6_identity_suites():
     t0 = time.time()
     # Lemma grid m <= 12
@@ -239,16 +247,14 @@ def test_criterion_6_identity_suites():
         chk = identity_reformulation(m, n, ranks)
         assert chk.lhs == chk.rhs
     # subsum identities on 50 seeded simple instances each
-    noncentral_cells = [(1, (2, 2)), (1, (3, 2)), (2, (2, 2, 2)), (2, (3, 3, 3)), (2, (3, 2, 2, 2))]
     for t in range(50):
-        n, ranks = noncentral_cells[t % len(noncentral_cells)]
-        l = sample_generic(n, ranks, WITH_BIAS, seed=31000 + t)
+        n, ranks = NONCENTRAL_CELLS[t % len(NONCENTRAL_CELLS)]
+        l = sample_generic(n, ranks, WITH_BIAS, seed=NONCENTRAL_SEED + t)
         chk = subsum_identity_noncentral(l, assume_simple=True)
         assert chk.lhs == chk.rhs, (n, ranks, t)
-    central_cells = [(2, (2, 2)), (2, (3, 2)), (2, (3, 3)), (3, (2, 2, 2)), (3, (3, 2, 2))]
     for t in range(50):
-        d, ranks = central_cells[t % len(central_cells)]
-        l = sample_generic(d, ranks, NO_BIAS, seed=32000 + t)
+        d, ranks = CENTRAL_CELLS[t % len(CENTRAL_CELLS)]
+        l = sample_generic(d, ranks, NO_BIAS, seed=CENTRAL_SEED + t)
         chk = subsum_identity_central(l, assume_simple=True)
         assert chk.lhs == chk.rhs, (d, ranks, t)
     # upper-face identity on 100 certified families

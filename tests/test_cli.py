@@ -102,9 +102,9 @@ def test_construct_then_count_all_methods(tmp_path, capsys):
 def test_regions_count_lp_cost(tmp_path, capsys):
     # One build_atoms serves is_simple and the poset; the dual count is the
     # upper-vertex count alone.  Per stage: atoms 9, is_simple 0, pattern
-    # 26, poset 0, dual 27 LPs: one drop LP per point of the lifted sum.
-    # The pattern walk's 26 are margin LPs: its regions read their
-    # boundedness off the fan's rays.
+    # 0, poset 0, dual 27 LPs: one drop LP per point of the lifted sum.
+    # The pattern count reads its regions, and their boundedness, off the
+    # layer's fan.
     # In Q^2 two atoms of this generic layer meet in a point and three have
     # inconsistent ties, so is_simple and the poset's point elements are
     # decided by rank, and the ambient space, with no rows, needs no LP.
@@ -114,10 +114,10 @@ def test_regions_count_lp_cost(tmp_path, capsys):
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
         "--seed", "1", "-o", str(net))
     expected = {
-        "pattern": (26, {"pattern": {"regions": 19, "bounded_regions": 7}}),
+        "pattern": (0, {"pattern": {"regions": 19, "bounded_regions": 7}}),
         "poset": (9, {"poset": {"regions": 19}}),
         "dual": (36, {"dual": {"regions": 19}}),
-        "all": (62, {
+        "all": (36, {
             "pattern": {"regions": 19, "bounded_regions": 7},
             "poset": {"regions": 19},
             "dual": {"regions": 19},
@@ -131,15 +131,40 @@ def test_regions_count_lp_cost(tmp_path, capsys):
         assert lp_call_count() - start == lps
         assert results_of(out) == results
         # The pinned count is exactly the budget the command needs.
-        for jobs in ("1", "2"):
-            argv = ("regions", "count", "--network", str(net), "--method", method,
-                    "--jobs", jobs, "--lp-budget")
-            code, out, _ = run(capsys, *argv, str(lps))
-            assert code == EXIT_OK
-            assert results_of(out) == results
+        argv = ("regions", "count", "--network", str(net), "--method", method, "--lp-budget")
+        code, out, _ = run(capsys, *argv, str(lps))
+        assert code == EXIT_OK
+        assert results_of(out) == results
+        if lps:
             code, _, err = run(capsys, *argv, str(lps - 1))
             assert code == EXIT_BUDGET
             assert "TROPIC_BUDGET_LP" in err
+
+
+def test_pattern_count_needs_no_lp_budget(tmp_path, capsys):
+    # The pattern count reads the regions off the layer's fan, so a zero
+    # budget is enough, and the command solves no LP.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3,3",
+        "--seed", "1", "-o", str(net))
+    start = lp_call_count()
+    code, out, _ = run(capsys, "regions", "count", "--network", str(net), "--method", "pattern",
+                       "--lp-budget", "0")
+    assert code == EXIT_OK
+    assert lp_call_count() - start == 0
+    assert '"results": {"pattern": {"bounded_regions": 7, "regions": 19}}' in out
+
+
+def test_regions_count_takes_no_jobs_flag(tmp_path, capsys):
+    # The pattern count runs in this process alone: --jobs is gone, and
+    # passing it is a usage error.
+    net = tmp_path / "net.json"
+    run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
+        "--seed", "1", "-o", str(net))
+    for value in ("1", "2"):
+        code, _, err = run(capsys, "regions", "count", "--network", str(net), "--jobs", value)
+        assert code == EXIT_USAGE
+        assert "--jobs" in err
 
 
 @pytest.mark.parametrize("method,budget", [("poset", 5), ("dual", 35), ("poset", 8)])
@@ -166,11 +191,12 @@ def test_env_budget_bounds_commands_without_the_flag(tmp_path, capsys, monkeypat
     assert "TROPIC_BUDGET_LP" in err
     monkeypatch.setenv("TROPIC_BUDGET_LP", "6")
     assert run(capsys, "minkowski", "classify", "--points", str(f))[0] == EXIT_OK
-    # The flag, where a command has it, overrides the environment.
+    # The flag, where a command has it, overrides the environment.  The
+    # dual count solves 15 LPs on this layer.
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3",
         "--seed", "1", "-o", str(net))
-    argv = ("regions", "count", "--network", str(net))
+    argv = ("regions", "count", "--network", str(net), "--method", "dual")
     assert run(capsys, *argv)[0] == EXIT_BUDGET
     assert run(capsys, *argv, "--lp-budget", "1000")[0] == EXIT_OK
 
@@ -191,8 +217,6 @@ def test_invalid_env_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("argv,env,name", [
     (("regions", "count", "--network", "{net}", "--lp-budget", "-1"), None, "--lp-budget"),
     (("regions", "count", "--network", "{net}"), "-5", "TROPIC_BUDGET_LP"),
-    (("regions", "count", "--network", "{net}", "--jobs", "-4"), None, "--jobs"),
-    (("regions", "count", "--network", "{net}", "--jobs", "0"), None, "--jobs"),
     (("sample", "layer", "--inputs", "2", "--ranks", "2,2", "--seed", "1",
       "--magnitude", "-3"), None, "--magnitude"),
     (("bounds", "prior", "--inputs", "-2", "--units", "3", "--rank", "3"), None, "--inputs"),
@@ -201,7 +225,7 @@ def test_invalid_env_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     (("verify", "identities", "--trials", "-2", "--seed", "1"), None, "--trials"),
     (("construct", "shallow-max", "--inputs", "2", "--ranks", "2,2", "--seed", "-1"),
      None, "--seed"),
-], ids=["lp-budget", "env-budget", "jobs", "zero-jobs", "magnitude", "inputs", "units",
+], ids=["lp-budget", "env-budget", "magnitude", "inputs", "units",
         "rank", "trials", "seed"])
 def test_negative_limits_are_usage_errors(tmp_path, capsys, monkeypatch, argv, env, name):
     net = tmp_path / "net.json"
@@ -219,7 +243,6 @@ def test_limits_at_their_floor_are_accepted(tmp_path, capsys, monkeypatch):
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "2,2",
         "--seed", "1", "-o", str(net))
-    assert run(capsys, "regions", "count", "--network", str(net), "--jobs", "1")[0] == EXIT_OK
     assert run(capsys, "sample", "layer", "--inputs", "2", "--ranks", "2,2", "--seed", "1",
                "--magnitude", "1")[0] == EXIT_OK
     assert run(capsys, "poset", "cells", "--network", str(net),
@@ -233,7 +256,9 @@ def test_limits_at_their_floor_are_accepted(tmp_path, capsys, monkeypatch):
     assert results_of(out)["suites"][0]["passed"] == 1
     monkeypatch.setenv("TROPIC_BUDGET_LP", "0")
     assert run(capsys, "bounds", "shallow", "--inputs", "2", "--ranks", "2,2")[0] == EXIT_OK
-    assert run(capsys, "regions", "count", "--network", str(net))[0] == EXIT_BUDGET
+    assert run(capsys, "regions", "count", "--network", str(net))[0] == EXIT_OK
+    assert run(capsys, "regions", "count", "--network", str(net),
+               "--method", "poset")[0] == EXIT_BUDGET
 
 
 def test_poset_dump_has_no_signature_cap(tmp_path, capsys):
@@ -261,11 +286,13 @@ def test_budget_exit(tmp_path, capsys):
     net = tmp_path / "net.json"
     run(capsys, "construct", "shallow-max", "--inputs", "2", "--ranks", "3,3",
         "--seed", "1", "-o", str(net))
-    code, _, err = run(capsys, "regions", "count", "--network", str(net), "--lp-budget", "2")
+    # The poset count solves 6 LPs on this layer.
+    argv = ("regions", "count", "--network", str(net), "--method", "poset")
+    code, _, err = run(capsys, *argv, "--lp-budget", "2")
     assert code == EXIT_BUDGET
     assert "TROPIC_BUDGET_LP" in err
     # The next in-process command does not inherit the spent budget.
-    assert run(capsys, "regions", "count", "--network", str(net))[0] == EXIT_OK
+    assert run(capsys, *argv)[0] == EXIT_OK
     assert linprog._lp_limit is None
 
 

@@ -15,7 +15,8 @@ alone, the only LP that enters by the largest coefficient rather than by
 Bland's rule; arrangement builds argmax rows in one helper; the line counter
 composes features through restrict_layer alone; the subsum identities walk
 the regions once and build atoms only when simplicity is not assumed; the
-region walk only traverses and takes no leaf function; the flat certificate
+cell walk only traverses, no walk takes a leaf function, and the fan walk
+reaches no LP, atom or poset; the flat certificate
 of sampled layers solves no LP; both constructions build every unit as a
 ladder through _ladder_unit; the Weibel certificate finds parallel
 difference vectors by their primitive directions, with no rank; every
@@ -115,7 +116,7 @@ def test_no_module_uses_another_modules_private_name():
     # `from .m import _name` and `m._name` after `from . import m` count,
     # at any depth.
     private = {p.stem: _module_private_names(p) for p in SOURCES}
-    assert "_reduce" in private["linalg"] and "_projectivize" in private["network"]
+    assert "_reduce" in private["linalg"] and "_ladder_unit" in private["network"]
     found = []
     for path in SOURCES:
         nodes = _nodes(path)
@@ -252,11 +253,10 @@ def test_recession_profile_takes_the_system_alone():
 
 
 def test_walk_leaves_decide_boundedness_with_no_lp():
-    # A region's or a cell's boundedness is read off the rays of the
-    # layer's gradient fan; an LP where the walk's nodes are read, or in
-    # the ray builder, would solve per leaf what the gradients already
-    # decide.
-    for func in ("_region_bounded", "enumerate_cells", "count_regions_bruteforce", "_fan_rays"):
+    # A region's or a cell's boundedness is read off the rays of a fan of
+    # the layer; an LP where the walk's nodes are read, or in the ray
+    # builder, would solve per leaf what the gradients already decide.
+    for func in ("_region_bounded", "enumerate_cells", "count_regions_bruteforce", "_regions", "_fan_rays"):
         found = _names_in_body("arrangement.py", func) & {"solve_lp", "recession_profile", "_at_most"}
         assert found == set(), f"{func} refers to {sorted(found)}"
 
@@ -377,27 +377,68 @@ def _arrangement_function(name):
 
 
 def test_region_walk_only_traverses():
-    # What a leaf becomes is read off the walk's nodes by its caller; a
-    # Cell, a recession LP or a dimension in the walk itself would charge
-    # every caller for what only cell reports need.
-    expand = _arrangement_function("_expand")
-    names = {n.id for n in ast.walk(expand) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(expand) if isinstance(n, ast.Attribute)}
+    # What a leaf becomes is read off the cell walk's nodes by its caller;
+    # a Cell, a recession LP or a dimension in the walk itself would be
+    # work that belongs to the cell report.
+    frontier = _arrangement_function("_frontier")
+    names = {n.id for n in ast.walk(frontier) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(frontier) if isinstance(n, ast.Attribute)}
     found = names & {"Cell", "recession_profile", "affine_dimension"}
-    assert found == set(), f"_expand refers to {sorted(found)}"
+    assert found == set(), f"_frontier refers to {sorted(found)}"
 
 
 def test_frontier_takes_no_leaf_function():
-    # The walk returns its nodes, and each caller reads what it needs off
-    # them in its own process; a callable parameter would let per-leaf work
-    # hide inside the walk, or in its pool workers.
-    frontier = _arrangement_function("_frontier").args
-    names = [a.arg for a in frontier.posonlyargs + frontier.args]
-    assert names == ["layer", "choices", "jobs", "carry_leaves"], names
-    expand = _arrangement_function("_expand").args
-    assert len(expand.posonlyargs + expand.args) == 1
-    for args in (frontier, expand):
-        assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None)
+    # The cell walk and the fan walk each take the layer alone and return
+    # their leaves, and each caller reads what it needs off them; a
+    # callable parameter would let per-leaf work hide inside a walk, and a
+    # flag would make a second walk of it.
+    for func in ("_frontier", "_regions"):
+        args = _arrangement_function(func).args
+        assert [a.arg for a in args.posonlyargs + args.args] == ["layer"], func
+        assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None), func
+
+
+def _functions_reached(starts):
+    # The top-level functions and methods of arrangement.py and network.py
+    # that starts reach, following every name and attribute that is one of
+    # theirs; each maps to the names and attributes its body refers to.
+    defs = {}
+    for name in ("arrangement.py", "network.py"):
+        path = next(p for p in SOURCES if p.name == name)
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            body = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for fn in body:
+                if isinstance(fn, ast.FunctionDef):
+                    nodes = [n for s in fn.body for n in ast.walk(s)]
+                    defs[fn.name] = {n.id for n in nodes if isinstance(n, ast.Name)} | {
+                        n.attr for n in nodes if isinstance(n, ast.Attribute)
+                    }
+    reached, stack = {}, list(starts)
+    while stack:
+        func = stack.pop()
+        if func not in reached:
+            reached[func] = defs[func]
+            stack += [n for n in defs[func] if n in defs]
+    return reached
+
+
+def test_fan_walk_is_an_independent_counter():
+    # The pattern count is one of three region counters that must agree
+    # (ROADMAP aim 3): it reads integer ranks and argmax tests off the
+    # layer's fan.  A geometry or linprog name anywhere it reaches would
+    # make it an LP counter again, and the atoms or the poset would tie it
+    # to the poset count it is checked against.
+    path = next(p for p in SOURCES if p.name == "arrangement.py")
+    banned = {"geometry", "linprog", "atoms", "poset", "build_atoms", "build_poset", "is_simple",
+              "Arrangement", "Atom", "Poset", "count_regions_poset"}
+    for n in _nodes(path):
+        if isinstance(n, ast.ImportFrom) and n.module in ("geometry", "linprog"):
+            banned |= {a.asname or a.name for a in n.names}
+    assert {"strictly_feasible", "require_lp_headroom"} <= banned
+    reached = _functions_reached(["count_regions_bruteforce", "_regions"])
+    assert {"_fan_rays", "_dedupe_units", "projectivize", "restrict_layer", "integer_gradients"} <= set(reached)
+    found = {func: sorted(names & banned) for func, names in reached.items() if names & banned}
+    assert found == {}, found
 
 
 def test_subsum_sides_builds_atoms_only_without_assumed_simplicity():

@@ -17,7 +17,6 @@ from tropic.linprog import (
     UNBOUNDED,
     BudgetExceededError,
     LPResult,
-    charge_lp_calls,
     lp_budget,
     lp_call_count,
     lp_pivot_count,
@@ -25,7 +24,7 @@ from tropic.linprog import (
 )
 from tropic.network import construct_shallow_optimal, construct_shallow_optimal_nobias
 
-from oracles import reference_pivot_count, solve_boxed_lp_by_enumeration, solve_lp_reference
+from oracles import count_regions_reference, reference_pivot_count, solve_boxed_lp_by_enumeration, solve_lp_reference
 
 
 def test_simple_bounded_max():
@@ -146,28 +145,25 @@ def test_largest_coefficient_rule_switches_to_bland_on_beale(monkeypatch):
 # change to the pivot path that alters a single choice moves a count.
 # classify_vertices' drop LPs enter by the largest coefficient, the others
 # by Bland's rule.  The poset count includes the atoms it is built from.
-# The two walks solve margin LPs alone: their leaves read boundedness off
-# the fan's rays.
+# The two LP walks solve margin LPs alone: their leaves read boundedness
+# off the fan's rays.  The region count reads its regions off the fan too,
+# and solves no LP; the LP region walk it replaced is the reference.
 @pytest.mark.parametrize("make, run, lps, pivots", [
-    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 26, 186),
+    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 0, 0),
+    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_reference, 26, 186),
     (
         lambda: minkowski.minkowski_sum(minkowski.lift_layer(construct_shallow_optimal(3, (2,) * 5, seed=1))),
         minkowski.classify_vertices, 32, 215,
     ),
     (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 75, 413),
     (lambda: construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1), lambda l: build_poset(build_atoms(l)), 147, 819),
-], ids=["count_regions_bruteforce", "classify_vertices", "enumerate_cells", "build_poset"])
+], ids=["count_regions_bruteforce", "count_regions_reference", "classify_vertices", "enumerate_cells",
+        "build_poset"])
 def test_lp_and_pivot_counts_of_fixed_stages(make, run, lps, pivots):
     x = make()
     start, pivot_start = lp_call_count(), lp_pivot_count()
     run(x)
     assert (lp_call_count() - start, lp_pivot_count() - pivot_start) == (lps, pivots)
-
-
-def test_charged_pivots_are_counted():
-    start = lp_pivot_count()
-    charge_lp_calls(0, 7)
-    assert lp_pivot_count() - start == 7
 
 
 def test_determinism_bitwise():
@@ -421,13 +417,6 @@ def test_nested_lp_budget_keeps_the_tighter_limit():
         for _ in range(5):
             _one_lp()
     assert lp_call_count() - start == 1
-
-
-def test_charge_past_the_limit_raises():
-    with lp_budget(5):
-        charge_lp_calls(5)
-        with pytest.raises(BudgetExceededError):
-            charge_lp_calls(1)
 
 
 @pytest.mark.parametrize("objective,constraints,nonneg,message", [

@@ -19,7 +19,6 @@ from tropic.network import (
     NetworkSpec,
     _generic_by_lp,
     _primes_above,
-    _projectivize,
     _shift_denominators,
     activation_pattern,
     construct_deep_lower,
@@ -33,6 +32,7 @@ from tropic.network import (
     homogenize,
     layer,
     parse_network,
+    projectivize,
     restrict_layer,
     restrict_network_to_line,
     sample_generic,
@@ -363,7 +363,7 @@ class TestSampleGeneric:
             l = layer(units)
             if not is_simple(build_atoms(l)).simple:
                 non_simple += 1
-                assert not is_simple(build_atoms(_projectivize(l))).simple
+                assert not is_simple(build_atoms(projectivize(l))).simple
         assert non_simple >= 150
 
     @staticmethod
@@ -384,7 +384,7 @@ class TestSampleGeneric:
                     [rng.randint(-mag, mag) for _ in range(k)] if bias else None,
                 ))
             l = layer(units, n)
-            yield l, _projectivize(l) if bias else l
+            yield l, projectivize(l) if bias else l
 
     def test_transverse_flats_never_accept_what_the_lp_path_rejects(self):
         # The LP path is the oracle; the floors show that both paths, and
