@@ -5,19 +5,20 @@ An arrangement's atoms are the nonempty codimension-1 indecision boundaries
 between pairs of preactivation features of one unit.  Cells are relatively
 open argmax-signature pieces; full-dimensional cells are exactly the regions
 (components of the complement carry a constant signature, and each signature
-set is convex).  The regions are read off the layer's homogenized normal fan
-with integer ranks alone (_regions); the cells, whose witnesses are
-reported, are walked by margin LPs (_frontier).
+set is convex).  The cells and their boundedness are read off the layer's
+homogenized normal fan with argmax tests alone, in one walk (_cells); the
+regions are its open cells (_regions), and a reported cell's witness is
+the point of its margin LP, the one LP a cell can cost (enumerate_cells).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
-from operator import mul
+from operator import and_, mul
 from typing import Sequence
 
 from . import linalg
@@ -30,7 +31,7 @@ from .geometry import (
     feasible,
     strictly_feasible,
 )
-from .linprog import require_lp_headroom
+from .linprog import InternalError, require_lp_headroom
 from .network import NO_BIAS, WITH_BIAS, LayerSpec, MaxoutUnitSpec, projectivize, restrict_layer
 from .rational import parse_rational
 
@@ -180,79 +181,117 @@ def _fan_rays(layer: LayerSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(rays)
 
 
-def _region_bounded(rays, sig) -> bool:
-    """Whether the closed cell with argmax sets sig is bounded, with no LP:
-    the layer's fan (_fan_rays) is pointed and no ray of it has every
-    sig[i] among its argmax bits for unit i."""
-    if rays is None:
-        return False
-    need = [sum(1 << a for a in c) for c in sig]
-    return not any(all(m & r == m for m, r in zip(need, masks)) for _, masks in rays)
+def _cells(layer: LayerSpec) -> list[tuple[tuple[tuple[int, ...], ...], bool]]:
+    """(signature, bounded) of every nonempty relatively open cell, in
+    lexicographic signature order, read off the homogenized fan with
+    argmax tests alone: no LP.  A signature holds every unit's argmax set,
+    as a tuple of 0-based features, and bounded says whether the cell's
+    closure is.
 
+    The central layer (projectivize) lives in Q^N: a with-bias layer's
+    homogenization, where feature (w, b) is linear on (x, t), plus a unit
+    at infinity with the features t and 0, and a no-bias layer as it is.
+    A cell of the layer is the slice at t = 1 of the cone of the central
+    layer's points whose argmax sets are its signature, and t in the
+    argmax at infinity alone (t > 0).  For a signature prefix T, the closed
+    cone C_T of the points where each T_i is in unit i's argmax set (and
+    t >= 0) is a union of cones of the central layer's fan.  When that fan
+    is pointed, C_T is the conic hull of the rays it holds (_fan_rays),
+    and its relative interior is their positive hull.  Each feature is
+    linear there, so at a point of it unit i's argmax set is the
+    intersection of the rays' argmax sets, which holds T_i.  A point of
+    C_T outside it is a positive combination of fewer of the rays, whose
+    intersection can only be larger.  So the prefix's cell is nonempty
+    exactly when, for every unit so far, the intersection is T_i (no
+    feature left out of T_i is in every ray's argmax set) and, with bias,
+    one of the rays has t > 0; a C_T with no ray is {0}, where every
+    feature ties.  The closure of a cell is the slice of C_T at t = 1,
+    whose recession cone is C_T at t = 0, so the cell is bounded exactly
+    when no ray of C_T has t = 0.  A no-bias layer's cells are cones, each
+    bounded only when C_T holds no ray.
 
-def _frontier(layer: LayerSpec) -> list:
-    """(signature, system, point) of each nonempty cell, over the
-    signatures whose entry for each unit is a nonempty subset of its
-    features (its argmax set), in lexicographic order, with a point
-    strictly feasible on the cell's system.
+    The signatures are walked unit by unit, each unit's choices in
+    _nonempty_subsets order, each prefix carrying the bitset of the rays
+    in its C_T, from the rays with t >= 0 (all rays when there is no
+    bias), and the bitsets of the rays that miss each left-out feature.  A
+    prefix that fails the test has no cell below it and is pruned.
 
-    Level i builds unit i's choice systems once, extends every nonempty
-    node by them and drops the empty children; an empty prefix cell has
-    only empty extensions, so whole subtrees are pruned.
-
-    A node keeps a strictly feasible point: the origin at the root, else its
-    margin LP's point or its parent's.  Above the last level, the child
-    whose choice is unit i's argmax set at its parent's point, the carried
-    child, holds that point strictly (its ties hold there, and each
-    left-out feature is below the max), so it is nonempty and is handed the
-    point with no LP.  The last level carries no child, so every leaf point
-    is its margin LP's own.  Every other child costs one margin LP unless
-    it is already solved or its rank decides it
-    (ConstraintSystem.margin_costs_lp): a child's system is its parent's
-    intersected with its choice's, and a rank-1 choice, which has no rows,
-    hands the child its parent's system itself.  A level with more such
-    children than the current linprog.lp_budget has LPs left raises
-    BudgetExceededError before it solves any.
+    The fan is pointed exactly when the gradient differences span Q^n.
+    Otherwise the features depend on x only through its component in their
+    span S, every cell holds a line, and the cells are those of the layer
+    restricted to S (restrict_layer at offset 0), which spans its space:
+    they are found there, none bounded.
     """
-    n = layer.input_dim
-    nodes = [((), ConstraintSystem(n), (Fraction(0),) * n)]
+    rays = _fan_rays(projectivize(layer))
+    if rays is None:
+        n = layer.input_dim
+        diffs = [[x - y for x, y in zip(w, u.weights[0])] for u in layer.units for w in u.weights[1:]]
+        span = linalg.nullspace_basis(linalg.nullspace_basis(diffs, n), n)
+        restricted = restrict_layer(layer, (Fraction(0),) * n, span)
+        return [(sig, False) for sig, _ in _cells(restricted)]
+    every = (1 << len(rays)) - 1
+    with_bias = layer.bias_mode == WITH_BIAS
+
+    def ray_set(keep) -> int:
+        return sum(1 << j for j, (r, m) in enumerate(rays) if keep(r, m))
+
+    root = ray_set(lambda r, _: not with_bias or r[-1] >= 0)
+    at_infinity = ray_set(lambda r, _: not with_bias or r[-1] == 0)
+    needs = (ray_set(lambda r, _: r[-1] > 0),) if with_bias else ()
+    levels = []
     for i, u in enumerate(layer.units):
-        last = i == len(layer.units) - 1
-        level = [(c, _choice_system(n, u, c)) for c in _nonempty_subsets(u.rank)]
-        children, needs = [], 0
-        for prefix, parent, w in nodes:
-            held = None if last else u.argmax(w)
-            for c, rows in level:
-                sys = parent.intersection(rows)
-                point = w if c == held else None
-                needs += point is None and sys.margin_costs_lp
-                children.append((prefix + (c,), sys, point))
-        require_lp_headroom(needs)
-        nodes = []
-        for sig, sys, w in children:
-            if w is None:
-                w = strictly_feasible(sys)
-            if w is not None:
-                nodes.append((sig, sys, w))
-    return nodes
+        holds = [ray_set(lambda _, m: m[i] >> a & 1) for a in range(u.rank)]
+        levels.append([
+            (c, reduce(and_, (holds[a] for a in c)), tuple(every ^ h for a, h in enumerate(holds) if a not in c))
+            for c in _nonempty_subsets(u.rank)
+        ])
+
+    out = []
+
+    def walk(sig: tuple, bits: int, misses: tuple[int, ...]) -> None:
+        if len(sig) == len(levels):
+            out.append((sig, not bits & at_infinity))
+            return
+        for c, inside, left_out in levels[len(sig)]:
+            child, more = bits & inside, misses + left_out
+            if all(child & m for m in more):
+                walk(sig + (c,), child, more)
+
+    walk((), root, needs)
+    return out
 
 
 def enumerate_cells(layer: LayerSpec) -> list[Cell]:
     """Every nonempty relatively open argmax-signature cell, with dimension,
-    boundedness of the closure, and a rational witness.
+    boundedness of the closure, and a rational witness, in lexicographic
+    signature order.
 
-    A unit's choices are the nonempty subsets of its features (the argmax
-    set), walked by _frontier, so the LPs track the nonempty cells, not all
-    prod(2^k - 1) signatures.  A cell's witness is its own margin LP's
-    point, and it costs no LP beyond that LP: its dimension reads that LP,
-    and its boundedness the rays of the layer's fan, built once
-    (_fan_rays).  Cells come out in lexicographic signature order.
+    The cells and their boundedness are read off the fan (_cells), so the
+    LPs track the nonempty cells, not all prod(2^k - 1) signatures.  Each
+    cell's system is its units' choice systems, each built once,
+    intersected in unit order (a rank-1 choice has no rows and adds none),
+    and its witness is that system's margin LP's point.  A cell whose
+    margin is decided by rank (ConstraintSystem.margin_costs_lp) costs no
+    LP, and every other one LP, so cells that need more LPs than the
+    current linprog.lp_budget has left raise BudgetExceededError before
+    any is solved.  The dimension reads the same LP, at a positive margin.
     """
-    rays = _fan_rays(layer)
+    n = layer.input_dim
+    choices = [{c: _choice_system(n, u, c) for c in _nonempty_subsets(u.rank)} for u in layer.units]
+    found = []
+    for sig, bounded in _cells(layer):
+        sys = ConstraintSystem(n)
+        for rows, c in zip(choices, sig):
+            sys = sys.intersection(rows[c])
+        found.append((sig, sys, bounded))
+    require_lp_headroom(sum(sys.margin_costs_lp for _, sys, _ in found))
     cells = []
-    for sig, sys, w in _frontier(layer):
+    for sig, sys, bounded in found:
+        w = strictly_feasible(sys)
+        if w is None:
+            raise InternalError(f"cell {sig} of the fan has no strictly feasible point")
         names = tuple(frozenset(a + 1 for a in c) for c in sig)
-        cells.append(Cell(names, affine_dimension(sys), _region_bounded(rays, sig), w))
+        cells.append(Cell(names, affine_dimension(sys), bounded, w))
     return cells
 
 
@@ -268,78 +307,16 @@ def _dedupe_units(layer: LayerSpec) -> LayerSpec:
 
 def _regions(layer: LayerSpec) -> list[tuple[tuple[int, ...], bool]]:
     """(signature, bounded) of every region, in lexicographic signature
-    order, read off the homogenized fan with integer ranks alone: no LP.  A
-    signature holds every unit's strict argmax, indexed by _dedupe_units'
-    features, so that strict dominance is meaningful.
-
-    The deduped layer's central layer (projectivize) lives in Q^N: a
-    with-bias layer's homogenization, where feature (w, b) is linear on
-    (x, t), plus a unit at infinity with the features t and 0, and a
-    no-bias layer as it is.  For a signature T, the closed cone C_T of the
-    points where each T_i is in unit i's argmax, and t in the argmax at
-    infinity (t >= 0), is a union of cones of the central layer's fan.
-    When that fan is pointed, C_T is the conic hull of the rays it holds
-    (_fan_rays).  No two features of a unit are equal, so every inequality
-    of C_T is a nonzero form, and the interior of C_T is the open region
-    of T (at t > 0, sliced at t = 1).  So the region is nonempty exactly
-    when the rays in C_T have rank N.  Its closure is the slice of C_T at
-    t = 1, whose recession cone is C_T at t = 0: the region is bounded
-    exactly when no ray in C_T has t = 0.  A no-bias layer's regions are
-    cones, each bounded only in Q^0, where there are no rays.
-
-    The signatures are walked unit by unit, in feature order, each prefix
-    carrying the bitset of the rays in its C_T, from the rays with t >= 0
-    (all rays when there is no bias).  A prefix whose rays have rank below
-    N has no region below it and is pruned, and ranks are memoized per
-    bitset.
-
-    The fan is pointed exactly when the gradient differences span Q^n.
-    Otherwise the features depend on x only through its component in their
-    span S, every region holds a line, and the regions are those of the
-    layer restricted to S (restrict_layer at offset 0), which spans its
-    space and keeps every feature distinct: they are counted there, none
-    bounded.
-    """
-    layer = _dedupe_units(layer)
-    central = projectivize(layer)
-    rays = _fan_rays(central)
-    if rays is None:
-        n = layer.input_dim
-        diffs = [[x - y for x, y in zip(w, u.weights[0])] for u in layer.units for w in u.weights[1:]]
-        span = linalg.nullspace_basis(linalg.nullspace_basis(diffs, n), n)
-        restricted = restrict_layer(layer, (Fraction(0),) * n, span)
-        return [(sig, False) for sig, _ in _regions(restricted)]
-    dim = central.input_dim
-    vectors = [r for r, _ in rays]
-    with_bias = layer.bias_mode == WITH_BIAS
-    at_infinity = sum(1 << j for j, r in enumerate(vectors) if not with_bias or r[-1] == 0)
-    root = sum(1 << j for j, (_, m) in enumerate(rays) if not with_bias or m[-1] & 1)
-    holds = [
-        [sum(1 << j for j, (_, m) in enumerate(rays) if m[i] >> a & 1) for a in range(u.rank)]
-        for i, u in enumerate(layer.units)
+    order, with no LP: the cells of the deduped layer (_cells) whose
+    choices are all single features.  A signature holds every unit's
+    strict argmax, indexed by _dedupe_units' features.  Such a cell has no
+    tie, so it is open and is a region; and on a region no two distinct
+    features tie, as they would on an open set, so every region is one."""
+    return [
+        (tuple(c for c, in sig), bounded)
+        for sig, bounded in _cells(_dedupe_units(layer))
+        if all(len(c) == 1 for c in sig)
     ]
-    ranks: dict[int, int] = {}
-
-    def spans(bits: int) -> bool:
-        if bits.bit_count() < dim:
-            return False
-        if bits not in ranks:
-            ranks[bits] = linalg.rank([r for j, r in enumerate(vectors) if bits >> j & 1])
-        return ranks[bits] == dim
-
-    out = []
-
-    def walk(sig: tuple[int, ...], bits: int) -> None:
-        if len(sig) == len(holds):
-            out.append((sig, not bits & at_infinity))
-            return
-        for a, held in enumerate(holds[len(sig)]):
-            child = bits & held
-            if spans(child):
-                walk(sig + (a,), child)
-
-    walk((), root)
-    return out
 
 
 def count_regions_bruteforce(layer: LayerSpec) -> RegionCount:

@@ -25,13 +25,8 @@ has that flag, else the environment variable TROPIC_BUDGET_LP, else 10^6.
 It is the only work limit.  Exit 3 means the command would solve more LPs
 than that budget allows.  The pattern region count (`regions count
 --method pattern`) reads the regions off the layer's fan and solves no LP.
-The cell walk of `poset cells` stops before a level that has more children
-needing an LP than LPs are left.  A child needs one unless it is carried
-(its choice is its unit's argmax set at its parent's point) or its
-system's margin LP is solved or decided by the rank of its equalities
-(ConstraintSystem.margin_costs_lp).  The walk carries no child at its last
-level, so a trailing rank-1 unit's child, whose system is its parent's,
-needs one when that parent was carried.
+`poset cells` finds its cells on the fan, and refuses before it solves any
+LP if they need more than are left.
 The budget covers the whole command, so a long `verify identities` run can
 need it raised: with --seed 7 a trial solves about 94 LPs over all suites
 (2,832 over 30 trials), so more than about 10,500 trials need a larger

@@ -14,8 +14,8 @@ simplicity) reduces to three LP formulations here, one per question:
 - containment and recession: the bound LP (_at_most), the maximum of a
   linear form on a nonempty system against a bound: one per outer row in
   contains, one on the recession cone in recession_profile, which serves
-  euler_characteristic.  (The walks in arrangement read a cell's
-  boundedness off the layer's gradient fan and ask no recession LP.)
+  euler_characteristic.  (The fan walk in arrangement reads a cell's
+  boundedness off the layer's homogenized fan and asks no recession LP.)
 
 A system solves its common-margin LP at most once: the result is cached on
 the system, so feasible, strictly_feasible, affine_dimension and the

@@ -63,8 +63,8 @@ _lp_limit: int | None = None  # lp_call_count() may not pass this; None: no limi
 
 class BudgetExceededError(RuntimeError):
     """Raised when LPs would pass the limit of the innermost lp_budget
-    block: the next solve_lp, or a cell walk level that needs more LPs
-    than are left.
+    block: the next solve_lp, or the cells of enumerate_cells when they
+    need more LPs than are left.
 
     The message names the knob to raise (--lp-budget / TROPIC_BUDGET_LP).
     """

@@ -31,8 +31,9 @@ pieces replaced: it collects tie points depth by depth, re-composing every
 earlier layer from the input at each candidate interval.
 region_walk_reference is the region walk by margin LPs that the fan walk
 (arrangement._regions) replaced, carried children included, and
-count_regions_reference reads its counts, boundedness off the gradient
-fan's rays.
+count_regions_reference reads its counts, boundedness by
+region_bounded_reference, the recession profile reference on each leaf's
+system.
 subsum_sides_reference is the subsum identity evaluation that reading every
 sub-arrangement off one region walk replaced: it walks each sub-layer
 (sub_layer) again with region_walk_reference, and checks that every unit
@@ -61,8 +62,6 @@ from tropic.arrangement import (
     SimplicityCertificate,
     _choice_system,
     _dedupe_units,
-    _fan_rays,
-    _region_bounded,
     build_atoms,
 )
 from tropic.bounds import alternating_subsum
@@ -162,7 +161,8 @@ def euler_characteristic_by_decomposition(sys: ConstraintSystem) -> int:
 
 def enumerate_cells_unpruned(layer) -> list[Cell]:
     """Every argmax signature decided on its own, with no prefix pruning:
-    the slow path that the pruned frontier of enumerate_cells replaced.
+    the slow path that the pruned walks of enumerate_cells replaced, each
+    cell's boundedness read by region_bounded_reference.
 
     Signatures run in lexicographic order over each unit's nonempty feature
     subsets.  Each system lists all ties, then all strict dominances, unit
@@ -190,12 +190,11 @@ def enumerate_cells_unpruned(layer) -> list[Cell]:
         w = strictly_feasible(sys)
         if w is None:
             continue
-        prof = recession_profile_reference(sys)
         cells.append(
             Cell(
                 tuple(frozenset(c + 1 for c in t) for t in sig),
                 n - rank_reference([c for c, _ in eqs]),
-                prof.lineality_dim == 0 and prof.pointed_part_bounded,
+                region_bounded_reference(sys),
                 w,
             )
         )
@@ -894,12 +893,17 @@ def region_walk_reference(layer: LayerSpec) -> list:
     return nodes
 
 
+def region_bounded_reference(sys: ConstraintSystem) -> bool:
+    """Whether the closure of a nonempty system's polyhedron is bounded, by
+    recession_profile_reference: no lineality and a bounded pointed part."""
+    prof = recession_profile_reference(sys)
+    return prof.lineality_dim == 0 and prof.pointed_part_bounded
+
+
 def count_regions_reference(layer: LayerSpec) -> RegionCount:
-    """Region and bounded-region counts of region_walk_reference: a region
-    is bounded when no ray of the deduped layer's gradient fan has its
-    signature among its argmax bits (arrangement._region_bounded)."""
-    rays = _fan_rays(_dedupe_units(layer))
-    bounded = [_region_bounded(rays, [(a,) for a in sig]) for sig, _, _ in region_walk_reference(layer)]
+    """Region and bounded-region counts of region_walk_reference, each
+    region's boundedness read by region_bounded_reference off its system."""
+    bounded = [region_bounded_reference(sys) for _, sys, _ in region_walk_reference(layer)]
     return RegionCount(len(bounded), sum(bounded))
 
 

@@ -7,8 +7,6 @@ computed once in module-scoped fixtures and shared across criteria.
 
 import random
 import time
-from collections import Counter
-from fractions import Fraction
 
 import pytest
 

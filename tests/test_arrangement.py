@@ -25,6 +25,7 @@ from tropic.arrangement import (
     subsum_identity_noncentral,
 )
 from tropic.bounds import binom, shallow_formula
+from tropic.geometry import ConstraintSystem
 from tropic.linalg import dot, nullspace_basis
 from tropic.linalg import rank as linalg_rank
 from tropic.linprog import BudgetExceededError, lp_budget, lp_call_count, lp_pivot_count
@@ -53,7 +54,7 @@ from oracles import (
     is_simple_reference,
     mobius_reference,
     poset_from_cells,
-    recession_profile_reference,
+    region_bounded_reference,
     region_walk_reference,
     subsum_sides_reference,
 )
@@ -141,6 +142,16 @@ CARRIED_WALK_COSTS = {
 }
 
 
+def _cell_system(l, signature):
+    # A cell's system as enumerate_cells builds it: its units' choice
+    # systems intersected in unit order.
+    n = l.input_dim
+    sys = ConstraintSystem(n)
+    for u, names in zip(l.units, signature):
+        sys = sys.intersection(arrangement._choice_system(n, u, sorted(a - 1 for a in names)))
+    return sys
+
+
 def refuse_leaf_lps(monkeypatch):
     # A region walk builds no atom, certifies nothing and solves no LP:
     # any call fails the test.
@@ -149,11 +160,6 @@ def refuse_leaf_lps(monkeypatch):
 
     for name in ("build_atoms", "is_simple", "affine_dimension", "strictly_feasible"):
         monkeypatch.setattr(arrangement, name, refuse)
-
-
-def _bounded_by_reference(sys):
-    prof = recession_profile_reference(sys)
-    return prof.lineality_dim == 0 and prof.pointed_part_bounded
 
 
 class TestBuildAtoms:
@@ -212,45 +218,25 @@ class TestEnumerateCells:
             assert lp_call_count() - start == 0
 
     def test_signature_budget(self):
-        # Each unit has 7 cells, so the levels try 7 and 49 signatures.  A
-        # signature whose ties fix a point or contradict each other is
-        # decided by rank, with no LP: unit 1's triple tie on the first
-        # level, and 22 of the 49 on the second.  On the first level the
-        # cell of unit 1's argmax at the origin, feature 3 alone, is
-        # carried with the origin and solves no LP either; the second level
-        # is the last, whose leaves emit their own LP witnesses, so it
-        # carries none.  So the levels solve 5 and 27 LPs, and the leaves
-        # read their boundedness off the fan's rays with no LP: the walk
-        # needs 32.  A budget of 31 leaves 26 for the second level, which
-        # is refused before it solves any; 32 completes.
-        for limit in (10, 31):
+        # The fan finds every cell with no LP, and each cell's margin LP
+        # is its one LP unless rank decides it: a cell whose ties fix a
+        # point.  The example's units have 7 cells each, 49 signatures, of
+        # which the fan finds 25, 5 points among them: it needs 20.  The
+        # (2; 3, 3, 3) construction tries 343 signatures and finds 61 cells,
+        # 12 of them points: it needs 49.  The need is checked before any
+        # LP, so one less solves none, and the need completes.
+        for l, need, dims in [
+            (example_layer(), 20, {2: 8, 1: 12, 0: 5}),
+            (construct_shallow_optimal(2, (3, 3, 3), seed=1), 49, {2: 19, 1: 30, 0: 12}),
+        ]:
             start = lp_call_count()
-            with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(limit):
-                enumerate_cells(example_layer())
-            assert lp_call_count() - start == 5
-        start = lp_call_count()
-        with lp_budget(32):
-            enumerate_cells(example_layer())
-        assert lp_call_count() - start == 32
-
-    def test_signature_cap_bounds_the_widest_level(self):
-        # The levels try 7, 35 and 175 of the 343 signatures.  Those not
-        # decided by rank and not carried with their parent's point cost
-        # one LP each, 5, 19 and 90 (the last level carries none): 114 in
-        # all, as every cell reads its boundedness off the fan's rays with
-        # no LP.  With 113, the last level finds 89 LPs left and solves
-        # none.
-        l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
-        start = lp_call_count()
-        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(113):
-            enumerate_cells(l)
-        assert lp_call_count() - start == 24
-        start = lp_call_count()
-        with lp_budget(114):
-            cells = enumerate_cells(l)
-        assert lp_call_count() - start == 114
-        assert len(cells) == 61
-        assert Counter(c.dim for c in cells) == {2: 19, 1: 30, 0: 12}
+            with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(need - 1):
+                enumerate_cells(l)
+            assert lp_call_count() - start == 0
+            with lp_budget(need):
+                cells = enumerate_cells(l)
+            assert lp_call_count() - start == need
+            assert Counter(c.dim for c in cells) == dims
 
     def test_lp_budget(self):
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(3):
@@ -268,24 +254,21 @@ class TestEnumerateCells:
 
 class TestRankOneUnits:
     # A rank-1 unit's one choice adds no rows, and it is the unit's argmax
-    # everywhere, so its child is carried with its parent's system and
-    # point and solves no LP; two rank-1 units solve none.  The LP region
-    # walk (region_walk_reference) carries at every level.  At the last
-    # level of enumerate_cells nothing is carried, and a trailing rank-1
-    # unit's child solves its parent's margin LP there when the parent was
-    # carried.  A leaf reads its boundedness off the fan's rays with no
-    # LP, so a walk's need is its margin LPs alone.  A level's headroom
-    # counts only the children whose margin LP is unsolved, not decided by
-    # rank and not carried, so a budget equal to the walk's need
-    # completes, and one below it, -1 for two rank-1 units, raises.  The
-    # fan walk (count_regions_bruteforce) gives the LP walk's counts with
-    # no LP under a zero budget.
+    # everywhere.  The LP region walk (region_walk_reference) carries its
+    # child with its parent's system and point and solves no LP for it, so
+    # two rank-1 units solve none.  enumerate_cells reads the cells off the
+    # fan, where a rank-1 unit's one choice prunes nothing, and solves each
+    # cell's margin LP unless rank decides it, wherever the rank-1 unit
+    # stands.  A walk's headroom counts only the LPs it will solve, so a
+    # budget equal to the walk's need completes, and one below it, -1 for
+    # two rank-1 units, raises.  The fan walk (count_regions_bruteforce)
+    # gives the LP walk's counts with no LP under a zero budget.
     @pytest.mark.parametrize(
         "units, pattern_lps, cell_lps",
         [
-            ([R1, EX_UNIT1, EX_UNIT2], 9, 32),
-            ([EX_UNIT1, R1, EX_UNIT2], 9, 32),
-            ([EX_UNIT1, EX_UNIT2, R1], 9, 32),
+            ([R1, EX_UNIT1, EX_UNIT2], 9, 20),
+            ([EX_UNIT1, R1, EX_UNIT2], 9, 20),
+            ([EX_UNIT1, EX_UNIT2, R1], 9, 20),
             ([R1, unit([[0, 1]], [-1])], 0, 0),
         ],
         ids=["first", "middle", "last", "two"],
@@ -293,20 +276,20 @@ class TestRankOneUnits:
     def test_budget_equal_to_the_need_completes(self, units, pattern_lps, cell_lps):
         l = layer(units)
         walks = [
-            (lambda: count_regions_reference(l), pattern_lps),
+            (lambda: region_walk_reference(l), pattern_lps),
             (lambda: enumerate_cells(l), cell_lps),
         ]
-        results = []
         for walk, need in walks:
             with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(need - 1):
                 walk()
             start = lp_call_count()
             with lp_budget(need):
-                results.append(walk())
+                walk()
             assert lp_call_count() - start == need
+        expected = count_regions_reference(l)
         start = lp_call_count()
         with lp_budget(0):
-            assert count_regions_bruteforce(l) == results[0]
+            assert count_regions_bruteforce(l) == expected
         assert lp_call_count() - start == 0
 
 
@@ -340,11 +323,11 @@ class TestCarriedChildren:
             n = l.input_dim
             full = [c for c in enumerate_cells_unpruned(l) if c.dim == n]
             start, pivot_start = lp_call_count(), lp_pivot_count()
-            rc = count_regions_reference(l)
+            leaves = region_walk_reference(l)
             costs[name] = (lp_call_count() - start, lp_pivot_count() - pivot_start)
+            rc = count_regions_reference(l)
             assert rc == RegionCount(len(full), sum(c.bounded for c in full)), name
             deduped = arrangement._dedupe_units(l)
-            leaves = region_walk_reference(l)
             sigs = [tuple(frozenset({a + 1}) for a in sig) for sig, _, _ in leaves]
             assert sigs == [c.signature for c in enumerate_cells_unpruned(deduped) if c.dim == n], name
             for (_, sys, w), names in zip(leaves, sigs):
@@ -358,22 +341,21 @@ class TestCarriedChildren:
 
     @pytest.mark.parametrize("make", ORACLE_LAYERS, ids=ORACLE_LAYER_IDS)
     def test_every_leaf_point_is_strict(self, make):
-        # Every last-level node of the cell walk and of the LP region walk
-        # has a point strict on every inequality of its system, so a cell's
-        # dimension reads a positive margin and solves no implicit-equality
-        # LP; and the boundedness enumerate_cells reads off the gradient
-        # fan's rays, and the fan walk off the homogenized fan's, node by
-        # node, is the reference profile's.
+        # Every cell's witness and every leaf point of the LP region walk
+        # is strict on every inequality of its system, so a cell's dimension
+        # reads a positive margin and solves no implicit-equality LP.  The
+        # cells are the unpruned oracle's, and the boundedness the fan walks
+        # read off the homogenized fan's rays, cell by cell and region by
+        # region, is the reference profile's on the node's system.
         l = make()
-        cell_leaves = arrangement._frontier(l)
-        region_leaves = region_walk_reference(l)
-        for _, sys, w in cell_leaves + region_leaves:
-            assert sys.satisfies(w) and all(dot(c, w) > r for c, r in sys.inequalities)
         cells = enumerate_cells(l)
-        assert [(c.bounded, c.witness) for c in cells] == [
-            (_bounded_by_reference(sys), w) for _, sys, w in cell_leaves
-        ]
-        bounded = [_bounded_by_reference(sys) for _, sys, _ in region_leaves]
+        assert cells == enumerate_cells_unpruned(l)
+        nodes = [(_cell_system(l, c.signature), c.witness) for c in cells]
+        region_leaves = region_walk_reference(l)
+        for sys, w in nodes + [(sys, w) for _, sys, w in region_leaves]:
+            assert sys.satisfies(w) and all(dot(c, w) > r for c, r in sys.inequalities)
+        assert [c.bounded for c in cells] == [region_bounded_reference(sys) for sys, _ in nodes]
+        bounded = [region_bounded_reference(sys) for _, sys, _ in region_leaves]
         assert _regions(l) == [(sig, b) for (sig, _, _), b in zip(region_leaves, bounded)]
         assert count_regions_bruteforce(l) == RegionCount(len(bounded), sum(bounded))
 
@@ -381,10 +363,10 @@ class TestCarriedChildren:
 @st.composite
 def fan_layers(draw):
     # Entries in [-2, 2], n = 0..3, 1 to 4 units of rank 1 to 3, with at
-    # most 49 signatures on a level of the cell walk.  A flat layer has
-    # every gradient 0 on the last coordinate, so its tie normals do not
-    # span Q^n; a unit may repeat a gradient, under another bias or as the
-    # same feature, which the region walk collapses.
+    # most 49 signatures, so the unpruned cell oracle stays cheap.  A flat
+    # layer has every gradient 0 on the last coordinate, so its tie normals
+    # do not span Q^n; a unit may repeat a gradient, under another bias or
+    # as the same feature, which the region walk collapses.
     n = draw(st.integers(0, 3))
     flat = n > 0 and draw(st.integers(0, 3)) == 0
     bias = draw(st.booleans())
@@ -416,21 +398,16 @@ def fan_layers(draw):
 @example(layer([unit([[], []], [0, 1]), unit([[]], [0])], 0))  # Q^0
 @example(construct_shallow_optimal_nobias(2, (3, 3), seed=2))
 def test_fan_rays_decide_boundedness(l):
-    # Every region's and every cell's bounded, read off a fan's rays with
-    # no LP, is the reference recession profile's on the node's system:
-    # the fan walk's regions, off the homogenized fan, come in the LP
-    # region walk's order, and the cell walk's nodes, off the gradient
-    # fan, in enumerate_cells' order.
+    # Every region's and every cell's bounded, read off the homogenized
+    # fan's rays with no LP, is the reference recession profile's on the
+    # node's system: the fan walk's regions come in the LP region walk's
+    # order, and the cells are the unpruned oracle's, which reads each
+    # cell's boundedness by the same reference.
     leaves = region_walk_reference(l)
-    bounded = [_bounded_by_reference(sys) for _, sys, _ in leaves]
+    bounded = [region_bounded_reference(sys) for _, sys, _ in leaves]
     assert _regions(l) == [(sig, b) for (sig, _, _), b in zip(leaves, bounded)]
     assert count_regions_bruteforce(l) == RegionCount(len(bounded), sum(bounded))
-    leaves = arrangement._frontier(l)
-    cells = enumerate_cells(l)
-    assert [c.signature for c in cells] == [
-        tuple(frozenset(a + 1 for a in c) for c in sig) for sig, _, _ in leaves
-    ]
-    assert [c.bounded for c in cells] == [_bounded_by_reference(sys) for _, sys, _ in leaves]
+    assert enumerate_cells(l) == enumerate_cells_unpruned(l)
 
 
 class TestCountRegionsBruteforce:
@@ -485,24 +462,24 @@ def fan_walk_layer(rng, bias):
 
 def _fan_walk_matches_the_lp_walk(l):
     # The fan walk's signatures are the LP region walk's leaves, in order,
-    # each bounded as the deduped layer's gradient fan says
-    # (count_regions_reference's rule), and its counts follow; returns its
-    # (signature, bounded) pairs.
+    # each bounded as the reference recession profile of the leaf's system
+    # says (count_regions_reference's rule), and its counts follow;
+    # returns its (signature, bounded) pairs.
     regions = _regions(l)
-    rays = arrangement._fan_rays(arrangement._dedupe_units(l))
-    assert regions == [
-        (sig, arrangement._region_bounded(rays, [(a,) for a in sig])) for sig, _, _ in region_walk_reference(l)
-    ]
+    assert regions == [(sig, region_bounded_reference(sys)) for sig, sys, _ in region_walk_reference(l)]
     assert count_regions_bruteforce(l) == RegionCount(len(regions), sum(b for _, b in regions))
     return regions
 
 
-def _fan_walk_matches_the_unpruned_cells(l, regions):
+def _fan_walk_matches_the_unpruned_cells(l, regions, unpruned=None):
     # The fan walk's (signature, bounded) pairs are the unpruned oracle's
     # full-dimensional cells, whose boundedness comes from recession LPs,
-    # on the layer with duplicate features collapsed.
+    # on the layer with duplicate features collapsed; unpruned, when
+    # given, is that oracle's list for a layer with no duplicate feature.
     n = l.input_dim
-    full = [c for c in enumerate_cells_unpruned(arrangement._dedupe_units(l)) if c.dim == n]
+    if unpruned is None:
+        unpruned = enumerate_cells_unpruned(arrangement._dedupe_units(l))
+    full = [c for c in unpruned if c.dim == n]
     assert [(tuple(frozenset({a + 1}) for a in sig), b) for sig, b in regions] == [
         (c.signature, c.bounded) for c in full
     ]
@@ -519,8 +496,9 @@ class TestFanWalk:
         _fan_walk_matches_the_unpruned_cells(l, _fan_walk_matches_the_lp_walk(l))
 
     def test_matches_the_lp_walk_on_random_layers(self):
-        # 1,000 fixed-seed layers in Q^1 to Q^3, half with bias.  The floors
-        # show that layers whose gradient differences do not span, layers
+        # 1,000 fixed-seed layers in Q^1 to Q^3, half with bias.  On each,
+        # enumerate_cells is the unpruned oracle's too: signature, dim,
+        # bounded and witness.  The floors show that layers whose gradient differences do not span, layers
         # that restrict to Q^0, repeated features and rank-1 units are all
         # exercised, with and without bias, and so are bounded regions.
         rng = random.Random(36)
@@ -529,7 +507,9 @@ class TestFanWalk:
             bias = i % 2 == 0
             l = fan_walk_layer(rng, bias)
             regions = _fan_walk_matches_the_lp_walk(l)
-            _fan_walk_matches_the_unpruned_cells(l, regions)
+            cells = enumerate_cells_unpruned(l)
+            assert enumerate_cells(l) == cells
+            _fan_walk_matches_the_unpruned_cells(l, regions, cells if arrangement._dedupe_units(l) == l else None)
             diffs = [[x - y for x, y in zip(w, u.weights[0])] for u in l.units for w in u.weights[1:]]
             span = len(diffs) and linalg_rank(diffs)
             mode = "bias" if bias else "no bias"

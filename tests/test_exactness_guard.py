@@ -253,10 +253,11 @@ def test_recession_profile_takes_the_system_alone():
 
 
 def test_walk_leaves_decide_boundedness_with_no_lp():
-    # A region's or a cell's boundedness is read off the rays of a fan of
-    # the layer; an LP where the walk's nodes are read, or in the ray
-    # builder, would solve per leaf what the gradients already decide.
-    for func in ("_region_bounded", "enumerate_cells", "count_regions_bruteforce", "_regions", "_fan_rays"):
+    # A region's or a cell's boundedness is read off the rays of the
+    # layer's homogenized fan by the walk itself; an LP there, where the
+    # walk's leaves are read, or in the ray builder, would solve per leaf
+    # what the gradients already decide.
+    for func in ("_cells", "enumerate_cells", "count_regions_bruteforce", "_regions", "_fan_rays"):
         found = _names_in_body("arrangement.py", func) & {"solve_lp", "recession_profile", "_at_most"}
         assert found == set(), f"{func} refers to {sorted(found)}"
 
@@ -377,22 +378,23 @@ def _arrangement_function(name):
 
 
 def test_region_walk_only_traverses():
-    # What a leaf becomes is read off the cell walk's nodes by its caller;
-    # a Cell, a recession LP or a dimension in the walk itself would be
-    # work that belongs to the cell report.
-    frontier = _arrangement_function("_frontier")
-    names = {n.id for n in ast.walk(frontier) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(frontier) if isinstance(n, ast.Attribute)}
-    found = names & {"Cell", "recession_profile", "affine_dimension"}
-    assert found == set(), f"_frontier refers to {sorted(found)}"
+    # What a leaf becomes is read off the cell walk's leaves by its
+    # caller; a Cell, a system, an LP or a dimension in the walk itself
+    # would be work that belongs to the cell report.
+    walk = _arrangement_function("_cells")
+    names = {n.id for n in ast.walk(walk) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(walk) if isinstance(n, ast.Attribute)}
+    found = names & {"Cell", "ConstraintSystem", "solve_lp", "feasible", "strictly_feasible",
+                     "require_lp_headroom", "recession_profile", "affine_dimension"}
+    assert found == set(), f"_cells refers to {sorted(found)}"
 
 
 def test_frontier_takes_no_leaf_function():
-    # The cell walk and the fan walk each take the layer alone and return
-    # their leaves, and each caller reads what it needs off them; a
-    # callable parameter would let per-leaf work hide inside a walk, and a
-    # flag would make a second walk of it.
-    for func in ("_frontier", "_regions"):
+    # The fan walk, and the region walk on it, each take the layer alone
+    # and return their leaves, and each caller reads what it needs off
+    # them; a callable parameter would let per-leaf work hide inside a
+    # walk, and a flag would make a second walk of it.
+    for func in ("_cells", "_regions"):
         args = _arrangement_function(func).args
         assert [a.arg for a in args.posonlyargs + args.args] == ["layer"], func
         assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None), func

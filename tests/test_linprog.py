@@ -145,17 +145,19 @@ def test_largest_coefficient_rule_switches_to_bland_on_beale(monkeypatch):
 # change to the pivot path that alters a single choice moves a count.
 # classify_vertices' drop LPs enter by the largest coefficient, the others
 # by Bland's rule.  The poset count includes the atoms it is built from.
-# The two LP walks solve margin LPs alone: their leaves read boundedness
-# off the fan's rays.  The region count reads its regions off the fan too,
-# and solves no LP; the LP region walk it replaced is the reference.
+# The region count reads its regions off the fan and solves no LP.  The
+# reference counter it replaced solves the LP region walk's 26 margin LPs
+# (186 pivots) and two reference recession LPs per region.  The cells are
+# read off the fan too, and enumerate_cells solves one margin LP per cell
+# whose margin rank does not decide.
 @pytest.mark.parametrize("make, run, lps, pivots", [
     (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_bruteforce, 0, 0),
-    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_reference, 26, 186),
+    (lambda: construct_shallow_optimal(2, (3, 3, 3), seed=1), count_regions_reference, 64, 526),
     (
         lambda: minkowski.minkowski_sum(minkowski.lift_layer(construct_shallow_optimal(3, (2,) * 5, seed=1))),
         minkowski.classify_vertices, 32, 215,
     ),
-    (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 75, 413),
+    (lambda: construct_shallow_optimal(2, (3, 3, 2), seed=1), enumerate_cells, 35, 229),
     (lambda: construct_shallow_optimal_nobias(3, (3, 3, 3), seed=1), lambda l: build_poset(build_atoms(l)), 147, 819),
 ], ids=["count_regions_bruteforce", "count_regions_reference", "classify_vertices", "enumerate_cells",
         "build_poset"])
