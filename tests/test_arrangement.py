@@ -222,21 +222,29 @@ class TestEnumerateCells:
         # is its one LP unless rank decides it: a cell whose ties fix a
         # point.  The example's units have 7 cells each, 49 signatures, of
         # which the fan finds 25, 5 points among them: it needs 20.  The
-        # (2; 3, 3, 3) construction tries 343 signatures and finds 61 cells,
-        # 12 of them points: it needs 49.  The need is checked before any
-        # LP, so one less solves none, and the need completes.
-        for l, need, dims in [
-            (example_layer(), 20, {2: 8, 1: 12, 0: 5}),
-            (construct_shallow_optimal(2, (3, 3, 3), seed=1), 49, {2: 19, 1: 30, 0: 12}),
-        ]:
-            start = lp_call_count()
-            with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(need - 1):
-                enumerate_cells(l)
-            assert lp_call_count() - start == 0
-            with lp_budget(need):
-                cells = enumerate_cells(l)
-            assert lp_call_count() - start == need
-            assert Counter(c.dim for c in cells) == dims
+        # need is checked before any LP, so one less solves none, and the
+        # need completes.
+        self._check_need(example_layer(), 20, {2: 8, 1: 12, 0: 5})
+
+    def test_signature_cap_bounds_the_widest_level(self):
+        # The (2; 3, 3, 3) construction tries 343 signatures and finds 61
+        # cells, 12 of them points, so the widest layer needs 49 LPs in
+        # all; with 48 it is refused before it solves any.
+        l = construct_shallow_optimal(2, (3, 3, 3), seed=1)
+        cells = self._check_need(l, 49, {2: 19, 1: 30, 0: 12})
+        assert len(cells) == 61
+
+    @staticmethod
+    def _check_need(l, need, dims):
+        start = lp_call_count()
+        with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(need - 1):
+            enumerate_cells(l)
+        assert lp_call_count() - start == 0
+        with lp_budget(need):
+            cells = enumerate_cells(l)
+        assert lp_call_count() - start == need
+        assert Counter(c.dim for c in cells) == dims
+        return cells
 
     def test_lp_budget(self):
         with pytest.raises(BudgetExceededError, match="TROPIC_BUDGET_LP"), lp_budget(3):
