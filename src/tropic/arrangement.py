@@ -122,63 +122,90 @@ def _nonempty_subsets(k: int) -> list[tuple[int, ...]]:
 
 
 def _fan_rays(layer: LayerSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
-    """The rays of the normal fan of the layer's Newton polytope
-    sum conv(W_i), each as (r, masks): r its primitive integer vector, and
-    bit a of masks[i] set when feature a of unit i has the largest gradient
-    product with r.  None when the fan is not pointed.
+    """The rays of the normal fan of the Newton polytope sum conv(W_i) of
+    the layer's central layer (projectivize), each as (r, masks): r its
+    primitive integer vector, and bit a of masks[i] set when feature a of
+    unit i has the largest gradient product with r.  With bias only the
+    rays with t >= 0 (last coordinate) are returned, the ones a cell's cone
+    can hold.  None when the fan is not pointed.
 
     The fan is the common refinement of the units' fans (Gritzmann &
     Sturmfels 1993; Ziegler 1995, ch. 7): its closed cones are the sets
     where every unit's argmax set holds a given set, so a closed cone
     C_T = {v : T_i is inside argmax_i(v) for every unit i} is convex and a
     union of the fan's cones.  If the tie normals w_a - w_b do not span
-    Q^n, a nonzero v orthogonal to all of them ties every unit's features:
+    Q^N, a nonzero v orthogonal to all of them ties every unit's features:
     every C_T holds a line, and None is returned.  Otherwise the fan is
     pointed, each C_T is the conic hull of the rays it holds, and a ray r
     is exactly a nonzero v whose ties (the normals w_a - w_b with a, b both
-    in argmax_i(v)) have rank n - 1.  Such ties hold n - 1 independent
-    normals, so every ray is +-v for v spanning the null space of n - 1 of
-    them; lines are deduped by their primitive integer vector, and each
-    sign is kept when its ties have rank n - 1.  Distinct rays lie in
-    distinct relatively open cones, so their masks differ.  Q^0 has no
-    rays.
+    in argmax_i(v), the normals active at v) span v's orthogonal
+    complement.
+
+    The candidates are +-v for v spanning the null space of a sorted
+    (N - 1)-subset of the primitive normals, a basis, and r is kept when
+    every normal of the basis is active at r, that is, made by a pair of
+    features that both lie in the argmax set of their unit at r.  A kept
+    r is a ray: its active normals hold the basis, of rank N - 1, and all
+    are orthogonal to r != 0.  Every ray is kept: its active normals span
+    r's orthogonal complement, so some sorted (N - 1)-subset of them is an
+    independent basis, all active at r.  A ray may first be met through a
+    basis with a normal that is not active at it, so rays, not lines, are
+    deduped.  One pass of gradient products per line gives the masks of
+    both signs, the largest products for v and the smallest for -v.
+    Distinct rays lie in distinct relatively open cones, so their masks
+    differ.  Q^0 has no rays.
 
     A positive scale changes no argmax set, so each unit's gradients are
     scaled to integers (MaxoutUnitSpec.integer_gradients), and everything
     is exact integer rank and dot products: no LP.
     """
-    n = layer.input_dim
+    central = projectivize(layer)
+    n = central.input_dim
     if n == 0:
         return ()
-    grads = [u.integer_gradients() for u in layer.units]
-    normals = {
-        linalg.primitive([x - y for x, y in zip(a, b)]) for g in grads for a, b in combinations(g, 2)
-    }
-    normals.discard((0,) * n)
-    if linalg.rank(list(normals)) < n:
+    grads = [u.integer_gradients() for u in central.units]
+    makers = {}  # primitive normal -> (unit, bitmask of its feature pair) per pair
+    for i, g in enumerate(grads):
+        for a, b in combinations(range(len(g)), 2):
+            p = linalg.primitive([x - y for x, y in zip(g[a], g[b])])
+            if any(p):
+                makers.setdefault(p, []).append((i, 1 << a | 1 << b))
+    if linalg.rank(list(makers)) < n:
         return None
+    with_bias = layer.bias_mode == WITH_BIAS
 
-    def masks(v):
-        out, ties = [], []
+    def masks(v):  # (masks of v, masks of -v)
+        top, bottom = [], []
         for g in grads:
-            values = [sum(map(mul, w, v)) for w in g]
-            top = max(values)
-            tied = [a for a, x in enumerate(values) if x == top]
-            out.append(sum(1 << a for a in tied))
-            ties += [[x - y for x, y in zip(g[a], g[tied[0]])] for a in tied[1:]]
-        return tuple(out), len(ties) >= n - 1 and linalg.rank(ties) == n - 1
+            hi = lo = sum(map(mul, g[0], v))
+            up = down = 1
+            for a in range(1, len(g)):
+                x = sum(map(mul, g[a], v))
+                if x > hi:
+                    hi, up = x, 1 << a
+                elif x == hi:
+                    up |= 1 << a
+                if x < lo:
+                    lo, down = x, 1 << a
+                elif x == lo:
+                    down |= 1 << a
+            top.append(up)
+            bottom.append(down)
+        return tuple(top), tuple(bottom)
 
-    lines, rays = set(), []
-    for basis in combinations(sorted(normals), n - 1):
+    lines, rays = {}, {}
+    for basis in combinations(sorted(makers), n - 1):
         v = linalg.kernel_line(basis, n)
-        if v is None or v in lines:
+        if v is None:
             continue
-        lines.add(v)
-        for r in (v, tuple(-x for x in v)):
-            mask, is_ray = masks(r)
-            if is_ray:
-                rays.append((r, mask))
-    return tuple(rays)
+        if v not in lines:
+            lines[v] = masks(v)
+        for r, mask in zip((v, tuple(-x for x in v)), lines[v]):
+            if r in rays or (with_bias and r[-1] < 0):
+                continue
+            if all(any(mask[i] & pair == pair for i, pair in makers[p]) for p in basis):
+                rays[r] = mask
+    return tuple(rays.items())
 
 
 def _cells(layer: LayerSpec) -> list[tuple[tuple[tuple[int, ...], ...], bool]]:
@@ -212,9 +239,9 @@ def _cells(layer: LayerSpec) -> list[tuple[tuple[tuple[int, ...], ...], bool]]:
 
     The signatures are walked unit by unit, each unit's choices in
     _nonempty_subsets order, each prefix carrying the bitset of the rays
-    in its C_T, from the rays with t >= 0 (all rays when there is no
-    bias), and the bitsets of the rays that miss each left-out feature.  A
-    prefix that fails the test has no cell below it and is pruned.
+    in its C_T and the bitsets of the rays that miss each left-out
+    feature.  A prefix that fails the test has no cell below it and is
+    pruned.
 
     The fan is pointed exactly when the gradient differences span Q^n.
     Otherwise the features depend on x only through its component in their
@@ -222,7 +249,7 @@ def _cells(layer: LayerSpec) -> list[tuple[tuple[tuple[int, ...], ...], bool]]:
     restricted to S (restrict_layer at offset 0), which spans its space:
     they are found there, none bounded.
     """
-    rays = _fan_rays(projectivize(layer))
+    rays = _fan_rays(layer)
     if rays is None:
         n = layer.input_dim
         diffs = [[x - y for x, y in zip(w, u.weights[0])] for u in layer.units for w in u.weights[1:]]
@@ -235,7 +262,6 @@ def _cells(layer: LayerSpec) -> list[tuple[tuple[tuple[int, ...], ...], bool]]:
     def ray_set(keep) -> int:
         return sum(1 << j for j, (r, m) in enumerate(rays) if keep(r, m))
 
-    root = ray_set(lambda r, _: not with_bias or r[-1] >= 0)
     at_infinity = ray_set(lambda r, _: not with_bias or r[-1] == 0)
     needs = (ray_set(lambda r, _: r[-1] > 0),) if with_bias else ()
     levels = []
@@ -257,7 +283,7 @@ def _cells(layer: LayerSpec) -> list[tuple[tuple[tuple[int, ...], ...], bool]]:
             if all(child & m for m in more):
                 walk(sig + (c,), child, more)
 
-    walk((), root, needs)
+    walk((), every, needs)
     return out
 
 

@@ -33,7 +33,8 @@ region_walk_reference is the region walk by margin LPs that the fan walk
 (arrangement._regions) replaced, carried children included, and
 count_regions_reference reads its counts, boundedness by
 region_bounded_reference, the recession profile reference on each leaf's
-system.
+system.  fan_rays_reference is the fan's ray search by a tie rank per
+candidate sign that arrangement._fan_rays' active-normal test replaced.
 subsum_sides_reference is the subsum identity evaluation that reading every
 sub-arrangement off one region walk replaced: it walks each sub-layer
 (sub_layer) again with region_walk_reference, and checks that every unit
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from tropic.arrangement import (
@@ -891,6 +893,47 @@ def region_walk_reference(layer: LayerSpec) -> list:
             if w is not None:
                 nodes.append((sig, sys, w))
     return nodes
+
+
+def fan_rays_reference(central: LayerSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
+    """Every ray (r, masks) of the normal fan of a central layer, at both
+    signs, or None when the fan is not pointed, by the tie rank test that
+    arrangement._fan_rays' active-normal test replaced: each line +-v
+    spanning the null space of n - 1 tie normals is met once, and each sign
+    is kept when the ties at it (the differences of its argmax features)
+    have rank n - 1."""
+    n = central.input_dim
+    if n == 0:
+        return ()
+    grads = [u.integer_gradients() for u in central.units]
+    normals = {
+        linalg.primitive([x - y for x, y in zip(a, b)]) for g in grads for a, b in combinations(g, 2)
+    }
+    normals.discard((0,) * n)
+    if linalg.rank(list(normals)) < n:
+        return None
+
+    def masks(v):
+        out, ties = [], []
+        for g in grads:
+            values = [sum(map(mul, w, v)) for w in g]
+            top = max(values)
+            tied = [a for a, x in enumerate(values) if x == top]
+            out.append(sum(1 << a for a in tied))
+            ties += [[x - y for x, y in zip(g[a], g[tied[0]])] for a in tied[1:]]
+        return tuple(out), len(ties) >= n - 1 and linalg.rank(ties) == n - 1
+
+    lines, rays = set(), []
+    for basis in combinations(sorted(normals), n - 1):
+        v = linalg.kernel_line(basis, n)
+        if v is None or v in lines:
+            continue
+        lines.add(v)
+        for r in (v, tuple(-x for x in v)):
+            mask, is_ray = masks(r)
+            if is_ray:
+                rays.append((r, mask))
+    return tuple(rays)
 
 
 def region_bounded_reference(sys: ConstraintSystem) -> bool:

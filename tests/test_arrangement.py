@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -26,7 +27,7 @@ from tropic.arrangement import (
 )
 from tropic.bounds import binom, shallow_formula
 from tropic.geometry import ConstraintSystem
-from tropic.linalg import dot, nullspace_basis
+from tropic.linalg import dot, kernel_line, nullspace_basis, primitive
 from tropic.linalg import rank as linalg_rank
 from tropic.linprog import BudgetExceededError, lp_budget, lp_call_count, lp_pivot_count
 from tropic.minkowski import dual_region_count
@@ -39,6 +40,7 @@ from tropic.network import (
     construct_shallow_optimal,
     construct_shallow_optimal_nobias,
     layer,
+    projectivize,
     restrict_layer,
     sample_generic,
     unit,
@@ -565,6 +567,67 @@ class TestFanWalk:
             assert (res.r_total, res.r_slice) == (
                 len(region_walk_reference(l)), len(region_walk_reference(sliced))
             )
+
+    def test_rays_match_the_rank_test_reference(self):
+        # _fan_rays' active-normal test against the tie rank test it
+        # replaced (fan_rays_reference, which returns both signs): the same
+        # set of (ray, masks) pairs, those with t >= 0 with bias and all of
+        # them without, and None on the same layers.  On the oracle layers,
+        # on the 1,000 random layers of the fan walk test taken raw, as
+        # enumerate_cells passes them, on the sharpness grid, and on 1,000
+        # raw layers with units of rank up to 4, where a rank-4 unit's
+        # features often tie in pairs below their maximum.  The floors show
+        # that rays first met through a basis with a normal inactive at
+        # them, rays at infinity (t = 0) and layers whose fan is not
+        # pointed are all exercised; each is about half of this test's own
+        # count (182, 2,702 and 964).
+        rng = random.Random(36)
+        layers = [make() for make in ORACLE_LAYERS]
+        layers += [fan_walk_layer(rng, i % 2 == 0) for i in range(1000)]
+        rng = random.Random(39)
+        layers += [small_integer_layer(rng, i % 2 == 0, max_rank=4) for i in range(1000)]
+        for mode, n, ranks in grid3_cells():
+            make = construct_shallow_optimal if mode == WITH_BIAS else construct_shallow_optimal_nobias
+            layers.append(make(n, ranks, seed=11 * n + len(ranks)))
+        seen = Counter()
+        for l in layers:
+            central = projectivize(l)
+            reference = oracles.fan_rays_reference(central)
+            rays = arrangement._fan_rays(l)
+            if reference is None:
+                assert rays is None, l
+                seen["not pointed"] += 1
+                continue
+            with_bias = l.bias_mode == WITH_BIAS
+            kept = {(r, m) for r, m in reference if not with_bias or r[-1] >= 0}
+            assert rays is not None and len(set(rays)) == len(rays) and set(rays) == kept, l
+            seen["at infinity"] += with_bias * sum(r[-1] == 0 for r, _ in rays)
+            seen["first met inactive"] += _rays_first_met_inactive(central, rays)
+        assert seen["not pointed"] >= 480 and seen["at infinity"] >= 1350, seen
+        assert seen["first met inactive"] >= 90, seen
+
+
+def _rays_first_met_inactive(central, rays):
+    # How many of the rays the first sorted (n - 1)-subset of the primitive
+    # tie normals whose null space is the ray's line does not hold active
+    # at the ray: some normal of it is made by no pair of features that
+    # both lie in their unit's argmax set there.
+    n = central.input_dim
+    makers = {}
+    for i, g in enumerate(u.integer_gradients() for u in central.units):
+        for a, b in combinations(range(len(g)), 2):
+            p = primitive([x - y for x, y in zip(g[a], g[b])])
+            if any(p):
+                makers.setdefault(p, []).append((i, a, b))
+    first = {}
+    for basis in combinations(sorted(makers), n - 1):
+        first.setdefault(kernel_line(basis, n), basis)
+    count = 0
+    for r, masks in rays:
+        basis = first[primitive(r)]
+        active = [any(masks[i] >> a & masks[i] >> b & 1 for i, a, b in makers[p]) for p in basis]
+        count += not all(active)
+    return count
 
 
 class TestPoset:

@@ -15,16 +15,16 @@ alone, the only LP that enters by the largest coefficient rather than by
 Bland's rule; arrangement builds argmax rows in one helper; the line counter
 composes features through restrict_layer alone; the subsum identities walk
 the regions once and build atoms only when simplicity is not assumed; the
-cell walk only traverses, no walk takes a leaf function, and the fan walk
-reaches no LP, atom or poset; the flat certificate
-of sampled layers solves no LP; both constructions build every unit as a
-ladder through _ladder_unit; the Weibel certificate finds parallel
-difference vectors by their primitive directions, with no rank; every
-integer command-line argument is range-checked; and each refusal is raised
-in one place and reported by main alone: the LP budget is tested by
-require_lp_headroom, and no command handler prints a refusal or picks its
-exit code; and cli._write_out alone opens a file for writing, never
-truncating it to zero first.
+cell walk only traverses, no walk takes a leaf function, the fan's ray
+search ranks only for pointedness, and the fan walk reaches no LP, atom or
+poset; the flat certificate of sampled layers solves no LP; both
+constructions build every unit as a ladder through _ladder_unit; the Weibel
+certificate finds parallel difference vectors by their primitive
+directions, with no rank; every integer command-line argument is
+range-checked; and each refusal is raised in one place and reported by
+main alone: the LP budget is tested by require_lp_headroom, and no command
+handler prints a refusal or picks its exit code; and cli._write_out alone
+opens a file for writing, never truncating it to zero first.
 """
 
 import ast
@@ -398,6 +398,21 @@ def test_frontier_takes_no_leaf_function():
         args = _arrangement_function(func).args
         assert [a.arg for a in args.posonlyargs + args.args] == ["layer"], func
         assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None), func
+
+
+def test_fan_rays_ranks_only_for_pointedness():
+    # A candidate ray is accepted when every normal of its basis is active
+    # at it, which the argmax masks show; the one rank decides whether the
+    # fan is pointed.  A second rank would be a tie rank per candidate
+    # again, and a parameter would let a caller hand the ray search its
+    # half-space or its normals.
+    fn = _arrangement_function("_fan_rays")
+    args = fn.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["layer"]
+    assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None)
+    nodes = [n for stmt in fn.body for n in ast.walk(stmt)]
+    ranks = [n.lineno for n in nodes if getattr(n, "id", None) == "rank" or getattr(n, "attr", None) == "rank"]
+    assert len(ranks) == 1, f"_fan_rays names rank at lines {ranks}"
 
 
 def _functions_reached(starts):
